@@ -61,8 +61,12 @@ EVAL_MANIFEST = "eval_manifest.csv"
 def _atomic(write_fn, path: Path) -> None:
     """Write via a sibling temp file so a failure never leaves a partial file."""
     tmp = path.with_name(path.name + ".tmp")
-    write_fn(tmp)
-    os.replace(tmp, path)
+    try:
+        write_fn(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _parse_grid(text: str, integral: bool) -> list:
@@ -231,7 +235,7 @@ def cmd_score(args) -> int:
     model = LofModel.load(args.model)
     table = load_feature_csv(args.features)
     scores = model.score_batch(table.matrix)
-    labels = model.classify_batch(table.matrix)
+    labels = model.labels(scores)
 
     def write(path):
         with open(path, "w", newline="") as fh:
@@ -257,8 +261,7 @@ def cmd_score(args) -> int:
 def cmd_eval(args) -> int:
     model = LofModel.load(args.model)
     table = load_feature_csv(args.features)
-    preds = model.classify_batch(table.matrix)
-    cm = confusion(table.classes, preds)
+    cm = confusion(table.classes, model.labels(model.score_batch(table.matrix)))
     m = metrics(cm)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

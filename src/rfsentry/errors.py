@@ -71,3 +71,9 @@ class EmptyInput(RfSentryError):
 
 class EmptyMatrix(RfSentryError):
     """Metrics are undefined for an all-zero confusion matrix."""
+
+
+# file formats
+
+class FormatError(RfSentryError, ValueError):
+    """A file the CLI reads is malformed or internally inconsistent."""

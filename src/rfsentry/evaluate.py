@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import EmptyInput, EmptyMatrix, LengthMismatch
 from .features import FeatureTable, fingerprint
-from .lof import Label, LofModel, Metric, fit
+from .lof import Label, LofModel, Metric, _Reference
 from .signals import Signal, SignalClass, TriggerConfig, add_awgn
 
 
@@ -107,9 +107,8 @@ class SweepTable:
         raise KeyError(f"no sweep cell for snr={snr_db}, k={k}")
 
 
-def _accuracy(model: LofModel, table: FeatureTable) -> float:
-    preds = model.classify_batch(table.matrix)
-    return metrics(confusion(table.classes, preds)).accuracy
+def _accuracy(model: LofModel, scores: np.ndarray, truth: list[SignalClass]) -> float:
+    return metrics(confusion(truth, model.labels(scores))).accuracy
 
 
 def sweep_neighbors(
@@ -121,21 +120,27 @@ def sweep_neighbors(
     threshold: float = 1.5,
     standardize: bool = True,
 ) -> SweepTable:
-    """Fit one model per neighbor count; report validation and test accuracy."""
+    """Fit one model per neighbor count; report validation and test accuracy.
+
+    The training, validation and test distance tables are built once and
+    shared by every k; each row equals a separate fit + score at that k.
+    """
     if not k_grid:
         raise ValueError("k_grid must be non-empty")
-    rows = []
-    for k in sorted(k_grid):
-        model = fit(train.matrix, k=k, metric=metric, threshold=threshold,
-                    standardize=standardize)
-        rows.append(
-            SweepRow(
-                snr_db=None,
-                k=k,
-                validation_accuracy=_accuracy(model, validation),
-                test_accuracy=_accuracy(model, test),
-            )
+    reference = _Reference(train.matrix, metric, standardize)
+    models = [reference.model(k, threshold) for k in sorted(k_grid)]
+    val_table, test_table = (models[0]._query_table(t.matrix) for t in (validation, test))
+    rows = [
+        SweepRow(
+            snr_db=None,
+            k=model.k,
+            validation_accuracy=_accuracy(
+                model, model._score_table(val_table), validation.classes
+            ),
+            test_accuracy=_accuracy(model, model._score_table(test_table), test.classes),
         )
+        for model in models
+    ]
     return SweepTable(rows=tuple(rows))
 
 
@@ -173,19 +178,19 @@ def sweep_snr(
 
     ``balanced_clean`` pairs each clean evaluation signal with its noise
     seed; every grid SNR re-noises from clean, so cells never stack noise.
-    Models are fitted once per k on the (training-SNR) feature table and
-    reused across SNR cells. ``jobs`` caps workers for the per-SNR feature
-    extraction; the table is identical for any worker count.
+    Models are fitted once per k on the (training-SNR) feature table, from
+    one training distance table, and reused across SNR cells; each SNR
+    matrix gets one distance table, shared by every k. ``jobs`` caps workers
+    for the per-SNR feature extraction; the table is identical for any
+    worker count.
     """
     if not k_grid or not snr_grid:
         raise ValueError("k_grid and snr_grid must be non-empty")
     if not balanced_clean:
         raise EmptyInput("balanced evaluation set is empty")
-    models = {
-        k: fit(train.matrix, k=k, metric=metric, threshold=threshold,
-               standardize=standardize)
-        for k in sorted(k_grid)
-    }
+    reference = _Reference(train.matrix, metric, standardize)
+    models = [reference.model(k, threshold) for k in sorted(k_grid)]
+    del reference  # frees the training table; the models keep kdist and lrd
     truth = [sig.signal_class for sig, _ in balanced_clean]
     snrs = sorted(float(s) for s in snr_grid)
     if jobs > 1:
@@ -201,10 +206,10 @@ def sweep_snr(
         matrices = {snr: _snr_matrix(balanced_clean, snr, trigger) for snr in snrs}
     rows = []
     for snr in snrs:
-        for k in sorted(k_grid):
-            preds = models[k].classify_batch(matrices[snr])
-            acc = metrics(confusion(truth, preds)).accuracy
-            rows.append(SweepRow(snr_db=snr, k=k, validation_accuracy=None,
+        table = models[0]._query_table(matrices[snr])
+        for model in models:
+            acc = _accuracy(model, model._score_table(table), truth)
+            rows.append(SweepRow(snr_db=snr, k=model.k, validation_accuracy=None,
                                  test_accuracy=acc))
     return SweepTable(rows=tuple(rows))
 

@@ -14,21 +14,30 @@ reachability density) are the classic density-based ones:
     lrd(p)        = 1 / (mean_{o in N_k(p)} reach(p, o) + eps)
     score(p)      = mean_{o in N_k(p)} lrd(o) / lrd(p)
 
-Neighbor search is exact brute force; at the few-hundred-point scale this
-pipeline runs at, that is both trivial and required for oracle-level tests.
+Neighbor search is exact brute force over one distance table per (query
+set, reference set): a ``(q, n)`` matrix filled by accumulating the feature
+columns in order, never through a ``(q, n, d)`` difference tensor. Fitting
+is the reference scored against itself with the diagonal set to inf. Every
+pass over a table (filling it, k-distances, densities, scores) walks it in
+row blocks of about ``_BLOCK_ELEMENTS`` entries, so besides the table itself
+the temporaries are O(block * n) floats. The table does not depend on k, so
+the sweeps in ``evaluate`` build each one once and derive every k from it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    FormatError,
     NonFiniteFeature,
     NotEnoughTrainingData,
     ShapeError,
@@ -41,6 +50,15 @@ DEFAULT_THRESHOLD = 1.5
 
 MODEL_FORMAT = "rfsentry-lof"
 MODEL_FORMAT_VERSION = 1
+_MODEL_KEYS = ("k", "metric", "threshold", "standardized", "scaler_mean",
+               "scaler_std", "train", "kdist", "lrd")
+
+# Distance-table entries per row block. Each block temporary is 512 KiB of
+# float64 whatever the number of reference rows, small enough for two of
+# them to stay in a core's L2 cache: fit at n=8,000 plus 2,200 scores took
+# 2.0 s with 2**21-entry blocks and 1.2 s with 2**16 (2-vCPU Xeon VM, one
+# BLAS thread).
+_BLOCK_ELEMENTS = 1 << 16
 
 
 class Label(Enum):
@@ -60,27 +78,71 @@ def _as_vector(x) -> np.ndarray:
     return v
 
 
-def manhattan(a, b) -> float:
-    """Sum of absolute coordinate differences."""
-    va, vb = _as_vector(a), _as_vector(b)
-    if va.shape != vb.shape:
-        raise DimensionMismatch(f"dimension mismatch: {va.shape} vs {vb.shape}")
-    return float(np.abs(va - vb).sum())
+def _row_blocks(rows: int, cols: int) -> list[slice]:
+    step = max(1, _BLOCK_ELEMENTS // max(cols, 1))
+    return [slice(start, start + step) for start in range(0, rows, step)]
 
 
-def euclidean(a, b) -> float:
-    va, vb = _as_vector(a), _as_vector(b)
-    if va.shape != vb.shape:
-        raise DimensionMismatch(f"dimension mismatch: {va.shape} vs {vb.shape}")
-    return float(np.sqrt(((va - vb) ** 2).sum()))
+def _distance_table(a: np.ndarray, b: np.ndarray, metric: Metric) -> np.ndarray:
+    """(len(a), len(b)) distance matrix, filled one row block at a time.
+
+    Columns are accumulated in order 0..d-1. For d < 8 that is the order
+    numpy's own reduction over the feature axis uses, so the table equals
+    the difference-tensor formula bit for bit.
+    """
+    at, bt = a.T.copy(), b.T.copy()  # contiguous feature columns
+    table = np.zeros((len(a), len(b)))
+    for rows in _row_blocks(*table.shape):
+        out = table[rows]
+        diff = np.empty_like(out)
+        for j in range(len(at)):
+            np.subtract(at[j, rows, None], bt[j], out=diff)
+            if metric is Metric.MANHATTAN:
+                np.abs(diff, out=diff)
+            else:
+                np.multiply(diff, diff, out=diff)
+            out += diff
+        if metric is Metric.EUCLIDEAN:
+            np.sqrt(out, out=out)
+    return table
 
 
-def _pairwise(a: np.ndarray, b: np.ndarray, metric: Metric) -> np.ndarray:
-    """(len(a), len(b)) distance matrix."""
-    diff = a[:, None, :] - b[None, :, :]
-    if metric is Metric.MANHATTAN:
-        return np.abs(diff).sum(axis=2)
-    return np.sqrt((diff**2).sum(axis=2))
+def _kdist(table: np.ndarray, k: int) -> np.ndarray:
+    """Each row's k-th smallest distance."""
+    kdist = np.empty(len(table))
+    for rows in _row_blocks(*table.shape):
+        kdist[rows] = np.partition(table[rows], k - 1, axis=1)[:, k - 1]
+    return kdist
+
+
+def _lof(
+    table: np.ndarray,
+    kdist: np.ndarray,
+    ref_kdist: np.ndarray,
+    ref_lrd: np.ndarray | None = None,
+) -> np.ndarray:
+    """Each table row's lrd, or its LOF score when ``ref_lrd`` is given.
+
+    ``kdist`` belongs to the table's rows and ``ref_kdist``/``ref_lrd`` to
+    its columns. N_k keeps every column with ``dist <= kdist``, ties
+    included. Each row is reduced over all n columns with zeros outside
+    N_k, not over gathered neighbor indices: that fixes the summation order,
+    and with it the last bit of every score.
+    """
+    out = np.empty(len(table))
+    for rows in _row_blocks(*table.shape):
+        dist = table[rows]
+        neighborhood = dist <= kdist[rows, None]
+        counts = neighborhood.sum(axis=1)
+        reach = np.maximum(ref_kdist[None, :], dist)
+        mean_reach = np.where(neighborhood, reach, 0.0).sum(axis=1) / counts
+        lrd = 1.0 / (mean_reach + LRD_EPSILON)
+        if ref_lrd is None:
+            out[rows] = lrd
+        else:
+            neighbor_lrd = np.where(neighborhood, ref_lrd[None, :], 0.0).sum(axis=1)
+            out[rows] = neighbor_lrd / counts / lrd
+    return out
 
 
 @dataclass(frozen=True)
@@ -126,31 +188,29 @@ class LofModel:
             raise NonFiniteFeature("query features must be finite")
         return (q - self.scaler_mean) / self.scaler_std
 
+    def _query_table(self, queries) -> np.ndarray:
+        """Distances from each (raw) query to every training row; k-independent."""
+        return _distance_table(self._transform(queries), self.train, self.metric)
+
+    def _score_table(self, table: np.ndarray) -> np.ndarray:
+        return _lof(table, _kdist(table, self.k), self.kdist, self.lrd)
+
     def score_batch(self, queries) -> np.ndarray:
         """LOF score of each query against the training reference set."""
-        q = self._transform(np.asarray(queries, dtype=np.float64))
-        dist = _pairwise(q, self.train, self.metric)
-        kdist_q = np.partition(dist, self.k - 1, axis=1)[:, self.k - 1]
-        neighborhood = dist <= kdist_q[:, None]
-        counts = neighborhood.sum(axis=1)
-        reach = np.maximum(self.kdist[None, :], dist)
-        mean_reach = np.where(neighborhood, reach, 0.0).sum(axis=1) / counts
-        lrd_q = 1.0 / (mean_reach + LRD_EPSILON)
-        mean_neighbor_lrd = np.where(neighborhood, self.lrd[None, :], 0.0).sum(axis=1) / counts
-        return mean_neighbor_lrd / lrd_q
+        return self._score_table(self._query_table(queries))
 
     def score(self, x) -> float:
         return float(self.score_batch(_as_vector(x)[None, :])[0])
 
+    def labels(self, scores) -> list[Label]:
+        """Decision for each score; a score exactly at the threshold stays an inlier."""
+        return [Label.OUTLIER if s > self.threshold else Label.INLIER for s in scores]
+
     def classify_batch(self, queries) -> list[Label]:
-        return [
-            Label.OUTLIER if s > self.threshold else Label.INLIER
-            for s in self.score_batch(queries)
-        ]
+        return self.labels(self.score_batch(queries))
 
     def classify(self, x) -> Label:
-        # boundary rule: a score exactly at the threshold stays an inlier
-        return Label.OUTLIER if self.score(x) > self.threshold else Label.INLIER
+        return self.labels([self.score(x)])[0]
 
     # -- persistence ----------------------------------------------------------
 
@@ -174,22 +234,103 @@ class LofModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "LofModel":
+        """Read a model written by ``save``; any inconsistency is a FormatError."""
         with open(path) as fh:
-            doc = json.load(fh)
-        if doc.get("format") != MODEL_FORMAT:
-            raise ValueError(f"{path}: not a {MODEL_FORMAT} document")
+            try:
+                doc = json.load(fh)
+            except ValueError as exc:
+                raise FormatError(f"{path}: not JSON: {exc}") from None
+        if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
+            raise FormatError(f"{path}: not a {MODEL_FORMAT} document")
         if doc.get("version") != MODEL_FORMAT_VERSION:
-            raise ValueError(f"{path}: unsupported model version {doc.get('version')}")
-        return cls(
-            train=np.array(doc["train"], dtype=np.float64),
-            k=int(doc["k"]),
-            metric=Metric(doc["metric"]),
-            threshold=float(doc["threshold"]),
-            kdist=np.array(doc["kdist"], dtype=np.float64),
-            lrd=np.array(doc["lrd"], dtype=np.float64),
-            scaler_mean=np.array(doc["scaler_mean"], dtype=np.float64),
-            scaler_std=np.array(doc["scaler_std"], dtype=np.float64),
-            standardized=bool(doc["standardized"]),
+            raise FormatError(f"{path}: unsupported model version {doc.get('version')}")
+        missing = [key for key in _MODEL_KEYS if key not in doc]
+        if missing:
+            raise FormatError(f"{path}: missing key(s) {', '.join(missing)}")
+        k, standardized = doc["k"], doc["standardized"]
+        if type(k) is not int or type(standardized) is not bool:
+            raise FormatError(f"{path}: k must be an integer and standardized a boolean")
+        try:
+            metric = Metric(doc["metric"])
+            threshold = float(doc["threshold"])
+            arrays = {
+                name: np.array(doc[name], dtype=np.float64)
+                for name in ("train", "kdist", "lrd", "scaler_mean", "scaler_std")
+            }
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"{path}: {exc}") from None
+        train = arrays["train"]
+        if train.ndim != 2 or len(train) < 2:
+            raise FormatError(
+                f"{path}: train must be a matrix of at least 2 rows, got shape {train.shape}"
+            )
+        n, dim = train.shape
+        for name, size in (("kdist", n), ("lrd", n), ("scaler_mean", dim), ("scaler_std", dim)):
+            if arrays[name].shape != (size,):
+                raise FormatError(
+                    f"{path}: {name} has shape {arrays[name].shape}, expected ({size},)"
+                )
+        if not 1 <= k <= n - 1:
+            raise FormatError(f"{path}: k={k} outside 1..{n - 1} for {n} training rows")
+        for name, values in arrays.items():
+            if not np.all(np.isfinite(values)):
+                raise FormatError(f"{path}: {name} holds non-finite values")
+        if math.isnan(threshold):
+            raise FormatError(f"{path}: threshold is NaN")
+        if np.any(arrays["scaler_std"] <= 0.0):
+            raise FormatError(f"{path}: scaler_std must be positive")
+        return cls(k=k, metric=metric, threshold=threshold, standardized=standardized,
+                   **arrays)
+
+
+class _Reference:
+    """Standardized training rows and their own distance table, shared by every k.
+
+    The table is the reference against itself with the diagonal set to inf,
+    so no point is its own neighbor; it is built on first use.
+    """
+
+    def __init__(self, train, metric: Metric | str, standardize: bool) -> None:
+        self.metric = Metric(metric)
+        x = np.asarray(train, dtype=np.float64)
+        if x.ndim != 2:
+            raise ShapeError(f"training matrix must be 2-D, got shape {x.shape}")
+        if not np.all(np.isfinite(x)):
+            raise NonFiniteFeature("training features must be finite")
+        if standardize:
+            mean = x.mean(axis=0)
+            std = x.std(axis=0)
+            std = np.where(std == 0.0, 1.0, std)  # constant columns contribute 0
+        else:
+            mean = np.zeros(x.shape[1])
+            std = np.ones(x.shape[1])
+        self.standardized = standardize
+        self.mean, self.std = mean, std
+        self.z = (x - mean) / std
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        table = _distance_table(self.z, self.z, self.metric)
+        np.fill_diagonal(table, np.inf)
+        return table
+
+    def model(self, k: int, threshold: float) -> LofModel:
+        n = len(self.z)
+        if k < 1:
+            raise NotEnoughTrainingData(f"k must be at least 1, got {k}")
+        if n < k + 1:
+            raise NotEnoughTrainingData(f"need at least k+1={k + 1} rows, got {n}")
+        kdist = _kdist(self.table, k)
+        return LofModel(
+            train=self.z,
+            k=k,
+            metric=self.metric,
+            threshold=threshold,
+            kdist=kdist,
+            lrd=_lof(self.table, kdist, kdist),
+            scaler_mean=self.mean,
+            scaler_std=self.std,
+            standardized=self.standardized,
         )
 
 
@@ -206,42 +347,4 @@ def fit(
     feature dominates the Manhattan metric; pass standardize=False for raw
     distances.
     """
-    metric = Metric(metric)
-    x = np.asarray(train, dtype=np.float64)
-    if x.ndim != 2:
-        raise ShapeError(f"training matrix must be 2-D, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteFeature("training features must be finite")
-    n = x.shape[0]
-    if k < 1 or n < k + 1:
-        raise NotEnoughTrainingData(f"need at least k+1={k + 1} rows, got {n}")
-
-    if standardize:
-        mean = x.mean(axis=0)
-        std = x.std(axis=0)
-        std = np.where(std == 0.0, 1.0, std)  # constant columns contribute 0
-    else:
-        mean = np.zeros(x.shape[1])
-        std = np.ones(x.shape[1])
-    z = (x - mean) / std
-
-    dist = _pairwise(z, z, metric)
-    np.fill_diagonal(dist, np.inf)
-    kdist = np.partition(dist, k - 1, axis=1)[:, k - 1]
-    neighborhood = dist <= kdist[:, None]
-    counts = neighborhood.sum(axis=1)
-    reach = np.maximum(kdist[None, :], dist)
-    mean_reach = np.where(neighborhood, reach, 0.0).sum(axis=1) / counts
-    lrd = 1.0 / (mean_reach + LRD_EPSILON)
-
-    return LofModel(
-        train=z,
-        k=k,
-        metric=metric,
-        threshold=threshold,
-        kdist=kdist,
-        lrd=lrd,
-        scaler_mean=mean,
-        scaler_std=std,
-        standardized=standardize,
-    )
+    return _Reference(train, metric, standardize).model(k, threshold)

@@ -1,12 +1,14 @@
 """End-to-end CLI behavior via subprocess (installed entry point)."""
 
 import csv
+import json
 import shutil
 import subprocess
 import sys
 
 import pytest
 
+from rfsentry.cli import _atomic
 from rfsentry.features import load_feature_csv
 
 SUBCOMMANDS = ["synth", "extract", "train", "score", "eval", "sweep-n", "sweep-snr"]
@@ -141,6 +143,50 @@ def test_train_k_too_large_exits_two(pipeline, tmp_path):
     result = run_cli("train", "--features", train_csv,
                      "--out", tmp_path / "model.json", "--k", 200)
     assert result.returncode == 2
+
+
+def test_train_k_zero_exits_two(pipeline, tmp_path):
+    _, train_csv, _, _ = pipeline
+    result = run_cli("train", "--features", train_csv,
+                     "--out", tmp_path / "model.json", "--k", 0)
+    assert result.returncode == 2
+    assert "k must be at least 1, got 0" in result.stderr
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d.pop("lrd"), "missing key(s) lrd"),
+    (lambda d: d.update(kdist=d["kdist"][:-1]), "kdist has shape"),
+    (lambda d: d.update(lrd=d["lrd"] + [1.0]), "lrd has shape"),
+    (lambda d: d.update(k=0), "k=0 outside 1..31"),
+    (lambda d: d.update(k=len(d["train"])), "k=32 outside 1..31"),
+    (lambda d: d.update(scaler_mean=d["scaler_mean"][:-1]), "scaler_mean has shape"),
+    (lambda d: d.update(scaler_std=d["scaler_std"] + [1.0]), "scaler_std has shape"),
+    (lambda d: d["train"][0].__setitem__(0, float("nan")), "train holds non-finite values"),
+], ids=["missing-key", "short-kdist", "long-lrd", "k-zero", "k-n", "short-mean",
+        "long-std", "nan"])
+def test_score_rejects_inconsistent_model(pipeline, tmp_path, edit, message):
+    _, _, eval_csv, model = pipeline
+    doc = json.loads(model.read_text())
+    edit(doc)
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(doc))
+    result = run_cli("score", "--model", bad, "--features", eval_csv,
+                     "--out", tmp_path / "scores.csv")
+    assert result.returncode == 2
+    assert message in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_atomic_write_failure_leaves_no_files(tmp_path):
+    target = tmp_path / "out.csv"
+
+    def failing_writer(path):
+        path.write_text("partial")
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        _atomic(failing_writer, target)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_score_output(pipeline, tmp_path):

@@ -22,9 +22,9 @@ from rfsentry.evaluate import (
     sweep_neighbors,
     sweep_snr,
 )
-from rfsentry.features import FeatureTable
+from rfsentry.features import FeatureTable, fingerprint
 from rfsentry.lof import Label, fit
-from rfsentry.signals import SignalClass, TriggerConfig
+from rfsentry.signals import SignalClass, TriggerConfig, add_awgn
 from rfsentry.synth import balanced_indices, build_corpus, clean_eval_signals
 
 from .conftest import table_from_signals
@@ -227,6 +227,41 @@ def test_sweep_snr_parallel_matches_serial(mini_sweep_parts):
     parallel = sweep_snr(train_table, balanced_clean, [5], [14.0, cfg.snr_db],
                          trigger, jobs=2)
     assert serial == parallel
+
+
+def _accuracy_by_refit(train_table, matrix, truth, k, metric):
+    """One separate fit and score_batch per cell, the loop the sweeps replaced."""
+    model = fit(train_table.matrix, k=k, metric=metric)
+    labels = model.labels(model.score_batch(matrix))
+    return metrics(confusion(truth, labels)).accuracy
+
+
+@pytest.mark.parametrize("metric", ["manhattan", "euclidean"])
+def test_sweeps_share_tables_without_changing_cells(mini_sweep_parts, metric):
+    cfg, trigger, train_table, balanced_clean, balanced_stored = mini_sweep_parts
+    ks = [2, 3, 5, 8, 13]
+    stored = table_from_signals(balanced_stored, trigger)
+    validation, test = stored.select(range(0, 20, 2)), stored.select(range(1, 20, 2))
+    swept = sweep_neighbors(train_table, validation, test, ks, metric=metric)
+    assert swept == SweepTable(rows=tuple(
+        SweepRow(None, k,
+                 _accuracy_by_refit(train_table, validation.matrix,
+                                    validation.classes, k, metric),
+                 _accuracy_by_refit(train_table, test.matrix, test.classes, k, metric))
+        for k in ks
+    ))
+
+    snrs = [8.0, 18.0, float(cfg.snr_db)]
+    swept = sweep_snr(train_table, balanced_clean, ks, snrs, trigger, metric=metric)
+    truth = [sig.signal_class for sig, _ in balanced_clean]
+    expected = []
+    for snr in snrs:
+        matrix = np.array([fingerprint(add_awgn(sig, snr, seed), trigger).as_array()
+                           for sig, seed in balanced_clean])
+        expected += [SweepRow(snr, k, None,
+                              _accuracy_by_refit(train_table, matrix, truth, k, metric))
+                     for k in ks]
+    assert swept == SweepTable(rows=tuple(expected))
 
 
 def test_sweep_snr_validation(mini_sweep_parts):

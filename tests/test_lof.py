@@ -1,8 +1,11 @@
-"""Local Outlier Factor: metrics, fit/score/classify, persistence."""
+"""Local Outlier Factor: distance table, fit/score/classify, persistence."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from rfsentry import lof
 from rfsentry.errors import (
     DimensionMismatch,
     NonFiniteFeature,
@@ -15,42 +18,121 @@ from rfsentry.lof import (
     Label,
     LofModel,
     Metric,
-    euclidean,
+    _distance_table,
     fit,
-    manhattan,
 )
 
 from .oracles import brute_lof_scores
 
 
-# -- distance functions -------------------------------------------------------
+def distance(a, b, metric: Metric) -> float:
+    """One entry of the distance table, for hand examples."""
+    return float(_distance_table(np.atleast_2d(a), np.atleast_2d(b), metric)[0, 0])
+
+
+# -- distance table -----------------------------------------------------------
 
 
 def test_manhattan_examples():
-    assert manhattan(np.zeros(4), np.zeros(4)) == 0.0
-    assert manhattan(np.array([1.0, 2, 3, 4]), np.array([4.0, 3, 2, 1])) == 8.0
+    m = Metric.MANHATTAN
+    assert distance(np.zeros(4), np.zeros(4), m) == 0.0
+    assert distance(np.array([1.0, 2, 3, 4]), np.array([4.0, 3, 2, 1]), m) == 8.0
 
 
 def test_euclidean_example():
-    assert euclidean(np.array([3.0, 0.0]), np.array([0.0, 4.0])) == 5.0
+    assert distance(np.array([3.0, 0.0]), np.array([0.0, 4.0]), Metric.EUCLIDEAN) == 5.0
 
 
 def test_distance_dimension_mismatch():
+    # the table trusts its shapes; queries are checked where they enter
     with pytest.raises(DimensionMismatch):
-        manhattan(np.zeros(3), np.zeros(4))
+        fit(np.eye(4), k=1, metric="manhattan").score_batch(np.zeros(3))
     with pytest.raises(DimensionMismatch):
-        euclidean(np.zeros(2), np.zeros(5))
+        fit(np.eye(2) * 3.0, k=1, metric="euclidean").score_batch(np.zeros(5))
 
 
 def test_metric_axioms_on_random_triples():
     rng = np.random.default_rng(21)
-    for d in (manhattan, euclidean):
+    for metric in Metric:
         for _ in range(20):
-            a, b, c = rng.standard_normal((3, 4))
-            assert d(a, b) >= 0.0
-            assert d(a, b) == d(b, a)
-            assert d(a, a) == 0.0
-            assert d(a, c) <= d(a, b) + d(b, c) + 1e-12
+            abc = rng.standard_normal((3, 4))
+            d = _distance_table(abc, abc, metric)
+            assert np.all(d >= 0.0)
+            assert np.array_equal(d, d.T)
+            assert np.all(np.diag(d) == 0.0)
+            assert d[0, 2] <= d[0, 1] + d[1, 2] + 1e-12
+
+
+# -- the shared core against its references -----------------------------------
+
+
+def tensor_lof(train, queries, k, metric):
+    """The (q, n, d) difference-tensor formula the row-block core replaced."""
+
+    def pairwise(a, b):
+        diff = a[:, None, :] - b[None, :, :]
+        if metric == "manhattan":
+            return np.abs(diff).sum(axis=2)
+        return np.sqrt((diff**2).sum(axis=2))
+
+    def densities(dist, ref_kdist):
+        kd = np.partition(dist, k - 1, axis=1)[:, k - 1]
+        neighborhood = dist <= kd[:, None]
+        counts = neighborhood.sum(axis=1)
+        reach = np.maximum(ref_kdist[None, :], dist)
+        mean_reach = np.where(neighborhood, reach, 0.0).sum(axis=1) / counts
+        return neighborhood, counts, 1.0 / (mean_reach + lof.LRD_EPSILON)
+
+    dist = pairwise(train, train)
+    np.fill_diagonal(dist, np.inf)
+    kdist = np.partition(dist, k - 1, axis=1)[:, k - 1]
+    _, _, lrd = densities(dist, kdist)
+    neighborhood, counts, lrd_q = densities(pairwise(queries, train), kdist)
+    mean_neighbor_lrd = np.where(neighborhood, lrd[None, :], 0.0).sum(axis=1) / counts
+    return kdist, lrd, mean_neighbor_lrd / lrd_q
+
+
+@pytest.mark.parametrize("grid", [True, False], ids=["grid", "normal"])
+@pytest.mark.parametrize("metric", ["manhattan", "euclidean"])
+def test_core_matches_references_across_block_edges(metric, grid, monkeypatch):
+    # integer grid data forces distance ties, and normal data makes the
+    # rounding of every sum visible; 7-row blocks put both the fit (30 rows)
+    # and every query count below on and around block edges
+    block, n, d = 7, 30, 4
+    monkeypatch.setattr(lof, "_BLOCK_ELEMENTS", block * n)
+    rng = np.random.default_rng(34)
+
+    def sample(rows, lo, hi):
+        if grid:
+            return rng.integers(lo, hi, (rows, d)).astype(float)
+        return rng.normal(lo, hi - lo, (rows, d))
+
+    train = sample(n, 0, 4)
+    model = fit(train, k=3, metric=metric, standardize=False)
+    for q in (1, block - 1, block, block + 1, 2 * block + 3):
+        queries = sample(q, -2, 6)
+        kdist, lrd, scores = tensor_lof(train, queries, 3, metric)
+        assert np.array_equal(model.kdist, kdist)
+        assert np.array_equal(model.lrd, lrd)
+        mine = model.score_batch(queries)
+        assert np.array_equal(mine, scores)
+        ref = brute_lof_scores(train, queries, k=3, metric=metric)
+        assert np.allclose(mine, ref, rtol=1e-9, atol=1e-12)
+
+
+def test_fit_peak_memory_is_bounded():
+    # the (n, n) table is the only n*n allocation; an (n, n, d) difference
+    # tensor would alone be 4x the table at d=4
+    n = 3000
+    x = np.random.default_rng(35).standard_normal((n, 4))
+    table_bytes = n * n * 8
+    tracemalloc.start()
+    try:
+        fit(x, k=10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table_bytes <= peak < 2.5 * table_bytes
 
 
 # -- fit ----------------------------------------------------------------------
