@@ -37,6 +37,7 @@ from .signals import (
     ManifestRow,
     SignalClass,
     TriggerConfig,
+    _fmt,
     load_signal,
     read_manifest,
     save_signal,
@@ -44,8 +45,7 @@ from .signals import (
 )
 from .synth import (
     CorpusConfig,
-    balanced_indices,
-    clean_eval_signals,
+    balanced_clean_eval,
     default_profiles,
     gen_burst,
     stratified_split_indices,
@@ -120,13 +120,9 @@ def _synth_device(cfg: CorpusConfig, profile_index: int, out_dir: str) -> list:
         sig = gen_burst(profile, index, cfg)
         rel = f"signals/{profile.name}_{index:05d}.rfsg"
         save_signal(sig, Path(out_dir) / rel)
-        is_train = (
-            profile.signal_class is SignalClass.RECOGNIZED
-            and index < cfg.train_per_device
-        )
         rows.append(
             (
-                "train" if is_train else "eval",
+                "train" if cfg.is_train(profile, index) else "eval",
                 ManifestRow(
                     path=rel,
                     device_id=sig.device_id,
@@ -205,6 +201,10 @@ def cmd_extract(args) -> int:
             log.warning("skipping %s: %s", row.path, exc)
             continue
         kept.append((row.device_id, row.signal_class, row.snr_db, vec))
+    if not kept:
+        raise RfSentryError(
+            f"{manifest}: none of its {len(rows)} signals could be fingerprinted"
+        )
     table = FeatureTable.from_rows(kept)
     _atomic(lambda p: save_feature_csv(table, p), Path(args.out))
     log.info("extracted %d feature rows, skipped %d of %d", len(table), skipped, len(rows))
@@ -242,13 +242,12 @@ def cmd_score(args) -> int:
             writer = csv.writer(fh)
             writer.writerow(["device_id", "class", "snr_db", "score", "label"])
             for i in range(len(table)):
-                snr = table.snr_db[i]
                 writer.writerow(
                     [
                         table.device_ids[i],
                         table.classes[i].value,
-                        "" if snr is None else repr(float(snr)),
-                        repr(float(scores[i])),
+                        _fmt(table.snr_db[i]),
+                        _fmt(scores[i]),
                         labels[i].value,
                     ]
                 )
@@ -308,12 +307,9 @@ def cmd_sweep_snr(args) -> int:
     train = load_feature_csv(args.train_features)
     _require_recognized(train, "training features")
 
-    clean = clean_eval_signals(cfg)
-    labels = [sig.signal_class for sig, _ in clean]
-    picked = balanced_indices(
-        labels, args.per_class, stage_seed(cfg.master_seed, "balanced")
+    balanced = balanced_clean_eval(
+        cfg, args.per_class, stage_seed(cfg.master_seed, "balanced")
     )
-    balanced = [clean[i] for i in picked]
     trigger = TriggerConfig(capture_len=cfg.capture_len)
     table = sweep_snr(
         train,

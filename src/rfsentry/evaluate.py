@@ -17,7 +17,7 @@ import numpy as np
 from .errors import EmptyInput, EmptyMatrix, LengthMismatch
 from .features import FeatureTable, fingerprint
 from .lof import Label, LofModel, Metric, _Reference
-from .signals import Signal, SignalClass, TriggerConfig, add_awgn
+from .signals import Signal, SignalClass, TriggerConfig, _fmt, add_awgn
 
 
 @dataclass(frozen=True)
@@ -217,10 +217,6 @@ def sweep_snr(
 # ---------------------------------------------------------------------------
 # Report files.
 # ---------------------------------------------------------------------------
-
-
-def _fmt(value: float) -> str:
-    return repr(float(value))
 
 
 def save_confusion_csv(cm: ConfusionMatrix, path: str | Path) -> None:

@@ -1,8 +1,10 @@
 """Packet statistics and the four-variance burst fingerprint.
 
 Eleven statistics are computed per packet (44 per signal). The detector
-itself runs on the compact fingerprint: the sample variance of each of the
-four packets. ``rank_features`` reproduces the variance-based column ranking
+itself runs on the compact fingerprint: ``fingerprint`` captures the
+transient, takes its (4, q) packet matrix from the block kernel
+``wpt.packet_coefficients`` and reduces each row to its sample variance in
+one call. ``rank_features`` reproduces the variance-based column ranking
 that justifies that choice; it is a reporting tool, not part of the scoring
 path.
 """
@@ -16,8 +18,17 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptyPacket, ShapeError
-from .signals import Signal, SignalClass, TriggerConfig, extract_transient
-from .wpt import PacketSet, wpt2
+from .signals import (
+    Signal,
+    SignalClass,
+    TriggerConfig,
+    _csv_records,
+    _fmt,
+    _parse_class,
+    _parse_float,
+    extract_transient,
+)
+from .wpt import PacketSet, packet_coefficients
 
 PACKET_NAMES = ("a1", "d1", "a2", "d2")
 STAT_NAMES = (
@@ -78,12 +89,12 @@ class FeatureVector:
         return arr.astype(dtype) if dtype is not None else arr
 
 
-def sample_variance(x: np.ndarray) -> float:
-    """Unbiased sample variance; a singleton packet has variance 0."""
+def sample_variance(x: np.ndarray) -> np.ndarray:
+    """Unbiased sample variance along the last axis; a singleton packet has variance 0."""
     x = np.asarray(x, dtype=np.float64)
-    if x.size < 2:
-        return 0.0
-    return float(np.var(x, ddof=1))
+    if x.shape[-1] < 2:
+        return np.zeros(x.shape[:-1])[()]  # [()]: a scalar for a 1-D input
+    return np.var(x, axis=-1, ddof=1)
 
 
 def energy_entropy(x: np.ndarray) -> float:
@@ -107,7 +118,7 @@ def packet_stats(packet: np.ndarray) -> PacketStats:
     if x.size == 0:
         raise EmptyPacket("cannot compute statistics of an empty packet")
     mean = float(np.mean(x))
-    variance = sample_variance(x)
+    variance = float(sample_variance(x))
     centered = x - mean
     m2 = float(np.mean(centered**2))
     if m2 == 0.0:
@@ -132,15 +143,6 @@ def packet_stats(packet: np.ndarray) -> PacketStats:
     )
 
 
-def feature_vector(p: PacketSet) -> FeatureVector:
-    """The detector fingerprint: one sample variance per packet."""
-    for packet in p.packets():
-        if np.asarray(packet).size == 0:
-            raise EmptyPacket("cannot fingerprint an empty packet")
-    s1, s2, s3, s4 = (sample_variance(packet) for packet in p.packets())
-    return FeatureVector(s1, s2, s3, s4)
-
-
 def stats_row(p: PacketSet) -> np.ndarray:
     """One 44-entry row (packet-major, stat-minor) for the ranking matrix."""
     return np.array([v for packet in p.packets() for v in packet_stats(packet).as_tuple()])
@@ -162,8 +164,9 @@ def rank_features(matrix: np.ndarray) -> list[int]:
 
 
 def fingerprint(signal: Signal, cfg: TriggerConfig) -> FeatureVector:
-    """Full per-signal pipeline: trigger capture -> packets -> variances."""
-    return feature_vector(wpt2(extract_transient(signal, cfg)))
+    """Full per-signal pipeline: trigger capture -> packet matrix -> row variances."""
+    coeffs = packet_coefficients(extract_transient(signal, cfg))
+    return FeatureVector(*sample_variance(coeffs).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -206,21 +209,16 @@ class FeatureTable:
         )
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def save_feature_csv(table: FeatureTable, path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(FEATURE_CSV_HEADER)
         for i in range(len(table)):
-            snr = table.snr_db[i]
             writer.writerow(
                 [
                     table.device_ids[i],
                     table.classes[i].value,
-                    "" if snr is None else _fmt(snr),
+                    _fmt(table.snr_db[i]),
                     *(_fmt(v) for v in table.matrix[i]),
                 ]
             )
@@ -231,37 +229,10 @@ def load_feature_csv(path: str | Path) -> FeatureTable:
     classes: list[SignalClass] = []
     snrs: list[float | None] = []
     rows: list[list[float]] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != FEATURE_CSV_HEADER:
-            raise ValueError(f"{path}: unexpected feature header {header}")
-        for rec in reader:
-            device_ids.append(rec[0])
-            classes.append(SignalClass(rec[1]))
-            snrs.append(None if rec[2] == "" else float(rec[2]))
-            rows.append([float(v) for v in rec[3:7]])
+    for where, rec in _csv_records(path, FEATURE_CSV_HEADER):
+        device_ids.append(rec[0])
+        classes.append(_parse_class(rec[1], where))
+        snrs.append(None if rec[2] == "" else _parse_float(rec[2], where))
+        rows.append([_parse_float(v, where) for v in rec[3:]])
     matrix = np.array(rows) if rows else np.empty((0, 4))
     return FeatureTable(device_ids=device_ids, classes=classes, snr_db=snrs, matrix=matrix)
-
-
-def save_stats_csv(
-    table_meta: FeatureTable, stats_matrix: np.ndarray, path: str | Path
-) -> None:
-    """Full 44-statistic matrix with the same leading metadata columns."""
-    m = np.asarray(stats_matrix)
-    if m.shape != (len(table_meta), len(STAT_COLUMNS)):
-        raise ShapeError(f"stats matrix shape {m.shape} does not match metadata")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["device_id", "class", "snr_db", *STAT_COLUMNS])
-        for i in range(len(table_meta)):
-            snr = table_meta.snr_db[i]
-            writer.writerow(
-                [
-                    table_meta.device_ids[i],
-                    table_meta.classes[i].value,
-                    "" if snr is None else _fmt(snr),
-                    *(_fmt(v) for v in m[i]),
-                ]
-            )

@@ -13,10 +13,11 @@ import struct
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
-from .errors import InputTooShort, NoTrigger, ZeroPowerSignal
+from .errors import FormatError, InputTooShort, NoTrigger, ZeroPowerSignal
 
 RFSG_MAGIC = b"RFSG"
 RFSG_VERSION = 1
@@ -193,8 +194,44 @@ class ManifestRow:
     snr_db: float | None
 
 
-def _fmt_snr(snr_db: float | None) -> str:
-    return "" if snr_db is None else repr(float(snr_db))
+def _fmt(value: float | None) -> str:
+    """CSV text of a float; ``repr`` round-trips exactly and None is empty."""
+    return "" if value is None else repr(float(value))
+
+
+def _csv_records(path: str | Path, header: list[str]) -> Iterator[tuple[str, list[str]]]:
+    """Yield (``path:line``, record) for each data row of a fixed-header CSV.
+
+    An empty file, another header or a row of another width is a FormatError.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        found = next(reader, None)
+        if found != header:
+            got = "an empty file" if found is None else f"the header {found}"
+            raise FormatError(f"{path}: expected the header {header}, got {got}")
+        for rec in reader:
+            where = f"{path}:{reader.line_num}"
+            if len(rec) != len(header):
+                raise FormatError(f"{where}: expected {len(header)} columns, got {len(rec)}")
+            yield where, rec
+
+
+def _parse_class(text: str, where: str) -> SignalClass:
+    try:
+        return SignalClass(text)
+    except ValueError:
+        raise FormatError(f"{where}: unknown class {text!r}") from None
+
+
+def _parse_float(text: str, where: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise FormatError(f"{where}: {text!r} is not a number") from None
+    if not math.isfinite(value):
+        raise FormatError(f"{where}: {text!r} is not finite")
+    return value
 
 
 def write_manifest(rows: list[ManifestRow], path: str | Path) -> None:
@@ -203,25 +240,17 @@ def write_manifest(rows: list[ManifestRow], path: str | Path) -> None:
         writer.writerow(MANIFEST_HEADER)
         for row in rows:
             writer.writerow(
-                [row.path, row.device_id, row.signal_class.value, _fmt_snr(row.snr_db)]
+                [row.path, row.device_id, row.signal_class.value, _fmt(row.snr_db)]
             )
 
 
 def read_manifest(path: str | Path) -> list[ManifestRow]:
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != MANIFEST_HEADER:
-            raise ValueError(f"{path}: unexpected manifest header {header}")
-        for rec in reader:
-            path_col, device_id, cls, snr = rec
-            rows.append(
-                ManifestRow(
-                    path=path_col,
-                    device_id=device_id,
-                    signal_class=SignalClass(cls),
-                    snr_db=None if snr == "" else float(snr),
-                )
-            )
-    return rows
+    return [
+        ManifestRow(
+            path=path_col,
+            device_id=device_id,
+            signal_class=_parse_class(cls, where),
+            snr_db=None if snr == "" else _parse_float(snr, where),
+        )
+        for where, (path_col, device_id, cls, snr) in _csv_records(path, MANIFEST_HEADER)
+    ]

@@ -19,7 +19,7 @@ and noise can be re-applied to clean bursts at any SNR later.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -131,6 +131,23 @@ class CorpusConfig:
     @property
     def train_per_device(self) -> int:
         return round(self.signals_per_device * TRAIN_FRACTION)
+
+    def is_train(self, profile: DeviceProfile, index: int) -> bool:
+        """The split rule: a recognized device's first train_per_device bursts
+        are training data; all other bursts (every UAV burst) are evaluation."""
+        return (
+            profile.signal_class is SignalClass.RECOGNIZED
+            and index < self.train_per_device
+        )
+
+    def eval_plan(self) -> list[tuple[DeviceProfile, int]]:
+        """(profile, burst index) of each evaluation burst, in corpus order."""
+        return [
+            (profile, index)
+            for profile in self.profiles
+            for index in range(self.signals_per_device)
+            if not self.is_train(profile, index)
+        ]
 
     def to_dict(self) -> dict:
         return {
@@ -281,23 +298,17 @@ def _check_class_mix(cfg: CorpusConfig) -> None:
 def build_corpus(cfg: CorpusConfig) -> tuple[list[Signal], list[Signal]]:
     """Generate all signals and split them by the semi-supervised protocol.
 
-    Recognized devices contribute their first train_per_device bursts to the
-    training set and the remainder to evaluation; UAV devices contribute all
-    bursts to evaluation only.
+    The split is ``CorpusConfig.is_train``: recognized devices contribute
+    their first train_per_device bursts to the training set and the remainder
+    to evaluation; UAV devices contribute all bursts to evaluation only.
     """
     _check_class_mix(cfg)
     train: list[Signal] = []
     evaluation: list[Signal] = []
     for profile in cfg.profiles:
         for index in range(cfg.signals_per_device):
-            sig = gen_burst(profile, index, cfg)
-            if (
-                profile.signal_class is SignalClass.RECOGNIZED
-                and index < cfg.train_per_device
-            ):
-                train.append(sig)
-            else:
-                evaluation.append(sig)
+            split = train if cfg.is_train(profile, index) else evaluation
+            split.append(gen_burst(profile, index, cfg))
     return train, evaluation
 
 
@@ -309,26 +320,32 @@ def clean_eval_signals(cfg: CorpusConfig) -> list[tuple[Signal, int]]:
     corpus SNR reproduces the corpus evaluation signals exactly.
     """
     _check_class_mix(cfg)
-    clean_cfg = CorpusConfig(
-        profiles=cfg.profiles,
-        signals_per_device=cfg.signals_per_device,
-        snr_db=math.inf,
-        capture_len=cfg.capture_len,
-        master_seed=cfg.master_seed,
-        lead_len=cfg.lead_len,
-    )
-    out: list[tuple[Signal, int]] = []
-    for profile in cfg.profiles:
-        for index in range(cfg.signals_per_device):
-            if (
-                profile.signal_class is SignalClass.RECOGNIZED
-                and index < cfg.train_per_device
-            ):
-                continue
-            out.append(
-                (gen_burst(profile, index, clean_cfg), noise_seed(cfg, profile, index))
-            )
-    return out
+    return _clean_bursts(cfg, cfg.eval_plan())
+
+
+def balanced_clean_eval(
+    cfg: CorpusConfig, per_class: int, seed: int
+) -> list[tuple[Signal, int]]:
+    """Clean (signal, noise seed) pairs of a class-balanced evaluation subset.
+
+    Equal to ``[clean_eval_signals(cfg)[i] for i in picked]`` with ``picked``
+    from ``balanced_indices`` over the evaluation labels, but the labels come
+    from the evaluation plan, so only the picked bursts are generated.
+    """
+    _check_class_mix(cfg)
+    plan = cfg.eval_plan()
+    picked = balanced_indices([p.signal_class for p, _ in plan], per_class, seed)
+    return _clean_bursts(cfg, [plan[i] for i in picked])
+
+
+def _clean_bursts(
+    cfg: CorpusConfig, plan: list[tuple[DeviceProfile, int]]
+) -> list[tuple[Signal, int]]:
+    clean_cfg = replace(cfg, snr_db=math.inf)
+    return [
+        (gen_burst(profile, index, clean_cfg), noise_seed(cfg, profile, index))
+        for profile, index in plan
+    ]
 
 
 def stratified_split_indices(
@@ -352,16 +369,6 @@ def stratified_split_indices(
         test_idx.extend(i for i in members if i in picked)
         val_idx.extend(i for i in members if i not in picked)
     return sorted(test_idx), sorted(val_idx)
-
-
-def split_eval(
-    evaluation: list[Signal], test_frac: float, seed: int
-) -> tuple[list[Signal], list[Signal]]:
-    """Stratified test/validation split of the evaluation signals."""
-    test_idx, val_idx = stratified_split_indices(
-        [s.signal_class for s in evaluation], test_frac, seed
-    )
-    return [evaluation[i] for i in test_idx], [evaluation[i] for i in val_idx]
 
 
 def balanced_indices(

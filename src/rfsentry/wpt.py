@@ -1,14 +1,17 @@
-"""Two-level Haar wavelet packet decomposition.
+"""Two-level Haar wavelet packet decomposition as one block butterfly.
 
 One filter-bank stage convolves with the orthonormal Haar pair
-
-    g = (1/sqrt(2), 1/sqrt(2))     (low pass)
-    h = (1/sqrt(2), -1/sqrt(2))    (high pass)
-
-and downsamples by 2. Unlike a plain DWT, the packet transform splits the
+g = (1, 1)/sqrt(2) (low pass) and h = (1, -1)/sqrt(2) (high pass) and
+downsamples by 2. Unlike a plain DWT, the packet transform splits the
 detail branch again, so two levels yield four equal-width sub-bands
-a1, d1 (from the low branch) and a2, d2 (from the high branch). With this
-normalization the transform is orthogonal and preserves signal energy
+a1, d1 (from the low branch) and a2, d2 (from the high branch).
+
+Both stages only mix the four samples of one block (x0, x1, x2, x3), so the
+transform is one 4-point butterfly per block (a scaled Walsh-Hadamard
+block; Coifman & Wickerhauser, IEEE T-IT 1992). ``packet_coefficients``
+computes it in the two stages' own order: s01 = (x0 + x1)/sqrt(2), s23,
+d01, d23, then a1 = (s01 + s23)/sqrt(2), d1, a2, d2. A partial last block
+is dropped. The transform is orthogonal and preserves signal energy
 exactly, which the tests rely on.
 """
 
@@ -40,27 +43,18 @@ class PacketSet:
         return float(sum(np.dot(p, p) for p in self.packets()))
 
 
-def haar_step(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One analysis stage: pairwise sum/difference scaled by 1/sqrt(2).
-
-    A trailing odd sample is dropped; captures default to a multiple of 4 so
-    this is a guard, not the common path.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.size < 2:
-        raise TooShort(f"need at least 2 samples for a filter stage, got {x.size}")
-    n = x.size - (x.size % 2)
-    even = x[0:n:2]
-    odd = x[1:n:2]
-    return (even + odd) / _SQRT2, (even - odd) / _SQRT2
+def packet_coefficients(signal: Signal | np.ndarray) -> np.ndarray:
+    """The (4, n // 4) packet matrix of a burst (or raw samples): rows a1, d1, a2, d2."""
+    x = signal.samples if isinstance(signal, Signal) else np.asarray(signal, dtype=np.float64)
+    if x.size < 4:
+        raise TooShort(f"two-level decomposition needs >= 4 samples, got {x.size}")
+    x0, x1, x2, x3 = x[: x.size // 4 * 4].reshape(-1, 4).T
+    s01, s23 = (x0 + x1) / _SQRT2, (x2 + x3) / _SQRT2
+    d01, d23 = (x0 - x1) / _SQRT2, (x2 - x3) / _SQRT2
+    return np.stack([(s01 + s23) / _SQRT2, (s01 - s23) / _SQRT2,
+                     (d01 + d23) / _SQRT2, (d01 - d23) / _SQRT2])
 
 
 def wpt2(signal: Signal | np.ndarray) -> PacketSet:
     """Full two-level packet decomposition of a burst (or raw samples)."""
-    x = signal.samples if isinstance(signal, Signal) else np.asarray(signal, dtype=np.float64)
-    if x.size < 4:
-        raise TooShort(f"two-level decomposition needs >= 4 samples, got {x.size}")
-    low, high = haar_step(x)
-    a1, d1 = haar_step(low)
-    a2, d2 = haar_step(high)
-    return PacketSet(a1=a1, d1=d1, a2=a2, d2=d2)
+    return PacketSet(*packet_coefficients(signal))

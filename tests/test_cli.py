@@ -177,6 +177,79 @@ def test_score_rejects_inconsistent_model(pipeline, tmp_path, edit, message):
     assert "Traceback" not in result.stderr
 
 
+def _rewrite_csv(src, dst, edit):
+    """Copy a CSV with ``edit`` applied to its rows (header first)."""
+    with open(src, newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows = edit(rows)
+    with open(dst, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+def _set(row_index, column, value):
+    def edit(rows):
+        rows[row_index][column] = value
+        return rows
+
+    return edit
+
+
+# Each edit breaks one rule shared by the feature-CSV and manifest parsers.
+# ``c`` is (class column, a numeric column, columns to drop from data rows):
+# the drop makes 2-sigma feature rows and 3-column manifest rows.
+PARSER_CASES = [
+    ("empty", lambda c: lambda rows: [], "empty file"),
+    ("header", lambda c: _set(0, 0, "id"), "got the header ['id',"),
+    ("columns", lambda c: lambda rows: rows[:1] + [r[: -c[2]] for r in rows[1:]],
+     "columns, got"),
+    ("class", lambda c: _set(1, c[0], "drone"), "unknown class 'drone'"),
+    ("text", lambda c: _set(1, c[1], "loud"), "'loud' is not a number"),
+    ("nan", lambda c: _set(1, c[1], "nan"), "'nan' is not finite"),
+    ("inf", lambda c: _set(1, c[1], "-inf"), "'-inf' is not finite"),
+]
+
+
+@pytest.mark.parametrize("case, make_edit, message", PARSER_CASES,
+                         ids=[c[0] for c in PARSER_CASES])
+def test_train_rejects_malformed_feature_csv(pipeline, tmp_path, case, make_edit, message):
+    _, train_csv, _, _ = pipeline
+    bad = tmp_path / "features.csv"
+    _rewrite_csv(train_csv, bad, make_edit((1, 3, 2)))
+    result = run_cli("train", "--features", bad, "--out", tmp_path / "model.json", "--k", 5)
+    assert result.returncode == 2
+    assert message in result.stderr
+    assert len(result.stderr.strip().splitlines()) == 1
+    assert not (tmp_path / "model.json").exists()
+
+
+@pytest.mark.parametrize("case, make_edit, message", PARSER_CASES,
+                         ids=[c[0] for c in PARSER_CASES])
+def test_extract_rejects_malformed_manifest(corpus, tmp_path, case, make_edit, message):
+    bad = tmp_path / "manifest.csv"
+    _rewrite_csv(corpus / "eval_manifest.csv", bad, make_edit((2, 3, 1)))
+    (tmp_path / "signals").symlink_to(corpus / "signals")
+    result = run_cli("extract", "--manifest", bad, "--out", tmp_path / "f.csv",
+                     "--capture-len", 256)
+    assert result.returncode == 2
+    assert message in result.stderr
+    assert len(result.stderr.strip().splitlines()) == 1
+    assert not (tmp_path / "f.csv").exists()
+
+
+@pytest.mark.parametrize("rows", ["none", "all-corrupt"])
+def test_extract_keeping_no_rows_exits_two(corpus, tmp_path, rows):
+    (tmp_path / "signals").mkdir()
+    (tmp_path / "signals" / "bad.rfsg").write_bytes(b"not a signal file")
+    manifest = tmp_path / "manifest.csv"
+    body = "" if rows == "none" else "signals/bad.rfsg,uav_ctrl_a,uav,30.0\n"
+    manifest.write_text("path,device_id,class,snr_db\n" + body)
+    out = tmp_path / "features.csv"
+    result = run_cli("extract", "--manifest", manifest, "--out", out, "--capture-len", 256)
+    assert result.returncode == 2
+    assert "could be fingerprinted" in result.stderr
+    assert not out.exists()
+
+
 def test_atomic_write_failure_leaves_no_files(tmp_path):
     target = tmp_path / "out.csv"
 

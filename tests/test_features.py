@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from rfsentry.errors import EmptyPacket, ShapeError
+from rfsentry.errors import EmptyPacket, ShapeError, TooShort
 from rfsentry.features import (
     FEATURE_CSV_HEADER,
     STAT_COLUMNS,
@@ -14,18 +14,16 @@ from rfsentry.features import (
     FeatureTable,
     FeatureVector,
     energy_entropy,
-    feature_vector,
     fingerprint,
     load_feature_csv,
     packet_stats,
     rank_features,
     sample_variance,
     save_feature_csv,
-    save_stats_csv,
     stats_row,
 )
-from rfsentry.signals import Signal, SignalClass, TriggerConfig
-from rfsentry.wpt import PacketSet, wpt2
+from rfsentry.signals import Signal, SignalClass, TriggerConfig, extract_transient
+from rfsentry.wpt import packet_coefficients, wpt2
 
 from .oracles import brute_entropy, brute_moments, brute_variance
 
@@ -111,22 +109,23 @@ def test_variance_shift_and_scale_invariance():
 
 
 def test_feature_vector_rules():
-    p = PacketSet(a1=np.zeros(4), d1=np.zeros(4), a2=np.zeros(4), d2=np.zeros(4))
-    assert feature_vector(p).as_array().tolist() == [0.0, 0.0, 0.0, 0.0]
-    # singleton packets (length-4 input) fall back to variance 0
-    singleton = wpt2(np.array([4.0, 1.0, -2.0, 7.0]))
-    assert feature_vector(singleton).as_array().tolist() == [0.0, 0.0, 0.0, 0.0]
-    with pytest.raises(EmptyPacket):
-        feature_vector(PacketSet(np.array([]), np.zeros(1), np.zeros(1), np.zeros(1)))
+    assert sample_variance(np.zeros((4, 4))).tolist() == [0.0, 0.0, 0.0, 0.0]
+    # singleton packets (a 4-sample capture) fall back to variance 0
+    whole = TriggerConfig(window_len=1, energy_threshold=0.0, capture_len=4)
+    singleton = Signal(samples=np.array([4.0, 1.0, -2.0, 7.0]), sample_rate=1.0)
+    assert fingerprint(singleton, whole).as_array().tolist() == [0.0, 0.0, 0.0, 0.0]
+    # a capture shorter than one 4-sample block has no packets at all
+    short = TriggerConfig(window_len=1, energy_threshold=0.0, capture_len=3)
+    with pytest.raises(TooShort):
+        fingerprint(Signal(samples=np.ones(3), sample_rate=1.0), short)
 
 
 def test_feature_vector_matches_packet_variances():
     rng = np.random.default_rng(14)
     x = rng.standard_normal(4096)
-    p = wpt2(x)
-    fv = feature_vector(p)
-    expected = [brute_variance(pk) for pk in p.packets()]
-    assert np.allclose(fv.as_array(), expected, rtol=1e-9)
+    variances = sample_variance(packet_coefficients(x))
+    expected = [brute_variance(pk) for pk in wpt2(x).packets()]
+    assert np.allclose(variances, expected, rtol=1e-9)
 
 
 def test_stats_row_is_packet_major():
@@ -138,8 +137,7 @@ def test_stats_row_is_packet_major():
         st = packet_stats(packet)
         assert np.allclose(row[pi * 11 : (pi + 1) * 11], st.as_tuple())
     # fingerprint components live at the variance columns
-    fv = feature_vector(p)
-    assert np.allclose(row[list(VARIANCE_COLUMNS)], fv.as_array())
+    assert np.allclose(row[list(VARIANCE_COLUMNS)], sample_variance(np.stack(p.packets())))
 
 
 def test_rank_features_single_live_column():
@@ -175,16 +173,14 @@ def test_rank_features_shape_errors():
 
 
 def test_fingerprint_pipeline_composition():
-    # fingerprint == variances of wpt2(extract_transient(.))
+    # fingerprint == per-packet variances of wpt2(extract_transient(.)), bit for bit
     rng = np.random.default_rng(17)
     burst = np.concatenate([np.zeros(100), rng.standard_normal(600)])
     s = Signal(samples=burst, sample_rate=1.0)
     cfg = TriggerConfig(window_len=16, energy_threshold=0.2, capture_len=512)
     fv = fingerprint(s, cfg)
-    from rfsentry.signals import extract_transient
-
-    direct = feature_vector(wpt2(extract_transient(s, cfg)))
-    assert fv == direct
+    packets = wpt2(extract_transient(s, cfg)).packets()
+    assert fv == FeatureVector(*(float(sample_variance(pk)) for pk in packets))
 
 
 def test_feature_csv_round_trip(tmp_path):
@@ -215,21 +211,6 @@ def test_feature_table_select():
     assert sub.device_ids == ["c", "a"]
     assert sub.snr_db == [20.0, None]
     assert np.array_equal(sub.matrix, table.matrix[[2, 0]])
-
-
-def test_stats_csv_header(tmp_path):
-    meta = FeatureTable(
-        device_ids=["a"],
-        classes=[SignalClass.RECOGNIZED],
-        snr_db=[None],
-        matrix=np.zeros((1, 4)),
-    )
-    path = tmp_path / "stats.csv"
-    save_stats_csv(meta, np.zeros((1, 44)), path)
-    header = path.read_text().splitlines()[0].split(",")
-    assert header == ["device_id", "class", "snr_db", *STAT_COLUMNS]
-    with pytest.raises(ShapeError):
-        save_stats_csv(meta, np.zeros((2, 44)), path)
 
 
 def test_feature_vector_array_protocol():

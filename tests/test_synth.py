@@ -5,19 +5,20 @@ import math
 import numpy as np
 import pytest
 
+from rfsentry import synth
 from rfsentry.errors import ConfigError, EmptyEval
 from rfsentry.signals import SignalClass, TriggerConfig, add_awgn, extract_transient, mean_power
 from rfsentry.synth import (
     CorpusConfig,
     DeviceKind,
     DeviceProfile,
+    balanced_clean_eval,
     balanced_indices,
     build_corpus,
     clean_eval_signals,
     default_profiles,
     gen_burst,
     noise_seed,
-    split_eval,
     stratified_split_indices,
 )
 
@@ -233,14 +234,6 @@ def test_stratified_split_deterministic():
     assert a != c
 
 
-def test_split_eval_wraps_indices():
-    _, evaluation = build_corpus(small_cfg())
-    test, val = split_eval(evaluation, 0.7, seed=9)
-    assert len(test) + len(val) == len(evaluation)
-    ids = lambda sigs: sorted(id(s) for s in sigs)
-    assert set(ids(test)).isdisjoint(ids(val))
-
-
 def test_balanced_indices():
     labels = [SignalClass.RECOGNIZED] * 50 + [SignalClass.UAV] * 300
     picked = balanced_indices(labels, 40, seed=6)
@@ -249,6 +242,33 @@ def test_balanced_indices():
     assert rec == 40
     with pytest.raises(ConfigError):
         balanced_indices(labels, 60, seed=6)
+
+
+def test_balanced_clean_eval_regenerates_only_the_picked_bursts(mini_cfg, monkeypatch):
+    clean = clean_eval_signals(mini_cfg)
+    picked = balanced_indices([sig.signal_class for sig, _ in clean], 10, seed=8)
+    calls = []
+    monkeypatch.setattr(synth, "gen_burst", lambda *a: calls.append(a) or gen_burst(*a))
+    balanced = balanced_clean_eval(mini_cfg, 10, seed=8)
+    assert len(calls) == len(picked)
+    assert len(balanced) == len(picked) == 20
+    for (got, got_seed), (want, want_seed) in zip(balanced, [clean[i] for i in picked]):
+        assert got_seed == want_seed
+        assert got.device_id == want.device_id and got.snr_db is None
+        assert np.array_equal(got.samples, want.samples)
+
+
+def test_split_rule_matches_the_corpus(mini_cfg):
+    train, evaluation = build_corpus(mini_cfg)
+    plan = mini_cfg.eval_plan()
+    assert [(p.name, p.signal_class) for p, _ in plan] == [
+        (s.device_id, s.signal_class) for s in evaluation
+    ]
+    assert len(train) == sum(
+        mini_cfg.is_train(p, i)
+        for p in mini_cfg.profiles
+        for i in range(mini_cfg.signals_per_device)
+    )
 
 
 # -- separability sanity ------------------------------------------------------

@@ -1,41 +1,26 @@
 """Two-level Haar wavelet packet transform."""
 
-import math
-
 import numpy as np
 import pytest
 
 from rfsentry.errors import TooShort
-from rfsentry.signals import Signal
-from rfsentry.wpt import haar_step, wpt2
+from rfsentry.features import fingerprint
+from rfsentry.signals import Signal, TriggerConfig
+from rfsentry.wpt import packet_coefficients, wpt2
 
-from .oracles import matrix_packets
-
-
-def test_haar_step_constant_signal():
-    a, d = haar_step(np.array([3.0, 3.0, 3.0, 3.0]))
-    assert np.allclose(a, [3 * math.sqrt(2)] * 2, atol=1e-12)
-    assert np.allclose(d, [0.0, 0.0], atol=1e-12)
+from .oracles import PACKET_ORDER, brute_variance, matrix_packets
 
 
-def test_haar_step_known_values():
-    a, d = haar_step(np.array([1.0, 2.0, 3.0, 4.0]))
-    assert np.allclose(a, [3 / math.sqrt(2), 7 / math.sqrt(2)], atol=1e-12)
-    assert np.allclose(d, [-1 / math.sqrt(2), -1 / math.sqrt(2)], atol=1e-12)
-    # Parseval at one level: 30 = 29 + 1
-    assert abs(float(np.sum(a**2)) - 29.0) < 1e-12
-    assert abs(float(np.sum(d**2)) - 1.0) < 1e-12
+def _two_stage_packets(x):
+    """The packets as two separate filter-bank stages (pairwise Haar steps)."""
 
+    def haar_step(v):
+        n = v.size - (v.size % 2)
+        even, odd = v[0:n:2], v[1:n:2]
+        return (even + odd) / np.sqrt(2.0), (even - odd) / np.sqrt(2.0)
 
-def test_haar_step_drops_trailing_odd_sample():
-    a, d = haar_step(np.array([1.0, 2.0, 3.0]))
-    assert a.size == d.size == 1
-    assert np.allclose(a, [3 / math.sqrt(2)])
-
-
-def test_haar_step_too_short():
-    with pytest.raises(TooShort):
-        haar_step(np.array([1.0]))
+    low, high = haar_step(np.asarray(x, dtype=np.float64))
+    return (*haar_step(low), *haar_step(high))
 
 
 def test_wpt2_hand_example():
@@ -73,6 +58,29 @@ def test_wpt2_packet_lengths():
 def test_wpt2_too_short():
     with pytest.raises(TooShort):
         wpt2(np.array([1.0, 2.0, 3.0]))
+
+
+def test_wpt2_equals_two_stage_transform_bit_for_bit():
+    rng = np.random.default_rng(43)
+    lengths = [4, 5, 6, 7, 10, 4096, 4097, 4099]
+    lengths += [int(n) for n in rng.integers(4, 4100, 60)]
+    for n in lengths:
+        x = rng.standard_normal(n) * float(10.0 ** rng.uniform(-3, 3))
+        for mine, ref in zip(wpt2(x).packets(), _two_stage_packets(x)):
+            assert mine.size == ref.size == n // 4
+            assert np.array_equal(mine, ref), n
+        assert np.array_equal(packet_coefficients(x), np.stack(_two_stage_packets(x)))
+
+
+def test_fingerprint_matches_oracle_variances():
+    rng = np.random.default_rng(44)
+    for n in (8, 64, 256, 1024):
+        x = rng.standard_normal(n + 37) * float(10.0 ** rng.uniform(-2, 2))
+        whole = TriggerConfig(window_len=1, energy_threshold=0.0, capture_len=n)
+        fv = fingerprint(Signal(samples=x, sample_rate=1.0), whole).as_array()
+        ref = matrix_packets(x[:n])
+        want = np.array([brute_variance(ref[name]) for name in PACKET_ORDER])
+        assert np.max(np.abs(fv - want) / want) <= 1e-12
 
 
 def test_wpt2_matches_matrix_oracle():
