@@ -13,11 +13,12 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
 
-from .errors import RfSentryError
+from .errors import ConfigError, FormatError, RfSentryError
 from .evaluate import (
     best_k,
     confusion,
@@ -54,6 +55,8 @@ from .synth import (
 log = logging.getLogger("rfsentry")
 
 CORPUS_FILE = "corpus.json"
+CORPUS_FORMAT = "rfsentry-corpus"
+CORPUS_FORMAT_VERSION = 1
 TRAIN_MANIFEST = "train_manifest.csv"
 EVAL_MANIFEST = "eval_manifest.csv"
 
@@ -75,19 +78,45 @@ def _parse_grid(text: str, integral: bool) -> list:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"grid {text!r} must be start:stop:step")
-        start, stop, step = (float(p) for p in parts)
+        # exact fractions, so the i-th value is start + i * step rounded once;
+        # imported here so that the commands without a grid skip its import
+        from fractions import Fraction
+
+        start, stop, step = (Fraction(p) for p in parts)
         if step <= 0:
             raise ValueError("grid step must be > 0")
-        values = []
-        v = start
-        while v <= stop + 1e-9:
-            values.append(v)
-            v += step
+        count = math.floor((stop - start) / step) + 1 if stop >= start else 0
+        values = [float(start + i * step) for i in range(count)]
     else:
         values = [float(p) for p in text.split(",") if p.strip()]
     if not values:
         raise ValueError(f"grid {text!r} is empty")
     return [int(round(v)) for v in values] if integral else values
+
+
+def _jobs(text: str) -> int:
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
+def _read_corpus_config(path: Path) -> CorpusConfig:
+    """The configuration in a ``corpus.json`` written by synth; a bad file is a FormatError."""
+    try:
+        doc = json.loads(path.read_text())
+    except ValueError as exc:
+        raise FormatError(f"{path}: not JSON: {exc}") from None
+    if not isinstance(doc, dict) or doc.get("format") != CORPUS_FORMAT:
+        raise FormatError(f"{path}: not a {CORPUS_FORMAT} document")
+    if doc.get("version") != CORPUS_FORMAT_VERSION:
+        raise FormatError(f"{path}: unsupported corpus version {doc.get('version')!r}")
+    if "config" not in doc:
+        raise FormatError(f"{path}: missing key config")
+    try:
+        return CorpusConfig.from_dict(doc["config"])
+    except (FormatError, ConfigError) as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def _require_recognized(table: FeatureTable, what: str) -> None:
@@ -135,8 +164,6 @@ def _synth_device(cfg: CorpusConfig, profile_index: int, out_dir: str) -> list:
 
 
 def cmd_synth(args) -> int:
-    out = Path(args.out)
-    (out / "signals").mkdir(parents=True, exist_ok=True)
     cfg = CorpusConfig(
         profiles=default_profiles(args.capture_len),
         signals_per_device=args.signals_per_device,
@@ -144,6 +171,8 @@ def cmd_synth(args) -> int:
         capture_len=args.capture_len,
         master_seed=stage_seed(args.seed, "corpus"),
     )
+    out = Path(args.out)
+    (out / "signals").mkdir(parents=True, exist_ok=True)
     per_device: dict[int, list] = {}
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -167,7 +196,7 @@ def cmd_synth(args) -> int:
     # manifests and config last, atomically: their presence means a complete corpus
     _atomic(lambda p: write_manifest(train_rows, p), out / TRAIN_MANIFEST)
     _atomic(lambda p: write_manifest(eval_rows, p), out / EVAL_MANIFEST)
-    doc = {"format": "rfsentry-corpus", "version": 1, "config": cfg.to_dict()}
+    doc = {"format": CORPUS_FORMAT, "version": CORPUS_FORMAT_VERSION, "config": cfg.to_dict()}
     _atomic(
         lambda p: Path(p).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n"),
         out / CORPUS_FILE,
@@ -299,11 +328,7 @@ def cmd_sweep_n(args) -> int:
 
 
 def cmd_sweep_snr(args) -> int:
-    corpus_dir = Path(args.corpus)
-    doc = json.loads((corpus_dir / CORPUS_FILE).read_text())
-    if doc.get("format") != "rfsentry-corpus":
-        raise ValueError(f"{corpus_dir / CORPUS_FILE}: not a corpus description")
-    cfg = CorpusConfig.from_dict(doc["config"])
+    cfg = _read_corpus_config(Path(args.corpus) / CORPUS_FILE)
     train = load_feature_csv(args.train_features)
     _require_recognized(train, "training features")
 
@@ -370,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="transient capture length in samples (default %(default)s)")
     p.add_argument("--signals-per-device", type=int, default=300,
                    help="bursts per device (default %(default)s)")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_jobs, default=1,
                    help="worker processes (default 1; output is identical)")
     p.set_defaults(func=cmd_synth)
 
@@ -425,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="SNR grid in dB (default %(default)s)")
     p.add_argument("--per-class", type=int, default=200,
                    help="balanced set size per class (default %(default)s)")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_jobs, default=1,
                    help="worker processes (default 1; output is identical)")
     _add_model_flags(p)
     p.set_defaults(func=cmd_sweep_snr)

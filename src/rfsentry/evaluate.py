@@ -4,6 +4,12 @@ The positive class is the UAV/outlier class throughout. Two sweep harnesses
 cover the standard experiments: accuracy vs neighbor count at the training
 SNR, and accuracy vs SNR for a model trained once at the training SNR and
 never re-fitted.
+
+Both sweeps do the work that no grid value changes once. Each distance
+table is built once and one partition per row block gives the k-distances
+of every grid k (``lof._kdist``). The SNR sweep runs burst by burst: a
+burst's unit noise is drawn and its power taken once, then scaled to every
+grid SNR before fingerprinting.
 """
 
 from __future__ import annotations
@@ -16,8 +22,8 @@ import numpy as np
 
 from .errors import EmptyInput, EmptyMatrix, LengthMismatch
 from .features import FeatureTable, fingerprint
-from .lof import Label, LofModel, Metric, _Reference
-from .signals import Signal, SignalClass, TriggerConfig, _fmt, add_awgn
+from .lof import Label, LofModel, Metric, _Reference, _scores
+from .signals import Signal, SignalClass, TriggerConfig, _fmt, _scaled_noise, mean_power
 
 
 @dataclass(frozen=True)
@@ -127,19 +133,18 @@ def sweep_neighbors(
     """
     if not k_grid:
         raise ValueError("k_grid must be non-empty")
-    reference = _Reference(train.matrix, metric, standardize)
-    models = [reference.model(k, threshold) for k in sorted(k_grid)]
-    val_table, test_table = (models[0]._query_table(t.matrix) for t in (validation, test))
+    models = _Reference(train.matrix, metric, standardize).models(sorted(k_grid), threshold)
+    val_scores, test_scores = (
+        _scores(models, models[0]._query_table(t.matrix)) for t in (validation, test)
+    )
     rows = [
         SweepRow(
             snr_db=None,
             k=model.k,
-            validation_accuracy=_accuracy(
-                model, model._score_table(val_table), validation.classes
-            ),
-            test_accuracy=_accuracy(model, model._score_table(test_table), test.classes),
+            validation_accuracy=_accuracy(model, val, validation.classes),
+            test_accuracy=_accuracy(model, tst, test.classes),
         )
-        for model in models
+        for model, val, tst in zip(models, val_scores, test_scores)
     ]
     return SweepTable(rows=tuple(rows))
 
@@ -153,14 +158,22 @@ def best_k(table: SweepTable) -> int:
     return best.k
 
 
-def _snr_matrix(
-    balanced_clean: list[tuple[Signal, int]], snr: float, trigger: TriggerConfig
+def _snr_fingerprints(
+    balanced_clean: list[tuple[Signal, int]], snrs: list[float], trigger: TriggerConfig
 ) -> np.ndarray:
-    vectors = [
-        fingerprint(add_awgn(sig, snr, seed), trigger).as_array()
-        for sig, seed in balanced_clean
-    ]
-    return np.array(vectors)
+    """(len(snrs), len(balanced_clean), 4) fingerprints of every burst at every SNR.
+
+    The noise seed does not depend on the SNR, so each burst's unit noise is
+    drawn and its power taken once, and only the scale changes per SNR.
+    """
+    cube = np.empty((len(snrs), len(balanced_clean), 4))
+    for j, (sig, seed) in enumerate(balanced_clean):
+        power = mean_power(sig)
+        unit_noise = np.random.default_rng(seed).standard_normal(len(sig))
+        for i, snr in enumerate(snrs):
+            noisy = _scaled_noise(sig, power, snr, unit_noise)
+            cube[i, j] = fingerprint(noisy, trigger).as_array()
+    return cube
 
 
 def sweep_snr(
@@ -178,39 +191,42 @@ def sweep_snr(
 
     ``balanced_clean`` pairs each clean evaluation signal with its noise
     seed; every grid SNR re-noises from clean, so cells never stack noise.
-    Models are fitted once per k on the (training-SNR) feature table, from
-    one training distance table, and reused across SNR cells; each SNR
-    matrix gets one distance table, shared by every k. ``jobs`` caps workers
-    for the per-SNR feature extraction; the table is identical for any
-    worker count.
+    Each burst's noise is drawn once and scaled to every grid SNR. Models are
+    fitted once per k on the (training-SNR) feature table, from one training
+    distance table, and reused across SNR cells; each SNR matrix gets one
+    distance table, shared by every k. ``jobs`` caps the worker processes,
+    each fingerprinting a contiguous chunk of bursts at every SNR; the table
+    is identical for any worker count.
     """
     if not k_grid or not snr_grid:
         raise ValueError("k_grid and snr_grid must be non-empty")
     if not balanced_clean:
         raise EmptyInput("balanced evaluation set is empty")
-    reference = _Reference(train.matrix, metric, standardize)
-    models = [reference.model(k, threshold) for k in sorted(k_grid)]
-    del reference  # frees the training table; the models keep kdist and lrd
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    models = _Reference(train.matrix, metric, standardize).models(sorted(k_grid), threshold)
     truth = [sig.signal_class for sig, _ in balanced_clean]
     snrs = sorted(float(s) for s in snr_grid)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
+        bounds = sorted({len(balanced_clean) * i // jobs for i in range(jobs + 1)})
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {
-                snr: pool.submit(_snr_matrix, balanced_clean, snr, trigger)
-                for snr in snrs
-            }
-            matrices = {snr: fut.result() for snr, fut in futures.items()}
+            futures = [
+                pool.submit(_snr_fingerprints, balanced_clean[lo:hi], snrs, trigger)
+                for lo, hi in zip(bounds, bounds[1:])
+            ]
+            cube = np.concatenate([fut.result() for fut in futures], axis=1)
     else:
-        matrices = {snr: _snr_matrix(balanced_clean, snr, trigger) for snr in snrs}
+        cube = _snr_fingerprints(balanced_clean, snrs, trigger)
     rows = []
-    for snr in snrs:
-        table = models[0]._query_table(matrices[snr])
-        for model in models:
-            acc = _accuracy(model, model._score_table(table), truth)
-            rows.append(SweepRow(snr_db=snr, k=model.k, validation_accuracy=None,
-                                 test_accuracy=acc))
+    for snr, matrix in zip(snrs, cube):
+        scores = _scores(models, models[0]._query_table(matrix))
+        rows += [
+            SweepRow(snr_db=snr, k=model.k, validation_accuracy=None,
+                     test_accuracy=_accuracy(model, model_scores, truth))
+            for model, model_scores in zip(models, scores)
+        ]
     return SweepTable(rows=tuple(rows))
 
 

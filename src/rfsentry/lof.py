@@ -21,7 +21,10 @@ is the reference scored against itself with the diagonal set to inf. Every
 pass over a table (filling it, k-distances, densities, scores) walks it in
 row blocks of about ``_BLOCK_ELEMENTS`` entries, so besides the table itself
 the temporaries are O(block * n) floats. The table does not depend on k, so
-the sweeps in ``evaluate`` build each one once and derive every k from it.
+the sweeps in ``evaluate`` build each one once and derive every k from it:
+one multi-kth partition per row block yields the k-distances of every grid
+k, and ``fit`` and ``score_batch`` take the same path with a one-element
+grid.
 """
 
 from __future__ import annotations
@@ -107,12 +110,24 @@ def _distance_table(a: np.ndarray, b: np.ndarray, metric: Metric) -> np.ndarray:
     return table
 
 
-def _kdist(table: np.ndarray, k: int) -> np.ndarray:
-    """Each row's k-th smallest distance."""
-    kdist = np.empty(len(table))
+def _kdist(table: np.ndarray, ks: list[int]) -> np.ndarray:
+    """Each row's k-th smallest distance for every k in ``ks``: a (len(ks), rows) array.
+
+    One multi-kth partition per row block places every requested order
+    statistic at once; each is an entry of the row, so every k gets the same
+    value a single-k partition gives.
+    """
+    kth = [k - 1 for k in ks]
+    kdist = np.empty((len(ks), len(table)))
     for rows in _row_blocks(*table.shape):
-        kdist[rows] = np.partition(table[rows], k - 1, axis=1)[:, k - 1]
+        kdist[:, rows] = np.partition(table[rows], kth, axis=1)[:, kth].T
     return kdist
+
+
+def _scores(models: list["LofModel"], table: np.ndarray) -> list[np.ndarray]:
+    """Each model's LOF scores of the table's query rows; all share the training rows."""
+    kdists = _kdist(table, [model.k for model in models])
+    return [_lof(table, kdist, model.kdist, model.lrd) for model, kdist in zip(models, kdists)]
 
 
 def _lof(
@@ -192,12 +207,9 @@ class LofModel:
         """Distances from each (raw) query to every training row; k-independent."""
         return _distance_table(self._transform(queries), self.train, self.metric)
 
-    def _score_table(self, table: np.ndarray) -> np.ndarray:
-        return _lof(table, _kdist(table, self.k), self.kdist, self.lrd)
-
     def score_batch(self, queries) -> np.ndarray:
         """LOF score of each query against the training reference set."""
-        return self._score_table(self._query_table(queries))
+        return _scores([self], self._query_table(queries))[0]
 
     def score(self, x) -> float:
         return float(self.score_batch(_as_vector(x)[None, :])[0])
@@ -314,24 +326,28 @@ class _Reference:
         np.fill_diagonal(table, np.inf)
         return table
 
-    def model(self, k: int, threshold: float) -> LofModel:
+    def models(self, ks: list[int], threshold: float) -> list[LofModel]:
+        """One model per k in ``ks``, in that order, from one k-distance pass."""
         n = len(self.z)
-        if k < 1:
-            raise NotEnoughTrainingData(f"k must be at least 1, got {k}")
-        if n < k + 1:
-            raise NotEnoughTrainingData(f"need at least k+1={k + 1} rows, got {n}")
-        kdist = _kdist(self.table, k)
-        return LofModel(
-            train=self.z,
-            k=k,
-            metric=self.metric,
-            threshold=threshold,
-            kdist=kdist,
-            lrd=_lof(self.table, kdist, kdist),
-            scaler_mean=self.mean,
-            scaler_std=self.std,
-            standardized=self.standardized,
-        )
+        for k in ks:
+            if k < 1:
+                raise NotEnoughTrainingData(f"k must be at least 1, got {k}")
+            if n < k + 1:
+                raise NotEnoughTrainingData(f"need at least k+1={k + 1} rows, got {n}")
+        return [
+            LofModel(
+                train=self.z,
+                k=k,
+                metric=self.metric,
+                threshold=threshold,
+                kdist=kdist,
+                lrd=_lof(self.table, kdist, kdist),
+                scaler_mean=self.mean,
+                scaler_std=self.std,
+                standardized=self.standardized,
+            )
+            for k, kdist in zip(ks, _kdist(self.table, ks))
+        ]
 
 
 def fit(
@@ -347,4 +363,4 @@ def fit(
     feature dominates the Manhattan metric; pass standardize=False for raw
     distances.
     """
-    return _Reference(train, metric, standardize).model(k, threshold)
+    return _Reference(train, metric, standardize).models([k], threshold)[0]

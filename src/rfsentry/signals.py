@@ -91,14 +91,26 @@ def add_awgn(signal: Signal, target_snr_db: float, seed: int) -> Signal:
     the documented no-noise sentinel and returns the input unchanged.
     Bit-identical output for a fixed (signal, target, seed).
     """
+    unit_noise = np.random.default_rng(seed).standard_normal(signal.samples.size)
+    return _scaled_noise(signal, mean_power(signal), target_snr_db, unit_noise)
+
+
+def _scaled_noise(
+    signal: Signal, power: float, target_snr_db: float, unit_noise: np.ndarray
+) -> Signal:
+    """``signal`` plus ``unit_noise`` scaled to reach ``target_snr_db``.
+
+    ``power`` is ``mean_power(signal)``. numpy defines ``normal(0.0, s, n)``
+    as ``0.0 + s * standard_normal``, so one unit draw per seed, scaled here,
+    equals ``default_rng(seed).normal(0.0, s, n)`` bit for bit at every SNR.
+    """
     if math.isinf(target_snr_db) and target_snr_db > 0:
         return signal
-    power = mean_power(signal)
     if power == 0.0:
         raise ZeroPowerSignal("cannot set an SNR on an all-zero signal")
     noise_var = power / 10.0 ** (target_snr_db / 10.0)
-    rng = np.random.default_rng(seed)
-    noisy = signal.samples + rng.normal(0.0, math.sqrt(noise_var), signal.samples.size)
+    noisy = math.sqrt(noise_var) * unit_noise
+    noisy += signal.samples  # addition commutes exactly; this saves a temporary
     return replace(signal, samples=noisy, snr_db=float(target_snr_db))
 
 

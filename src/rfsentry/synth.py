@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, EmptyEval
+from .errors import ConfigError, EmptyEval, FormatError
 from .seeding import derive_seed
 from .signals import Signal, SignalClass, add_awgn
 
@@ -91,16 +91,13 @@ class DeviceProfile:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DeviceProfile":
-        return cls(
-            name=d["name"],
-            kind=DeviceKind(d["kind"]),
-            carrier_frac=d["carrier_frac"],
-            bandwidth_frac=d["bandwidth_frac"],
-            hop_period=d["hop_period"],
-            envelope_rise=d["envelope_rise"],
-            modulation_index=d["modulation_index"],
-            device_seed=d["device_seed"],
-        )
+        """Inverse of ``to_dict``; a missing key or a wrong type is a FormatError."""
+        fields = _json_fields(d, _PROFILE_FIELDS, "profile")
+        try:
+            fields["kind"] = DeviceKind(fields["kind"])
+        except ValueError:
+            raise FormatError(f"profile: unknown kind {fields['kind']!r}") from None
+        return cls(**fields)
 
 
 @dataclass(frozen=True)
@@ -116,8 +113,11 @@ class CorpusConfig:
         object.__setattr__(self, "profiles", tuple(self.profiles))
         if self.signals_per_device <= 0:
             raise ConfigError("signals_per_device must be > 0")
-        if self.capture_len <= 0:
-            raise ConfigError("capture_len must be > 0")
+        if self.capture_len < 4:
+            raise ConfigError(
+                "capture_len must be at least 4, the two-level packet transform's "
+                f"minimum, got {self.capture_len}"
+            )
         if self.lead_len < 0:
             raise ConfigError("lead_len must be >= 0")
         if self.lead_len == 0:
@@ -161,15 +161,62 @@ class CorpusConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CorpusConfig":
-        snr = d["snr_db"]
-        return cls(
-            profiles=tuple(DeviceProfile.from_dict(p) for p in d["profiles"]),
-            signals_per_device=d["signals_per_device"],
-            snr_db=math.inf if snr is None else snr,
-            capture_len=d["capture_len"],
-            master_seed=d["master_seed"],
-            lead_len=d["lead_len"],
-        )
+        """Inverse of ``to_dict``; a missing key or a wrong type is a FormatError."""
+        fields = _json_fields(d, _CONFIG_FIELDS, "config")
+        profiles = []
+        for i, profile in enumerate(fields["profiles"]):
+            try:
+                profiles.append(DeviceProfile.from_dict(profile))
+            except FormatError as exc:
+                raise FormatError(f"config: profiles[{i}]: {exc}") from None
+        fields["profiles"] = tuple(profiles)
+        if fields["snr_db"] is None:
+            fields["snr_db"] = math.inf
+        return cls(**fields)
+
+
+# JSON value types: the Python types json.loads gives them, and their name
+_STRING = ((str,), "a string")
+_LIST = ((list,), "a list")
+_INT = ((int,), "an integer")
+_NUMBER = ((int, float), "a number")
+_INT_OR_NULL = ((int, type(None)), "an integer or null")
+_NUMBER_OR_NULL = ((int, float, type(None)), "a number or null")
+_PROFILE_FIELDS = {
+    "name": _STRING,
+    "kind": _STRING,
+    "carrier_frac": _NUMBER,
+    "bandwidth_frac": _NUMBER,
+    "hop_period": _INT_OR_NULL,
+    "envelope_rise": _INT,
+    "modulation_index": _NUMBER,
+    "device_seed": _INT,
+}
+_CONFIG_FIELDS = {
+    "profiles": _LIST,
+    "signals_per_device": _INT,
+    "snr_db": _NUMBER_OR_NULL,
+    "capture_len": _INT,
+    "master_seed": _INT,
+    "lead_len": _INT,
+}
+
+
+def _json_fields(d, spec: dict[str, tuple[tuple[type, ...], str]], what: str) -> dict:
+    """The ``spec`` keys of JSON object ``d``, each of one of its exact types.
+
+    Exact, so a JSON ``true`` is not an integer and ``300.0`` is not one
+    either; an integer is a valid number. Other keys are ignored.
+    """
+    if not isinstance(d, dict):
+        raise FormatError(f"{what} must be an object, got {type(d).__name__}")
+    missing = [key for key in spec if key not in d]
+    if missing:
+        raise FormatError(f"{what}: missing key(s) {', '.join(missing)}")
+    for key, (types, name) in spec.items():
+        if type(d[key]) not in types:
+            raise FormatError(f"{what}: {key} must be {name}, got {d[key]!r}")
+    return {key: d[key] for key in spec}
 
 
 def default_profiles(capture_len: int = 4096) -> tuple[DeviceProfile, ...]:

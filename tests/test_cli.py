@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from rfsentry.cli import _atomic
+from rfsentry.cli import _atomic, _parse_grid
 from rfsentry.features import load_feature_csv
 
 SUBCOMMANDS = ["synth", "extract", "train", "score", "eval", "sweep-n", "sweep-snr"]
@@ -328,6 +328,83 @@ def test_sweep_snr_outputs_and_parallel_determinism(corpus, pipeline, tmp_path):
     assert (parallel_dir / "snr_sweep.csv").read_bytes() == (
         serial_dir / "snr_sweep.csv"
     ).read_bytes()
+
+
+def _edit_config(edit):
+    """A corpus.json text transform that applies ``edit`` to the parsed document."""
+
+    def transform(text):
+        doc = json.loads(text)
+        edit(doc)
+        return json.dumps(doc)
+
+    return transform
+
+
+CORPUS_CASES = [
+    ("not-json", lambda text: text[:-5], "not JSON"),
+    ("list", lambda text: "[1,2]", "not a rfsentry-corpus document"),
+    ("format", _edit_config(lambda d: d.update(format="rfsentry-lof")),
+     "not a rfsentry-corpus document"),
+    ("config-key", _edit_config(lambda d: d["config"].pop("lead_len")),
+     "config: missing key(s) lead_len"),
+    ("profile-key", _edit_config(lambda d: d["config"]["profiles"][2].pop("kind")),
+     "profiles[2]: profile: missing key(s) kind"),
+    ("profiles-type", _edit_config(lambda d: d["config"].update(profiles={})),
+     "profiles must be a list, got {}"),
+    ("float-count", _edit_config(lambda d: d["config"].update(signals_per_device=12.5)),
+     "signals_per_device must be an integer, got 12.5"),
+    ("bool-seed", _edit_config(lambda d: d["config"].update(master_seed=True)),
+     "master_seed must be an integer, got True"),
+    ("kind", _edit_config(lambda d: d["config"]["profiles"][0].update(kind="radar")),
+     "unknown kind 'radar'"),
+    ("capture-len", _edit_config(lambda d: d["config"].update(capture_len=2)),
+     "capture_len must be at least 4"),
+]
+
+
+@pytest.mark.parametrize("case, transform, message", CORPUS_CASES,
+                         ids=[c[0] for c in CORPUS_CASES])
+def test_sweep_snr_rejects_malformed_corpus_json(corpus, pipeline, tmp_path, case,
+                                                 transform, message):
+    _, train_csv, _, _ = pipeline
+    bad = tmp_path / "corpus"
+    bad.mkdir()
+    (bad / "corpus.json").write_text(transform((corpus / "corpus.json").read_text()))
+    result = run_cli("sweep-snr", "--corpus", bad, "--train-features", train_csv,
+                     "--out", tmp_path / "report", "--k-grid", "5", "--snr-grid", "30",
+                     "--per-class", 10)
+    assert result.returncode == 2
+    assert message in result.stderr
+    assert str(bad / "corpus.json") in result.stderr
+    assert len(result.stderr.strip().splitlines()) == 1
+    assert not (tmp_path / "report").exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "sweep-snr"])
+def test_jobs_below_one_is_rejected(corpus, pipeline, tmp_path, command):
+    _, train_csv, _, _ = pipeline
+    args = {"synth": ["synth", *SYNTH_ARGS],
+            "sweep-snr": ["sweep-snr", "--corpus", corpus, "--train-features", train_csv]}
+    result = run_cli(*args[command], "--out", tmp_path / "out", "--jobs", 0)
+    assert result.returncode == 2
+    assert "--jobs: must be at least 1, got 0" in result.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_synth_rejects_capture_len_nothing_can_fingerprint(tmp_path):
+    result = run_cli("synth", "--out", tmp_path / "x", "--capture-len", 2,
+                     "--signals-per-device", 3)
+    assert result.returncode == 2
+    assert "capture_len must be at least 4" in result.stderr
+    assert not (tmp_path / "x").exists()
+
+
+def test_grid_steps_do_not_accumulate_float_error():
+    assert _parse_grid("0:1:0.1", integral=False) == [i / 10 for i in range(11)]
+    assert _parse_grid("6:30:2", integral=False) == [float(v) for v in range(6, 31, 2)]
+    assert _parse_grid("10:200:10", integral=True) == list(range(10, 201, 10))
+    assert _parse_grid("100:200:20", integral=True) == list(range(100, 201, 20))
 
 
 def test_pipeline_rerun_is_byte_identical(corpus, tmp_path):

@@ -2,11 +2,12 @@
 
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from rfsentry.errors import EmptyInput, EmptyMatrix, LengthMismatch
+from rfsentry.errors import EmptyInput, EmptyMatrix, LengthMismatch, ZeroPowerSignal
 from rfsentry.evaluate import (
     ConfusionMatrix,
     SweepRow,
@@ -227,6 +228,28 @@ def test_sweep_snr_parallel_matches_serial(mini_sweep_parts):
     parallel = sweep_snr(train_table, balanced_clean, [5], [14.0, cfg.snr_db],
                          trigger, jobs=2)
     assert serial == parallel
+
+
+def test_sweep_snr_identical_for_any_burst_chunking(mini_sweep_parts):
+    # 20 bursts split into chunks of 10/10 and 6/7/7: every burst's noise is
+    # drawn in its own worker, so the chunking must not show in the table
+    cfg, trigger, train_table, balanced_clean, _ = mini_sweep_parts
+    assert len(balanced_clean) % 3 != 0
+    tables = [
+        sweep_snr(train_table, balanced_clean, [3, 5], [6.0, 14.0, cfg.snr_db], trigger,
+                  jobs=jobs)
+        for jobs in (1, 2, 3)
+    ]
+    assert tables[0] == tables[1] == tables[2]
+
+
+def test_sweep_snr_rejects_bad_inputs_on_the_noise_path(mini_sweep_parts):
+    cfg, trigger, train_table, balanced_clean, _ = mini_sweep_parts
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        sweep_snr(train_table, balanced_clean, [5], [30.0], trigger, jobs=0)
+    silent = replace(balanced_clean[0][0], samples=np.zeros(len(balanced_clean[0][0])))
+    with pytest.raises(ZeroPowerSignal):
+        sweep_snr(train_table, [(silent, 1)] + balanced_clean[1:], [5], [30.0], trigger)
 
 
 def _accuracy_by_refit(train_table, matrix, truth, k, metric):

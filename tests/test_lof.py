@@ -120,6 +120,20 @@ def test_core_matches_references_across_block_edges(metric, grid, monkeypatch):
         assert np.allclose(mine, ref, rtol=1e-9, atol=1e-12)
 
 
+@pytest.mark.parametrize("rows", [1, 6, 7, 8, 17])
+def test_multi_k_kdist_equals_one_partition_per_k(rows, monkeypatch):
+    # integer-grid distances tie often; 7-row blocks put the row counts on
+    # and around block edges; the grid is unsorted and repeats a k
+    n = 12
+    monkeypatch.setattr(lof, "_BLOCK_ELEMENTS", 7 * n)
+    table = np.random.default_rng(36).integers(0, 5, (rows, n)).astype(float)
+    ks = [n - 1, 3, 1, 7, 3]
+    kdists = lof._kdist(table, ks)
+    assert kdists.shape == (len(ks), rows)
+    for k, kdist in zip(ks, kdists):
+        assert kdist.tobytes() == np.partition(table, k - 1, axis=1)[:, k - 1].tobytes()
+
+
 def test_fit_peak_memory_is_bounded():
     # the (n, n) table is the only n*n allocation; an (n, n, d) difference
     # tensor would alone be 4x the table at d=4

@@ -110,6 +110,22 @@ def test_add_awgn_snr_within_half_db():
         assert abs(measured - target) <= 0.5
 
 
+def test_add_awgn_equals_scaled_normal_draw_bit_for_bit():
+    # the formula add_awgn used before its noise was split into one unit
+    # draw and a per-SNR scale; every output bit must be unchanged
+    def old_add_awgn(signal, snr, seed):
+        noise_var = mean_power(signal) / 10.0 ** (snr / 10.0)
+        rng = np.random.default_rng(seed)
+        return signal.samples + rng.normal(0.0, math.sqrt(noise_var), signal.samples.size)
+
+    s = sig(np.random.default_rng(8).standard_normal(1000) * 1.7)
+    for seed in range(20):
+        for snr in (-5.0, 6.0, 18.0, 30.0):
+            # bytes, not ==, so that a -0.0 for 0.0 would fail too
+            expected = old_add_awgn(s, snr, seed * 7919 + 3).tobytes()
+            assert add_awgn(s, snr, seed * 7919 + 3).samples.tobytes() == expected
+
+
 # -- trigger and capture ------------------------------------------------------
 
 
