@@ -6,15 +6,14 @@ novelty score against a recognized-signal reference set.
 """
 
 from .errors import RfSentryError
-from .features import FeatureVector, fingerprint, rank_features
-from .lof import Label, LofModel, Metric, fit
+from .features import fingerprint, rank_features
+from .lof import Label, LofModel, Metric, fit, fit_grid, score_grid
 from .signals import Signal, SignalClass, TriggerConfig, add_awgn, extract_transient
 from .wpt import PacketSet, wpt2
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "FeatureVector",
     "Label",
     "LofModel",
     "Metric",
@@ -28,6 +27,8 @@ __all__ = [
     "extract_transient",
     "fingerprint",
     "fit",
+    "fit_grid",
     "rank_features",
+    "score_grid",
     "wpt2",
 ]

@@ -11,6 +11,7 @@ deterministic without threading seeds through each flag.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -33,12 +34,13 @@ from .evaluate import (
 )
 from .features import FeatureTable, fingerprint, load_feature_csv, save_feature_csv
 from .lof import DEFAULT_K, DEFAULT_THRESHOLD, LofModel, fit
-from .seeding import stage_seed
+from .seeding import map_chunks, stage_seed
 from .signals import (
     ManifestRow,
     SignalClass,
     TriggerConfig,
     _fmt,
+    _write_csv,
     load_signal,
     read_manifest,
     save_signal,
@@ -73,32 +75,45 @@ def _atomic(write_fn, path: Path) -> None:
 
 
 def _parse_grid(text: str, integral: bool) -> list:
-    """Grid syntax: 'start:stop:step' (stop inclusive) or 'v1,v2,...'."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"grid {text!r} must be start:stop:step")
-        # exact fractions, so the i-th value is start + i * step rounded once;
-        # imported here so that the commands without a grid skip its import
-        from fractions import Fraction
+    """Grid syntax: 'start:stop:step' (stop inclusive) or 'v1,v2,...'.
 
-        start, stop, step = (Fraction(p) for p in parts)
-        if step <= 0:
-            raise ValueError("grid step must be > 0")
-        count = math.floor((stop - start) / step) + 1 if stop >= start else 0
-        values = [float(start + i * step) for i in range(count)]
-    else:
-        values = [float(p) for p in text.split(",") if p.strip()]
+    The argparse type of --k-grid and --snr-grid, so a malformed, empty or
+    non-finite grid is a usage error.
+    """
+    try:
+        if ":" in text:
+            parts = text.split(":")
+            if len(parts) != 3:
+                raise ValueError("must be start:stop:step")
+            # exact fractions, so the i-th value is start + i * step rounded once;
+            # imported here so that the commands without a grid skip its import
+            from fractions import Fraction
+
+            start, stop, step = (Fraction(p) for p in parts)
+            if step <= 0:
+                raise ValueError("step must be > 0")
+            count = math.floor((stop - start) / step) + 1 if stop >= start else 0
+            values = [float(start + i * step) for i in range(count)]
+        else:
+            values = [float(p) for p in text.split(",") if p.strip()]
+    except (ArithmeticError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(f"grid {text!r}: {exc}") from None
     if not values:
-        raise ValueError(f"grid {text!r} is empty")
+        raise argparse.ArgumentTypeError(f"grid {text!r} is empty")
+    if not all(math.isfinite(v) for v in values):
+        raise argparse.ArgumentTypeError(f"grid {text!r} holds a non-finite value")
     return [int(round(v)) for v in values] if integral else values
 
 
-def _jobs(text: str) -> int:
-    jobs = int(text)
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
-    return jobs
+_k_grid = functools.partial(_parse_grid, integral=True)
+_snr_grid = functools.partial(_parse_grid, integral=False)
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _read_corpus_config(path: Path) -> CorpusConfig:
@@ -141,25 +156,15 @@ def _trigger_config(args) -> TriggerConfig:
 # ---------------------------------------------------------------------------
 
 
-def _synth_device(cfg: CorpusConfig, profile_index: int, out_dir: str) -> list:
-    """Generate and store every burst for one device; returns manifest rows."""
-    profile = cfg.profiles[profile_index]
+def _synth_bursts(plan: list, cfg: CorpusConfig, out_dir: str) -> list[ManifestRow]:
+    """Generate and store each (profile, index) burst of ``plan``; one manifest row each."""
     rows = []
-    for index in range(cfg.signals_per_device):
+    for profile, index in plan:
         sig = gen_burst(profile, index, cfg)
         rel = f"signals/{profile.name}_{index:05d}.rfsg"
         save_signal(sig, Path(out_dir) / rel)
-        rows.append(
-            (
-                "train" if cfg.is_train(profile, index) else "eval",
-                ManifestRow(
-                    path=rel,
-                    device_id=sig.device_id,
-                    signal_class=sig.signal_class,
-                    snr_db=sig.snr_db,
-                ),
-            )
-        )
+        rows.append(ManifestRow(path=rel, device_id=sig.device_id,
+                                signal_class=sig.signal_class, snr_db=sig.snr_db))
     return rows
 
 
@@ -173,25 +178,10 @@ def cmd_synth(args) -> int:
     )
     out = Path(args.out)
     (out / "signals").mkdir(parents=True, exist_ok=True)
-    per_device: dict[int, list] = {}
-    if args.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = {
-                i: pool.submit(_synth_device, cfg, i, str(out))
-                for i in range(len(cfg.profiles))
-            }
-            per_device = {i: fut.result() for i, fut in futures.items()}
-    else:
-        per_device = {
-            i: _synth_device(cfg, i, str(out)) for i in range(len(cfg.profiles))
-        }
-
-    train_rows, eval_rows = [], []
-    for i in range(len(cfg.profiles)):
-        for split, row in per_device[i]:
-            (train_rows if split == "train" else eval_rows).append(row)
+    plan = [(p, i) for p in cfg.profiles for i in range(cfg.signals_per_device)]
+    rows = map_chunks(_synth_bursts, plan, args.jobs, cfg, str(out))
+    train_rows = [row for (p, i), row in zip(plan, rows) if cfg.is_train(p, i)]
+    eval_rows = [row for (p, i), row in zip(plan, rows) if not cfg.is_train(p, i)]
 
     # manifests and config last, atomically: their presence means a complete corpus
     _atomic(lambda p: write_manifest(train_rows, p), out / TRAIN_MANIFEST)
@@ -225,7 +215,7 @@ def cmd_extract(args) -> int:
                 snr_db=row.snr_db,
             )
             vec = fingerprint(sig, trigger)
-        except (RfSentryError, ValueError) as exc:
+        except RfSentryError as exc:
             skipped += 1
             log.warning("skipping %s: %s", row.path, exc)
             continue
@@ -259,29 +249,19 @@ def cmd_train(args) -> int:
 
 
 def cmd_score(args) -> int:
-    import csv
-
     model = LofModel.load(args.model)
     table = load_feature_csv(args.features)
     scores = model.score_batch(table.matrix)
     labels = model.labels(scores)
 
-    def write(path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["device_id", "class", "snr_db", "score", "label"])
-            for i in range(len(table)):
-                writer.writerow(
-                    [
-                        table.device_ids[i],
-                        table.classes[i].value,
-                        _fmt(table.snr_db[i]),
-                        _fmt(scores[i]),
-                        labels[i].value,
-                    ]
-                )
-
-    _atomic(write, Path(args.out))
+    rows = (
+        [device_id, cls.value, _fmt(snr), _fmt(score), label.value]
+        for device_id, cls, snr, score, label in zip(
+            table.device_ids, table.classes, table.snr_db, scores, labels
+        )
+    )
+    header = ["device_id", "class", "snr_db", "score", "label"]
+    _atomic(lambda p: _write_csv(p, header, rows), Path(args.out))
     log.info("scored %d fingerprints", len(table))
     return 0
 
@@ -313,7 +293,7 @@ def cmd_sweep_n(args) -> int:
         train,
         ev.select(val_idx),
         ev.select(test_idx),
-        k_grid=_parse_grid(args.k_grid, integral=True),
+        k_grid=args.k_grid,
         metric=args.metric,
         threshold=args.threshold,
         standardize=not args.no_standardize,
@@ -339,8 +319,8 @@ def cmd_sweep_snr(args) -> int:
     table = sweep_snr(
         train,
         balanced,
-        k_grid=_parse_grid(args.k_grid, integral=True),
-        snr_grid=_parse_grid(args.snr_grid, integral=False),
+        k_grid=args.k_grid,
+        snr_grid=args.snr_grid,
         trigger=trigger,
         metric=args.metric,
         threshold=args.threshold,
@@ -395,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="transient capture length in samples (default %(default)s)")
     p.add_argument("--signals-per-device", type=int, default=300,
                    help="bursts per device (default %(default)s)")
-    p.add_argument("--jobs", type=_jobs, default=1,
+    p.add_argument("--jobs", type=_positive_int, default=1,
                    help="worker processes (default 1; output is identical)")
     p.set_defaults(func=cmd_synth)
 
@@ -429,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-features", required=True, help="training feature CSV")
     p.add_argument("--eval-features", required=True, help="evaluation feature CSV")
     p.add_argument("--out", required=True, help="report directory")
-    p.add_argument("--k-grid", default="10:200:10",
+    p.add_argument("--k-grid", type=_k_grid, default="10:200:10",
                    help="neighbor grid, start:stop:step or comma list "
                         "(default %(default)s)")
     p.add_argument("--test-frac", type=float, default=0.7,
@@ -444,13 +424,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="corpus directory written by synth (provides clean signals)")
     p.add_argument("--train-features", required=True, help="training feature CSV")
     p.add_argument("--out", required=True, help="report directory")
-    p.add_argument("--k-grid", default="100:200:20",
+    p.add_argument("--k-grid", type=_k_grid, default="100:200:20",
                    help="neighbor grid (default %(default)s)")
-    p.add_argument("--snr-grid", default="6:30:2",
+    p.add_argument("--snr-grid", type=_snr_grid, default="6:30:2",
                    help="SNR grid in dB (default %(default)s)")
-    p.add_argument("--per-class", type=int, default=200,
+    p.add_argument("--per-class", type=_positive_int, default=200,
                    help="balanced set size per class (default %(default)s)")
-    p.add_argument("--jobs", type=_jobs, default=1,
+    p.add_argument("--jobs", type=_positive_int, default=1,
                    help="worker processes (default 1; output is identical)")
     _add_model_flags(p)
     p.set_defaults(func=cmd_sweep_snr)
@@ -465,7 +445,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (RfSentryError, ValueError, OSError) as exc:
+    except (RfSentryError, OSError) as exc:
         log.error("%s", exc)
         return 2
 

@@ -21,8 +21,8 @@ class InputTooShort(RfSentryError):
 
 # corpus generation
 
-class ConfigError(RfSentryError):
-    """Invalid profile or corpus configuration."""
+class ConfigError(RfSentryError, ValueError):
+    """Invalid configuration or parameter value."""
 
 
 class EmptyEval(RfSentryError):

@@ -5,16 +5,16 @@ cover the standard experiments: accuracy vs neighbor count at the training
 SNR, and accuracy vs SNR for a model trained once at the training SNR and
 never re-fitted.
 
-Both sweeps do the work that no grid value changes once. Each distance
-table is built once and one partition per row block gives the k-distances
-of every grid k (``lof._kdist``). The SNR sweep runs burst by burst: a
-burst's unit noise is drawn and its power taken once, then scaled to every
-grid SNR before fingerprinting.
+Both sweeps do the work that no grid value changes once. They fit their
+whole k grid with one ``lof.fit_grid`` call and score each query set for
+every k with one ``lof.score_grid`` call, so each distance table is built
+once. The SNR sweep runs burst by burst: a burst's unit noise is drawn and
+its power taken once, then scaled to every grid SNR before fingerprinting;
+``seeding.map_chunks`` spreads the bursts over the worker processes.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,8 +22,17 @@ import numpy as np
 
 from .errors import EmptyInput, EmptyMatrix, LengthMismatch
 from .features import FeatureTable, fingerprint
-from .lof import Label, LofModel, Metric, _Reference, _scores
-from .signals import Signal, SignalClass, TriggerConfig, _fmt, _scaled_noise, mean_power
+from .lof import Label, LofModel, Metric, fit_grid, score_grid
+from .seeding import map_chunks
+from .signals import (
+    Signal,
+    SignalClass,
+    TriggerConfig,
+    _fmt,
+    _scaled_noise,
+    _write_csv,
+    mean_power,
+)
 
 
 @dataclass(frozen=True)
@@ -133,10 +142,8 @@ def sweep_neighbors(
     """
     if not k_grid:
         raise ValueError("k_grid must be non-empty")
-    models = _Reference(train.matrix, metric, standardize).models(sorted(k_grid), threshold)
-    val_scores, test_scores = (
-        _scores(models, models[0]._query_table(t.matrix)) for t in (validation, test)
-    )
+    models = fit_grid(train.matrix, sorted(k_grid), metric, threshold, standardize)
+    val_scores, test_scores = (score_grid(models, t.matrix) for t in (validation, test))
     rows = [
         SweepRow(
             snr_db=None,
@@ -160,20 +167,19 @@ def best_k(table: SweepTable) -> int:
 
 def _snr_fingerprints(
     balanced_clean: list[tuple[Signal, int]], snrs: list[float], trigger: TriggerConfig
-) -> np.ndarray:
-    """(len(snrs), len(balanced_clean), 4) fingerprints of every burst at every SNR.
+) -> list[np.ndarray]:
+    """Each burst's (len(snrs), 4) fingerprints, one row per grid SNR.
 
     The noise seed does not depend on the SNR, so each burst's unit noise is
     drawn and its power taken once, and only the scale changes per SNR.
     """
-    cube = np.empty((len(snrs), len(balanced_clean), 4))
-    for j, (sig, seed) in enumerate(balanced_clean):
+    out = []
+    for sig, seed in balanced_clean:
         power = mean_power(sig)
         unit_noise = np.random.default_rng(seed).standard_normal(len(sig))
-        for i, snr in enumerate(snrs):
-            noisy = _scaled_noise(sig, power, snr, unit_noise)
-            cube[i, j] = fingerprint(noisy, trigger).as_array()
-    return cube
+        out.append(np.array([fingerprint(_scaled_noise(sig, power, snr, unit_noise), trigger)
+                             for snr in snrs]))
+    return out
 
 
 def sweep_snr(
@@ -202,26 +208,13 @@ def sweep_snr(
         raise ValueError("k_grid and snr_grid must be non-empty")
     if not balanced_clean:
         raise EmptyInput("balanced evaluation set is empty")
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
-    models = _Reference(train.matrix, metric, standardize).models(sorted(k_grid), threshold)
+    models = fit_grid(train.matrix, sorted(k_grid), metric, threshold, standardize)
     truth = [sig.signal_class for sig, _ in balanced_clean]
     snrs = sorted(float(s) for s in snr_grid)
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        bounds = sorted({len(balanced_clean) * i // jobs for i in range(jobs + 1)})
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_snr_fingerprints, balanced_clean[lo:hi], snrs, trigger)
-                for lo, hi in zip(bounds, bounds[1:])
-            ]
-            cube = np.concatenate([fut.result() for fut in futures], axis=1)
-    else:
-        cube = _snr_fingerprints(balanced_clean, snrs, trigger)
+    per_burst = map_chunks(_snr_fingerprints, balanced_clean, jobs, snrs, trigger)
     rows = []
-    for snr, matrix in zip(snrs, cube):
-        scores = _scores(models, models[0]._query_table(matrix))
+    for snr, matrix in zip(snrs, np.stack(per_burst, axis=1)):
+        scores = score_grid(models, matrix)
         rows += [
             SweepRow(snr_db=snr, k=model.k, validation_accuracy=None,
                      test_accuracy=_accuracy(model, model_scores, truth))
@@ -236,35 +229,24 @@ def sweep_snr(
 
 
 def save_confusion_csv(cm: ConfusionMatrix, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tp", "fp", "fn", "tn"])
-        writer.writerow([cm.tp, cm.fp, cm.fn, cm.tn])
+    _write_csv(path, ["tp", "fp", "fn", "tn"], [[cm.tp, cm.fp, cm.fn, cm.tn]])
 
 
 def save_metrics_csv(m: Metrics, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["accuracy", "precision", "recall", "f1", "degenerate"])
-        writer.writerow([_fmt(m.accuracy), _fmt(m.precision), _fmt(m.recall),
-                         _fmt(m.f1), int(m.degenerate)])
+    _write_csv(path, ["accuracy", "precision", "recall", "f1", "degenerate"],
+               [[_fmt(m.accuracy), _fmt(m.precision), _fmt(m.recall), _fmt(m.f1),
+                 int(m.degenerate)]])
 
 
 def save_neighbors_csv(table: SweepTable, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "val_acc", "test_acc"])
-        for row in table.rows:
-            writer.writerow([row.k, _fmt(row.validation_accuracy),
-                             _fmt(row.test_accuracy)])
+    _write_csv(path, ["k", "val_acc", "test_acc"],
+               ([row.k, _fmt(row.validation_accuracy), _fmt(row.test_accuracy)]
+                for row in table.rows))
 
 
 def save_snr_csv(table: SweepTable, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["snr_db", "k", "accuracy"])
-        for row in table.rows:
-            writer.writerow([_fmt(row.snr_db), row.k, _fmt(row.test_accuracy)])
+    _write_csv(path, ["snr_db", "k", "accuracy"],
+               ([_fmt(row.snr_db), row.k, _fmt(row.test_accuracy)] for row in table.rows))
 
 
 # ---------------------------------------------------------------------------

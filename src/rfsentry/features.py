@@ -4,14 +4,14 @@ Eleven statistics are computed per packet (44 per signal). The detector
 itself runs on the compact fingerprint: ``fingerprint`` captures the
 transient, takes its (4, q) packet matrix from the block kernel
 ``wpt.packet_coefficients`` and reduces each row to its sample variance in
-one call. ``rank_features`` reproduces the variance-based column ranking
-that justifies that choice; it is a reporting tool, not part of the scoring
-path.
+one call. The result is a plain float64 row (sigma1..sigma4: the variances
+of a1, d1, a2, d2), the row type of every feature matrix. ``rank_features``
+reproduces the variance-based column ranking that justifies that choice; it
+is a reporting tool, not part of the scoring path.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,6 +26,7 @@ from .signals import (
     _fmt,
     _parse_class,
     _parse_float,
+    _write_csv,
     extract_transient,
 )
 from .wpt import PacketSet, packet_coefficients
@@ -70,23 +71,6 @@ class PacketStats:
 
     def as_tuple(self) -> tuple[float, ...]:
         return tuple(getattr(self, name) for name in STAT_NAMES)
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """Fingerprint (sigma1..sigma4): packet variances of a1, d1, a2, d2."""
-
-    sigma1: float
-    sigma2: float
-    sigma3: float
-    sigma4: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.sigma1, self.sigma2, self.sigma3, self.sigma4])
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        arr = self.as_array()
-        return arr.astype(dtype) if dtype is not None else arr
 
 
 def sample_variance(x: np.ndarray) -> np.ndarray:
@@ -163,10 +147,9 @@ def rank_features(matrix: np.ndarray) -> list[int]:
     return [int(i) for i in np.argsort(-variances, kind="stable")]
 
 
-def fingerprint(signal: Signal, cfg: TriggerConfig) -> FeatureVector:
-    """Full per-signal pipeline: trigger capture -> packet matrix -> row variances."""
-    coeffs = packet_coefficients(extract_transient(signal, cfg))
-    return FeatureVector(*sample_variance(coeffs).tolist())
+def fingerprint(signal: Signal, cfg: TriggerConfig) -> np.ndarray:
+    """Full per-signal pipeline: trigger capture -> packet matrix -> the (4,) row variances."""
+    return sample_variance(packet_coefficients(extract_transient(signal, cfg)))
 
 
 # ---------------------------------------------------------------------------
@@ -197,31 +180,23 @@ class FeatureTable:
 
     @classmethod
     def from_rows(
-        cls, rows: list[tuple[str, SignalClass, float | None, FeatureVector]]
+        cls, rows: list[tuple[str, SignalClass, float | None, np.ndarray]]
     ) -> "FeatureTable":
         return cls(
             device_ids=[r[0] for r in rows],
             classes=[r[1] for r in rows],
             snr_db=[r[2] for r in rows],
-            matrix=np.array([r[3].as_array() for r in rows])
-            if rows
-            else np.empty((0, 4)),
+            matrix=np.array([r[3] for r in rows]) if rows else np.empty((0, 4)),
         )
 
 
 def save_feature_csv(table: FeatureTable, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FEATURE_CSV_HEADER)
-        for i in range(len(table)):
-            writer.writerow(
-                [
-                    table.device_ids[i],
-                    table.classes[i].value,
-                    _fmt(table.snr_db[i]),
-                    *(_fmt(v) for v in table.matrix[i]),
-                ]
-            )
+    _write_csv(path, FEATURE_CSV_HEADER, (
+        [device_id, cls.value, _fmt(snr), *(_fmt(v) for v in row)]
+        for device_id, cls, snr, row in zip(
+            table.device_ids, table.classes, table.snr_db, table.matrix
+        )
+    ))
 
 
 def load_feature_csv(path: str | Path) -> FeatureTable:

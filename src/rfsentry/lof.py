@@ -21,10 +21,10 @@ is the reference scored against itself with the diagonal set to inf. Every
 pass over a table (filling it, k-distances, densities, scores) walks it in
 row blocks of about ``_BLOCK_ELEMENTS`` entries, so besides the table itself
 the temporaries are O(block * n) floats. The table does not depend on k, so
-the sweeps in ``evaluate`` build each one once and derive every k from it:
-one multi-kth partition per row block yields the k-distances of every grid
-k, and ``fit`` and ``score_batch`` take the same path with a one-element
-grid.
+the public API is a k grid: ``fit_grid`` builds the training table once and
+``score_grid`` one table per query set, and one multi-kth partition per row
+block yields the k-distances of every grid k. ``fit`` and ``score_batch``
+are the same calls with a one-element grid.
 """
 
 from __future__ import annotations
@@ -33,12 +33,12 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DimensionMismatch,
     FormatError,
     NonFiniteFeature,
@@ -124,12 +124,6 @@ def _kdist(table: np.ndarray, ks: list[int]) -> np.ndarray:
     return kdist
 
 
-def _scores(models: list["LofModel"], table: np.ndarray) -> list[np.ndarray]:
-    """Each model's LOF scores of the table's query rows; all share the training rows."""
-    kdists = _kdist(table, [model.k for model in models])
-    return [_lof(table, kdist, model.kdist, model.lrd) for model, kdist in zip(models, kdists)]
-
-
 def _lof(
     table: np.ndarray,
     kdist: np.ndarray,
@@ -203,13 +197,9 @@ class LofModel:
             raise NonFiniteFeature("query features must be finite")
         return (q - self.scaler_mean) / self.scaler_std
 
-    def _query_table(self, queries) -> np.ndarray:
-        """Distances from each (raw) query to every training row; k-independent."""
-        return _distance_table(self._transform(queries), self.train, self.metric)
-
     def score_batch(self, queries) -> np.ndarray:
         """LOF score of each query against the training reference set."""
-        return _scores([self], self._query_table(queries))[0]
+        return score_grid([self], queries)[0]
 
     def score(self, x) -> float:
         return float(self.score_batch(_as_vector(x)[None, :])[0])
@@ -295,59 +285,64 @@ class LofModel:
                    **arrays)
 
 
-class _Reference:
-    """Standardized training rows and their own distance table, shared by every k.
+def fit_grid(
+    train,
+    ks: list[int],
+    metric: Metric | str = Metric.MANHATTAN,
+    threshold: float = DEFAULT_THRESHOLD,
+    standardize: bool = True,
+) -> list[LofModel]:
+    """One model per k in ``ks``, in that order, from one training distance table.
 
-    The table is the reference against itself with the diagonal set to inf,
-    so no point is its own neighbor; it is built on first use.
+    Columns are z-scored with training statistics by default so no single
+    feature dominates the Manhattan metric; pass standardize=False for raw
+    distances. The table is the reference against itself with the diagonal
+    set to inf, so no point is its own neighbor; one k-distance pass over it
+    serves every k.
     """
+    metric = Metric(metric)
+    x = np.asarray(train, dtype=np.float64)
+    if x.ndim != 2:
+        raise ShapeError(f"training matrix must be 2-D, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise NonFiniteFeature("training features must be finite")
+    for k in ks:
+        if k < 1:
+            raise NotEnoughTrainingData(f"k must be at least 1, got {k}")
+        if len(x) < k + 1:
+            raise NotEnoughTrainingData(f"need at least k+1={k + 1} rows, got {len(x)}")
+    if math.isnan(threshold):
+        raise ConfigError("threshold must be a number, got NaN")
+    if standardize:
+        mean = x.mean(axis=0)
+        std = x.std(axis=0)
+        std = np.where(std == 0.0, 1.0, std)  # constant columns contribute 0
+    else:
+        mean = np.zeros(x.shape[1])
+        std = np.ones(x.shape[1])
+    z = (x - mean) / std
+    table = _distance_table(z, z, metric)
+    np.fill_diagonal(table, np.inf)
+    return [
+        LofModel(train=z, k=k, metric=metric, threshold=threshold, kdist=kdist,
+                 lrd=_lof(table, kdist, kdist), scaler_mean=mean, scaler_std=std,
+                 standardized=standardize)
+        for k, kdist in zip(ks, _kdist(table, ks))
+    ]
 
-    def __init__(self, train, metric: Metric | str, standardize: bool) -> None:
-        self.metric = Metric(metric)
-        x = np.asarray(train, dtype=np.float64)
-        if x.ndim != 2:
-            raise ShapeError(f"training matrix must be 2-D, got shape {x.shape}")
-        if not np.all(np.isfinite(x)):
-            raise NonFiniteFeature("training features must be finite")
-        if standardize:
-            mean = x.mean(axis=0)
-            std = x.std(axis=0)
-            std = np.where(std == 0.0, 1.0, std)  # constant columns contribute 0
-        else:
-            mean = np.zeros(x.shape[1])
-            std = np.ones(x.shape[1])
-        self.standardized = standardize
-        self.mean, self.std = mean, std
-        self.z = (x - mean) / std
 
-    @cached_property
-    def table(self) -> np.ndarray:
-        table = _distance_table(self.z, self.z, self.metric)
-        np.fill_diagonal(table, np.inf)
-        return table
+def score_grid(models: list[LofModel], queries) -> list[np.ndarray]:
+    """Each model's LOF scores of ``queries``, from one query table and one k-distance pass.
 
-    def models(self, ks: list[int], threshold: float) -> list[LofModel]:
-        """One model per k in ``ks``, in that order, from one k-distance pass."""
-        n = len(self.z)
-        for k in ks:
-            if k < 1:
-                raise NotEnoughTrainingData(f"k must be at least 1, got {k}")
-            if n < k + 1:
-                raise NotEnoughTrainingData(f"need at least k+1={k + 1} rows, got {n}")
-        return [
-            LofModel(
-                train=self.z,
-                k=k,
-                metric=self.metric,
-                threshold=threshold,
-                kdist=kdist,
-                lrd=_lof(self.table, kdist, kdist),
-                scaler_mean=self.mean,
-                scaler_std=self.std,
-                standardized=self.standardized,
-            )
-            for k, kdist in zip(ks, _kdist(self.table, ks))
-        ]
+    The models must come from one ``fit_grid`` call: they share its training
+    rows, metric and scaler, and with them the query table.
+    """
+    if not models or any(model.train is not models[0].train for model in models):
+        raise ValueError("score_grid needs models from one fit_grid call")
+    first = models[0]
+    table = _distance_table(first._transform(queries), first.train, first.metric)
+    kdists = _kdist(table, [model.k for model in models])
+    return [_lof(table, kdist, model.kdist, model.lrd) for model, kdist in zip(models, kdists)]
 
 
 def fit(
@@ -357,10 +352,5 @@ def fit(
     threshold: float = DEFAULT_THRESHOLD,
     standardize: bool = True,
 ) -> LofModel:
-    """Fit the reference densities on recognized fingerprints.
-
-    Columns are z-scored with training statistics by default so no single
-    feature dominates the Manhattan metric; pass standardize=False for raw
-    distances.
-    """
-    return _Reference(train, metric, standardize).models([k], threshold)[0]
+    """Fit the reference densities on recognized fingerprints (``fit_grid`` at one k)."""
+    return fit_grid(train, [k], metric, threshold, standardize)[0]

@@ -17,7 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import FormatError, InputTooShort, NoTrigger, ZeroPowerSignal
+from .errors import ConfigError, FormatError, InputTooShort, NoTrigger, ZeroPowerSignal
 
 RFSG_MAGIC = b"RFSG"
 RFSG_VERSION = 1
@@ -71,11 +71,11 @@ class TriggerConfig:
 
     def __post_init__(self) -> None:
         if self.window_len <= 0 or self.capture_len <= 0:
-            raise ValueError("window_len and capture_len must be > 0")
-        if self.energy_threshold < 0:
-            raise ValueError("energy_threshold must be >= 0")
+            raise ConfigError("window_len and capture_len must be > 0")
+        if not self.energy_threshold >= 0:  # NaN fails too
+            raise ConfigError(f"energy_threshold must be >= 0, got {self.energy_threshold}")
         if self.window_len > self.capture_len:
-            raise ValueError("window_len must not exceed capture_len")
+            raise ConfigError("window_len must not exceed capture_len")
 
 
 def mean_power(signal: Signal) -> float:
@@ -108,8 +108,13 @@ def _scaled_noise(
         return signal
     if power == 0.0:
         raise ZeroPowerSignal("cannot set an SNR on an all-zero signal")
-    noise_var = power / 10.0 ** (target_snr_db / 10.0)
-    noisy = math.sqrt(noise_var) * unit_noise
+    try:
+        noise_std = math.sqrt(power / 10.0 ** (target_snr_db / 10.0))
+    except (OverflowError, ZeroDivisionError):  # 10^(snr/10) beyond float range
+        noise_std = math.inf
+    if not math.isfinite(noise_std):
+        raise ConfigError(f"an SNR of {target_snr_db} dB is out of range")
+    noisy = noise_std * unit_noise
     noisy += signal.samples  # addition commutes exactly; this saves a temporary
     return replace(signal, samples=noisy, snr_db=float(target_snr_db))
 
@@ -175,20 +180,29 @@ def load_signal(
     signal_class: SignalClass = SignalClass.RECOGNIZED,
     snr_db: float | None = None,
 ) -> Signal:
-    """Read an RFSG file; metadata comes from the manifest, not the file."""
+    """Read an RFSG file; metadata comes from the manifest, not the file.
+
+    A file that is not a complete, valid RFSG trace is a FormatError.
+    """
     with open(path, "rb") as fh:
         header = fh.read(_HEADER_STRUCT.size)
         if len(header) < _HEADER_STRUCT.size:
-            raise ValueError(f"{path}: truncated RFSG header")
+            raise FormatError(f"{path}: truncated RFSG header")
         magic, version, sample_rate, count = _HEADER_STRUCT.unpack(header)
         if magic != RFSG_MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
+            raise FormatError(f"{path}: bad magic {magic!r}")
         if version != RFSG_VERSION:
-            raise ValueError(f"{path}: unsupported format version {version}")
+            raise FormatError(f"{path}: unsupported format version {version}")
         raw = fh.read(4 * count)
     if len(raw) < 4 * count:
-        raise ValueError(f"{path}: expected {count} samples, file truncated")
+        raise FormatError(f"{path}: expected {count} samples, file truncated")
+    if count == 0:
+        raise FormatError(f"{path}: holds no samples")
+    if not (math.isfinite(sample_rate) and sample_rate > 0):
+        raise FormatError(f"{path}: sample rate {sample_rate} is not a positive number")
     samples = np.frombuffer(raw, dtype="<f4").astype(np.float64)
+    if not np.all(np.isfinite(samples)):
+        raise FormatError(f"{path}: holds non-finite samples")
     return Signal(
         samples=samples,
         sample_rate=sample_rate,
@@ -214,19 +228,36 @@ def _fmt(value: float | None) -> str:
 def _csv_records(path: str | Path, header: list[str]) -> Iterator[tuple[str, list[str]]]:
     """Yield (``path:line``, record) for each data row of a fixed-header CSV.
 
-    An empty file, another header or a row of another width is a FormatError.
+    An empty file, another header, a row of another width, text that is not
+    UTF-8 and malformed CSV quoting are each a FormatError.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        found = next(reader, None)
-        if found != header:
-            got = "an empty file" if found is None else f"the header {found}"
-            raise FormatError(f"{path}: expected the header {header}, got {got}")
-        for rec in reader:
-            where = f"{path}:{reader.line_num}"
-            if len(rec) != len(header):
-                raise FormatError(f"{where}: expected {len(header)} columns, got {len(rec)}")
-            yield where, rec
+        try:
+            found = next(reader, None)
+            if found != header:
+                got = "an empty file" if found is None else f"the header {found}"
+                raise FormatError(f"{path}: expected the header {header}, got {got}")
+            for rec in reader:
+                where = f"{path}:{reader.line_num}"
+                if len(rec) != len(header):
+                    raise FormatError(
+                        f"{where}: expected {len(header)} columns, got {len(rec)}"
+                    )
+                yield where, rec
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise FormatError(f"{path}:{reader.line_num}: {exc}") from None
+
+
+def _write_csv(path: str | Path, header: list[str], rows) -> None:
+    """Write a header line and then every row as CSV.
+
+    ``rows`` may be a generator, so that no list of all formatted rows exists.
+    """
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _parse_class(text: str, where: str) -> SignalClass:
@@ -246,20 +277,22 @@ def _parse_float(text: str, where: str) -> float:
     return value
 
 
+def _parse_path(text: str, where: str) -> str:
+    if "\0" in text:  # no file system accepts it; open() would raise ValueError
+        raise FormatError(f"{where}: path {text!r} holds a NUL byte")
+    return text
+
+
 def write_manifest(rows: list[ManifestRow], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MANIFEST_HEADER)
-        for row in rows:
-            writer.writerow(
-                [row.path, row.device_id, row.signal_class.value, _fmt(row.snr_db)]
-            )
+    _write_csv(path, MANIFEST_HEADER,
+               ([row.path, row.device_id, row.signal_class.value, _fmt(row.snr_db)]
+                for row in rows))
 
 
 def read_manifest(path: str | Path) -> list[ManifestRow]:
     return [
         ManifestRow(
-            path=path_col,
+            path=_parse_path(path_col, where),
             device_id=device_id,
             signal_class=_parse_class(cls, where),
             snr_db=None if snr == "" else _parse_float(snr, where),

@@ -113,6 +113,8 @@ class CorpusConfig:
         object.__setattr__(self, "profiles", tuple(self.profiles))
         if self.signals_per_device <= 0:
             raise ConfigError("signals_per_device must be > 0")
+        if math.isnan(self.snr_db) or self.snr_db == -math.inf:
+            raise ConfigError(f"snr_db must be finite or +inf (clean), got {self.snr_db}")
         if self.capture_len < 4:
             raise ConfigError(
                 "capture_len must be at least 4, the two-level packet transform's "
@@ -402,7 +404,7 @@ def stratified_split_indices(
     if not labels:
         raise EmptyEval("cannot split an empty evaluation set")
     if not (0.0 < test_frac < 1.0):
-        raise ValueError("test_frac must be in (0, 1)")
+        raise ConfigError(f"test_frac must be in (0, 1), got {test_frac}")
     rng = np.random.default_rng(seed)
     test_idx: list[int] = []
     val_idx: list[int] = []
@@ -422,6 +424,8 @@ def balanced_indices(
     labels: list[SignalClass], per_class: int, seed: int
 ) -> list[int]:
     """Pick per_class members of each class (for the balanced SNR-sweep set)."""
+    if per_class < 1:
+        raise ConfigError(f"per_class must be at least 1, got {per_class}")
     rng = np.random.default_rng(seed)
     chosen: list[int] = []
     for cls in SignalClass:

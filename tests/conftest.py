@@ -1,9 +1,19 @@
+import os
+from pathlib import Path
+
 import pytest
 
+import rfsentry
 from rfsentry.features import FeatureTable, fingerprint
 from rfsentry.seeding import stage_seed
 from rfsentry.signals import TriggerConfig
 from rfsentry.synth import CorpusConfig, build_corpus, default_profiles
+
+# The CLI tests run ``python -m rfsentry`` in subprocesses: point them at the
+# package under test, so that a plain checkout needs no install.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(rfsentry.__file__).parents[1]), os.environ.get("PYTHONPATH")])
+)
 
 
 def table_from_signals(signals, trigger: TriggerConfig) -> FeatureTable:

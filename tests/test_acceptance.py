@@ -19,7 +19,6 @@ from rfsentry.evaluate import ConfusionMatrix, confusion, metrics, sweep_snr
 from rfsentry.features import (
     VARIANCE_COLUMNS,
     FeatureTable,
-    FeatureVector,
     energy_entropy,
     rank_features,
     sample_variance,
@@ -182,7 +181,7 @@ def test_c08_training_rejects_uav_rows(default_corpus, tmp_path):
     # and the train command refuses any UAV-labeled feature row
     rng = np.random.default_rng(88)
     recognized = [
-        ("dev", SignalClass.RECOGNIZED, 30.0, FeatureVector(*rng.uniform(1.0, 2.0, 4)))
+        ("dev", SignalClass.RECOGNIZED, 30.0, rng.uniform(1.0, 2.0, 4))
         for _ in range(12)
     ]
     clean_csv = tmp_path / "recognized.csv"
@@ -192,7 +191,7 @@ def test_c08_training_rejects_uav_rows(default_corpus, tmp_path):
     assert ok.returncode == 0, ok.stderr
 
     tainted = recognized + [
-        ("drone", SignalClass.UAV, 30.0, FeatureVector(*rng.uniform(5.0, 6.0, 4)))
+        ("drone", SignalClass.UAV, 30.0, rng.uniform(5.0, 6.0, 4))
     ]
     tainted_csv = tmp_path / "tainted.csv"
     save_feature_csv(FeatureTable.from_rows(tainted), tainted_csv)

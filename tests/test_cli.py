@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from rfsentry import cli
 from rfsentry.cli import _atomic, _parse_grid
 from rfsentry.features import load_feature_csv
 
@@ -87,6 +88,13 @@ def test_synth_deterministic_across_runs_and_jobs(corpus, tmp_path):
         reference = (corpus / "signals" / sample).read_bytes()
         assert (again / "signals" / sample).read_bytes() == reference
         assert (threaded / "signals" / sample).read_bytes() == reference
+    # 3 chunks of 40 bursts: chunk edges fall inside a device's bursts
+    chunked = tmp_path / "chunked"
+    assert run_cli("synth", "--out", chunked, *SYNTH_ARGS, "--jobs", 3).returncode == 0
+    names = sorted(p.relative_to(corpus) for p in corpus.rglob("*") if p.is_file())
+    assert names == sorted(p.relative_to(chunked) for p in chunked.rglob("*") if p.is_file())
+    for name in names:
+        assert (chunked / name).read_bytes() == (corpus / name).read_bytes(), name
 
 
 def test_synth_rejects_bad_config(tmp_path):
@@ -360,6 +368,8 @@ CORPUS_CASES = [
      "unknown kind 'radar'"),
     ("capture-len", _edit_config(lambda d: d["config"].update(capture_len=2)),
      "capture_len must be at least 4"),
+    ("snr-nan", _edit_config(lambda d: d["config"].update(snr_db=float("nan"))),
+     "snr_db must be finite or +inf (clean), got nan"),
 ]
 
 
@@ -390,6 +400,77 @@ def test_jobs_below_one_is_rejected(corpus, pipeline, tmp_path, command):
     assert result.returncode == 2
     assert "--jobs: must be at least 1, got 0" in result.stderr
     assert not (tmp_path / "out").exists()
+
+
+def _sweep_snr(corpus, train_csv, out, *extra):
+    return ["sweep-snr", "--corpus", corpus, "--train-features", train_csv, "--out", out,
+            "--k-grid", "5", "--per-class", 10, *extra]
+
+
+def _sweep_n(train_csv, eval_csv, out, *extra):
+    return ["sweep-n", "--train-features", train_csv, "--eval-features", eval_csv,
+            "--out", out, *extra]
+
+
+# Each case names a non-finite number or a count below 1. ``usage`` marks the
+# argparse errors, which print the usage block before their one error line.
+REJECTED_VALUE_CASES = [
+    ("snr-grid-minus-inf",
+     lambda c, tr, ev, out: _sweep_snr(c, tr, out, "--snr-grid=-inf,30"),
+     "grid '-inf,30' holds a non-finite value", True),
+    ("snr-grid-inf", lambda c, tr, ev, out: _sweep_snr(c, tr, out, "--snr-grid=30,inf"),
+     "grid '30,inf' holds a non-finite value", True),
+    ("k-grid-inf", lambda c, tr, ev, out: _sweep_n(tr, ev, out, "--k-grid", "inf"),
+     "grid 'inf' holds a non-finite value", True),
+    ("synth-snr-minus-inf",
+     lambda c, tr, ev, out: ["synth", "--out", out, *SYNTH_ARGS, "--snr=-inf"],
+     "snr_db must be finite or +inf (clean), got -inf", False),
+    ("synth-snr-nan", lambda c, tr, ev, out: ["synth", "--out", out, *SYNTH_ARGS, "--snr=nan"],
+     "snr_db must be finite or +inf (clean), got nan", False),
+    ("train-threshold-nan",
+     lambda c, tr, ev, out: ["train", "--features", tr, "--out", out, "--k", 5,
+                             "--threshold", "nan"],
+     "threshold must be a number, got NaN", False),
+    ("sweep-n-threshold-nan",
+     lambda c, tr, ev, out: _sweep_n(tr, ev, out, "--k-grid", "5", "--threshold", "nan"),
+     "threshold must be a number, got NaN", False),
+    ("per-class-negative",
+     lambda c, tr, ev, out: _sweep_snr(c, tr, out, "--snr-grid", "30", "--per-class", -2),
+     "--per-class: must be at least 1, got -2", True),
+    ("snr-grid-out-of-range",
+     lambda c, tr, ev, out: _sweep_snr(c, tr, out, "--snr-grid", "4000"),
+     "an SNR of 4000.0 dB is out of range", False),
+    ("energy-threshold-nan",
+     lambda c, tr, ev, out: ["extract", "--manifest", c / "eval_manifest.csv", "--out", out,
+                             "--capture-len", 256, "--energy-threshold", "nan"],
+     "energy_threshold must be >= 0, got nan", False),
+]
+
+
+@pytest.mark.parametrize("case, make_args, message, usage", REJECTED_VALUE_CASES,
+                         ids=[c[0] for c in REJECTED_VALUE_CASES])
+def test_rejected_values_exit_two_and_write_nothing(corpus, pipeline, tmp_path, case,
+                                                    make_args, message, usage):
+    _, train_csv, eval_csv, _ = pipeline
+    out = tmp_path / "out"
+    result = run_cli(*make_args(corpus, train_csv, eval_csv, out))
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    lines = result.stderr.strip().splitlines()
+    assert message in lines[-1]
+    if not usage:
+        assert len(lines) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_value_error_from_a_bug_propagates(monkeypatch):
+    # only deliberate checks (RfSentryError) and OSError become exit code 2
+    def broken(args):
+        raise ValueError("a bug")
+
+    monkeypatch.setattr(cli, "cmd_eval", broken)
+    with pytest.raises(ValueError, match="a bug"):
+        cli.main(["eval", "--model", "m.json", "--features", "f.csv", "--out", "r"])
 
 
 def test_synth_rejects_capture_len_nothing_can_fingerprint(tmp_path):

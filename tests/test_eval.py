@@ -279,7 +279,7 @@ def test_sweeps_share_tables_without_changing_cells(mini_sweep_parts, metric):
     truth = [sig.signal_class for sig, _ in balanced_clean]
     expected = []
     for snr in snrs:
-        matrix = np.array([fingerprint(add_awgn(sig, snr, seed), trigger).as_array()
+        matrix = np.array([fingerprint(add_awgn(sig, snr, seed), trigger)
                            for sig, seed in balanced_clean])
         expected += [SweepRow(snr, k, None,
                               _accuracy_by_refit(train_table, matrix, truth, k, metric))

@@ -12,7 +12,6 @@ from rfsentry.features import (
     STAT_NAMES,
     VARIANCE_COLUMNS,
     FeatureTable,
-    FeatureVector,
     energy_entropy,
     fingerprint,
     load_feature_csv,
@@ -113,7 +112,7 @@ def test_feature_vector_rules():
     # singleton packets (a 4-sample capture) fall back to variance 0
     whole = TriggerConfig(window_len=1, energy_threshold=0.0, capture_len=4)
     singleton = Signal(samples=np.array([4.0, 1.0, -2.0, 7.0]), sample_rate=1.0)
-    assert fingerprint(singleton, whole).as_array().tolist() == [0.0, 0.0, 0.0, 0.0]
+    assert fingerprint(singleton, whole).tolist() == [0.0, 0.0, 0.0, 0.0]
     # a capture shorter than one 4-sample block has no packets at all
     short = TriggerConfig(window_len=1, energy_threshold=0.0, capture_len=3)
     with pytest.raises(TooShort):
@@ -180,7 +179,8 @@ def test_fingerprint_pipeline_composition():
     cfg = TriggerConfig(window_len=16, energy_threshold=0.2, capture_len=512)
     fv = fingerprint(s, cfg)
     packets = wpt2(extract_transient(s, cfg)).packets()
-    assert fv == FeatureVector(*(float(sample_variance(pk)) for pk in packets))
+    assert fv.dtype == np.float64 and fv.shape == (4,)
+    assert fv.tolist() == [float(sample_variance(pk)) for pk in packets]
 
 
 def test_feature_csv_round_trip(tmp_path):
@@ -212,7 +212,3 @@ def test_feature_table_select():
     assert sub.snr_db == [20.0, None]
     assert np.array_equal(sub.matrix, table.matrix[[2, 0]])
 
-
-def test_feature_vector_array_protocol():
-    fv = FeatureVector(1.0, 2.0, 3.0, 4.0)
-    assert np.asarray(fv).tolist() == [1.0, 2.0, 3.0, 4.0]

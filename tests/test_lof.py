@@ -7,6 +7,7 @@ import pytest
 
 from rfsentry import lof
 from rfsentry.errors import (
+    ConfigError,
     DimensionMismatch,
     NonFiniteFeature,
     NotEnoughTrainingData,
@@ -20,6 +21,8 @@ from rfsentry.lof import (
     Metric,
     _distance_table,
     fit,
+    fit_grid,
+    score_grid,
 )
 
 from .oracles import brute_lof_scores
@@ -132,6 +135,45 @@ def test_multi_k_kdist_equals_one_partition_per_k(rows, monkeypatch):
     assert kdists.shape == (len(ks), rows)
     for k, kdist in zip(ks, kdists):
         assert kdist.tobytes() == np.partition(table, k - 1, axis=1)[:, k - 1].tobytes()
+
+
+MODEL_ARRAYS = ("train", "kdist", "lrd", "scaler_mean", "scaler_std")
+
+
+@pytest.mark.parametrize("metric", ["manhattan", "euclidean"])
+def test_grid_equals_one_fit_and_score_per_k(metric):
+    # integer-grid data ties often; the grid is unsorted and repeats a k
+    rng = np.random.default_rng(37)
+    train = rng.integers(0, 5, (25, 4)).astype(float)
+    queries = rng.integers(-2, 7, (9, 4)).astype(float)
+    ks = [24, 3, 1, 7, 3]
+    models = fit_grid(train, ks, metric, threshold=1.2)
+    assert [m.k for m in models] == ks
+    for model, k in zip(models, ks):
+        single = fit(train, k, metric, threshold=1.2)
+        assert (model.metric, model.threshold, model.standardized) == (
+            single.metric, single.threshold, single.standardized)
+        for name in MODEL_ARRAYS:
+            assert getattr(model, name).tobytes() == getattr(single, name).tobytes(), name
+    scores = score_grid(models, queries)
+    assert len(scores) == len(ks)
+    for model, grid_scores in zip(models, scores):
+        assert grid_scores.tobytes() == model.score_batch(queries).tobytes()
+
+
+def test_score_grid_needs_models_of_one_fit():
+    train = np.random.default_rng(38).standard_normal((20, 4))
+    a = fit_grid(train, [3, 5])
+    b = fit_grid(train, [3, 5])
+    with pytest.raises(ValueError, match="one fit_grid call"):
+        score_grid([a[0], b[1]], train[:2])
+    with pytest.raises(ValueError, match="one fit_grid call"):
+        score_grid([], train[:2])
+
+
+def test_fit_rejects_nan_threshold():
+    with pytest.raises(ConfigError, match="threshold"):
+        fit(np.random.default_rng(39).standard_normal((10, 4)), k=3, threshold=float("nan"))
 
 
 def test_fit_peak_memory_is_bounded():

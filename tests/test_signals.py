@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from rfsentry.errors import InputTooShort, NoTrigger, ZeroPowerSignal
+from rfsentry.errors import ConfigError, FormatError, InputTooShort, NoTrigger, ZeroPowerSignal
 from rfsentry.signals import (
+    _HEADER_STRUCT,
     MANIFEST_HEADER,
     ManifestRow,
     Signal,
@@ -56,6 +57,15 @@ def test_trigger_config_validation():
         TriggerConfig(window_len=128, capture_len=64)
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(window_len=0), dict(capture_len=-1), dict(energy_threshold=-0.1),
+    dict(energy_threshold=math.nan), dict(window_len=128, capture_len=64),
+], ids=["window", "capture", "threshold", "threshold-nan", "window-over-capture"])
+def test_trigger_config_errors_are_config_errors(kwargs):
+    with pytest.raises(ConfigError):
+        TriggerConfig(**kwargs)
+
+
 # -- mean_power ---------------------------------------------------------------
 
 
@@ -76,6 +86,14 @@ def test_add_awgn_inf_is_noiseless_passthrough():
 def test_add_awgn_zero_power_rejected():
     with pytest.raises(ZeroPowerSignal):
         add_awgn(sig([0.0, 0.0]), 30.0, seed=1)
+
+
+@pytest.mark.parametrize("snr", [-math.inf, -3300.0, 4000.0, math.nan])
+def test_add_awgn_rejects_snr_out_of_float_range(snr):
+    # 10^(snr/10) overflows above about 3,080 dB; far enough below -3,000 dB
+    # it is 0, or the noise variance overflows
+    with pytest.raises(ConfigError, match="out of range"):
+        add_awgn(sig([1.0, 2.0]), snr, seed=1)
 
 
 def test_add_awgn_deterministic_and_metadata():
@@ -235,6 +253,32 @@ def test_rfsg_rejects_corrupt_files(tmp_path):
         load_signal(truncated)
 
 
+def _rfsg(header=(b"RFSG", 1, 1e6, 4), samples=(1.0, 2.0, 3.0, 4.0)) -> bytes:
+    return _HEADER_STRUCT.pack(*header) + np.array(samples, dtype="<f4").tobytes()
+
+
+@pytest.mark.parametrize("data, message", [
+    (_rfsg()[:10], "truncated RFSG header"),
+    (_rfsg(header=(b"RFSX", 1, 1e6, 4)), "bad magic"),
+    (_rfsg(header=(b"RFSG", 2, 1e6, 4)), "unsupported format version 2"),
+    (_rfsg()[:-1], "expected 4 samples, file truncated"),
+    (_rfsg(header=(b"RFSG", 1, 1e6, 0), samples=()), "holds no samples"),
+    (_rfsg(header=(b"RFSG", 1, 0.0, 4)), "sample rate 0.0 is not a positive number"),
+    (_rfsg(header=(b"RFSG", 1, -1e6, 4)), "is not a positive number"),
+    (_rfsg(header=(b"RFSG", 1, math.inf, 4)), "sample rate inf is not"),
+    (_rfsg(header=(b"RFSG", 1, math.nan, 4)), "sample rate nan is not"),
+    (_rfsg(samples=(1.0, math.nan, 3.0, 4.0)), "holds non-finite samples"),
+    (_rfsg(samples=(1.0, 2.0, -math.inf, 4.0)), "holds non-finite samples"),
+], ids=["header", "magic", "version", "samples", "count-0", "rate-0", "rate-negative",
+        "rate-inf", "rate-nan", "nan-sample", "inf-sample"])
+def test_rfsg_format_errors_name_the_file(tmp_path, data, message):
+    path = tmp_path / "bad.rfsg"
+    path.write_bytes(data)
+    with pytest.raises(FormatError, match=message) as info:
+        load_signal(path)
+    assert str(path) in str(info.value)
+
+
 # -- manifest CSV -------------------------------------------------------------
 
 
@@ -248,6 +292,13 @@ def test_manifest_round_trip(tmp_path):
     header = path.read_text().splitlines()[0]
     assert header == ",".join(MANIFEST_HEADER)
     assert read_manifest(path) == rows
+
+
+def test_manifest_rejects_a_nul_byte_in_a_path(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("path,device_id,class,snr_db\nsignals/a\0b.rfsg,a,uav,30.0\n")
+    with pytest.raises(FormatError, match="m.csv:2: path .* holds a NUL byte"):
+        read_manifest(path)
 
 
 def test_manifest_rejects_unknown_header(tmp_path):

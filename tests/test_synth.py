@@ -69,6 +69,13 @@ def test_profile_validation():
         CorpusConfig(profiles=default_profiles(), signals_per_device=0)
 
 
+def test_corpus_snr_is_finite_or_the_clean_sentinel():
+    assert math.isinf(small_cfg(snr_db=math.inf).snr_db)
+    for snr in (math.nan, -math.inf):
+        with pytest.raises(ConfigError, match="snr_db must be finite or \\+inf"):
+            small_cfg(snr_db=snr)
+
+
 def test_profile_dict_round_trip():
     for p in default_profiles():
         assert DeviceProfile.from_dict(p.to_dict()) == p
@@ -223,6 +230,8 @@ def test_stratified_split_validation():
         stratified_split_indices([], 0.7, seed=1)
     with pytest.raises(ValueError):
         stratified_split_indices([SignalClass.UAV], 1.0, seed=1)
+    with pytest.raises(ConfigError, match="test_frac must be in"):
+        stratified_split_indices([SignalClass.UAV], math.nan, seed=1)
 
 
 def test_stratified_split_deterministic():
@@ -242,6 +251,9 @@ def test_balanced_indices():
     assert rec == 40
     with pytest.raises(ConfigError):
         balanced_indices(labels, 60, seed=6)
+    for per_class in (0, -2):
+        with pytest.raises(ConfigError, match="per_class must be at least 1"):
+            balanced_indices(labels, per_class, seed=6)
 
 
 def test_balanced_clean_eval_regenerates_only_the_picked_bursts(mini_cfg, monkeypatch):

@@ -77,7 +77,7 @@ def test_fingerprint_matches_oracle_variances():
     for n in (8, 64, 256, 1024):
         x = rng.standard_normal(n + 37) * float(10.0 ** rng.uniform(-2, 2))
         whole = TriggerConfig(window_len=1, energy_threshold=0.0, capture_len=n)
-        fv = fingerprint(Signal(samples=x, sample_rate=1.0), whole).as_array()
+        fv = fingerprint(Signal(samples=x, sample_rate=1.0), whole)
         ref = matrix_packets(x[:n])
         want = np.array([brute_variance(ref[name]) for name in PACKET_ORDER])
         assert np.max(np.abs(fv - want) / want) <= 1e-12
