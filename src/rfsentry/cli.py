@@ -64,21 +64,35 @@ EVAL_MANIFEST = "eval_manifest.csv"
 
 
 def _atomic(write_fn, path: Path) -> None:
-    """Write via a sibling temp file so a failure never leaves a partial file."""
+    """Write via a sibling temp file so a failure never leaves a partial file.
+
+    An OSError about the temp file names ``path``, the file the user asked for.
+    """
     tmp = path.with_name(path.name + ".tmp")
     try:
         write_fn(tmp)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename is not None \
+                and os.fspath(exc.filename) == os.fspath(tmp):
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
         raise
+
+
+# The most values a --k-grid or --snr-grid may hold. Each value costs a model
+# fit or a re-fingerprinting of the whole balanced set, and the longest grids
+# the experiments use hold 20 values; a 'start:stop:step' grid is counted
+# before any of its values is built.
+MAX_GRID_VALUES = 1000
 
 
 def _parse_grid(text: str, integral: bool) -> list:
     """Grid syntax: 'start:stop:step' (stop inclusive) or 'v1,v2,...'.
 
-    The argparse type of --k-grid and --snr-grid, so a malformed, empty or
-    non-finite grid is a usage error.
+    The argparse type of --k-grid and --snr-grid, so a malformed, empty,
+    non-finite, repeating or over-long grid (more than MAX_GRID_VALUES values)
+    is a usage error, and so is a non-integer value in an integral (k) grid.
     """
     try:
         if ":" in text:
@@ -93,16 +107,25 @@ def _parse_grid(text: str, integral: bool) -> list:
             if step <= 0:
                 raise ValueError("step must be > 0")
             count = math.floor((stop - start) / step) + 1 if stop >= start else 0
-            values = [float(start + i * step) for i in range(count)]
+            values = (float(start + i * step) for i in range(count))
         else:
-            values = [float(p) for p in text.split(",") if p.strip()]
+            parts = [p for p in text.split(",") if p.strip()]
+            count = len(parts)
+            values = (float(p) for p in parts)
+        if count > MAX_GRID_VALUES:
+            raise ValueError(f"{count} values, more than the {MAX_GRID_VALUES} allowed")
+        values = list(values)
     except (ArithmeticError, ValueError) as exc:
         raise argparse.ArgumentTypeError(f"grid {text!r}: {exc}") from None
     if not values:
         raise argparse.ArgumentTypeError(f"grid {text!r} is empty")
     if not all(math.isfinite(v) for v in values):
         raise argparse.ArgumentTypeError(f"grid {text!r} holds a non-finite value")
-    return [int(round(v)) for v in values] if integral else values
+    if integral and not all(v.is_integer() for v in values):
+        raise argparse.ArgumentTypeError(f"grid {text!r} holds a non-integer value")
+    if len(set(values)) < len(values):
+        raise argparse.ArgumentTypeError(f"grid {text!r} repeats a value")
+    return [int(v) for v in values] if integral else values
 
 
 _k_grid = functools.partial(_parse_grid, integral=True)
@@ -410,8 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eval-features", required=True, help="evaluation feature CSV")
     p.add_argument("--out", required=True, help="report directory")
     p.add_argument("--k-grid", type=_k_grid, default="10:200:10",
-                   help="neighbor grid, start:stop:step or comma list "
-                        "(default %(default)s)")
+                   help="neighbor grid, start:stop:step or comma list of at most "
+                        f"{MAX_GRID_VALUES} values (default %(default)s)")
     p.add_argument("--test-frac", type=float, default=0.7,
                    help="test share of the stratified eval split (default %(default)s)")
     p.add_argument("--seed", type=int, default=0,
@@ -425,9 +448,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-features", required=True, help="training feature CSV")
     p.add_argument("--out", required=True, help="report directory")
     p.add_argument("--k-grid", type=_k_grid, default="100:200:20",
-                   help="neighbor grid (default %(default)s)")
+                   help=f"neighbor grid, at most {MAX_GRID_VALUES} values "
+                        "(default %(default)s)")
     p.add_argument("--snr-grid", type=_snr_grid, default="6:30:2",
-                   help="SNR grid in dB (default %(default)s)")
+                   help=f"SNR grid in dB, at most {MAX_GRID_VALUES} values "
+                        "(default %(default)s)")
     p.add_argument("--per-class", type=_positive_int, default=200,
                    help="balanced set size per class (default %(default)s)")
     p.add_argument("--jobs", type=_positive_int, default=1,

@@ -7,7 +7,7 @@ never re-fitted.
 
 Both sweeps do the work that no grid value changes once. They fit their
 whole k grid with one ``lof.fit_grid`` call and score each query set for
-every k with one ``lof.score_grid`` call, so each distance table is built
+every k with one ``lof.score_grid`` call, so each distance is computed
 once. The SNR sweep runs burst by burst: a burst's unit noise is drawn and
 its power taken once, then scaled to every grid SNR before fingerprinting;
 ``seeding.map_chunks`` spreads the bursts over the worker processes.

@@ -95,6 +95,21 @@ def add_awgn(signal: Signal, target_snr_db: float, seed: int) -> Signal:
     return _scaled_noise(signal, mean_power(signal), target_snr_db, unit_noise)
 
 
+def snr_power_ratio(snr_db: float) -> float:
+    """The signal-to-noise power ratio 10^(snr/10) of a finite SNR in dB.
+
+    A ConfigError when the ratio or its inverse is beyond float range, which
+    is beyond about +-3,080 dB.
+    """
+    try:
+        ratio = 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        ratio = math.inf
+    if not (0.0 < ratio < math.inf and math.isfinite(1.0 / ratio)):
+        raise ConfigError(f"an SNR of {snr_db} dB is out of range")
+    return ratio
+
+
 def _scaled_noise(
     signal: Signal, power: float, target_snr_db: float, unit_noise: np.ndarray
 ) -> Signal:
@@ -108,10 +123,7 @@ def _scaled_noise(
         return signal
     if power == 0.0:
         raise ZeroPowerSignal("cannot set an SNR on an all-zero signal")
-    try:
-        noise_std = math.sqrt(power / 10.0 ** (target_snr_db / 10.0))
-    except (OverflowError, ZeroDivisionError):  # 10^(snr/10) beyond float range
-        noise_std = math.inf
+    noise_std = math.sqrt(power / snr_power_ratio(target_snr_db))
     if not math.isfinite(noise_std):
         raise ConfigError(f"an SNR of {target_snr_db} dB is out of range")
     noisy = noise_std * unit_noise

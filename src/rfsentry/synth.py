@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, EmptyEval, FormatError
 from .seeding import derive_seed
-from .signals import Signal, SignalClass, add_awgn
+from .signals import Signal, SignalClass, add_awgn, snr_power_ratio
 
 DEFAULT_SAMPLE_RATE = 100e6
 BASE_AMPLITUDE = 3.0
@@ -115,6 +115,8 @@ class CorpusConfig:
             raise ConfigError("signals_per_device must be > 0")
         if math.isnan(self.snr_db) or self.snr_db == -math.inf:
             raise ConfigError(f"snr_db must be finite or +inf (clean), got {self.snr_db}")
+        if math.isfinite(self.snr_db):
+            snr_power_ratio(self.snr_db)  # rejects an SNR no noise level can reach
         if self.capture_len < 4:
             raise ConfigError(
                 "capture_len must be at least 4, the two-level packet transform's "

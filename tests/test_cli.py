@@ -1,5 +1,6 @@
 """End-to-end CLI behavior via subprocess (installed entry point)."""
 
+import argparse
 import csv
 import json
 import shutil
@@ -270,6 +271,16 @@ def test_atomic_write_failure_leaves_no_files(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_write_to_a_missing_directory_names_the_output_path(pipeline, tmp_path):
+    _, _, eval_csv, model = pipeline
+    out = tmp_path / "missing" / "s.csv"
+    result = run_cli("score", "--model", model, "--features", eval_csv, "--out", out)
+    assert result.returncode == 2
+    assert result.stderr.strip().endswith(f"No such file or directory: '{out}'")
+    assert ".tmp" not in result.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_score_output(pipeline, tmp_path):
     _, _, eval_csv, model = pipeline
     out = tmp_path / "scores.csv"
@@ -440,6 +451,18 @@ REJECTED_VALUE_CASES = [
     ("snr-grid-out-of-range",
      lambda c, tr, ev, out: _sweep_snr(c, tr, out, "--snr-grid", "4000"),
      "an SNR of 4000.0 dB is out of range", False),
+    ("synth-snr-out-of-range",
+     lambda c, tr, ev, out: ["synth", "--out", out, *SYNTH_ARGS, "--snr", "4000"],
+     "an SNR of 4000.0 dB is out of range", False),
+    ("k-grid-too-long", lambda c, tr, ev, out: _sweep_n(tr, ev, out, "--k-grid", "1:1e9:1"),
+     "grid '1:1e9:1': 1000000000 values, more than the 1000 allowed", True),
+    ("k-grid-non-integer", lambda c, tr, ev, out: _sweep_n(tr, ev, out, "--k-grid", "2.6,3.4"),
+     "grid '2.6,3.4' holds a non-integer value", True),
+    ("k-grid-repeat",
+     lambda c, tr, ev, out: _sweep_snr(c, tr, out, "--k-grid", "5,5", "--snr-grid", "30"),
+     "grid '5,5' repeats a value", True),
+    ("snr-grid-repeat", lambda c, tr, ev, out: _sweep_snr(c, tr, out, "--snr-grid", "30,30"),
+     "grid '30,30' repeats a value", True),
     ("energy-threshold-nan",
      lambda c, tr, ev, out: ["extract", "--manifest", c / "eval_manifest.csv", "--out", out,
                              "--capture-len", 256, "--energy-threshold", "nan"],
@@ -479,6 +502,27 @@ def test_synth_rejects_capture_len_nothing_can_fingerprint(tmp_path):
     assert result.returncode == 2
     assert "capture_len must be at least 4" in result.stderr
     assert not (tmp_path / "x").exists()
+
+
+def test_grid_length_is_capped_before_the_grid_is_built():
+    cap = cli.MAX_GRID_VALUES
+    assert _parse_grid(f"1:{cap}:1", integral=True) == list(range(1, cap + 1))
+    assert len(_parse_grid(",".join(str(v) for v in range(cap)), integral=False)) == cap
+    for text in (f"1:{cap + 1}:1", "0:1e300:1e-300", ",".join(["1"] * (cap + 1))):
+        with pytest.raises(argparse.ArgumentTypeError, match=f"more than the {cap} allowed"):
+            _parse_grid(text, integral=True)
+
+
+@pytest.mark.parametrize("text, integral, message", [
+    ("2.6,3.4", True, "holds a non-integer value"),
+    ("1:3:0.5", True, "holds a non-integer value"),
+    ("100,100", True, "repeats a value"),
+    ("100,1e2", True, "repeats a value"),
+    ("30,30.0", False, "repeats a value"),
+])
+def test_grid_rejects_fractional_k_and_repeats(text, integral, message):
+    with pytest.raises(argparse.ArgumentTypeError, match=message):
+        _parse_grid(text, integral)
 
 
 def test_grid_steps_do_not_accumulate_float_error():

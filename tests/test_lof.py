@@ -1,4 +1,4 @@
-"""Local Outlier Factor: distance table, fit/score/classify, persistence."""
+"""Local Outlier Factor: distances, fit/score/classify, memory, persistence."""
 
 import tracemalloc
 
@@ -19,7 +19,6 @@ from rfsentry.lof import (
     Label,
     LofModel,
     Metric,
-    _distance_table,
     fit,
     fit_grid,
     score_grid,
@@ -28,12 +27,17 @@ from rfsentry.lof import (
 from .oracles import brute_lof_scores
 
 
+def block_table(a, b, metric: Metric) -> np.ndarray:
+    """The row blocks of the distance pass stacked into one table, for small inputs."""
+    return np.vstack([block.dist.copy() for block in lof._distance_blocks(a, b, metric)])
+
+
 def distance(a, b, metric: Metric) -> float:
-    """One entry of the distance table, for hand examples."""
-    return float(_distance_table(np.atleast_2d(a), np.atleast_2d(b), metric)[0, 0])
+    """One distance, for hand examples."""
+    return float(block_table(np.atleast_2d(a), np.atleast_2d(b), metric)[0, 0])
 
 
-# -- distance table -----------------------------------------------------------
+# -- distances ----------------------------------------------------------------
 
 
 def test_manhattan_examples():
@@ -47,7 +51,7 @@ def test_euclidean_example():
 
 
 def test_distance_dimension_mismatch():
-    # the table trusts its shapes; queries are checked where they enter
+    # the distance pass trusts its shapes; queries are checked where they enter
     with pytest.raises(DimensionMismatch):
         fit(np.eye(4), k=1, metric="manhattan").score_batch(np.zeros(3))
     with pytest.raises(DimensionMismatch):
@@ -59,7 +63,7 @@ def test_metric_axioms_on_random_triples():
     for metric in Metric:
         for _ in range(20):
             abc = rng.standard_normal((3, 4))
-            d = _distance_table(abc, abc, metric)
+            d = block_table(abc, abc, metric)
             assert np.all(d >= 0.0)
             assert np.array_equal(d, d.T)
             assert np.all(np.diag(d) == 0.0)
@@ -124,14 +128,12 @@ def test_core_matches_references_across_block_edges(metric, grid, monkeypatch):
 
 
 @pytest.mark.parametrize("rows", [1, 6, 7, 8, 17])
-def test_multi_k_kdist_equals_one_partition_per_k(rows, monkeypatch):
-    # integer-grid distances tie often; 7-row blocks put the row counts on
-    # and around block edges; the grid is unsorted and repeats a k
+def test_multi_k_kdist_equals_one_partition_per_k(rows):
+    # integer-grid distances tie often; the grid is unsorted and repeats a k
     n = 12
-    monkeypatch.setattr(lof, "_BLOCK_ELEMENTS", 7 * n)
     table = np.random.default_rng(36).integers(0, 5, (rows, n)).astype(float)
     ks = [n - 1, 3, 1, 7, 3]
-    kdists = lof._kdist(table, ks)
+    kdists = lof._kdist(table, ks, np.empty_like(table))
     assert kdists.shape == (len(ks), rows)
     for k, kdist in zip(ks, kdists):
         assert kdist.tobytes() == np.partition(table, k - 1, axis=1)[:, k - 1].tobytes()
@@ -176,19 +178,109 @@ def test_fit_rejects_nan_threshold():
         fit(np.random.default_rng(39).standard_normal((10, 4)), k=3, threshold=float("nan"))
 
 
-def test_fit_peak_memory_is_bounded():
-    # the (n, n) table is the only n*n allocation; an (n, n, d) difference
-    # tensor would alone be 4x the table at d=4
-    n = 3000
-    x = np.random.default_rng(35).standard_normal((n, 4))
-    table_bytes = n * n * 8
+def dense_table(a, b, metric):
+    """The whole (len(a), len(b)) table the row-block pass replaced, column by column."""
+    table = np.zeros((len(a), len(b)))
+    for j in range(a.shape[1]):
+        diff = a[:, j, None] - b[None, :, j]
+        table += np.abs(diff) if metric == "manhattan" else diff * diff
+    return table if metric == "manhattan" else np.sqrt(table)
+
+
+def dense_lof(table, kdist, ref_kdist, ref_lrd=None):
+    """The dense formula: each table row's lrd, or its score when ``ref_lrd`` is given."""
+    neighborhood = table <= kdist[:, None]
+    counts = neighborhood.sum(axis=1)
+    reach = np.maximum(ref_kdist[None, :], table)
+    mean_reach = np.where(neighborhood, reach, 0.0).sum(axis=1) / counts
+    lrd = 1.0 / (mean_reach + lof.LRD_EPSILON)
+    if ref_lrd is None:
+        return lrd
+    return np.where(neighborhood, ref_lrd[None, :], 0.0).sum(axis=1) / counts / lrd
+
+
+def dense_kdist(table, k):
+    return np.partition(table, k - 1, axis=1)[:, k - 1]
+
+
+@pytest.mark.parametrize("n", [28, 30], ids=["whole-blocks", "ragged-blocks"])
+@pytest.mark.parametrize("data", ["grid", "lognormal", "overflow"])
+@pytest.mark.parametrize("metric", ["manhattan", "euclidean"])
+def test_neighbor_lists_and_fused_score_equal_dense_tables(metric, data, n, monkeypatch):
+    # the dense fit (one (n, n) table, diagonal inf) and dense score (one
+    # (q, n) table) are the reference, bit for bit: integer-grid data ties
+    # often, lognormal data shows the rounding of every sum, and rows at
+    # 1e308 overflow to inf distances and k-distances; 7-row blocks put the
+    # fit and every query count on and around block edges; the grid is
+    # unsorted and repeats a k
+    block, d = 7, 4
+    monkeypatch.setattr(lof, "_BLOCK_ELEMENTS", block * n)
+    rng = np.random.default_rng(41)
+
+    def sample(rows):
+        if data == "grid":
+            return rng.integers(0, 5, (rows, d)).astype(float)
+        x = rng.lognormal(0.0, 1.0, (rows, d))
+        if data == "overflow":
+            x[1::11] = 1e308
+        return x
+
+    train = sample(n)
+    ks = [24, 3, 1, 7, 3]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        models = fit_grid(train, ks, metric, standardize=False)
+        table = dense_table(train, train, metric)
+        np.fill_diagonal(table, np.inf)
+        kdists = [dense_kdist(table, k) for k in ks]
+        lrds = [dense_lof(table, kdist, kdist) for kdist in kdists]
+        for model, kdist, lrd in zip(models, kdists, lrds):
+            assert model.kdist.tobytes() == kdist.tobytes()
+            assert model.lrd.tobytes() == lrd.tobytes()
+        for q in (1, block - 1, block, block + 1, 2 * block + 3):
+            queries = sample(q)
+            query_table = dense_table(queries, train, metric)
+            for k, kdist, lrd, scores in zip(ks, kdists, lrds, score_grid(models, queries)):
+                expected = dense_lof(query_table, dense_kdist(query_table, k), kdist, lrd)
+                assert scores.tobytes() == expected.tobytes()
+    if data == "overflow":
+        assert np.isinf(table).any() and np.isinf(kdists[0]).any()
+
+
+def traced_peak(fn):
     tracemalloc.start()
     try:
-        fit(x, k=10)
-        _, peak = tracemalloc.get_traced_memory()
+        fn()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert table_bytes <= peak < 2.5 * table_bytes
+
+
+# one (block, n) float64 distance slab, whatever n is
+SLAB_BYTES = lof._BLOCK_ELEMENTS * 8
+
+
+def test_fit_peak_memory_is_bounded():
+    # fit holds the neighbor lists, a flat index and a distance per entry
+    # (n * k entries: normal data has no ties), plus a few slabs of one row
+    # block; the (n, n) table alone would be 72 MB, over 10x the bound
+    n, k = 3000, 10
+    x = np.random.default_rng(35).standard_normal((n, 4))
+    list_bytes = n * k * (8 + 8)
+    peak = traced_peak(lambda: fit(x, k=k))
+    assert peak < 2 * list_bytes + 8 * SLAB_BYTES
+    assert n * n * 8 > 10 * (2 * list_bytes + 8 * SLAB_BYTES)
+
+
+def test_score_peak_memory_is_bounded():
+    # scoring keeps no store: a few slabs of one query block plus copies of
+    # the queries; the (q, n) table alone would be 64 MB, over 10x the bound
+    n, q = 1000, 8000
+    rng = np.random.default_rng(40)
+    models = fit_grid(rng.standard_normal((n, 4)), [5, 20])
+    queries = rng.standard_normal((q, 4))
+    peak = traced_peak(lambda: score_grid(models, queries))
+    assert peak < 8 * SLAB_BYTES + 4 * queries.nbytes
+    assert q * n * 8 > 10 * (8 * SLAB_BYTES + 4 * queries.nbytes)
 
 
 # -- fit ----------------------------------------------------------------------
