@@ -87,6 +87,25 @@ def _atomic(write_fn, path: Path) -> None:
 MAX_GRID_VALUES = 1000
 
 
+def _bounded(part: str) -> str:
+    """A ``start:stop:step`` part, checked to be cheap for ``Fraction``.
+
+    ``Fraction`` expands a decimal exponent into an exact integer: 0.18 s
+    for '1e-1000000', and about 40x that per further decade of exponent,
+    where ``float`` reads the same text at once. A nonzero value beyond float range (inf, or
+    0 from nonzero digits) is a ValueError and a zero comes back as '0', so
+    no exponent that survives is further from float range than the text is
+    long. An 'n/d' part has no exponent.
+    """
+    if "/" in part:
+        return part
+    value = float(part)
+    digits = part.lower().partition("e")[0]
+    if math.isinf(value) or (value == 0 and any(c.isdecimal() and int(c) for c in digits)):
+        raise ValueError(f"{part.strip()!r} is beyond float range")
+    return part if value else "0"
+
+
 def _parse_grid(text: str, integral: bool) -> list:
     """Grid syntax: 'start:stop:step' (stop inclusive) or 'v1,v2,...'.
 
@@ -103,7 +122,7 @@ def _parse_grid(text: str, integral: bool) -> list:
             # imported here so that the commands without a grid skip its import
             from fractions import Fraction
 
-            start, stop, step = (Fraction(p) for p in parts)
+            start, stop, step = (Fraction(p) for p in [_bounded(p) for p in parts])
             if step <= 0:
                 raise ValueError("step must be > 0")
             count = math.floor((stop - start) / step) + 1 if stop >= start else 0
@@ -456,7 +475,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-class", type=_positive_int, default=200,
                    help="balanced set size per class (default %(default)s)")
     p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="worker processes (default 1; output is identical)")
+                   help="worker processes that re-noise and fingerprint the bursts "
+                        "(default 1; output is identical); the LOF threads follow "
+                        "the CPU affinity, not --jobs")
     _add_model_flags(p)
     p.set_defaults(func=cmd_sweep_snr)
 

@@ -27,6 +27,17 @@ def stage_seed(master_seed: int, stage: str) -> int:
     return derive_seed(master_seed, "stage", stage)
 
 
+def chunk_bounds(count: int, parts: int) -> list[tuple[int, int]]:
+    """The ``(lo, hi)`` bounds of ``parts`` contiguous chunks of ``count`` items, in order.
+
+    Chunk sizes differ by at most one; an empty chunk (``parts > count``) is
+    dropped. ``map_chunks`` splits its items by this rule, and so does the
+    LOF layer's thread fan-out.
+    """
+    bounds = sorted({count * i // parts for i in range(parts + 1)})
+    return list(zip(bounds, bounds[1:]))
+
+
 def map_chunks(fn, items: list, jobs: int, *args) -> list:
     """``fn(items, *args)`` computed over ``jobs`` contiguous chunks of ``items``.
 
@@ -44,7 +55,7 @@ def map_chunks(fn, items: list, jobs: int, *args) -> list:
     from concurrent.futures import ProcessPoolExecutor
 
     spawn = multiprocessing.get_context("spawn")
-    bounds = sorted({len(items) * i // jobs for i in range(jobs + 1)})
     with ProcessPoolExecutor(max_workers=jobs, mp_context=spawn) as pool:
-        futures = [pool.submit(fn, items[lo:hi], *args) for lo, hi in zip(bounds, bounds[1:])]
+        futures = [pool.submit(fn, items[lo:hi], *args)
+                   for lo, hi in chunk_bounds(len(items), jobs)]
         return [result for future in futures for result in future.result()]

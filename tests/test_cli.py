@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import fractions
 import json
 import shutil
 import subprocess
@@ -9,7 +10,7 @@ import sys
 
 import pytest
 
-from rfsentry import cli
+from rfsentry import cli, lof
 from rfsentry.cli import _atomic, _parse_grid
 from rfsentry.features import load_feature_csv
 
@@ -281,6 +282,33 @@ def test_write_to_a_missing_directory_names_the_output_path(pipeline, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.fixture(scope="module")
+def reference_scores(pipeline, tmp_path_factory):
+    """scores.csv of the pipeline's model, from a subprocess at the default settings."""
+    _, _, eval_csv, model = pipeline
+    out = tmp_path_factory.mktemp("reference") / "scores.csv"
+    result = run_cli("score", "--model", model, "--features", eval_csv, "--out", out)
+    assert result.returncode == 0, result.stderr
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("cpus", [1, 3, None], ids=["one-thread", "three-threads", "default"])
+def test_train_and_score_do_not_depend_on_lof_threads(pipeline, reference_scores, tmp_path,
+                                                      monkeypatch, cpus):
+    # 4-row blocks: train has 8 row blocks and score 22, so each thread count
+    # splits them; the reference outputs come from the default block size
+    _, train_csv, eval_csv, model = pipeline
+    monkeypatch.setattr(lof, "_BLOCK_ELEMENTS", 4 * N_TRAIN)
+    if cpus is not None:
+        monkeypatch.setattr(lof, "_usable_cpus", lambda: cpus)
+    mine, scores = tmp_path / "model.json", tmp_path / "scores.csv"
+    assert cli.main(["train", "--features", str(train_csv), "--out", str(mine), "--k", "5"]) == 0
+    assert mine.read_bytes() == model.read_bytes()
+    assert cli.main(["score", "--model", str(mine), "--features", str(eval_csv),
+                     "--out", str(scores)]) == 0
+    assert scores.read_bytes() == reference_scores
+
+
 def test_score_output(pipeline, tmp_path):
     _, _, eval_csv, model = pipeline
     out = tmp_path / "scores.csv"
@@ -456,6 +484,9 @@ REJECTED_VALUE_CASES = [
      "an SNR of 4000.0 dB is out of range", False),
     ("k-grid-too-long", lambda c, tr, ev, out: _sweep_n(tr, ev, out, "--k-grid", "1:1e9:1"),
      "grid '1:1e9:1': 1000000000 values, more than the 1000 allowed", True),
+    ("snr-grid-beyond-float-range",
+     lambda c, tr, ev, out: _sweep_snr(c, tr, out, "--snr-grid", "0:1:1e-100000000"),
+     "grid '0:1:1e-100000000': '1e-100000000' is beyond float range", True),
     ("k-grid-non-integer", lambda c, tr, ev, out: _sweep_n(tr, ev, out, "--k-grid", "2.6,3.4"),
      "grid '2.6,3.4' holds a non-integer value", True),
     ("k-grid-repeat",
@@ -530,6 +561,30 @@ def test_grid_steps_do_not_accumulate_float_error():
     assert _parse_grid("6:30:2", integral=False) == [float(v) for v in range(6, 31, 2)]
     assert _parse_grid("10:200:10", integral=True) == list(range(10, 201, 10))
     assert _parse_grid("100:200:20", integral=True) == list(range(100, 201, 20))
+    assert _parse_grid("0:1:1/4", integral=False) == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert _parse_grid("1_0:2e1:5", integral=True) == [10, 15, 20]
+    assert _parse_grid("-0e-100000000:1e-320:1e-320", integral=False) == [0.0, 1e-320]
+
+
+@pytest.mark.parametrize("text", ["0:1:1e-100000000", "0:1:-1e-100000000", "1e100000000:1:1",
+                                  "0:1e400:1e401", "0:1:1e-400"])
+def test_grid_part_beyond_float_range_builds_no_fraction(text, monkeypatch):
+    # Fraction would expand the exponent into an exact integer first, at
+    # about 40x the time per decade of exponent; a spy on its constructor
+    # shows that none is built
+    calls = []
+    real_new = fractions.Fraction.__new__
+
+    def spy(cls, *args, **kwargs):
+        calls.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(fractions.Fraction, "__new__", staticmethod(spy))
+    with pytest.raises(argparse.ArgumentTypeError, match="is beyond float range"):
+        _parse_grid(text, integral=False)
+    assert calls == []
+    assert _parse_grid("0:1:0.5", integral=False) == [0.0, 0.5, 1.0]
+    assert calls[:3] == [("0",), ("1",), ("0.5",)]
 
 
 def test_pipeline_rerun_is_byte_identical(corpus, tmp_path):

@@ -1,6 +1,8 @@
 """Local Outlier Factor: distances, fit/score/classify, memory, persistence."""
 
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -29,7 +31,9 @@ from .oracles import brute_lof_scores
 
 def block_table(a, b, metric: Metric) -> np.ndarray:
     """The row blocks of the distance pass stacked into one table, for small inputs."""
-    return np.vstack([block.dist.copy() for block in lof._distance_blocks(a, b, metric)])
+    at, bt = a.T.copy(), b.T.copy()
+    blocks = lof._row_blocks(len(a), len(b))
+    return np.vstack([block.dist.copy() for block in lof._distance_blocks(at, bt, metric, blocks)])
 
 
 def distance(a, b, metric: Metric) -> float:
@@ -246,6 +250,89 @@ def test_neighbor_lists_and_fused_score_equal_dense_tables(metric, data, n, monk
         assert np.isinf(table).any() and np.isinf(kdists[0]).any()
 
 
+# -- threads ------------------------------------------------------------------
+
+
+def test_row_block_groups_run_on_threads_that_end_with_the_call(monkeypatch):
+    # 3 usable CPUs and 5 blocks: groups of 1, 2 and 2 in order, the first in
+    # the calling thread and the others on helpers
+    monkeypatch.setattr(lof, "_usable_cpus", lambda: 3)
+    before = threading.active_count()
+    groups = lof._on_threads(lambda group: (group, threading.get_ident()), list(range(5)))
+    assert [group for group, _ in groups] == [[0], [1, 2], [3, 4]]
+    idents = [ident for _, ident in groups]
+    assert idents[0] == threading.get_ident() not in idents[1:]
+    assert threading.active_count() == before
+    assert lof._on_threads(lambda group: group, []) == []
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 50])
+@pytest.mark.parametrize("metric", ["manhattan", "euclidean"])
+def test_results_do_not_depend_on_the_thread_count(metric, cpus, monkeypatch):
+    # 7-row blocks: a fit of 30 rows has 5 blocks (the last ragged), so 2
+    # and 3 threads get ragged groups and 50 is more threads than blocks;
+    # one thread is the reference, bit for bit; duplicate rows tie
+    block, n = 7, 30
+    monkeypatch.setattr(lof, "_BLOCK_ELEMENTS", block * n)
+    rng = np.random.default_rng(44)
+    train = rng.lognormal(0.0, 1.0, (n, 4))
+    train[1::5] = train[0]
+    ks = [24, 3, 1, 7, 3]
+    query_sets = [rng.lognormal(0.0, 1.0, (q, 4)) for q in (1, 6, 7, 8, 17)]
+
+    def run():
+        models = fit_grid(train, ks, metric)
+        arrays = [(m.kdist.tobytes(), m.lrd.tobytes()) for m in models]
+        scores = [[s.tobytes() for s in score_grid(models, q)] for q in query_sets]
+        return arrays, scores
+
+    monkeypatch.setattr(lof, "_usable_cpus", lambda: 1)
+    reference = run()
+    monkeypatch.setattr(lof, "_usable_cpus", lambda: cpus)
+    assert run() == reference
+
+
+def overflow_between_helper_rows(monkeypatch):
+    """Training rows whose only overflowing distance lies in a helper thread's group.
+
+    24 rows in 4-row blocks on 2 threads: the calling thread takes rows 0-11
+    and the helper rows 12-23. Rows 15 and 20 sit at +1e308 and -1e308 in
+    one column, so only the distance between them (and, for queries, a
+    query at -1e308 against row 15) overflows; every other distance is
+    about 1e308 at most. With k=3 no other row has them as neighbors.
+    """
+    n = 24
+    monkeypatch.setattr(lof, "_BLOCK_ELEMENTS", 4 * n)
+    monkeypatch.setattr(lof, "_usable_cpus", lambda: 2)
+    rng = np.random.default_rng(45)
+    train = rng.standard_normal((n, 4))
+    train[15, 0], train[20, 0] = 1e308, -1e308
+    queries = rng.standard_normal((n, 4))
+    queries[18, 0] = -1e308
+    return train, queries
+
+
+def test_helpers_raise_under_the_callers_errstate(monkeypatch):
+    train, queries = overflow_between_helper_rows(monkeypatch)
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError, match="overflow"):
+            fit(train, k=3, standardize=False)
+    with np.errstate(all="ignore"):
+        model = fit(np.delete(train, 20, axis=0), k=3, standardize=False)
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError, match="overflow"):
+            score_grid([model], queries)
+
+
+def test_helpers_stay_quiet_under_the_callers_errstate(monkeypatch):
+    # the same inputs overflow in a helper; a warning from it is an error here
+    train, queries = overflow_between_helper_rows(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="ignore"):
+            fit(train, k=3, standardize=False).score_batch(queries)
+
+
 def traced_peak(fn):
     tracemalloc.start()
     try:
@@ -259,27 +346,35 @@ def traced_peak(fn):
 SLAB_BYTES = lof._BLOCK_ELEMENTS * 8
 
 
-def test_fit_peak_memory_is_bounded():
+# each bound holds at one thread and at two, each thread with its own slabs;
+# the tests pin the thread count, so the machine's CPU count does not pick it
+
+
+def test_fit_peak_memory_is_bounded(monkeypatch):
     # fit holds the neighbor lists, a flat index and a distance per entry
     # (n * k entries: normal data has no ties), plus a few slabs of one row
     # block; the (n, n) table alone would be 72 MB, over 10x the bound
     n, k = 3000, 10
     x = np.random.default_rng(35).standard_normal((n, 4))
     list_bytes = n * k * (8 + 8)
-    peak = traced_peak(lambda: fit(x, k=k))
-    assert peak < 2 * list_bytes + 8 * SLAB_BYTES
+    for cpus in (1, 2):
+        monkeypatch.setattr(lof, "_usable_cpus", lambda: cpus)
+        peak = traced_peak(lambda: fit(x, k=k))
+        assert peak < 2 * list_bytes + 8 * SLAB_BYTES, cpus
     assert n * n * 8 > 10 * (2 * list_bytes + 8 * SLAB_BYTES)
 
 
-def test_score_peak_memory_is_bounded():
+def test_score_peak_memory_is_bounded(monkeypatch):
     # scoring keeps no store: a few slabs of one query block plus copies of
     # the queries; the (q, n) table alone would be 64 MB, over 10x the bound
     n, q = 1000, 8000
     rng = np.random.default_rng(40)
     models = fit_grid(rng.standard_normal((n, 4)), [5, 20])
     queries = rng.standard_normal((q, 4))
-    peak = traced_peak(lambda: score_grid(models, queries))
-    assert peak < 8 * SLAB_BYTES + 4 * queries.nbytes
+    for cpus in (1, 2):
+        monkeypatch.setattr(lof, "_usable_cpus", lambda: cpus)
+        peak = traced_peak(lambda: score_grid(models, queries))
+        assert peak < 8 * SLAB_BYTES + 4 * queries.nbytes, cpus
     assert q * n * 8 > 10 * (8 * SLAB_BYTES + 4 * queries.nbytes)
 
 
