@@ -36,10 +36,13 @@ from .features import FeatureTable, fingerprint, load_feature_csv, save_feature_
 from .lof import DEFAULT_K, DEFAULT_THRESHOLD, LofModel, fit
 from .seeding import map_chunks, stage_seed
 from .signals import (
+    _OBJECT,
     ManifestRow,
     SignalClass,
     TriggerConfig,
     _fmt,
+    _json_document,
+    _json_fields,
     _write_csv,
     load_signal,
     read_manifest,
@@ -160,16 +163,8 @@ def _positive_int(text: str) -> int:
 
 def _read_corpus_config(path: Path) -> CorpusConfig:
     """The configuration in a ``corpus.json`` written by synth; a bad file is a FormatError."""
-    try:
-        doc = json.loads(path.read_text())
-    except ValueError as exc:
-        raise FormatError(f"{path}: not JSON: {exc}") from None
-    if not isinstance(doc, dict) or doc.get("format") != CORPUS_FORMAT:
-        raise FormatError(f"{path}: not a {CORPUS_FORMAT} document")
-    if doc.get("version") != CORPUS_FORMAT_VERSION:
-        raise FormatError(f"{path}: unsupported corpus version {doc.get('version')!r}")
-    if "config" not in doc:
-        raise FormatError(f"{path}: missing key config")
+    doc = _json_fields(_json_document(path, CORPUS_FORMAT, CORPUS_FORMAT_VERSION),
+                       {"config": _OBJECT}, str(path))
     try:
         return CorpusConfig.from_dict(doc["config"])
     except (FormatError, ConfigError) as exc:

@@ -1,79 +1,27 @@
-"""Exception hierarchy shared across the pipeline."""
+"""The three errors the pipeline raises on purpose.
+
+* ``ConfigError``: the caller passed an invalid argument, such as a value
+  out of range, arrays of mismatched shape, dimension or length,
+  non-finite features, or fewer training rows than k+1.
+* ``FormatError``: a file the CLI reads is malformed or internally
+  inconsistent.
+* ``RfSentryError`` itself: valid input that cannot be processed, such as a
+  burst with no trigger, an all-zero signal, too few samples, or an empty
+  packet, evaluation set, prediction set or confusion matrix.
+
+The CLI maps every ``RfSentryError`` to exit code 2 with a one-line
+message; any other exception is a bug. Both subclasses are also
+``ValueError``s.
+"""
 
 
 class RfSentryError(Exception):
-    """Base class for all rfsentry errors; the CLI maps these to exit code 2."""
+    """Valid input that cannot be processed; the base class of the other two."""
 
-
-# signal model / preprocessing
-
-class ZeroPowerSignal(RfSentryError):
-    """SNR is undefined for an all-zero signal."""
-
-
-class NoTrigger(RfSentryError):
-    """No window reached the energy threshold."""
-
-
-class InputTooShort(RfSentryError):
-    """Fewer samples than one capture window."""
-
-
-# corpus generation
 
 class ConfigError(RfSentryError, ValueError):
-    """Invalid configuration or parameter value."""
+    """An invalid argument or parameter value."""
 
-
-class EmptyEval(RfSentryError):
-    """Cannot split an empty evaluation set."""
-
-
-# wavelet packet transform
-
-class TooShort(RfSentryError):
-    """Input too short for one filter-bank stage."""
-
-
-# features
-
-class EmptyPacket(RfSentryError):
-    """Statistics are undefined for an empty coefficient sequence."""
-
-
-class ShapeError(RfSentryError):
-    """Statistic matrix has the wrong shape for ranking."""
-
-
-# LOF model
-
-class DimensionMismatch(RfSentryError):
-    """Query dimension differs from the training dimension."""
-
-
-class NotEnoughTrainingData(RfSentryError):
-    """Need at least k+1 training rows."""
-
-
-class NonFiniteFeature(RfSentryError):
-    """NaN or infinity in a feature matrix."""
-
-
-# evaluation
-
-class LengthMismatch(RfSentryError):
-    """Truth and prediction sequences differ in length."""
-
-
-class EmptyInput(RfSentryError):
-    """Cannot build a confusion matrix from zero predictions."""
-
-
-class EmptyMatrix(RfSentryError):
-    """Metrics are undefined for an all-zero confusion matrix."""
-
-
-# file formats
 
 class FormatError(RfSentryError, ValueError):
     """A file the CLI reads is malformed or internally inconsistent."""

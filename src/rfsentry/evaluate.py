@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyInput, EmptyMatrix, LengthMismatch
+from .errors import ConfigError, RfSentryError
 from .features import FeatureTable, fingerprint
 from .lof import Label, LofModel, Metric, fit_grid, score_grid
 from .seeding import map_chunks
@@ -59,9 +59,9 @@ class Metrics:
 def confusion(truth: list[SignalClass], pred: list[Label]) -> ConfusionMatrix:
     """Count outcomes with UAV/outlier as the positive class."""
     if len(truth) != len(pred):
-        raise LengthMismatch(f"{len(truth)} truth labels vs {len(pred)} predictions")
+        raise ConfigError(f"{len(truth)} truth labels vs {len(pred)} predictions")
     if not truth:
-        raise EmptyInput("cannot tally an empty prediction set")
+        raise RfSentryError("cannot tally an empty prediction set")
     tp = tn = fp = fn = 0
     for t, p in zip(truth, pred):
         positive_truth = t is SignalClass.UAV
@@ -84,7 +84,7 @@ def metrics(cm: ConfusionMatrix) -> Metrics:
     metric and sets the degenerate flag instead of producing NaN.
     """
     if cm.total == 0:
-        raise EmptyMatrix("metrics are undefined for an empty confusion matrix")
+        raise RfSentryError("metrics are undefined for an empty confusion matrix")
     accuracy = (cm.tp + cm.tn) / cm.total
     degenerate = False
     if cm.tp + cm.fp == 0:
@@ -119,7 +119,7 @@ class SweepTable:
         for row in self.rows:
             if row.snr_db == snr_db and row.k == k:
                 return row.test_accuracy
-        raise KeyError(f"no sweep cell for snr={snr_db}, k={k}")
+        raise ConfigError(f"no sweep cell for snr={snr_db}, k={k}")
 
 
 def _accuracy(model: LofModel, scores: np.ndarray, truth: list[SignalClass]) -> float:
@@ -141,7 +141,7 @@ def sweep_neighbors(
     shared by every k; each row equals a separate fit + score at that k.
     """
     if not k_grid:
-        raise ValueError("k_grid must be non-empty")
+        raise ConfigError("k_grid must be non-empty")
     models = fit_grid(train.matrix, sorted(k_grid), metric, threshold, standardize)
     val_scores, test_scores = (score_grid(models, t.matrix) for t in (validation, test))
     rows = [
@@ -160,7 +160,7 @@ def best_k(table: SweepTable) -> int:
     """Neighbor count with the highest validation accuracy (ties: smaller k)."""
     rows = [r for r in table.rows if r.validation_accuracy is not None]
     if not rows:
-        raise ValueError("sweep table has no validation accuracies")
+        raise ConfigError("sweep table has no validation accuracies")
     best = max(rows, key=lambda r: (r.validation_accuracy, -r.k))
     return best.k
 
@@ -205,9 +205,9 @@ def sweep_snr(
     is identical for any worker count.
     """
     if not k_grid or not snr_grid:
-        raise ValueError("k_grid and snr_grid must be non-empty")
+        raise ConfigError("k_grid and snr_grid must be non-empty")
     if not balanced_clean:
-        raise EmptyInput("balanced evaluation set is empty")
+        raise RfSentryError("balanced evaluation set is empty")
     models = fit_grid(train.matrix, sorted(k_grid), metric, threshold, standardize)
     truth = [sig.signal_class for sig, _ in balanced_clean]
     snrs = sorted(float(s) for s in snr_grid)
@@ -265,7 +265,7 @@ def render_snr_svg(table: SweepTable, path: str | Path) -> None:
     snrs = sorted({row.snr_db for row in table.rows})
     ks = sorted({row.k for row in table.rows})
     if not snrs or snrs[0] is None:
-        raise ValueError("SNR plot needs rows with snr_db set")
+        raise ConfigError("SNR plot needs rows with snr_db set")
     x0, x1 = _MARGIN_L, _SVG_W - _MARGIN_R
     y0, y1 = _SVG_H - _MARGIN_B, _MARGIN_T
     lo, hi = min(snrs), max(snrs)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyPacket, ShapeError
+from .errors import ConfigError, RfSentryError
 from .signals import (
     Signal,
     SignalClass,
@@ -100,7 +100,7 @@ def packet_stats(packet: np.ndarray) -> PacketStats:
     """All eleven statistics of one packet coefficient sequence."""
     x = np.asarray(packet, dtype=np.float64)
     if x.size == 0:
-        raise EmptyPacket("cannot compute statistics of an empty packet")
+        raise RfSentryError("cannot compute statistics of an empty packet")
     mean = float(np.mean(x))
     variance = float(sample_variance(x))
     centered = x - mean
@@ -139,9 +139,9 @@ def rank_features(matrix: np.ndarray) -> list[int]:
     """
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2 or m.shape[1] != len(STAT_COLUMNS):
-        raise ShapeError(f"expected an (n, {len(STAT_COLUMNS)}) matrix, got {m.shape}")
+        raise ConfigError(f"expected an (n, {len(STAT_COLUMNS)}) matrix, got {m.shape}")
     if m.shape[0] < 2:
-        raise ShapeError("need at least 2 rows to rank by variance")
+        raise ConfigError("need at least 2 rows to rank by variance")
     variances = np.var(m, axis=0, ddof=1)
     # stable sort on -variance keeps the lower index first among ties
     return [int(i) for i in np.argsort(-variances, kind="stable")]

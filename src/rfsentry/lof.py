@@ -62,15 +62,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DimensionMismatch,
-    FormatError,
-    NonFiniteFeature,
-    NotEnoughTrainingData,
-    ShapeError,
-)
+from .errors import ConfigError, FormatError
 from .seeding import chunk_bounds
+from .signals import _BOOL, _INT, _LIST, _NUMBER, _STRING, _json_document, _json_fields
 
 LRD_EPSILON = 1e-10
 
@@ -79,8 +73,8 @@ DEFAULT_THRESHOLD = 1.5
 
 MODEL_FORMAT = "rfsentry-lof"
 MODEL_FORMAT_VERSION = 1
-_MODEL_KEYS = ("k", "metric", "threshold", "standardized", "scaler_mean",
-               "scaler_std", "train", "kdist", "lrd")
+_MODEL_FIELDS = {"k": _INT, "metric": _STRING, "threshold": _NUMBER, "standardized": _BOOL,
+                 **dict.fromkeys(["scaler_mean", "scaler_std", "train", "kdist", "lrd"], _LIST)}
 
 # Distance-table entries per row block. Each block temporary is 512 KiB of
 # float64 whatever the number of reference rows, small enough for two of
@@ -103,7 +97,7 @@ class Metric(Enum):
 def _as_vector(x) -> np.ndarray:
     v = np.asarray(x, dtype=np.float64)
     if v.ndim != 1:
-        raise DimensionMismatch(f"expected a 1-D feature vector, got shape {v.shape}")
+        raise ConfigError(f"expected a 1-D feature vector, got shape {v.shape}")
     return v
 
 
@@ -270,7 +264,9 @@ def _fit_lrds(lists, kdists: np.ndarray) -> np.ndarray:
     N_k of a row is the part of its list within the row's k-distance. Its
     reach values are scattered into a zeroed ``(block, n)`` array at the
     positions where ``_lof`` keeps them and reduced by the same whole-row
-    sum, so each lrd is the dense formula's bit for bit.
+    sum, so each lrd is the dense formula's bit for bit. Every k of a block
+    writes the same list positions, so the array is zeroed once and only
+    those positions are cleared after each block.
 
     It runs on the calling thread. Most of its numpy calls are small (a
     block's list is about 800 entries at n=8,000, k=100), and threads gained
@@ -281,17 +277,17 @@ def _fit_lrds(lists, kdists: np.ndarray) -> np.ndarray:
     n = kdists.shape[1]
     lrds = np.empty_like(kdists)
     first, _, _ = lists[0]
-    reach = np.empty((first.stop - first.start, n))
+    reach = np.zeros((first.stop - first.start, n))
     for rows, flat, d in lists:
         block = reach[: rows.stop - rows.start]
         r, c = np.divmod(flat, n)
         starts = np.searchsorted(r, np.arange(len(block)))  # no row's list is empty
         for kdist, lrd in zip(kdists, lrds):
             keep = d <= kdist[rows][r]
-            block.fill(0.0)
             np.put(block, flat, np.where(keep, np.maximum(kdist[c], d), 0.0))
             counts = np.add.reduceat(keep, starts, dtype=np.intp)
             lrd[rows] = _lrd(block.sum(axis=1) / counts)
+        np.put(block, flat, 0.0)
     return lrds
 
 
@@ -331,11 +327,9 @@ class LofModel:
         if q.ndim == 1:
             q = q[None, :]
         if q.shape[1] != self.dim:
-            raise DimensionMismatch(
-                f"query dimension {q.shape[1]} != model dimension {self.dim}"
-            )
+            raise ConfigError(f"query dimension {q.shape[1]} != model dimension {self.dim}")
         if not np.all(np.isfinite(q)):
-            raise NonFiniteFeature("query features must be finite")
+            raise ConfigError("query features must be finite")
         return (q - self.scaler_mean) / self.scaler_std
 
     def score_batch(self, queries) -> np.ndarray:
@@ -378,29 +372,16 @@ class LofModel:
     @classmethod
     def load(cls, path: str | Path) -> "LofModel":
         """Read a model written by ``save``; any inconsistency is a FormatError."""
-        with open(path) as fh:
-            try:
-                doc = json.load(fh)
-            except ValueError as exc:
-                raise FormatError(f"{path}: not JSON: {exc}") from None
-        if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
-            raise FormatError(f"{path}: not a {MODEL_FORMAT} document")
-        if doc.get("version") != MODEL_FORMAT_VERSION:
-            raise FormatError(f"{path}: unsupported model version {doc.get('version')}")
-        missing = [key for key in _MODEL_KEYS if key not in doc]
-        if missing:
-            raise FormatError(f"{path}: missing key(s) {', '.join(missing)}")
-        k, standardized = doc["k"], doc["standardized"]
-        if type(k) is not int or type(standardized) is not bool:
-            raise FormatError(f"{path}: k must be an integer and standardized a boolean")
+        doc = _json_fields(_json_document(path, MODEL_FORMAT, MODEL_FORMAT_VERSION),
+                           _MODEL_FIELDS, str(path))
+        k, threshold = doc["k"], float(doc["threshold"])
         try:
             metric = Metric(doc["metric"])
-            threshold = float(doc["threshold"])
             arrays = {
                 name: np.array(doc[name], dtype=np.float64)
                 for name in ("train", "kdist", "lrd", "scaler_mean", "scaler_std")
             }
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"{path}: {exc}") from None
         train = arrays["train"]
         if train.ndim != 2 or len(train) < 2:
@@ -422,8 +403,8 @@ class LofModel:
             raise FormatError(f"{path}: threshold is NaN")
         if np.any(arrays["scaler_std"] <= 0.0):
             raise FormatError(f"{path}: scaler_std must be positive")
-        return cls(k=k, metric=metric, threshold=threshold, standardized=standardized,
-                   **arrays)
+        return cls(k=k, metric=metric, threshold=threshold,
+                   standardized=doc["standardized"], **arrays)
 
 
 def fit_grid(
@@ -444,14 +425,14 @@ def fit_grid(
     metric = Metric(metric)
     x = np.asarray(train, dtype=np.float64)
     if x.ndim != 2:
-        raise ShapeError(f"training matrix must be 2-D, got shape {x.shape}")
+        raise ConfigError(f"training matrix must be 2-D, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
-        raise NonFiniteFeature("training features must be finite")
+        raise ConfigError("training features must be finite")
     for k in ks:
         if k < 1:
-            raise NotEnoughTrainingData(f"k must be at least 1, got {k}")
+            raise ConfigError(f"k must be at least 1, got {k}")
         if len(x) < k + 1:
-            raise NotEnoughTrainingData(f"need at least k+1={k + 1} rows, got {len(x)}")
+            raise ConfigError(f"need at least k+1={k + 1} rows, got {len(x)}")
     if math.isnan(threshold):
         raise ConfigError("threshold must be a number, got NaN")
     if standardize:
@@ -478,7 +459,7 @@ def score_grid(models: list[LofModel], queries) -> list[np.ndarray]:
     its one k-distance partition.
     """
     if not models or any(model.train is not models[0].train for model in models):
-        raise ValueError("score_grid needs models from one fit_grid call")
+        raise ConfigError("score_grid needs models from one fit_grid call")
     first = models[0]
     q = first._transform(queries)
     scores = np.empty((len(models), len(q)))

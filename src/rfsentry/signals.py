@@ -8,8 +8,10 @@ energy threshold and starts capturing once a sliding window reaches it.
 from __future__ import annotations
 
 import csv
+import json
 import math
 import struct
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -17,7 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, InputTooShort, NoTrigger, ZeroPowerSignal
+from .errors import ConfigError, FormatError, RfSentryError
 
 RFSG_MAGIC = b"RFSG"
 RFSG_VERSION = 1
@@ -49,11 +51,11 @@ class Signal:
     def __post_init__(self) -> None:
         samples = np.asarray(self.samples, dtype=np.float64)
         if samples.ndim != 1 or samples.size == 0:
-            raise ValueError("samples must be a non-empty 1-D sequence")
+            raise ConfigError("samples must be a non-empty 1-D sequence")
         if not np.all(np.isfinite(samples)):
-            raise ValueError("samples must be finite")
+            raise ConfigError("samples must be finite")
         if not (self.sample_rate > 0):
-            raise ValueError("sample_rate must be > 0")
+            raise ConfigError("sample_rate must be > 0")
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
 
@@ -122,7 +124,7 @@ def _scaled_noise(
     if math.isinf(target_snr_db) and target_snr_db > 0:
         return signal
     if power == 0.0:
-        raise ZeroPowerSignal("cannot set an SNR on an all-zero signal")
+        raise RfSentryError("cannot set an SNR on an all-zero signal")
     noise_std = math.sqrt(power / snr_power_ratio(target_snr_db))
     if not math.isfinite(noise_std):
         raise ConfigError(f"an SNR of {target_snr_db} dB is out of range")
@@ -141,11 +143,11 @@ def find_trigger(signal: Signal, cfg: TriggerConfig) -> int:
     """First index whose window energy reaches the threshold."""
     x = signal.samples
     if x.size < cfg.window_len:
-        raise InputTooShort(f"need at least {cfg.window_len} samples, got {x.size}")
+        raise RfSentryError(f"need at least {cfg.window_len} samples, got {x.size}")
     energies = _window_energies(x, cfg.window_len)
     hits = np.flatnonzero(energies >= cfg.energy_threshold)
     if hits.size == 0:
-        raise NoTrigger("no window reached the energy threshold")
+        raise RfSentryError("no window reached the energy threshold")
     return int(hits[0])
 
 
@@ -158,7 +160,7 @@ def extract_transient(signal: Signal, cfg: TriggerConfig) -> Signal:
     """
     x = signal.samples
     if x.size < cfg.capture_len:
-        raise InputTooShort(
+        raise RfSentryError(
             f"need at least capture_len={cfg.capture_len} samples, got {x.size}"
         )
     start = find_trigger(signal, cfg)
@@ -170,7 +172,8 @@ def extract_transient(signal: Signal, cfg: TriggerConfig) -> Signal:
 
 
 # ---------------------------------------------------------------------------
-# On-disk formats: RFSG binary traces and the corpus manifest CSV.
+# On-disk formats: RFSG binary traces, the corpus manifest CSV and the
+# readers shared by every CSV and JSON format.
 # ---------------------------------------------------------------------------
 
 _HEADER_STRUCT = struct.Struct("<4sHdI")  # magic, version, sample_rate, count
@@ -293,6 +296,54 @@ def _parse_path(text: str, where: str) -> str:
     if "\0" in text:  # no file system accepts it; open() would raise ValueError
         raise FormatError(f"{where}: path {text!r} holds a NUL byte")
     return text
+
+
+def _json_document(path: str | Path, fmt: str, version: int) -> dict:
+    """The top-level object of a JSON document ``{"format": fmt, "version": version, ...}``.
+
+    Text that is not JSON, another format and another version are each a
+    FormatError.
+    """
+    try:
+        doc = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise FormatError(f"{path}: not JSON: {exc}") from None
+    if not isinstance(doc, dict) or doc.get("format") != fmt:
+        raise FormatError(f"{path}: not a {fmt} document")
+    if type(doc.get("version")) is not int or doc["version"] != version:
+        raise FormatError(f"{path}: unsupported {fmt} version {doc.get('version')!r}")
+    return doc
+
+
+# JSON value types: the Python types json.loads gives them, and their name
+_STRING = ((str,), "a string")
+_BOOL = ((bool,), "a boolean")
+_LIST = ((list,), "a list")
+_OBJECT = ((dict,), "an object")
+_INT = ((int,), "an integer")
+_NUMBER = ((int, float), "a number")
+_INT_OR_NULL = ((int, type(None)), "an integer or null")
+_NUMBER_OR_NULL = ((int, float, type(None)), "a number or null")
+
+
+def _json_fields(d, spec: dict[str, tuple[tuple[type, ...], str]], what: str) -> dict:
+    """The ``spec`` keys of JSON object ``d``, each of one of its exact types.
+
+    Exact, so a JSON ``true`` is not an integer and ``300.0`` is not one
+    either; an integer is a valid number, unless it is beyond float range.
+    Other keys are ignored.
+    """
+    if not isinstance(d, dict):
+        raise FormatError(f"{what} must be an object, got {type(d).__name__}")
+    missing = [key for key in spec if key not in d]
+    if missing:
+        raise FormatError(f"{what}: missing key(s) {', '.join(missing)}")
+    for key, (types, name) in spec.items():
+        if type(d[key]) not in types:
+            raise FormatError(f"{what}: {key} must be {name}, got {d[key]!r}")
+        if float in types and type(d[key]) is int and abs(d[key]) > sys.float_info.max:
+            raise FormatError(f"{what}: {key} is beyond float range")
+    return {key: d[key] for key in spec}
 
 
 def write_manifest(rows: list[ManifestRow], path: str | Path) -> None:

@@ -24,9 +24,21 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, EmptyEval, FormatError
+from .errors import ConfigError, FormatError, RfSentryError
 from .seeding import derive_seed
-from .signals import Signal, SignalClass, add_awgn, snr_power_ratio
+from .signals import (
+    _INT,
+    _INT_OR_NULL,
+    _LIST,
+    _NUMBER,
+    _NUMBER_OR_NULL,
+    _STRING,
+    Signal,
+    SignalClass,
+    _json_fields,
+    add_awgn,
+    snr_power_ratio,
+)
 
 DEFAULT_SAMPLE_RATE = 100e6
 BASE_AMPLITUDE = 3.0
@@ -179,13 +191,6 @@ class CorpusConfig:
         return cls(**fields)
 
 
-# JSON value types: the Python types json.loads gives them, and their name
-_STRING = ((str,), "a string")
-_LIST = ((list,), "a list")
-_INT = ((int,), "an integer")
-_NUMBER = ((int, float), "a number")
-_INT_OR_NULL = ((int, type(None)), "an integer or null")
-_NUMBER_OR_NULL = ((int, float, type(None)), "a number or null")
 _PROFILE_FIELDS = {
     "name": _STRING,
     "kind": _STRING,
@@ -204,23 +209,6 @@ _CONFIG_FIELDS = {
     "master_seed": _INT,
     "lead_len": _INT,
 }
-
-
-def _json_fields(d, spec: dict[str, tuple[tuple[type, ...], str]], what: str) -> dict:
-    """The ``spec`` keys of JSON object ``d``, each of one of its exact types.
-
-    Exact, so a JSON ``true`` is not an integer and ``300.0`` is not one
-    either; an integer is a valid number. Other keys are ignored.
-    """
-    if not isinstance(d, dict):
-        raise FormatError(f"{what} must be an object, got {type(d).__name__}")
-    missing = [key for key in spec if key not in d]
-    if missing:
-        raise FormatError(f"{what}: missing key(s) {', '.join(missing)}")
-    for key, (types, name) in spec.items():
-        if type(d[key]) not in types:
-            raise FormatError(f"{what}: {key} must be {name}, got {d[key]!r}")
-    return {key: d[key] for key in spec}
 
 
 def default_profiles(capture_len: int = 4096) -> tuple[DeviceProfile, ...]:
@@ -404,7 +392,7 @@ def stratified_split_indices(
 ) -> tuple[list[int], list[int]]:
     """Per-class random split; both halves keep the original ordering."""
     if not labels:
-        raise EmptyEval("cannot split an empty evaluation set")
+        raise RfSentryError("cannot split an empty evaluation set")
     if not (0.0 < test_frac < 1.0):
         raise ConfigError(f"test_frac must be in (0, 1), got {test_frac}")
     rng = np.random.default_rng(seed)

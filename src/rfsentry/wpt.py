@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TooShort
+from .errors import RfSentryError
 from .signals import Signal
 
 _SQRT2 = np.sqrt(2.0)
@@ -47,7 +47,7 @@ def packet_coefficients(signal: Signal | np.ndarray) -> np.ndarray:
     """The (4, n // 4) packet matrix of a burst (or raw samples): rows a1, d1, a2, d2."""
     x = signal.samples if isinstance(signal, Signal) else np.asarray(signal, dtype=np.float64)
     if x.size < 4:
-        raise TooShort(f"two-level decomposition needs >= 4 samples, got {x.size}")
+        raise RfSentryError(f"two-level decomposition needs >= 4 samples, got {x.size}")
     x0, x1, x2, x3 = x[: x.size // 4 * 4].reshape(-1, 4).T
     s01, s23 = (x0 + x1) / _SQRT2, (x2 + x3) / _SQRT2
     d01, d23 = (x0 - x1) / _SQRT2, (x2 - x3) / _SQRT2

@@ -172,8 +172,16 @@ def test_train_k_zero_exits_two(pipeline, tmp_path):
     (lambda d: d.update(scaler_mean=d["scaler_mean"][:-1]), "scaler_mean has shape"),
     (lambda d: d.update(scaler_std=d["scaler_std"] + [1.0]), "scaler_std has shape"),
     (lambda d: d["train"][0].__setitem__(0, float("nan")), "train holds non-finite values"),
+    (lambda d: d.update(threshold=True), "threshold must be a number, got True"),
+    (lambda d: d.update(threshold="1.5"), "threshold must be a number, got '1.5'"),
+    (lambda d: d.update(threshold=10**400), "threshold is beyond float range"),
+    (lambda d: d["kdist"].__setitem__(0, 10**400), "int too large to convert to float"),
+    (lambda d: d.update(k=5.0), "k must be an integer, got 5.0"),
+    (lambda d: d.update(standardized=1), "standardized must be a boolean, got 1"),
+    (lambda d: d.update(version=True), "unsupported rfsentry-lof version True"),
 ], ids=["missing-key", "short-kdist", "long-lrd", "k-zero", "k-n", "short-mean",
-        "long-std", "nan"])
+        "long-std", "nan", "bool-threshold", "text-threshold", "huge-threshold",
+        "huge-kdist", "float-k", "int-standardized", "bool-version"])
 def test_score_rejects_inconsistent_model(pipeline, tmp_path, edit, message):
     _, _, eval_csv, model = pipeline
     doc = json.loads(model.read_text())
@@ -185,6 +193,9 @@ def test_score_rejects_inconsistent_model(pipeline, tmp_path, edit, message):
     assert result.returncode == 2
     assert message in result.stderr
     assert "Traceback" not in result.stderr
+    assert str(bad) in result.stderr
+    assert len(result.stderr.strip().splitlines()) == 1
+    assert not (tmp_path / "scores.csv").exists()
 
 
 def _rewrite_csv(src, dst, edit):
@@ -409,6 +420,10 @@ CORPUS_CASES = [
      "capture_len must be at least 4"),
     ("snr-nan", _edit_config(lambda d: d["config"].update(snr_db=float("nan"))),
      "snr_db must be finite or +inf (clean), got nan"),
+    ("snr-huge", _edit_config(lambda d: d["config"].update(snr_db=10**400)),
+     "config: snr_db is beyond float range"),
+    ("config-type", _edit_config(lambda d: d.update(config=[])),
+     "config must be an object, got []"),
 ]
 
 

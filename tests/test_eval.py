@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rfsentry.errors import EmptyInput, EmptyMatrix, LengthMismatch, ZeroPowerSignal
+from rfsentry.errors import ConfigError, RfSentryError
 from rfsentry.evaluate import (
     ConfusionMatrix,
     SweepRow,
@@ -51,9 +51,9 @@ def test_confusion_mixed_hand_tally():
 
 
 def test_confusion_validation():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(ConfigError, match="1 truth labels vs 2 predictions"):
         confusion([UAV], [OUT, OUT])
-    with pytest.raises(EmptyInput):
+    with pytest.raises(RfSentryError, match="cannot tally an empty prediction set"):
         confusion([], [])
 
 
@@ -91,7 +91,7 @@ def test_metrics_degenerate_no_positive_truth():
 
 
 def test_metrics_empty_matrix():
-    with pytest.raises(EmptyMatrix):
+    with pytest.raises(RfSentryError, match="metrics are undefined for an empty confusion matrix"):
         metrics(ConfusionMatrix(tp=0, tn=0, fp=0, fn=0))
 
 
@@ -172,7 +172,7 @@ def test_best_k_needs_validation_column():
 def test_accuracy_at_missing_cell():
     table = SweepTable(rows=(SweepRow(12.0, 10, None, 0.9),))
     assert table.accuracy_at(12.0, 10) == 0.9
-    with pytest.raises(KeyError):
+    with pytest.raises(ConfigError, match="no sweep cell for snr=14.0, k=10"):
         table.accuracy_at(14.0, 10)
 
 
@@ -248,7 +248,7 @@ def test_sweep_snr_rejects_bad_inputs_on_the_noise_path(mini_sweep_parts):
     with pytest.raises(ValueError, match="jobs must be at least 1"):
         sweep_snr(train_table, balanced_clean, [5], [30.0], trigger, jobs=0)
     silent = replace(balanced_clean[0][0], samples=np.zeros(len(balanced_clean[0][0])))
-    with pytest.raises(ZeroPowerSignal):
+    with pytest.raises(RfSentryError, match="cannot set an SNR on an all-zero signal"):
         sweep_snr(train_table, [(silent, 1)] + balanced_clean[1:], [5], [30.0], trigger)
 
 
@@ -293,7 +293,7 @@ def test_sweep_snr_validation(mini_sweep_parts):
         sweep_snr(train_table, balanced_clean, [], [30.0], trigger)
     with pytest.raises(ValueError):
         sweep_snr(train_table, balanced_clean, [5], [], trigger)
-    with pytest.raises(EmptyInput):
+    with pytest.raises(RfSentryError, match="balanced evaluation set is empty"):
         sweep_snr(train_table, [], [5], [30.0], trigger)
 
 

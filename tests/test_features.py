@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from rfsentry.errors import EmptyPacket, ShapeError, TooShort
+from rfsentry.errors import ConfigError, RfSentryError
 from rfsentry.features import (
     FEATURE_CSV_HEADER,
     STAT_COLUMNS,
@@ -78,7 +78,7 @@ def test_packet_stats_against_reference_formulas():
 
 
 def test_packet_stats_empty_packet():
-    with pytest.raises(EmptyPacket):
+    with pytest.raises(RfSentryError, match="cannot compute statistics of an empty packet"):
         packet_stats(np.array([]))
 
 
@@ -115,7 +115,7 @@ def test_feature_vector_rules():
     assert fingerprint(singleton, whole).tolist() == [0.0, 0.0, 0.0, 0.0]
     # a capture shorter than one 4-sample block has no packets at all
     short = TriggerConfig(window_len=1, energy_threshold=0.0, capture_len=3)
-    with pytest.raises(TooShort):
+    with pytest.raises(RfSentryError, match="two-level decomposition needs >= 4 samples, got 3"):
         fingerprint(Signal(samples=np.ones(3), sample_rate=1.0), short)
 
 
@@ -163,11 +163,11 @@ def test_rank_features_tie_break_lower_index_first():
 
 
 def test_rank_features_shape_errors():
-    with pytest.raises(ShapeError):
+    with pytest.raises(ConfigError, match=r"expected an \(n, 44\) matrix, got \(3, 10\)"):
         rank_features(np.ones((3, 10)))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ConfigError, match="need at least 2 rows to rank by variance"):
         rank_features(np.ones((1, 44)))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ConfigError, match=r"expected an \(n, 44\) matrix, got \(44,\)"):
         rank_features(np.ones(44))
 
 

@@ -1,9 +1,13 @@
-"""Damaged input files: each command that reads one exits 0 or 2, never a traceback.
+"""Damaged inputs: each command exits 0 or 2, never a traceback.
 
-Every parser gets truncated and byte-mutated copies of a valid file and runs
-in-process through ``cli.main``. Hypothesis is derandomized and has no
-example database, so the examples are the same on every run.
+Every parser gets truncated and byte-mutated copies of a valid file, and
+numeric flags get invalid values; each run is in-process through
+``cli.main``. Hypothesis is derandomized and has no example database, so the
+examples are the same on every run.
 """
+
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -106,3 +110,35 @@ def test_damaged_corpus_json(valid, tmp_path, data):
     _run(["sweep-snr", "--corpus", tmp_path, "--train-features", valid / "train.csv",
           "--out", tmp_path / "report", "--k-grid", "5", "--snr-grid", "30",
           "--per-class", "4"])
+
+
+# Each command's fuzzed flags with a valid value of each, and its other
+# arguments. No flag that sizes an allocation or a worker pool is fuzzed.
+ARGUMENT_CASES = {
+    "train": ({"--k": "5", "--threshold": "1.5"},
+              lambda valid: ["--features", valid / "train.csv"]),
+    "extract": ({"--capture-len": "256", "--window-len": "64", "--energy-threshold": "0.05"},
+                lambda valid: ["--manifest", valid / "corpus" / "train_manifest.csv"]),
+    "sweep-n": ({"--test-frac": "0.7", "--threshold": "1.5"},
+                lambda valid: ["--train-features", valid / "train.csv",
+                               "--eval-features", valid / "eval.csv", "--k-grid", "3,5"]),
+}
+BAD_VALUES = ["0", "-1", "nan", "inf", "-inf", "1e308", "x", ""]
+
+
+@FUZZ
+@given(data=st.data())
+@pytest.mark.parametrize("command", ARGUMENT_CASES)
+def test_fuzzed_arguments(valid, tmp_path, command, data):
+    flags, inputs = ARGUMENT_CASES[command]
+    work = Path(tempfile.mkdtemp(dir=tmp_path))
+    argv = [command, *inputs(valid), "--out", work / "out"]
+    for flag, good in flags.items():
+        argv.append(f"{flag}={data.draw(st.sampled_from([good, *BAD_VALUES]), label=flag)}")
+    try:
+        code = _run(argv)
+    except SystemExit as exc:  # an argparse usage error
+        assert exc.code == 2
+        code = 2
+    if code == 2:
+        assert list(work.iterdir()) == []

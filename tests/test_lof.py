@@ -8,13 +8,7 @@ import numpy as np
 import pytest
 
 from rfsentry import lof
-from rfsentry.errors import (
-    ConfigError,
-    DimensionMismatch,
-    NonFiniteFeature,
-    NotEnoughTrainingData,
-    ShapeError,
-)
+from rfsentry.errors import ConfigError
 from rfsentry.lof import (
     DEFAULT_K,
     DEFAULT_THRESHOLD,
@@ -56,9 +50,9 @@ def test_euclidean_example():
 
 def test_distance_dimension_mismatch():
     # the distance pass trusts its shapes; queries are checked where they enter
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ConfigError, match="query dimension 3 != model dimension 4"):
         fit(np.eye(4), k=1, metric="manhattan").score_batch(np.zeros(3))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ConfigError, match="query dimension 5 != model dimension 2"):
         fit(np.eye(2) * 3.0, k=1, metric="euclidean").score_batch(np.zeros(5))
 
 
@@ -391,13 +385,13 @@ def test_fit_unit_square_hand_values():
 
 def test_fit_validation():
     square = np.ones((4, 2))
-    with pytest.raises(NotEnoughTrainingData):
+    with pytest.raises(ConfigError, match=r"need at least k\+1=5 rows, got 4"):
         fit(square, k=4)
-    with pytest.raises(NotEnoughTrainingData):
+    with pytest.raises(ConfigError, match="k must be at least 1, got 0"):
         fit(square, k=0)
-    with pytest.raises(NonFiniteFeature):
+    with pytest.raises(ConfigError, match="training features must be finite"):
         fit(np.array([[1.0, np.nan], [0.0, 1.0], [2.0, 0.5]]), k=1)
-    with pytest.raises(ShapeError):
+    with pytest.raises(ConfigError, match=r"training matrix must be 2-D, got shape \(8,\)"):
         fit(np.ones(8), k=2)
 
 
@@ -513,9 +507,9 @@ def test_constant_column_does_not_blow_up():
 
 def test_query_validation():
     model = fit(np.random.default_rng(31).standard_normal((20, 4)), k=3)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ConfigError, match="query dimension 3 != model dimension 4"):
         model.score(np.zeros(3))
-    with pytest.raises(NonFiniteFeature):
+    with pytest.raises(ConfigError, match="query features must be finite"):
         model.score(np.array([1.0, 2.0, np.inf, 0.0]))
 
 

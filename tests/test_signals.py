@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from rfsentry.errors import ConfigError, FormatError, InputTooShort, NoTrigger, ZeroPowerSignal
+from rfsentry.errors import ConfigError, FormatError, RfSentryError
 from rfsentry.signals import (
     _HEADER_STRUCT,
     MANIFEST_HEADER,
@@ -84,7 +84,7 @@ def test_add_awgn_inf_is_noiseless_passthrough():
 
 
 def test_add_awgn_zero_power_rejected():
-    with pytest.raises(ZeroPowerSignal):
+    with pytest.raises(RfSentryError, match="cannot set an SNR on an all-zero signal"):
         add_awgn(sig([0.0, 0.0]), 30.0, seed=1)
 
 
@@ -163,9 +163,9 @@ def test_find_trigger_matches_direct_scan():
 
 def test_find_trigger_no_trigger_and_too_short():
     cfg = TriggerConfig(window_len=64, energy_threshold=0.25, capture_len=128)
-    with pytest.raises(NoTrigger):
+    with pytest.raises(RfSentryError, match="no window reached the energy threshold"):
         find_trigger(sig(np.full(1000, 0.01)), cfg)
-    with pytest.raises(InputTooShort):
+    with pytest.raises(RfSentryError, match="need at least 64 samples, got 32"):
         find_trigger(sig(np.ones(32)), cfg)
 
 
@@ -212,7 +212,7 @@ def test_extract_transient_zero_pads_and_flags():
 
 def test_extract_transient_input_too_short():
     cfg = TriggerConfig(window_len=4, energy_threshold=0.1, capture_len=64)
-    with pytest.raises(InputTooShort):
+    with pytest.raises(RfSentryError, match="need at least capture_len=64 samples, got 32"):
         extract_transient(sig(np.ones(32)), cfg)
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rfsentry import synth
-from rfsentry.errors import ConfigError, EmptyEval
+from rfsentry.errors import ConfigError, RfSentryError
 from rfsentry.signals import SignalClass, TriggerConfig, add_awgn, extract_transient, mean_power
 from rfsentry.synth import (
     CorpusConfig,
@@ -226,7 +226,7 @@ def test_stratified_split_smallest_case():
 
 
 def test_stratified_split_validation():
-    with pytest.raises(EmptyEval):
+    with pytest.raises(RfSentryError, match="cannot split an empty evaluation set"):
         stratified_split_indices([], 0.7, seed=1)
     with pytest.raises(ValueError):
         stratified_split_indices([SignalClass.UAV], 1.0, seed=1)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rfsentry.errors import TooShort
+from rfsentry.errors import RfSentryError
 from rfsentry.features import fingerprint
 from rfsentry.signals import Signal, TriggerConfig
 from rfsentry.wpt import packet_coefficients, wpt2
@@ -56,7 +56,7 @@ def test_wpt2_packet_lengths():
 
 
 def test_wpt2_too_short():
-    with pytest.raises(TooShort):
+    with pytest.raises(RfSentryError, match="two-level decomposition needs >= 4 samples, got 3"):
         wpt2(np.array([1.0, 2.0, 3.0]))
 
 
