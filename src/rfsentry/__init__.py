@@ -9,7 +9,7 @@ from .errors import RfSentryError
 from .features import fingerprint, rank_features
 from .lof import Label, LofModel, Metric, fit, fit_grid, score_grid
 from .signals import Signal, SignalClass, TriggerConfig, add_awgn, extract_transient
-from .wpt import PacketSet, wpt2
+from .wpt import packet_coefficients
 
 __version__ = "0.1.0"
 
@@ -17,7 +17,6 @@ __all__ = [
     "Label",
     "LofModel",
     "Metric",
-    "PacketSet",
     "RfSentryError",
     "Signal",
     "SignalClass",
@@ -28,7 +27,7 @@ __all__ = [
     "fingerprint",
     "fit",
     "fit_grid",
+    "packet_coefficients",
     "rank_features",
     "score_grid",
-    "wpt2",
 ]

@@ -140,8 +140,6 @@ def sweep_neighbors(
     The training, validation and test distance tables are built once and
     shared by every k; each row equals a separate fit + score at that k.
     """
-    if not k_grid:
-        raise ConfigError("k_grid must be non-empty")
     models = fit_grid(train.matrix, sorted(k_grid), metric, threshold, standardize)
     val_scores, test_scores = (score_grid(models, t.matrix) for t in (validation, test))
     rows = [
@@ -204,8 +202,8 @@ def sweep_snr(
     each fingerprinting a contiguous chunk of bursts at every SNR; the table
     is identical for any worker count.
     """
-    if not k_grid or not snr_grid:
-        raise ConfigError("k_grid and snr_grid must be non-empty")
+    if not snr_grid:
+        raise ConfigError("snr_grid must be non-empty")
     if not balanced_clean:
         raise RfSentryError("balanced evaluation set is empty")
     models = fit_grid(train.matrix, sorted(k_grid), metric, threshold, standardize)

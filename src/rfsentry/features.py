@@ -1,6 +1,7 @@
 """Packet statistics and the four-variance burst fingerprint.
 
-Eleven statistics are computed per packet (44 per signal). The detector
+``packet_stats`` computes eleven statistics of every row of a (4, q) packet
+matrix in one vectorized call, and ``stats_row`` lays the 44 out. The detector
 itself runs on the compact fingerprint: ``fingerprint`` captures the
 transient, takes its (4, q) packet matrix from the block kernel
 ``wpt.packet_coefficients`` and reduces each row to its sample variance in
@@ -29,7 +30,7 @@ from .signals import (
     _write_csv,
     extract_transient,
 )
-from .wpt import PacketSet, packet_coefficients
+from .wpt import packet_coefficients
 
 PACKET_NAMES = ("a1", "d1", "a2", "d2")
 STAT_NAMES = (
@@ -55,24 +56,6 @@ VARIANCE_COLUMNS = tuple(
 FEATURE_CSV_HEADER = ["device_id", "class", "snr_db", "sigma1", "sigma2", "sigma3", "sigma4"]
 
 
-@dataclass(frozen=True)
-class PacketStats:
-    mean: float
-    std_dev: float
-    mean_root: float
-    abs_mean: float
-    skewness: float
-    kurtosis: float
-    variance: float
-    entropy: float
-    peak: float
-    range: float
-    abs_peak: float
-
-    def as_tuple(self) -> tuple[float, ...]:
-        return tuple(getattr(self, name) for name in STAT_NAMES)
-
-
 def sample_variance(x: np.ndarray) -> np.ndarray:
     """Unbiased sample variance along the last axis; a singleton packet has variance 0."""
     x = np.asarray(x, dtype=np.float64)
@@ -81,55 +64,49 @@ def sample_variance(x: np.ndarray) -> np.ndarray:
     return np.var(x, axis=-1, ddof=1)
 
 
-def energy_entropy(x: np.ndarray) -> float:
-    """Shannon entropy (base 2) of the normalized coefficient energies.
+def energy_entropy(x: np.ndarray) -> np.ndarray:
+    """Shannon entropy (base 2) of the normalized coefficient energies, along the last axis.
 
     0*log(0) is taken as 0; an all-zero packet carries no energy and gets
     entropy 0.
     """
     e = np.asarray(x, dtype=np.float64) ** 2
-    total = e.sum()
-    if total == 0.0:
-        return 0.0
-    p = e / total
-    nz = p[p > 0.0]
-    return float(-(nz * np.log2(nz)).sum())
+    total = e.sum(axis=-1, keepdims=True)
+    p = np.divide(e, total, out=np.zeros_like(e), where=total > 0.0)
+    log_p = np.log2(p, out=np.zeros_like(p), where=p > 0.0)
+    return 0.0 - (p * log_p).sum(axis=-1)  # not a unary minus, which turns 0.0 into -0.0
 
 
-def packet_stats(packet: np.ndarray) -> PacketStats:
-    """All eleven statistics of one packet coefficient sequence."""
-    x = np.asarray(packet, dtype=np.float64)
+def packet_stats(packets: np.ndarray) -> dict[str, np.ndarray]:
+    """The eleven statistics of each packet along the last axis, keyed by ``STAT_NAMES``."""
+    x = np.asarray(packets, dtype=np.float64)
     if x.size == 0:
         raise RfSentryError("cannot compute statistics of an empty packet")
-    mean = float(np.mean(x))
-    variance = float(sample_variance(x))
-    centered = x - mean
-    m2 = float(np.mean(centered**2))
-    if m2 == 0.0:
-        skewness = 0.0
-        kurtosis = 0.0
-    else:
-        skewness = float(np.mean(centered**3)) / m2**1.5
-        kurtosis = float(np.mean(centered**4)) / m2**2
-    peak = float(np.max(x))
-    return PacketStats(
-        mean=mean,
-        std_dev=float(np.sqrt(variance)),
-        mean_root=float(np.mean(np.sqrt(np.abs(x)))) ** 2,
-        abs_mean=float(np.mean(np.abs(x))),
-        skewness=skewness,
-        kurtosis=kurtosis,
-        variance=variance,
-        entropy=energy_entropy(x),
-        peak=peak,
-        range=peak - float(np.min(x)),
-        abs_peak=float(np.max(np.abs(x))),
-    )
+    mean = x.mean(axis=-1)
+    variance = sample_variance(x)
+    centered = x - mean[..., None]
+    m2 = np.mean(centered**2, axis=-1)
+    flat = m2 == 0.0  # a constant packet: skewness and kurtosis are 0
+    m2 = np.where(flat, 1.0, m2)
+    peak = x.max(axis=-1)
+    return dict(zip(STAT_NAMES, (
+        mean,
+        np.sqrt(variance),
+        np.mean(np.sqrt(np.abs(x)), axis=-1) ** 2,
+        np.mean(np.abs(x), axis=-1),
+        np.where(flat, 0.0, np.mean(centered**3, axis=-1) / m2**1.5),
+        np.where(flat, 0.0, np.mean(centered**4, axis=-1) / m2**2),
+        variance,
+        energy_entropy(x),
+        peak,
+        peak - x.min(axis=-1),
+        np.abs(x).max(axis=-1),
+    )))
 
 
-def stats_row(p: PacketSet) -> np.ndarray:
-    """One 44-entry row (packet-major, stat-minor) for the ranking matrix."""
-    return np.array([v for packet in p.packets() for v in packet_stats(packet).as_tuple()])
+def stats_row(packets: np.ndarray) -> np.ndarray:
+    """One 44-entry row (packet-major, stat-minor) of a (4, q) packet matrix's statistics."""
+    return np.stack(list(packet_stats(packets).values()), axis=-1).ravel()
 
 
 def rank_features(matrix: np.ndarray) -> list[int]:
@@ -149,7 +126,7 @@ def rank_features(matrix: np.ndarray) -> list[int]:
 
 def fingerprint(signal: Signal, cfg: TriggerConfig) -> np.ndarray:
     """Full per-signal pipeline: trigger capture -> packet matrix -> the (4,) row variances."""
-    return sample_variance(packet_coefficients(extract_transient(signal, cfg)))
+    return sample_variance(packet_coefficients(extract_transient(signal, cfg).samples))
 
 
 # ---------------------------------------------------------------------------

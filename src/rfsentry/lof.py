@@ -73,6 +73,7 @@ DEFAULT_THRESHOLD = 1.5
 
 MODEL_FORMAT = "rfsentry-lof"
 MODEL_FORMAT_VERSION = 1
+_ARRAYS = ("train", "kdist", "lrd", "scaler_mean", "scaler_std")
 _MODEL_FIELDS = {"k": _INT, "metric": _STRING, "threshold": _NUMBER, "standardized": _BOOL,
                  **dict.fromkeys(["scaler_mean", "scaler_std", "train", "kdist", "lrd"], _LIST)}
 
@@ -92,13 +93,6 @@ class Label(Enum):
 class Metric(Enum):
     MANHATTAN = "manhattan"
     EUCLIDEAN = "euclidean"
-
-
-def _as_vector(x) -> np.ndarray:
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 1:
-        raise ConfigError(f"expected a 1-D feature vector, got shape {v.shape}")
-    return v
 
 
 def _row_blocks(rows: int, cols: int) -> list[slice]:
@@ -291,6 +285,19 @@ def _fit_lrds(lists, kdists: np.ndarray) -> np.ndarray:
     return lrds
 
 
+def _check_numbers(values: list, name: str, path) -> None:
+    """Each entry of a model.json array, or of a ``train`` row, is a JSON number.
+
+    ``np.array`` alone would read ``"1.5"`` as 1.5 and ``true`` as 1.0. A
+    ``train`` row that is not a list fails the shape checks instead.
+    """
+    if name == "train":
+        values = [v for row in values if type(row) is list for v in row]
+    if not set(map(type, values)) <= {int, float}:
+        bad = next(v for v in values if type(v) not in (int, float))
+        raise FormatError(f"{path}: {name} entries must be numbers, got {bad!r}")
+
+
 @dataclass(frozen=True)
 class LofModel:
     """Immutable fitted detector state.
@@ -312,7 +319,7 @@ class LofModel:
     standardized: bool
 
     def __post_init__(self) -> None:
-        for name in ("train", "kdist", "lrd", "scaler_mean", "scaler_std"):
+        for name in _ARRAYS:
             arr = getattr(self, name)
             arr.flags.writeable = False
 
@@ -323,9 +330,7 @@ class LofModel:
     # -- scoring ------------------------------------------------------------
 
     def _transform(self, queries: np.ndarray) -> np.ndarray:
-        q = np.asarray(queries, dtype=np.float64)
-        if q.ndim == 1:
-            q = q[None, :]
+        q = np.atleast_2d(np.asarray(queries, dtype=np.float64))  # one row, or a scalar
         if q.shape[1] != self.dim:
             raise ConfigError(f"query dimension {q.shape[1]} != model dimension {self.dim}")
         if not np.all(np.isfinite(q)):
@@ -336,18 +341,9 @@ class LofModel:
         """LOF score of each query against the training reference set."""
         return score_grid([self], queries)[0]
 
-    def score(self, x) -> float:
-        return float(self.score_batch(_as_vector(x)[None, :])[0])
-
     def labels(self, scores) -> list[Label]:
         """Decision for each score; a score exactly at the threshold stays an inlier."""
         return [Label.OUTLIER if s > self.threshold else Label.INLIER for s in scores]
-
-    def classify_batch(self, queries) -> list[Label]:
-        return self.labels(self.score_batch(queries))
-
-    def classify(self, x) -> Label:
-        return self.labels([self.score(x)])[0]
 
     # -- persistence ----------------------------------------------------------
 
@@ -375,12 +371,11 @@ class LofModel:
         doc = _json_fields(_json_document(path, MODEL_FORMAT, MODEL_FORMAT_VERSION),
                            _MODEL_FIELDS, str(path))
         k, threshold = doc["k"], float(doc["threshold"])
+        for name in _ARRAYS:
+            _check_numbers(doc[name], name, path)
         try:
             metric = Metric(doc["metric"])
-            arrays = {
-                name: np.array(doc[name], dtype=np.float64)
-                for name in ("train", "kdist", "lrd", "scaler_mean", "scaler_std")
-            }
+            arrays = {name: np.array(doc[name], dtype=np.float64) for name in _ARRAYS}
         except (TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"{path}: {exc}") from None
         train = arrays["train"]
@@ -428,6 +423,8 @@ def fit_grid(
         raise ConfigError(f"training matrix must be 2-D, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ConfigError("training features must be finite")
+    if not ks:
+        raise ConfigError("k_grid must be non-empty")
     for k in ks:
         if k < 1:
             raise ConfigError(f"k must be at least 1, got {k}")

@@ -17,35 +17,16 @@ exactly, which the tests rely on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import RfSentryError
-from .signals import Signal
 
 _SQRT2 = np.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class PacketSet:
-    """The four level-2 packet coefficient sequences of one signal."""
-
-    a1: np.ndarray
-    d1: np.ndarray
-    a2: np.ndarray
-    d2: np.ndarray
-
-    def packets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        return (self.a1, self.d1, self.a2, self.d2)
-
-    def energy(self) -> float:
-        return float(sum(np.dot(p, p) for p in self.packets()))
-
-
-def packet_coefficients(signal: Signal | np.ndarray) -> np.ndarray:
-    """The (4, n // 4) packet matrix of a burst (or raw samples): rows a1, d1, a2, d2."""
-    x = signal.samples if isinstance(signal, Signal) else np.asarray(signal, dtype=np.float64)
+def packet_coefficients(samples: np.ndarray) -> np.ndarray:
+    """The (4, n // 4) packet matrix of a sample array: rows a1, d1, a2, d2."""
+    x = np.asarray(samples, dtype=np.float64)
     if x.size < 4:
         raise RfSentryError(f"two-level decomposition needs >= 4 samples, got {x.size}")
     x0, x1, x2, x3 = x[: x.size // 4 * 4].reshape(-1, 4).T
@@ -53,8 +34,3 @@ def packet_coefficients(signal: Signal | np.ndarray) -> np.ndarray:
     d01, d23 = (x0 - x1) / _SQRT2, (x2 - x3) / _SQRT2
     return np.stack([(s01 + s23) / _SQRT2, (s01 - s23) / _SQRT2,
                      (d01 + d23) / _SQRT2, (d01 - d23) / _SQRT2])
-
-
-def wpt2(signal: Signal | np.ndarray) -> PacketSet:
-    """Full two-level packet decomposition of a burst (or raw samples)."""
-    return PacketSet(*packet_coefficients(signal))

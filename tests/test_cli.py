@@ -179,9 +179,13 @@ def test_train_k_zero_exits_two(pipeline, tmp_path):
     (lambda d: d.update(k=5.0), "k must be an integer, got 5.0"),
     (lambda d: d.update(standardized=1), "standardized must be a boolean, got 1"),
     (lambda d: d.update(version=True), "unsupported rfsentry-lof version True"),
+    (lambda d: d["lrd"].__setitem__(3, "1.5"), "lrd entries must be numbers, got '1.5'"),
+    (lambda d: d["kdist"].__setitem__(0, True), "kdist entries must be numbers, got True"),
+    (lambda d: d["train"][2].__setitem__(1, True), "train entries must be numbers, got True"),
 ], ids=["missing-key", "short-kdist", "long-lrd", "k-zero", "k-n", "short-mean",
         "long-std", "nan", "bool-threshold", "text-threshold", "huge-threshold",
-        "huge-kdist", "float-k", "int-standardized", "bool-version"])
+        "huge-kdist", "float-k", "int-standardized", "bool-version", "text-lrd",
+        "bool-kdist", "bool-train"])
 def test_score_rejects_inconsistent_model(pipeline, tmp_path, edit, message):
     _, _, eval_csv, model = pipeline
     doc = json.loads(model.read_text())

@@ -199,7 +199,7 @@ def test_sweep_snr_training_cell_matches_direct_scoring(mini_sweep_parts):
                       snr_grid=[cfg.snr_db], trigger=trigger)
     model = fit(train_table.matrix, k=5)
     stored_table = table_from_signals(balanced_stored, trigger)
-    preds = model.classify_batch(stored_table.matrix)
+    preds = model.labels(model.score_batch(stored_table.matrix))
     direct = metrics(confusion(stored_table.classes, preds)).accuracy
     assert table.accuracy_at(float(cfg.snr_db), 5) == direct
 

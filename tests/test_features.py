@@ -22,7 +22,7 @@ from rfsentry.features import (
     stats_row,
 )
 from rfsentry.signals import Signal, SignalClass, TriggerConfig, extract_transient
-from rfsentry.wpt import packet_coefficients, wpt2
+from rfsentry.wpt import packet_coefficients
 
 from .oracles import brute_entropy, brute_moments, brute_variance
 
@@ -39,29 +39,29 @@ def test_column_layout():
 
 def test_packet_stats_constant_packet():
     st = packet_stats(np.array([1.0, 1.0, 1.0, 1.0]))
-    assert st.mean == 1.0
-    assert st.variance == 0.0
-    assert st.std_dev == 0.0
-    assert st.range == 0.0
-    assert st.abs_peak == 1.0
-    assert st.entropy == 2.0  # uniform energy over 4 coefficients
-    assert st.skewness == 0.0 and st.kurtosis == 0.0  # zero-variance convention
+    assert st["mean"] == 1.0
+    assert st["variance"] == 0.0
+    assert st["std_dev"] == 0.0
+    assert st["range"] == 0.0
+    assert st["abs_peak"] == 1.0
+    assert st["entropy"] == 2.0  # uniform energy over 4 coefficients
+    assert st["skewness"] == 0.0 and st["kurtosis"] == 0.0  # zero-variance convention
 
 
 def test_packet_stats_hand_example():
     st = packet_stats(np.array([1.0, 2.0, 3.0, 4.0]))
-    assert st.mean == 2.5
-    assert abs(st.variance - 5.0 / 3.0) < 1e-12  # n-1 = 3 denominator
-    assert st.range == 3.0
-    assert st.peak == 4.0
+    assert st["mean"] == 2.5
+    assert abs(st["variance"] - 5.0 / 3.0) < 1e-12  # n-1 = 3 denominator
+    assert st["range"] == 3.0
+    assert st["peak"] == 4.0
     smr = ((1 + math.sqrt(2) + math.sqrt(3) + 2) / 4) ** 2
-    assert abs(st.mean_root - smr) < 1e-12
-    assert st.abs_mean == 2.5
-    assert st.abs_peak == 4.0
+    assert abs(st["mean_root"] - smr) < 1e-12
+    assert st["abs_mean"] == 2.5
+    assert st["abs_peak"] == 4.0
 
 
 def test_packet_stats_symmetric_zero_skew():
-    assert packet_stats(np.array([-2.0, -1.0, 1.0, 2.0])).skewness == 0.0
+    assert packet_stats(np.array([-2.0, -1.0, 1.0, 2.0]))["skewness"] == 0.0
 
 
 def test_packet_stats_against_reference_formulas():
@@ -69,12 +69,12 @@ def test_packet_stats_against_reference_formulas():
     for _ in range(30):
         x = rng.standard_normal(int(rng.integers(2, 40))) * 3.0
         st = packet_stats(x)
-        assert abs(st.variance - brute_variance(x)) <= 1e-9 * max(1.0, st.variance)
-        assert abs(st.entropy - brute_entropy(x)) <= 1e-9
+        assert abs(st["variance"] - brute_variance(x)) <= 1e-9 * max(1.0, st["variance"])
+        assert abs(st["entropy"] - brute_entropy(x)) <= 1e-9
         skew, kurt = brute_moments(x)
-        assert abs(st.skewness - skew) <= 1e-9
-        assert abs(st.kurtosis - kurt) <= 1e-9
-        assert abs(st.std_dev**2 - st.variance) <= 1e-9 * max(1.0, st.variance)
+        assert abs(st["skewness"] - skew) <= 1e-9
+        assert abs(st["kurtosis"] - kurt) <= 1e-9
+        assert abs(st["std_dev"]**2 - st["variance"]) <= 1e-9 * max(1.0, st["variance"])
 
 
 def test_packet_stats_empty_packet():
@@ -123,20 +123,20 @@ def test_feature_vector_matches_packet_variances():
     rng = np.random.default_rng(14)
     x = rng.standard_normal(4096)
     variances = sample_variance(packet_coefficients(x))
-    expected = [brute_variance(pk) for pk in wpt2(x).packets()]
+    expected = [brute_variance(pk) for pk in packet_coefficients(x)]
     assert np.allclose(variances, expected, rtol=1e-9)
 
 
 def test_stats_row_is_packet_major():
     rng = np.random.default_rng(15)
-    p = wpt2(rng.standard_normal(64))
+    p = packet_coefficients(rng.standard_normal(64))
     row = stats_row(p)
     assert row.shape == (44,)
-    for pi, packet in enumerate(p.packets()):
+    for pi, packet in enumerate(p):
         st = packet_stats(packet)
-        assert np.allclose(row[pi * 11 : (pi + 1) * 11], st.as_tuple())
+        assert np.allclose(row[pi * 11 : (pi + 1) * 11], [st[name] for name in STAT_NAMES])
     # fingerprint components live at the variance columns
-    assert np.allclose(row[list(VARIANCE_COLUMNS)], sample_variance(np.stack(p.packets())))
+    assert np.allclose(row[list(VARIANCE_COLUMNS)], sample_variance(p))
 
 
 def test_rank_features_single_live_column():
@@ -172,13 +172,13 @@ def test_rank_features_shape_errors():
 
 
 def test_fingerprint_pipeline_composition():
-    # fingerprint == per-packet variances of wpt2(extract_transient(.)), bit for bit
+    # fingerprint == per-packet variances of the transient's packet matrix, bit for bit
     rng = np.random.default_rng(17)
     burst = np.concatenate([np.zeros(100), rng.standard_normal(600)])
     s = Signal(samples=burst, sample_rate=1.0)
     cfg = TriggerConfig(window_len=16, energy_threshold=0.2, capture_len=512)
     fv = fingerprint(s, cfg)
-    packets = wpt2(extract_transient(s, cfg)).packets()
+    packets = packet_coefficients(extract_transient(s, cfg).samples)
     assert fv.dtype == np.float64 and fv.shape == (4,)
     assert fv.tolist() == [float(sample_variance(pk)) for pk in packets]
 

@@ -112,18 +112,34 @@ def test_damaged_corpus_json(valid, tmp_path, data):
           "--per-class", "4"])
 
 
-# Each command's fuzzed flags with a valid value of each, and its other
-# arguments. No flag that sizes an allocation or a worker pool is fuzzed.
+BAD_VALUES = ["0", "-1", "nan", "inf", "-inf", "1e308", "x", ""]
+
+
+def _or_bad(good: str) -> list[str]:
+    return [good, *BAD_VALUES]
+
+
+# Each command's fuzzed flags with the values drawn for each, and its other
+# arguments. No drawn value sizes an allocation or a worker pool: --jobs and
+# --signals-per-device are pinned, and --per-class only draws values that
+# argparse or the balanced split rejects, or a small valid one.
 ARGUMENT_CASES = {
-    "train": ({"--k": "5", "--threshold": "1.5"},
+    "train": ({"--k": _or_bad("5"), "--threshold": _or_bad("1.5")},
               lambda valid: ["--features", valid / "train.csv"]),
-    "extract": ({"--capture-len": "256", "--window-len": "64", "--energy-threshold": "0.05"},
+    "extract": ({"--capture-len": _or_bad("256"), "--window-len": _or_bad("64"),
+                 "--energy-threshold": _or_bad("0.05")},
                 lambda valid: ["--manifest", valid / "corpus" / "train_manifest.csv"]),
-    "sweep-n": ({"--test-frac": "0.7", "--threshold": "1.5"},
+    "sweep-n": ({"--test-frac": _or_bad("0.7"), "--threshold": _or_bad("1.5")},
                 lambda valid: ["--train-features", valid / "train.csv",
                                "--eval-features", valid / "eval.csv", "--k-grid", "3,5"]),
+    "synth": ({"--snr": _or_bad("30"), "--capture-len": _or_bad("256")},
+              lambda valid: ["--signals-per-device", "2", "--jobs", "1"]),
+    "sweep-snr": ({"--threshold": _or_bad("1.5"), "--per-class": ["2", "0", "-1", "x"],
+                   "--snr-grid": _or_bad("30")},
+                  lambda valid: ["--corpus", valid / "corpus",
+                                 "--train-features", valid / "train.csv",
+                                 "--k-grid", "3", "--jobs", "1"]),
 }
-BAD_VALUES = ["0", "-1", "nan", "inf", "-inf", "1e308", "x", ""]
 
 
 @FUZZ
@@ -133,8 +149,8 @@ def test_fuzzed_arguments(valid, tmp_path, command, data):
     flags, inputs = ARGUMENT_CASES[command]
     work = Path(tempfile.mkdtemp(dir=tmp_path))
     argv = [command, *inputs(valid), "--out", work / "out"]
-    for flag, good in flags.items():
-        argv.append(f"{flag}={data.draw(st.sampled_from([good, *BAD_VALUES]), label=flag)}")
+    for flag, values in flags.items():
+        argv.append(f"{flag}={data.draw(st.sampled_from(values), label=flag)}")
     try:
         code = _run(argv)
     except SystemExit as exc:  # an argparse usage error

@@ -1,4 +1,4 @@
-"""Local Outlier Factor: distances, fit/score/classify, memory, persistence."""
+"""Local Outlier Factor: distances, fit/score/labels, memory, persistence."""
 
 import threading
 import tracemalloc
@@ -169,6 +169,11 @@ def test_score_grid_needs_models_of_one_fit():
         score_grid([a[0], b[1]], train[:2])
     with pytest.raises(ValueError, match="one fit_grid call"):
         score_grid([], train[:2])
+
+
+def test_fit_grid_rejects_an_empty_grid():
+    with pytest.raises(ConfigError, match="k_grid must be non-empty"):
+        fit_grid(np.random.default_rng(40).standard_normal((10, 4)), [])
 
 
 def test_fit_rejects_nan_threshold():
@@ -419,7 +424,7 @@ def test_model_defaults():
 def test_score_unit_square_far_query():
     square = np.array([[0.0, 0], [0, 1], [1, 0], [1, 1]])
     model = fit(square, k=2, standardize=False)
-    score = model.score(np.array([5.0, 5.0]))
+    score = model.score_batch(np.array([5.0, 5.0]))[0]
     # hand value: kdist(q)=9 ties in all of (1,1),(0,1),(1,0); reaches 8,9,9
     # -> lrd(q)=3/26, neighbor lrds 1 -> score 26/3 (up to the lrd epsilon)
     assert score > 3.0
@@ -434,14 +439,14 @@ def test_score_inlier_near_one():
     model = fit(cluster, k=10, standardize=False)
     # a training point interior to the uniform cluster scores close to 1
     interior = cluster[np.argmin(np.abs(cluster - 0.5).sum(axis=1))]
-    assert 0.8 <= model.score(interior) <= 1.2
+    assert 0.8 <= model.score_batch(interior)[0] <= 1.2
 
 
 def test_score_duplicates_stay_finite():
     data = np.array([[1.0, 1.0]] * 5 + [[2.0, 2.0]] * 5)
     model = fit(data, k=3, standardize=False)
     assert np.all(np.isfinite(model.lrd))
-    s = model.score(np.array([1.0, 1.0]))
+    s = model.score_batch(np.array([1.0, 1.0]))[0]
     assert np.isfinite(s)
 
 
@@ -472,7 +477,7 @@ def test_monotone_isolation_along_ray():
     cluster = rng.uniform(-1.0, 1.0, (80, 2))
     model = fit(cluster, k=10, standardize=False)
     radii = np.linspace(2.0, 30.0, 15)
-    scores = [model.score(np.array([r, r])) for r in radii]
+    scores = [model.score_batch(np.array([r, r]))[0] for r in radii]
     assert all(b >= a - 1e-9 for a, b in zip(scores, scores[1:]))
 
 
@@ -508,23 +513,25 @@ def test_constant_column_does_not_blow_up():
 def test_query_validation():
     model = fit(np.random.default_rng(31).standard_normal((20, 4)), k=3)
     with pytest.raises(ConfigError, match="query dimension 3 != model dimension 4"):
-        model.score(np.zeros(3))
+        model.score_batch(np.zeros(3))
+    with pytest.raises(ConfigError, match="query dimension 1 != model dimension 4"):
+        model.score_batch(5.0)
     with pytest.raises(ConfigError, match="query features must be finite"):
-        model.score(np.array([1.0, 2.0, np.inf, 0.0]))
+        model.score_batch(np.array([1.0, 2.0, np.inf, 0.0]))
 
 
-# -- classify -----------------------------------------------------------------
+# -- labels -------------------------------------------------------------------
 
 
 def test_classify_threshold_rules():
     square = np.array([[0.0, 0], [0, 1], [1, 0], [1, 1]])
     model = fit(square, k=2, threshold=1.5, standardize=False)
-    assert model.classify(np.array([0.5, 0.5])) is Label.INLIER
-    assert model.classify(np.array([9.0, 9.0])) is Label.OUTLIER
+    assert model.labels(model.score_batch(np.array([0.5, 0.5])))[0] is Label.INLIER
+    assert model.labels(model.score_batch(np.array([9.0, 9.0])))[0] is Label.OUTLIER
     # boundary: score exactly at threshold stays an inlier
-    exact = fit(square, k=2, threshold=model.score(np.array([5.0, 5.0])),
+    exact = fit(square, k=2, threshold=model.score_batch(np.array([5.0, 5.0]))[0],
                 standardize=False)
-    assert exact.classify(np.array([5.0, 5.0])) is Label.INLIER
+    assert exact.labels(exact.score_batch(np.array([5.0, 5.0])))[0] is Label.INLIER
 
 
 def test_classify_batch_agrees_with_scalar():
@@ -532,8 +539,8 @@ def test_classify_batch_agrees_with_scalar():
     train = rng.standard_normal((30, 2))
     queries = rng.standard_normal((12, 2)) * 3.0
     model = fit(train, k=4)
-    batch = model.classify_batch(queries)
-    assert batch == [model.classify(q) for q in queries]
+    batch = model.labels(model.score_batch(queries))
+    assert batch == [model.labels(model.score_batch(q))[0] for q in queries]
 
 
 # -- persistence --------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from rfsentry.errors import RfSentryError
 from rfsentry.features import fingerprint
 from rfsentry.signals import Signal, TriggerConfig
-from rfsentry.wpt import packet_coefficients, wpt2
+from rfsentry.wpt import packet_coefficients
 
 from .oracles import PACKET_ORDER, brute_variance, matrix_packets
 
@@ -24,40 +24,40 @@ def _two_stage_packets(x):
 
 
 def test_wpt2_hand_example():
-    p = wpt2(np.array([1.0, 2.0, 3.0, 4.0]))
-    assert np.allclose(p.a1, [5.0], atol=1e-12)
-    assert np.allclose(p.d1, [-2.0], atol=1e-12)
-    assert np.allclose(p.a2, [-1.0], atol=1e-12)
-    assert np.allclose(p.d2, [0.0], atol=1e-12)
-    assert abs(p.energy() - 30.0) < 1e-12
+    p = packet_coefficients(np.array([1.0, 2.0, 3.0, 4.0]))
+    assert np.allclose(p[0], [5.0], atol=1e-12)
+    assert np.allclose(p[1], [-2.0], atol=1e-12)
+    assert np.allclose(p[2], [-1.0], atol=1e-12)
+    assert np.allclose(p[3], [0.0], atol=1e-12)
+    assert abs(np.sum(p * p) - 30.0) < 1e-12
 
 
 def test_wpt2_accepts_signal_objects():
     s = Signal(samples=np.array([1.0, 2.0, 3.0, 4.0]), sample_rate=1.0)
-    p = wpt2(s)
-    assert np.allclose(p.a1, [5.0])
+    p = packet_coefficients(s.samples)
+    assert np.allclose(p[0], [5.0])
 
 
 def test_wpt2_all_zero():
-    p = wpt2(np.zeros(16))
-    for packet in p.packets():
+    p = packet_coefficients(np.zeros(16))
+    for packet in p:
         assert packet.size == 4
         assert np.all(packet == 0.0)
 
 
 def test_wpt2_packet_lengths():
     for n in (4, 8, 64, 4096):
-        p = wpt2(np.ones(n))
-        for packet in p.packets():
+        p = packet_coefficients(np.ones(n))
+        for packet in p:
             assert packet.size == n // 4
     # non-multiples of 4 follow floor(floor(n/2)/2)
-    p = wpt2(np.ones(10))
-    assert all(pk.size == 2 for pk in p.packets())
+    p = packet_coefficients(np.ones(10))
+    assert all(pk.size == 2 for pk in p)
 
 
 def test_wpt2_too_short():
     with pytest.raises(RfSentryError, match="two-level decomposition needs >= 4 samples, got 3"):
-        wpt2(np.array([1.0, 2.0, 3.0]))
+        packet_coefficients(np.array([1.0, 2.0, 3.0]))
 
 
 def test_wpt2_equals_two_stage_transform_bit_for_bit():
@@ -66,7 +66,7 @@ def test_wpt2_equals_two_stage_transform_bit_for_bit():
     lengths += [int(n) for n in rng.integers(4, 4100, 60)]
     for n in lengths:
         x = rng.standard_normal(n) * float(10.0 ** rng.uniform(-3, 3))
-        for mine, ref in zip(wpt2(x).packets(), _two_stage_packets(x)):
+        for mine, ref in zip(packet_coefficients(x), _two_stage_packets(x)):
             assert mine.size == ref.size == n // 4
             assert np.array_equal(mine, ref), n
         assert np.array_equal(packet_coefficients(x), np.stack(_two_stage_packets(x)))
@@ -88,9 +88,9 @@ def test_wpt2_matches_matrix_oracle():
     for n in (8, 16, 64):
         for _ in range(20):
             x = rng.standard_normal(n)
-            mine = wpt2(x)
+            mine = packet_coefficients(x)
             ref = matrix_packets(x)
-            for name, packet in zip(("a1", "d1", "a2", "d2"), mine.packets()):
+            for name, packet in zip(("a1", "d1", "a2", "d2"), mine):
                 assert np.max(np.abs(packet - ref[name])) <= 1e-12
 
 
@@ -99,9 +99,9 @@ def test_wpt2_parseval_property():
     for _ in range(200):
         n = 4 * int(rng.integers(1, 257))
         x = rng.standard_normal(n) * float(10.0 ** rng.uniform(-2, 2))
-        p = wpt2(x)
+        p = packet_coefficients(x)
         energy_in = float(np.sum(x * x))
-        assert abs(p.energy() - energy_in) <= 1e-9 * max(energy_in, 1e-30)
+        assert abs(np.sum(p * p) - energy_in) <= 1e-9 * max(energy_in, 1e-30)
 
 
 def test_wpt2_linearity():
@@ -109,19 +109,19 @@ def test_wpt2_linearity():
     x = rng.standard_normal(64)
     y = rng.standard_normal(64)
     alpha, beta = 2.5, -1.25
-    combined = wpt2(alpha * x + beta * y)
-    px, py = wpt2(x), wpt2(y)
-    for c, a, b in zip(combined.packets(), px.packets(), py.packets()):
+    combined = packet_coefficients(alpha * x + beta * y)
+    px, py = packet_coefficients(x), packet_coefficients(y)
+    for c, a, b in zip(combined, px, py):
         assert np.max(np.abs(c - (alpha * a + beta * b))) <= 1e-9
 
 
 def test_wpt2_constant_input_zero_details():
-    p = wpt2(np.full(32, 1.7))
-    assert np.max(np.abs(p.d1)) <= 1e-12
-    assert np.max(np.abs(p.a2)) <= 1e-12
-    assert np.max(np.abs(p.d2)) <= 1e-12
+    p = packet_coefficients(np.full(32, 1.7))
+    assert np.max(np.abs(p[1])) <= 1e-12
+    assert np.max(np.abs(p[2])) <= 1e-12
+    assert np.max(np.abs(p[3])) <= 1e-12
     # all energy lands in a1: each coefficient is 2 * 1.7
-    assert np.allclose(p.a1, 3.4, atol=1e-12)
+    assert np.allclose(p[0], 3.4, atol=1e-12)
 
 
 def test_oracle_matrix_is_orthogonal():
