@@ -51,7 +51,7 @@ from .signals import (
 )
 from .synth import (
     CorpusConfig,
-    balanced_clean_eval,
+    balanced_eval_plan,
     default_profiles,
     gen_burst,
     stratified_split_indices,
@@ -349,13 +349,12 @@ def cmd_sweep_snr(args) -> int:
     train = load_feature_csv(args.train_features)
     _require_recognized(train, "training features")
 
-    balanced = balanced_clean_eval(
-        cfg, args.per_class, stage_seed(cfg.master_seed, "balanced")
-    )
+    plan = balanced_eval_plan(cfg, args.per_class, stage_seed(cfg.master_seed, "balanced"))
     trigger = TriggerConfig(capture_len=cfg.capture_len)
     table = sweep_snr(
         train,
-        balanced,
+        cfg,
+        plan,
         k_grid=args.k_grid,
         snr_grid=args.snr_grid,
         trigger=trigger,
@@ -470,9 +469,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-class", type=_positive_int, default=200,
                    help="balanced set size per class (default %(default)s)")
     p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="worker processes that re-noise and fingerprint the bursts "
-                        "(default 1; output is identical); the LOF threads follow "
-                        "the CPU affinity, not --jobs")
+                   help="worker processes that each generate, re-noise and "
+                        "fingerprint their own bursts, one at a time (default 1; "
+                        "output is identical); the LOF threads follow the CPU "
+                        "affinity, not --jobs")
     _add_model_flags(p)
     p.set_defaults(func=cmd_sweep_snr)
 

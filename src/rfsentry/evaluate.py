@@ -8,14 +8,18 @@ never re-fitted.
 Both sweeps do the work that no grid value changes once. They fit their
 whole k grid with one ``lof.fit_grid`` call and score each query set for
 every k with one ``lof.score_grid`` call, so each distance is computed
-once. The SNR sweep runs burst by burst: a burst's unit noise is drawn and
-its power taken once, then scaled to every grid SNR before fingerprinting;
-``seeding.map_chunks`` spreads the bursts over the worker processes.
+once. The SNR sweep streams its bursts: ``seeding.map_chunks`` hands each
+worker process a chunk of (profile, burst index) pairs, and the worker
+generates, re-noises and fingerprints its own bursts one at a time. A
+burst's unit noise is drawn and its power taken once, then scaled to every
+grid SNR before fingerprinting, and the burst is dropped before the next,
+so memory holds one burst per worker.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +29,6 @@ from .features import FeatureTable, fingerprint
 from .lof import Label, LofModel, Metric, fit_grid, score_grid
 from .seeding import map_chunks
 from .signals import (
-    Signal,
     SignalClass,
     TriggerConfig,
     _fmt,
@@ -33,6 +36,7 @@ from .signals import (
     _write_csv,
     mean_power,
 )
+from .synth import CorpusConfig, DeviceProfile, gen_burst, noise_seed
 
 
 @dataclass(frozen=True)
@@ -164,25 +168,35 @@ def best_k(table: SweepTable) -> int:
 
 
 def _snr_fingerprints(
-    balanced_clean: list[tuple[Signal, int]], snrs: list[float], trigger: TriggerConfig
+    plan: list[tuple[DeviceProfile, int]],
+    cfg: CorpusConfig,
+    snrs: list[float],
+    trigger: TriggerConfig,
 ) -> list[np.ndarray]:
-    """Each burst's (len(snrs), 4) fingerprints, one row per grid SNR.
+    """Each planned burst's (len(snrs), 4) fingerprints, one row per grid SNR.
 
-    The noise seed does not depend on the SNR, so each burst's unit noise is
-    drawn and its power taken once, and only the scale changes per SNR.
+    One burst at a time is regenerated clean, re-noised and fingerprinted,
+    and dropped before the next. The noise seed does not depend on the SNR,
+    so each burst's unit noise is drawn and its power taken once, and only
+    the scale changes per SNR.
     """
+    clean_cfg = replace(cfg, snr_db=math.inf)
     out = []
-    for sig, seed in balanced_clean:
+    for profile, index in plan:
+        sig = gen_burst(profile, index, clean_cfg)
         power = mean_power(sig)
+        seed = noise_seed(cfg, profile, index)
         unit_noise = np.random.default_rng(seed).standard_normal(len(sig))
         out.append(np.array([fingerprint(_scaled_noise(sig, power, snr, unit_noise), trigger)
                              for snr in snrs]))
+        del sig, unit_noise
     return out
 
 
 def sweep_snr(
     train: FeatureTable,
-    balanced_clean: list[tuple[Signal, int]],
+    cfg: CorpusConfig,
+    plan: list[tuple[DeviceProfile, int]],
     k_grid: list[int],
     snr_grid: list[float],
     trigger: TriggerConfig,
@@ -191,25 +205,26 @@ def sweep_snr(
     standardize: bool = True,
     jobs: int = 1,
 ) -> SweepTable:
-    """Accuracy of the training-SNR model on re-noised evaluation signals.
+    """Accuracy of the training-SNR model on re-noised evaluation bursts.
 
-    ``balanced_clean`` pairs each clean evaluation signal with its noise
-    seed; every grid SNR re-noises from clean, so cells never stack noise.
-    Each burst's noise is drawn once and scaled to every grid SNR. Models are
-    fitted once per k on the (training-SNR) feature table, from one training
-    distance table, and reused across SNR cells; each SNR matrix gets one
-    distance table, shared by every k. ``jobs`` caps the worker processes,
-    each fingerprinting a contiguous chunk of bursts at every SNR; the table
-    is identical for any worker count.
+    ``plan`` names the (profile, burst index) evaluation bursts of corpus
+    ``cfg`` to score. Each is regenerated clean and re-noised from clean at
+    every grid SNR, so cells never stack noise, and its noise is drawn once
+    and scaled to every grid SNR. Models are fitted once per k on the
+    (training-SNR) feature table, from one training distance table, and
+    reused across SNR cells; each SNR matrix gets one distance table, shared
+    by every k. ``jobs`` caps the worker processes, each generating and
+    fingerprinting a contiguous chunk of the plan one burst at a time; the
+    table is identical for any worker count.
     """
     if not snr_grid:
         raise ConfigError("snr_grid must be non-empty")
-    if not balanced_clean:
+    if not plan:
         raise RfSentryError("balanced evaluation set is empty")
     models = fit_grid(train.matrix, sorted(k_grid), metric, threshold, standardize)
-    truth = [sig.signal_class for sig, _ in balanced_clean]
+    truth = [profile.signal_class for profile, _ in plan]
     snrs = sorted(float(s) for s in snr_grid)
-    per_burst = map_chunks(_snr_fingerprints, balanced_clean, jobs, snrs, trigger)
+    per_burst = map_chunks(_snr_fingerprints, plan, jobs, cfg, snrs, trigger)
     rows = []
     for snr, matrix in zip(snrs, np.stack(per_burst, axis=1)):
         scores = score_grid(models, matrix)

@@ -331,6 +331,8 @@ class LofModel:
 
     def _transform(self, queries: np.ndarray) -> np.ndarray:
         q = np.atleast_2d(np.asarray(queries, dtype=np.float64))  # one row, or a scalar
+        if q.ndim > 2:
+            raise ConfigError(f"queries must be one row or a 2-D array, got {q.ndim} dimensions")
         if q.shape[1] != self.dim:
             raise ConfigError(f"query dimension {q.shape[1]} != model dimension {self.dim}")
         if not np.all(np.isfinite(q)):
@@ -362,8 +364,7 @@ class LofModel:
             "lrd": self.lrd.tolist(),
         }
         with open(path, "w") as fh:
-            json.dump(doc, fh)
-            fh.write("\n")
+            fh.write(json.dumps(doc) + "\n")  # json.dumps runs the C encoder; json.dump does not
 
     @classmethod
     def load(cls, path: str | Path) -> "LofModel":

@@ -19,7 +19,7 @@ and noise can be re-applied to clean bursts at any SNR later.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -351,40 +351,18 @@ def build_corpus(cfg: CorpusConfig) -> tuple[list[Signal], list[Signal]]:
     return train, evaluation
 
 
-def clean_eval_signals(cfg: CorpusConfig) -> list[tuple[Signal, int]]:
-    """Noise-free regeneration of the evaluation split.
-
-    Returns (clean signal, noise seed) pairs in the same order as the
-    evaluation list of build_corpus; re-noising with the paired seed at the
-    corpus SNR reproduces the corpus evaluation signals exactly.
-    """
-    _check_class_mix(cfg)
-    return _clean_bursts(cfg, cfg.eval_plan())
-
-
-def balanced_clean_eval(
+def balanced_eval_plan(
     cfg: CorpusConfig, per_class: int, seed: int
-) -> list[tuple[Signal, int]]:
-    """Clean (signal, noise seed) pairs of a class-balanced evaluation subset.
+) -> list[tuple[DeviceProfile, int]]:
+    """(profile, burst index) of a class-balanced evaluation subset, in corpus order.
 
-    Equal to ``[clean_eval_signals(cfg)[i] for i in picked]`` with ``picked``
-    from ``balanced_indices`` over the evaluation labels, but the labels come
-    from the evaluation plan, so only the picked bursts are generated.
+    The picks are ``balanced_indices`` over the classes of ``cfg.eval_plan()``,
+    so no burst is generated to choose them.
     """
     _check_class_mix(cfg)
     plan = cfg.eval_plan()
     picked = balanced_indices([p.signal_class for p, _ in plan], per_class, seed)
-    return _clean_bursts(cfg, [plan[i] for i in picked])
-
-
-def _clean_bursts(
-    cfg: CorpusConfig, plan: list[tuple[DeviceProfile, int]]
-) -> list[tuple[Signal, int]]:
-    clean_cfg = replace(cfg, snr_db=math.inf)
-    return [
-        (gen_burst(profile, index, clean_cfg), noise_seed(cfg, profile, index))
-        for profile, index in plan
-    ]
+    return [plan[i] for i in picked]
 
 
 def stratified_split_indices(

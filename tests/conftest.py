@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,16 @@ def table_from_signals(signals, trigger: TriggerConfig) -> FeatureTable:
     return FeatureTable.from_rows(
         [(s.device_id, s.signal_class, s.snr_db, fingerprint(s, trigger)) for s in signals]
     )
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc sees allocated while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

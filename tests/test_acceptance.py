@@ -30,9 +30,8 @@ from rfsentry.seeding import stage_seed
 from rfsentry.signals import SignalClass, extract_transient
 from rfsentry.synth import (
     CorpusConfig,
-    balanced_indices,
+    balanced_eval_plan,
     build_corpus,
-    clean_eval_signals,
     default_profiles,
     stratified_split_indices,
 )
@@ -66,12 +65,10 @@ def snr_trend(default_corpus, default_trigger):
             )
             train_signals, _ = build_corpus(cfg)
         train_table = table_from_signals(train_signals, default_trigger)
-        clean = clean_eval_signals(cfg)
-        labels = [sig.signal_class for sig, _ in clean]
-        picked = balanced_indices(labels, 200, stage_seed(cfg.master_seed, "balanced"))
         tables[seed] = sweep_snr(
             train_table,
-            [clean[i] for i in picked],
+            cfg,
+            balanced_eval_plan(cfg, 200, stage_seed(cfg.master_seed, "balanced")),
             k_grid=[100, 200],
             snr_grid=SNR_GRID,
             trigger=default_trigger,

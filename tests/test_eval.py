@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from rfsentry import evaluate
 from rfsentry.errors import ConfigError, RfSentryError
 from rfsentry.evaluate import (
     ConfusionMatrix,
@@ -26,9 +27,17 @@ from rfsentry.evaluate import (
 from rfsentry.features import FeatureTable, fingerprint
 from rfsentry.lof import Label, fit
 from rfsentry.signals import SignalClass, TriggerConfig, add_awgn
-from rfsentry.synth import balanced_indices, build_corpus, clean_eval_signals
+from rfsentry.synth import (
+    CorpusConfig,
+    balanced_eval_plan,
+    balanced_indices,
+    build_corpus,
+    default_profiles,
+    gen_burst,
+    noise_seed,
+)
 
-from .conftest import table_from_signals
+from .conftest import table_from_signals, traced_peak
 
 REC, UAV = SignalClass.RECOGNIZED, SignalClass.UAV
 IN, OUT = Label.INLIER, Label.OUTLIER
@@ -184,18 +193,17 @@ def mini_sweep_parts(mini_cfg):
     trigger = TriggerConfig(capture_len=mini_cfg.capture_len)
     train, evaluation = build_corpus(mini_cfg)
     train_table = table_from_signals(train, trigger)
-    clean = clean_eval_signals(mini_cfg)
     labels = [s.signal_class for s in evaluation]
     idx = balanced_indices(labels, per_class=10, seed=77)
-    balanced_clean = [clean[i] for i in idx]
+    plan = [mini_cfg.eval_plan()[i] for i in idx]
     balanced_stored = [evaluation[i] for i in idx]
-    return mini_cfg, trigger, train_table, balanced_clean, balanced_stored
+    return mini_cfg, trigger, train_table, plan, balanced_stored
 
 
 def test_sweep_snr_training_cell_matches_direct_scoring(mini_sweep_parts):
     """The 30 dB sweep cell must reproduce scoring of the stored corpus."""
-    cfg, trigger, train_table, balanced_clean, balanced_stored = mini_sweep_parts
-    table = sweep_snr(train_table, balanced_clean, k_grid=[5],
+    cfg, trigger, train_table, plan, balanced_stored = mini_sweep_parts
+    table = sweep_snr(train_table, cfg, plan, k_grid=[5],
                       snr_grid=[cfg.snr_db], trigger=trigger)
     model = fit(train_table.matrix, k=5)
     stored_table = table_from_signals(balanced_stored, trigger)
@@ -206,9 +214,9 @@ def test_sweep_snr_training_cell_matches_direct_scoring(mini_sweep_parts):
 
 def test_sweep_snr_cells_never_stack_noise(mini_sweep_parts):
     # adding more grid points must not perturb an existing cell
-    cfg, trigger, train_table, balanced_clean, _ = mini_sweep_parts
-    lone = sweep_snr(train_table, balanced_clean, [5], [cfg.snr_db], trigger)
-    stacked = sweep_snr(train_table, balanced_clean, [5], [10.0, cfg.snr_db], trigger)
+    cfg, trigger, train_table, plan, _ = mini_sweep_parts
+    lone = sweep_snr(train_table, cfg, plan, [5], [cfg.snr_db], trigger)
+    stacked = sweep_snr(train_table, cfg, plan, [5], [10.0, cfg.snr_db], trigger)
     assert stacked.accuracy_at(float(cfg.snr_db), 5) == lone.accuracy_at(
         float(cfg.snr_db), 5
     )
@@ -216,16 +224,16 @@ def test_sweep_snr_cells_never_stack_noise(mini_sweep_parts):
 
 
 def test_sweep_snr_constant_outlier_scores_half_on_balanced_set(mini_sweep_parts):
-    cfg, trigger, train_table, balanced_clean, _ = mini_sweep_parts
-    table = sweep_snr(train_table, balanced_clean, [5], [cfg.snr_db], trigger,
+    cfg, trigger, train_table, plan, _ = mini_sweep_parts
+    table = sweep_snr(train_table, cfg, plan, [5], [cfg.snr_db], trigger,
                       threshold=0.0)  # every score exceeds 0 -> all flagged
     assert table.accuracy_at(float(cfg.snr_db), 5) == 0.5
 
 
 def test_sweep_snr_parallel_matches_serial(mini_sweep_parts):
-    cfg, trigger, train_table, balanced_clean, _ = mini_sweep_parts
-    serial = sweep_snr(train_table, balanced_clean, [5], [14.0, cfg.snr_db], trigger)
-    parallel = sweep_snr(train_table, balanced_clean, [5], [14.0, cfg.snr_db],
+    cfg, trigger, train_table, plan, _ = mini_sweep_parts
+    serial = sweep_snr(train_table, cfg, plan, [5], [14.0, cfg.snr_db], trigger)
+    parallel = sweep_snr(train_table, cfg, plan, [5], [14.0, cfg.snr_db],
                          trigger, jobs=2)
     assert serial == parallel
 
@@ -233,23 +241,60 @@ def test_sweep_snr_parallel_matches_serial(mini_sweep_parts):
 def test_sweep_snr_identical_for_any_burst_chunking(mini_sweep_parts):
     # 20 bursts split into chunks of 10/10 and 6/7/7: every burst's noise is
     # drawn in its own worker, so the chunking must not show in the table
-    cfg, trigger, train_table, balanced_clean, _ = mini_sweep_parts
-    assert len(balanced_clean) % 3 != 0
+    cfg, trigger, train_table, plan, _ = mini_sweep_parts
+    assert len(plan) % 3 != 0
     tables = [
-        sweep_snr(train_table, balanced_clean, [3, 5], [6.0, 14.0, cfg.snr_db], trigger,
+        sweep_snr(train_table, cfg, plan, [3, 5], [6.0, 14.0, cfg.snr_db], trigger,
                   jobs=jobs)
         for jobs in (1, 2, 3)
     ]
     assert tables[0] == tables[1] == tables[2]
 
 
-def test_sweep_snr_rejects_bad_inputs_on_the_noise_path(mini_sweep_parts):
-    cfg, trigger, train_table, balanced_clean, _ = mini_sweep_parts
+def test_sweep_snr_rejects_bad_inputs_on_the_noise_path(mini_sweep_parts, monkeypatch):
+    cfg, trigger, train_table, plan, _ = mini_sweep_parts
     with pytest.raises(ValueError, match="jobs must be at least 1"):
-        sweep_snr(train_table, balanced_clean, [5], [30.0], trigger, jobs=0)
-    silent = replace(balanced_clean[0][0], samples=np.zeros(len(balanced_clean[0][0])))
+        sweep_snr(train_table, cfg, plan, [5], [30.0], trigger, jobs=0)
+
+    def first_burst_silent(profile, index, burst_cfg):
+        burst = gen_burst(profile, index, burst_cfg)
+        if (profile, index) != plan[0]:
+            return burst
+        return replace(burst, samples=np.zeros(len(burst)))
+
+    monkeypatch.setattr(evaluate, "gen_burst", first_burst_silent)
     with pytest.raises(RfSentryError, match="cannot set an SNR on an all-zero signal"):
-        sweep_snr(train_table, [(silent, 1)] + balanced_clean[1:], [5], [30.0], trigger)
+        sweep_snr(train_table, cfg, plan, [5], [30.0], trigger)
+
+
+def test_sweep_snr_regenerates_only_the_planned_bursts(mini_sweep_parts, monkeypatch):
+    cfg, trigger, train_table, plan, _ = mini_sweep_parts
+    calls = []
+    monkeypatch.setattr(evaluate, "gen_burst",
+                        lambda profile, index, c: calls.append((profile, index, c.snr_db))
+                        or gen_burst(profile, index, c))
+    sweep_snr(train_table, cfg, plan, [5], [14.0, cfg.snr_db], trigger)
+    # each planned burst once, clean, whatever the grid size
+    assert calls == [(profile, index, math.inf) for profile, index in plan]
+
+
+def test_sweep_snr_holds_one_burst_at_a_time():
+    # bursts long enough (147 KB each) to stand out from the fingerprint and
+    # LOF temporaries: 22 more bursts held at once would add ~3.2 MB
+    capture_len = 16384
+    cfg = CorpusConfig(profiles=default_profiles(capture_len), signals_per_device=12,
+                       capture_len=capture_len, master_seed=3)
+    trigger = TriggerConfig(capture_len=capture_len)
+    rows = np.random.default_rng(8).standard_normal((40, 4))
+    train = FeatureTable.from_rows([("d", REC, 30.0, row) for row in rows])
+    small, large = (balanced_eval_plan(cfg, per_class, seed=1) for per_class in (2, 13))
+    assert len(large) - len(small) >= 20
+
+    def peak(plan):
+        return traced_peak(lambda: sweep_snr(train, cfg, plan, [5], [12.0, 30.0], trigger))
+
+    peak(small)  # one-time allocations (caches, lazy imports) stay out of the comparison
+    assert peak(large) - peak(small) < 2 * cfg.burst_len * 8
 
 
 def _accuracy_by_refit(train_table, matrix, truth, k, metric):
@@ -261,7 +306,7 @@ def _accuracy_by_refit(train_table, matrix, truth, k, metric):
 
 @pytest.mark.parametrize("metric", ["manhattan", "euclidean"])
 def test_sweeps_share_tables_without_changing_cells(mini_sweep_parts, metric):
-    cfg, trigger, train_table, balanced_clean, balanced_stored = mini_sweep_parts
+    cfg, trigger, train_table, plan, balanced_stored = mini_sweep_parts
     ks = [2, 3, 5, 8, 13]
     stored = table_from_signals(balanced_stored, trigger)
     validation, test = stored.select(range(0, 20, 2)), stored.select(range(1, 20, 2))
@@ -275,12 +320,15 @@ def test_sweeps_share_tables_without_changing_cells(mini_sweep_parts, metric):
     ))
 
     snrs = [8.0, 18.0, float(cfg.snr_db)]
-    swept = sweep_snr(train_table, balanced_clean, ks, snrs, trigger, metric=metric)
-    truth = [sig.signal_class for sig, _ in balanced_clean]
+    swept = sweep_snr(train_table, cfg, plan, ks, snrs, trigger, metric=metric)
+    clean_cfg = replace(cfg, snr_db=math.inf)
+    clean = [(gen_burst(profile, index, clean_cfg), noise_seed(cfg, profile, index))
+             for profile, index in plan]
+    truth = [sig.signal_class for sig, _ in clean]
     expected = []
     for snr in snrs:
         matrix = np.array([fingerprint(add_awgn(sig, snr, seed), trigger)
-                           for sig, seed in balanced_clean])
+                           for sig, seed in clean])
         expected += [SweepRow(snr, k, None,
                               _accuracy_by_refit(train_table, matrix, truth, k, metric))
                      for k in ks]
@@ -288,13 +336,13 @@ def test_sweeps_share_tables_without_changing_cells(mini_sweep_parts, metric):
 
 
 def test_sweep_snr_validation(mini_sweep_parts):
-    cfg, trigger, train_table, balanced_clean, _ = mini_sweep_parts
+    cfg, trigger, train_table, plan, _ = mini_sweep_parts
     with pytest.raises(ValueError):
-        sweep_snr(train_table, balanced_clean, [], [30.0], trigger)
+        sweep_snr(train_table, cfg, plan, [], [30.0], trigger)
     with pytest.raises(ValueError):
-        sweep_snr(train_table, balanced_clean, [5], [], trigger)
+        sweep_snr(train_table, cfg, plan, [5], [], trigger)
     with pytest.raises(RfSentryError, match="balanced evaluation set is empty"):
-        sweep_snr(train_table, [], [5], [30.0], trigger)
+        sweep_snr(train_table, cfg, [], [5], [30.0], trigger)
 
 
 # -- report files -------------------------------------------------------------

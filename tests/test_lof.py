@@ -1,7 +1,6 @@
 """Local Outlier Factor: distances, fit/score/labels, memory, persistence."""
 
 import threading
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,6 +19,7 @@ from rfsentry.lof import (
     score_grid,
 )
 
+from .conftest import traced_peak
 from .oracles import brute_lof_scores
 
 
@@ -54,6 +54,11 @@ def test_distance_dimension_mismatch():
         fit(np.eye(4), k=1, metric="manhattan").score_batch(np.zeros(3))
     with pytest.raises(ConfigError, match="query dimension 5 != model dimension 2"):
         fit(np.eye(2) * 3.0, k=1, metric="euclidean").score_batch(np.zeros(5))
+    # a third axis is its own error, whether or not the last axis fits the model
+    for shape in ((2, 4, 4), (2, 2, 4)):
+        with pytest.raises(ConfigError,
+                           match="queries must be one row or a 2-D array, got 3 dimensions"):
+            fit(np.eye(4), k=1).score_batch(np.zeros(shape))
 
 
 def test_metric_axioms_on_random_triples():
@@ -330,15 +335,6 @@ def test_helpers_stay_quiet_under_the_callers_errstate(monkeypatch):
         warnings.simplefilter("error")
         with np.errstate(all="ignore"):
             fit(train, k=3, standardize=False).score_batch(queries)
-
-
-def traced_peak(fn):
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 # one (block, n) float64 distance slab, whatever n is

@@ -1,6 +1,7 @@
 """Synthetic corpus generation and split protocol."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,10 +13,9 @@ from rfsentry.synth import (
     CorpusConfig,
     DeviceKind,
     DeviceProfile,
-    balanced_clean_eval,
+    balanced_eval_plan,
     balanced_indices,
     build_corpus,
-    clean_eval_signals,
     default_profiles,
     gen_burst,
     noise_seed,
@@ -186,15 +186,17 @@ def test_build_corpus_regeneration_is_bit_identical():
         assert np.array_equal(x.samples, y.samples)
 
 
-def test_clean_eval_signals_reproduce_corpus_noise():
-    """Re-noising a clean eval burst with its paired seed reproduces the corpus."""
+def test_clean_bursts_reproduce_corpus_noise():
+    """Re-noising a clean eval burst with its noise seed reproduces the corpus."""
     cfg = small_cfg()
     _, evaluation = build_corpus(cfg)
-    clean = clean_eval_signals(cfg)
-    assert len(clean) == len(evaluation)
-    for stored, (ref, seed) in zip(evaluation, clean):
+    plan = cfg.eval_plan()
+    assert len(plan) == len(evaluation)
+    clean_cfg = replace(cfg, snr_db=math.inf)
+    for stored, (profile, index) in zip(evaluation, plan):
+        ref = gen_burst(profile, index, clean_cfg)
         assert ref.snr_db is None
-        renoised = add_awgn(ref, cfg.snr_db, seed)
+        renoised = add_awgn(ref, cfg.snr_db, noise_seed(cfg, profile, index))
         assert np.array_equal(renoised.samples, stored.samples)
         assert ref.device_id == stored.device_id
 
@@ -256,18 +258,17 @@ def test_balanced_indices():
             balanced_indices(labels, per_class, seed=6)
 
 
-def test_balanced_clean_eval_regenerates_only_the_picked_bursts(mini_cfg, monkeypatch):
-    clean = clean_eval_signals(mini_cfg)
-    picked = balanced_indices([sig.signal_class for sig, _ in clean], 10, seed=8)
+def test_balanced_eval_plan_picks_without_generating(mini_cfg, monkeypatch):
+    # the picks are balanced_indices over the generated evaluation split
+    _, evaluation = build_corpus(mini_cfg)
+    picked = balanced_indices([sig.signal_class for sig in evaluation], 10, seed=8)
     calls = []
     monkeypatch.setattr(synth, "gen_burst", lambda *a: calls.append(a) or gen_burst(*a))
-    balanced = balanced_clean_eval(mini_cfg, 10, seed=8)
-    assert len(calls) == len(picked)
-    assert len(balanced) == len(picked) == 20
-    for (got, got_seed), (want, want_seed) in zip(balanced, [clean[i] for i in picked]):
-        assert got_seed == want_seed
-        assert got.device_id == want.device_id and got.snr_db is None
-        assert np.array_equal(got.samples, want.samples)
+    plan = balanced_eval_plan(mini_cfg, 10, seed=8)
+    assert calls == []
+    assert plan == [mini_cfg.eval_plan()[i] for i in picked]
+    assert len(plan) == 20
+    assert [p.name for p, _ in plan] == [evaluation[i].device_id for i in picked]
 
 
 def test_split_rule_matches_the_corpus(mini_cfg):
