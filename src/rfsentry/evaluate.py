@@ -10,16 +10,14 @@ whole k grid with one ``lof.fit_grid`` call and score each query set for
 every k with one ``lof.score_grid`` call, so each distance is computed
 once. The SNR sweep streams its bursts: ``seeding.map_chunks`` hands each
 worker process a chunk of (profile, burst index) pairs, and the worker
-generates, re-noises and fingerprints its own bursts one at a time. A
-burst's unit noise is drawn and its power taken once, then scaled to every
-grid SNR before fingerprinting, and the burst is dropped before the next,
-so memory holds one burst per worker.
+fingerprints what ``synth.gen_bursts`` yields for each pair at every grid
+SNR, one burst at a time, so memory holds one burst per worker. The noise
+recipe itself lives in ``synth.gen_bursts`` alone.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,15 +26,8 @@ from .errors import ConfigError, RfSentryError
 from .features import FeatureTable, fingerprint
 from .lof import Label, LofModel, Metric, fit_grid, score_grid
 from .seeding import map_chunks
-from .signals import (
-    SignalClass,
-    TriggerConfig,
-    _fmt,
-    _scaled_noise,
-    _write_csv,
-    mean_power,
-)
-from .synth import CorpusConfig, DeviceProfile, gen_burst, noise_seed
+from .signals import SignalClass, TriggerConfig, _fmt, _write_csv
+from .synth import CorpusConfig, DeviceProfile, gen_bursts
 
 
 @dataclass(frozen=True)
@@ -175,22 +166,12 @@ def _snr_fingerprints(
 ) -> list[np.ndarray]:
     """Each planned burst's (len(snrs), 4) fingerprints, one row per grid SNR.
 
-    One burst at a time is regenerated clean, re-noised and fingerprinted,
-    and dropped before the next. The noise seed does not depend on the SNR,
-    so each burst's unit noise is drawn and its power taken once, and only
-    the scale changes per SNR.
+    ``gen_bursts`` yields one burst at a time at each grid SNR; it is done
+    with, and dropped, before the next planned burst is generated.
     """
-    clean_cfg = replace(cfg, snr_db=math.inf)
-    out = []
-    for profile, index in plan:
-        sig = gen_burst(profile, index, clean_cfg)
-        power = mean_power(sig)
-        seed = noise_seed(cfg, profile, index)
-        unit_noise = np.random.default_rng(seed).standard_normal(len(sig))
-        out.append(np.array([fingerprint(_scaled_noise(sig, power, snr, unit_noise), trigger)
-                             for snr in snrs]))
-        del sig, unit_noise
-    return out
+    return [np.array([fingerprint(sig, trigger)
+                      for sig in gen_bursts(profile, index, cfg, snrs)])
+            for profile, index in plan]
 
 
 def sweep_snr(
@@ -208,9 +189,9 @@ def sweep_snr(
     """Accuracy of the training-SNR model on re-noised evaluation bursts.
 
     ``plan`` names the (profile, burst index) evaluation bursts of corpus
-    ``cfg`` to score. Each is regenerated clean and re-noised from clean at
-    every grid SNR, so cells never stack noise, and its noise is drawn once
-    and scaled to every grid SNR. Models are fitted once per k on the
+    ``cfg`` to score. ``synth.gen_bursts`` regenerates each one at every
+    grid SNR from its clean trace, so cells never stack noise, and draws its
+    noise once. Models are fitted once per k on the
     (training-SNR) feature table, from one training distance table, and
     reused across SNR cells; each SNR matrix gets one distance table, shared
     by every k. ``jobs`` caps the worker processes, each generating and

@@ -126,7 +126,7 @@ def rank_features(matrix: np.ndarray) -> list[int]:
 
 def fingerprint(signal: Signal, cfg: TriggerConfig) -> np.ndarray:
     """Full per-signal pipeline: trigger capture -> packet matrix -> the (4,) row variances."""
-    return sample_variance(packet_coefficients(extract_transient(signal, cfg).samples))
+    return sample_variance(packet_coefficients(extract_transient(signal, cfg)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Sampled-signal data model, SNR math, and transient extraction.
 
-A :class:`Signal` is a real-valued burst capture. The energy trigger in
-:func:`extract_transient` emulates an oscilloscope that idles below an
+A :class:`Signal` is a real-valued burst and its metadata, built once per
+burst by the code that makes it (``synth.gen_bursts``, :func:`load_signal`);
+the noise and capture steps below it pass plain sample arrays. The trigger
+of :func:`extract_transient` emulates an oscilloscope that idles below an
 energy threshold and starts capturing once a sliding window reaches it.
 """
 
@@ -37,8 +39,7 @@ class Signal:
     """Immutable real-valued RF burst with provenance metadata.
 
     ``snr_db`` is the nominal SNR the trace was degraded to; ``None`` marks
-    a clean (noiseless) reference. ``padded`` flags a capture whose tail was
-    zero-filled by the trigger extractor.
+    a clean (noiseless) reference.
     """
 
     samples: np.ndarray
@@ -46,7 +47,6 @@ class Signal:
     device_id: str = ""
     signal_class: SignalClass = SignalClass.RECOGNIZED
     snr_db: float | None = None
-    padded: bool = False
 
     def __post_init__(self) -> None:
         samples = np.asarray(self.samples, dtype=np.float64)
@@ -80,21 +80,24 @@ class TriggerConfig:
             raise ConfigError("window_len must not exceed capture_len")
 
 
-def mean_power(signal: Signal) -> float:
-    """Mean-square power (1/N) * sum(x^2)."""
-    x = signal.samples
+def mean_power(x: np.ndarray) -> float:
+    """Mean-square power (1/N) * sum(x^2) of a sample array."""
     return float(np.mean(x * x))
 
 
 def add_awgn(signal: Signal, target_snr_db: float, seed: int) -> Signal:
     """Add zero-mean Gaussian noise so the trace reaches ``target_snr_db``.
 
-    Noise variance is mean_power(signal) / 10^(snr/10). A target of +inf is
-    the documented no-noise sentinel and returns the input unchanged.
+    Noise variance is mean_power(samples) / 10^(snr/10). A target of +inf is
+    the documented no-noise sentinel and returns the input itself.
     Bit-identical output for a fixed (signal, target, seed).
     """
-    unit_noise = np.random.default_rng(seed).standard_normal(signal.samples.size)
-    return _scaled_noise(signal, mean_power(signal), target_snr_db, unit_noise)
+    x = signal.samples
+    unit_noise = np.random.default_rng(seed).standard_normal(x.size)
+    noisy = _scaled_noise(x, mean_power(x), target_snr_db, unit_noise)
+    if noisy is x:  # the +inf sentinel
+        return signal
+    return replace(signal, samples=noisy, snr_db=float(target_snr_db))
 
 
 def snr_power_ratio(snr_db: float) -> float:
@@ -113,24 +116,25 @@ def snr_power_ratio(snr_db: float) -> float:
 
 
 def _scaled_noise(
-    signal: Signal, power: float, target_snr_db: float, unit_noise: np.ndarray
-) -> Signal:
-    """``signal`` plus ``unit_noise`` scaled to reach ``target_snr_db``.
+    x: np.ndarray, power: float, target_snr_db: float, unit_noise: np.ndarray | None
+) -> np.ndarray:
+    """Samples ``x`` plus ``unit_noise`` scaled to reach ``target_snr_db``.
 
-    ``power`` is ``mean_power(signal)``. numpy defines ``normal(0.0, s, n)``
-    as ``0.0 + s * standard_normal``, so one unit draw per seed, scaled here,
+    ``power`` is ``mean_power(x)``. At +inf the result is ``x`` itself and
+    ``unit_noise`` is not read. numpy defines ``normal(0.0, s, n)`` as
+    ``0.0 + s * standard_normal``, so one unit draw per seed, scaled here,
     equals ``default_rng(seed).normal(0.0, s, n)`` bit for bit at every SNR.
     """
-    if math.isinf(target_snr_db) and target_snr_db > 0:
-        return signal
+    if target_snr_db == math.inf:
+        return x
     if power == 0.0:
         raise RfSentryError("cannot set an SNR on an all-zero signal")
     noise_std = math.sqrt(power / snr_power_ratio(target_snr_db))
     if not math.isfinite(noise_std):
         raise ConfigError(f"an SNR of {target_snr_db} dB is out of range")
     noisy = noise_std * unit_noise
-    noisy += signal.samples  # addition commutes exactly; this saves a temporary
-    return replace(signal, samples=noisy, snr_db=float(target_snr_db))
+    noisy += x  # addition commutes exactly; this saves a temporary
+    return noisy
 
 
 def _window_energies(x: np.ndarray, window_len: int) -> np.ndarray:
@@ -151,12 +155,11 @@ def find_trigger(signal: Signal, cfg: TriggerConfig) -> int:
     return int(hits[0])
 
 
-def extract_transient(signal: Signal, cfg: TriggerConfig) -> Signal:
-    """Capture ``capture_len`` samples from the first triggering window.
+def extract_transient(signal: Signal, cfg: TriggerConfig) -> np.ndarray:
+    """The ``(capture_len,)`` samples from the first triggering window on.
 
-    If the trace ends before the capture is full, the tail is zero-padded and
-    the result is flagged ``padded`` so fixed-length inputs reach the wavelet
-    stage regardless.
+    If the trace ends before the capture is full, the tail is zero-filled so
+    fixed-length inputs reach the wavelet stage regardless.
     """
     x = signal.samples
     if x.size < cfg.capture_len:
@@ -165,10 +168,9 @@ def extract_transient(signal: Signal, cfg: TriggerConfig) -> Signal:
         )
     start = find_trigger(signal, cfg)
     chunk = x[start : start + cfg.capture_len]
-    padded = chunk.size < cfg.capture_len
-    if padded:
+    if chunk.size < cfg.capture_len:
         chunk = np.concatenate([chunk, np.zeros(cfg.capture_len - chunk.size)])
-    return replace(signal, samples=chunk, padded=padded)
+    return chunk
 
 
 # ---------------------------------------------------------------------------

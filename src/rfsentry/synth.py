@@ -12,8 +12,9 @@ wavelet-packet variances measure:
 * UAV-controller-like: fast-hopping tone, high band, sharp ramp.
 
 Generation is purely seed-driven: every random draw derives from
-(master_seed, device_seed, index), so corpora regenerate bit-identically
-and noise can be re-applied to clean bursts at any SNR later.
+(master_seed, device_seed, index), so corpora regenerate bit-identically.
+``gen_bursts`` is the one recipe for "burst b at SNR s", at many SNRs from
+one clean trace and one noise draw; ``gen_burst`` is its corpus-SNR case.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -36,7 +38,8 @@ from .signals import (
     Signal,
     SignalClass,
     _json_fields,
-    add_awgn,
+    _scaled_noise,
+    mean_power,
     snr_power_ratio,
 )
 
@@ -281,12 +284,15 @@ def _multitone_waveform(profile: DeviceProfile, n: int, rng: np.random.Generator
     return w
 
 
-def gen_burst(profile: DeviceProfile, index: int, cfg: CorpusConfig) -> Signal:
-    """One deterministic burst: quiet lead-in, ramp, steady carrier, AWGN.
+def gen_bursts(
+    profile: DeviceProfile, index: int, cfg: CorpusConfig, snrs: Sequence[float]
+) -> Iterator[Signal]:
+    """The burst at each SNR of ``snrs``, in order; +inf is the clean trace (``snr_db=None``).
 
-    Draw order inside the generator is fixed, so outputs are bit-identical
-    for the same (master_seed, device_seed, index) regardless of batch size
-    or worker count.
+    The trace is a quiet lead-in, a ramp and a steady carrier, drawn in a
+    fixed order from (master_seed, device_seed, index). Its unit noise is
+    drawn once from ``noise_seed``, which does not depend on the SNR, and
+    scaled to each SNR, so each burst equals the corpus burst at that SNR.
     """
     rng = np.random.default_rng(
         derive_seed(cfg.master_seed, profile.device_seed, index, "burst")
@@ -304,16 +310,21 @@ def gen_burst(profile: DeviceProfile, index: int, cfg: CorpusConfig) -> Signal:
     envelope[:rise] = np.arange(1, rise + 1) / rise
     trace = np.concatenate([np.zeros(cfg.lead_len), amplitude * envelope * w])
 
-    clean = Signal(
-        samples=trace,
-        sample_rate=DEFAULT_SAMPLE_RATE,
-        device_id=profile.name,
-        signal_class=profile.signal_class,
-        snr_db=None,
-    )
-    if math.isinf(cfg.snr_db):
-        return clean
-    return add_awgn(clean, cfg.snr_db, noise_seed(cfg, profile, index))
+    power = mean_power(trace)
+    unit_noise = None
+    if any(snr != math.inf for snr in snrs):  # a clean burst draws no noise
+        noise_rng = np.random.default_rng(noise_seed(cfg, profile, index))
+        unit_noise = noise_rng.standard_normal(trace.size)
+    for snr in snrs:
+        yield Signal(samples=_scaled_noise(trace, power, snr, unit_noise),
+                     sample_rate=DEFAULT_SAMPLE_RATE, device_id=profile.name,
+                     signal_class=profile.signal_class,
+                     snr_db=None if snr == math.inf else float(snr))
+
+
+def gen_burst(profile: DeviceProfile, index: int, cfg: CorpusConfig) -> Signal:
+    """The corpus burst: ``gen_bursts`` at the corpus SNR."""
+    return next(gen_bursts(profile, index, cfg, [cfg.snr_db]))
 
 
 def noise_seed(cfg: CorpusConfig, profile: DeviceProfile, index: int) -> int:

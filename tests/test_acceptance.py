@@ -250,7 +250,7 @@ def test_c10_feature_invariants():
 def test_c11_variance_columns_rank_in_top_eight(default_corpus, default_trigger):
     cfg, train, evaluation = default_corpus
     rows = [
-        stats_row(packet_coefficients(extract_transient(s, default_trigger).samples))
+        stats_row(packet_coefficients(extract_transient(s, default_trigger)))
         for s in train + evaluation
     ]
     ranking = rank_features(np.array(rows))

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rfsentry import evaluate
+from rfsentry import evaluate, synth
 from rfsentry.errors import ConfigError, RfSentryError
 from rfsentry.evaluate import (
     ConfusionMatrix,
@@ -34,6 +34,7 @@ from rfsentry.synth import (
     build_corpus,
     default_profiles,
     gen_burst,
+    gen_bursts,
     noise_seed,
 )
 
@@ -256,13 +257,15 @@ def test_sweep_snr_rejects_bad_inputs_on_the_noise_path(mini_sweep_parts, monkey
     with pytest.raises(ValueError, match="jobs must be at least 1"):
         sweep_snr(train_table, cfg, plan, [5], [30.0], trigger, jobs=0)
 
-    def first_burst_silent(profile, index, burst_cfg):
-        burst = gen_burst(profile, index, burst_cfg)
-        if (profile, index) != plan[0]:
-            return burst
-        return replace(burst, samples=np.zeros(len(burst)))
+    def first_burst_silent(profile, index, burst_cfg, snrs):
+        # the real generator, with the first planned burst's carrier at zero
+        # amplitude, so the failure comes from the noise recipe itself
+        with monkeypatch.context() as m:
+            if (profile, index) == plan[0]:
+                m.setattr(synth, "BASE_AMPLITUDE", 0.0)
+            yield from gen_bursts(profile, index, burst_cfg, snrs)
 
-    monkeypatch.setattr(evaluate, "gen_burst", first_burst_silent)
+    monkeypatch.setattr(evaluate, "gen_bursts", first_burst_silent)
     with pytest.raises(RfSentryError, match="cannot set an SNR on an all-zero signal"):
         sweep_snr(train_table, cfg, plan, [5], [30.0], trigger)
 
@@ -270,12 +273,12 @@ def test_sweep_snr_rejects_bad_inputs_on_the_noise_path(mini_sweep_parts, monkey
 def test_sweep_snr_regenerates_only_the_planned_bursts(mini_sweep_parts, monkeypatch):
     cfg, trigger, train_table, plan, _ = mini_sweep_parts
     calls = []
-    monkeypatch.setattr(evaluate, "gen_burst",
-                        lambda profile, index, c: calls.append((profile, index, c.snr_db))
-                        or gen_burst(profile, index, c))
-    sweep_snr(train_table, cfg, plan, [5], [14.0, cfg.snr_db], trigger)
-    # each planned burst once, clean, whatever the grid size
-    assert calls == [(profile, index, math.inf) for profile, index in plan]
+    monkeypatch.setattr(evaluate, "gen_bursts",
+                        lambda profile, index, c, snrs: calls.append((profile, index, snrs))
+                        or gen_bursts(profile, index, c, snrs))
+    sweep_snr(train_table, cfg, plan, [5], [cfg.snr_db, 14.0], trigger)
+    # each planned burst once, at every grid SNR in ascending order
+    assert calls == [(profile, index, [14.0, float(cfg.snr_db)]) for profile, index in plan]
 
 
 def test_sweep_snr_holds_one_burst_at_a_time():

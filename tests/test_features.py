@@ -178,7 +178,7 @@ def test_fingerprint_pipeline_composition():
     s = Signal(samples=burst, sample_rate=1.0)
     cfg = TriggerConfig(window_len=16, energy_threshold=0.2, capture_len=512)
     fv = fingerprint(s, cfg)
-    packets = packet_coefficients(extract_transient(s, cfg).samples)
+    packets = packet_coefficients(extract_transient(s, cfg))
     assert fv.dtype == np.float64 and fv.shape == (4,)
     assert fv.tolist() == [float(sample_variance(pk)) for pk in packets]
 

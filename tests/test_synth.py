@@ -8,7 +8,14 @@ import pytest
 
 from rfsentry import synth
 from rfsentry.errors import ConfigError, RfSentryError
-from rfsentry.signals import SignalClass, TriggerConfig, add_awgn, extract_transient, mean_power
+from rfsentry.signals import (
+    SignalClass,
+    TriggerConfig,
+    add_awgn,
+    extract_transient,
+    find_trigger,
+    mean_power,
+)
 from rfsentry.synth import (
     CorpusConfig,
     DeviceKind,
@@ -18,6 +25,7 @@ from rfsentry.synth import (
     build_corpus,
     default_profiles,
     gen_burst,
+    gen_bursts,
     noise_seed,
     stratified_split_indices,
 )
@@ -132,16 +140,20 @@ def test_gen_burst_triggers_cleanly():
     cfg = small_cfg()
     trigger = TriggerConfig(window_len=16, energy_threshold=0.05, capture_len=256)
     for p in cfg.profiles:
-        out = extract_transient(gen_burst(p, 2, cfg), trigger)
-        assert len(out) == 256
-        assert not out.padded
+        burst = gen_burst(p, 2, cfg)
+        start = find_trigger(burst, trigger)
+        out = extract_transient(burst, trigger)
+        assert out.shape == (256,)
+        # the whole capture is signal: no zero-filled tail
+        assert start + 256 <= len(burst)
+        assert np.array_equal(out, burst.samples[start : start + 256])
 
 
 def test_gen_burst_steady_state_power_is_normalized():
     # clean bursts share the per-signal amplitude scale (RMS-normalized carrier)
     cfg = small_cfg(snr_db=math.inf)
     powers = [
-        mean_power(gen_burst(p, i, cfg))
+        mean_power(gen_burst(p, i, cfg).samples)
         for p in cfg.profiles
         for i in range(2)
     ]
@@ -199,6 +211,27 @@ def test_clean_bursts_reproduce_corpus_noise():
         renoised = add_awgn(ref, cfg.snr_db, noise_seed(cfg, profile, index))
         assert np.array_equal(renoised.samples, stored.samples)
         assert ref.device_id == stored.device_id
+
+
+@pytest.mark.parametrize("snrs", [
+    [math.inf], [30.0], [6.0, 18.0, 30.0], [18.0, -3.0, math.inf, 30.0, 6.0, 18.0], [],
+], ids=["clean", "corpus", "sorted", "unsorted", "empty"])
+def test_gen_bursts_equal_corpus_bursts_at_each_snr(snrs):
+    # one clean trace and one noise draw per burst give, at every SNR, the
+    # burst a corpus at that SNR would hold
+    cfg = small_cfg()
+    assert cfg.snr_db == 30.0
+    for profile in (cfg.profiles[0], cfg.profiles[2], cfg.profiles[-1]):
+        for index in (0, 5):
+            got = list(gen_bursts(profile, index, cfg, snrs))
+            assert len(got) == len(snrs)
+            for snr, burst in zip(snrs, got):
+                want = gen_burst(profile, index, replace(cfg, snr_db=snr))
+                assert burst.samples.tobytes() == want.samples.tobytes()
+                assert (burst.device_id, burst.signal_class, burst.snr_db,
+                        burst.sample_rate) == (want.device_id, want.signal_class,
+                                               want.snr_db, want.sample_rate)
+                assert burst.snr_db == (None if snr == math.inf else snr)
 
 
 def test_noise_seed_is_snr_independent():
@@ -263,7 +296,7 @@ def test_balanced_eval_plan_picks_without_generating(mini_cfg, monkeypatch):
     _, evaluation = build_corpus(mini_cfg)
     picked = balanced_indices([sig.signal_class for sig in evaluation], 10, seed=8)
     calls = []
-    monkeypatch.setattr(synth, "gen_burst", lambda *a: calls.append(a) or gen_burst(*a))
+    monkeypatch.setattr(synth, "gen_bursts", lambda *a: calls.append(a) or gen_bursts(*a))
     plan = balanced_eval_plan(mini_cfg, 10, seed=8)
     assert calls == []
     assert plan == [mini_cfg.eval_plan()[i] for i in picked]
