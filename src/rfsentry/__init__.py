@@ -7,14 +7,13 @@ novelty score against a recognized-signal reference set.
 
 from .errors import RfSentryError
 from .features import fingerprint, rank_features
-from .lof import Label, LofModel, Metric, fit, fit_grid, score_grid
+from .lof import LofModel, Metric, fit, fit_grid, score_grid
 from .signals import Signal, SignalClass, TriggerConfig, add_awgn, extract_transient
 from .wpt import packet_coefficients
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Label",
     "LofModel",
     "Metric",
     "RfSentryError",

@@ -289,12 +289,11 @@ def cmd_score(args) -> int:
     model = LofModel.load(args.model)
     table = load_feature_csv(args.features)
     scores = model.score_batch(table.matrix)
-    labels = model.labels(scores)
 
     rows = (
-        [device_id, cls.value, _fmt(snr), _fmt(score), label.value]
-        for device_id, cls, snr, score, label in zip(
-            table.device_ids, table.classes, table.snr_db, scores, labels
+        [device_id, cls.value, _fmt(snr), _fmt(score), "outlier" if outlier else "inlier"]
+        for device_id, cls, snr, score, outlier in zip(
+            table.device_ids, table.classes, table.snr_db, scores, model.outliers(scores)
         )
     )
     header = ["device_id", "class", "snr_db", "score", "label"]
@@ -306,7 +305,7 @@ def cmd_score(args) -> int:
 def cmd_eval(args) -> int:
     model = LofModel.load(args.model)
     table = load_feature_csv(args.features)
-    cm = confusion(table.classes, model.labels(model.score_batch(table.matrix)))
+    cm = confusion(table.classes, model.outliers(model.score_batch(table.matrix)))
     m = metrics(cm)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -326,7 +325,7 @@ def cmd_sweep_n(args) -> int:
     test_idx, val_idx = stratified_split_indices(
         ev.classes, args.test_frac, stage_seed(args.seed, "split")
     )
-    table = sweep_neighbors(
+    rows = sweep_neighbors(
         train,
         ev.select(val_idx),
         ev.select(test_idx),
@@ -337,8 +336,8 @@ def cmd_sweep_n(args) -> int:
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _atomic(lambda p: save_neighbors_csv(table, p), out / "neighbors_sweep.csv")
-    chosen = best_k(table)
+    _atomic(lambda p: save_neighbors_csv(rows, p), out / "neighbors_sweep.csv")
+    chosen = best_k(rows)
     log.info("neighbor sweep written; best k by validation accuracy = %d", chosen)
     print(chosen)
     return 0
@@ -351,7 +350,7 @@ def cmd_sweep_snr(args) -> int:
 
     plan = balanced_eval_plan(cfg, args.per_class, stage_seed(cfg.master_seed, "balanced"))
     trigger = TriggerConfig(capture_len=cfg.capture_len)
-    table = sweep_snr(
+    rows = sweep_snr(
         train,
         cfg,
         plan,
@@ -365,9 +364,9 @@ def cmd_sweep_snr(args) -> int:
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _atomic(lambda p: save_snr_csv(table, p), out / "snr_sweep.csv")
-    _atomic(lambda p: render_snr_svg(table, p), out / "snr_sweep.svg")
-    log.info("SNR sweep written: %d cells", len(table.rows))
+    _atomic(lambda p: save_snr_csv(rows, p), out / "snr_sweep.csv")
+    _atomic(lambda p: render_snr_svg(rows, p), out / "snr_sweep.svg")
+    log.info("SNR sweep written: %d cells", len(rows))
     return 0
 
 
@@ -412,7 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--signals-per-device", type=int, default=300,
                    help="bursts per device (default %(default)s)")
     p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="worker processes (default 1; output is identical)")
+                   help="worker processes, at most one per usable CPU "
+                        "(default 1; output is identical)")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("extract", help="manifest of signals -> feature CSV")
@@ -469,10 +469,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-class", type=_positive_int, default=200,
                    help="balanced set size per class (default %(default)s)")
     p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="worker processes that each generate, re-noise and "
-                        "fingerprint their own bursts, one at a time (default 1; "
-                        "output is identical); the LOF threads follow the CPU "
-                        "affinity, not --jobs")
+                   help="worker processes, at most one per usable CPU, that each "
+                        "generate, re-noise and fingerprint their own bursts, one at "
+                        "a time (default 1; output is identical); the LOF threads "
+                        "follow the CPU affinity, not --jobs")
     _add_model_flags(p)
     p.set_defaults(func=cmd_sweep_snr)
 

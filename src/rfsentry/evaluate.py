@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, RfSentryError
 from .features import FeatureTable, fingerprint
-from .lof import Label, LofModel, Metric, fit_grid, score_grid
+from .lof import LofModel, Metric, fit_grid, score_grid
 from .seeding import map_chunks
 from .signals import SignalClass, TriggerConfig, _fmt, _write_csv
 from .synth import CorpusConfig, DeviceProfile, gen_bursts
@@ -51,25 +51,24 @@ class Metrics:
     degenerate: bool = False
 
 
-def confusion(truth: list[SignalClass], pred: list[Label]) -> ConfusionMatrix:
-    """Count outcomes with UAV/outlier as the positive class."""
-    if len(truth) != len(pred):
-        raise ConfigError(f"{len(truth)} truth labels vs {len(pred)} predictions")
+def confusion(truth: list[SignalClass], outlier: np.ndarray) -> ConfusionMatrix:
+    """Count outcomes with UAV/outlier as the positive class.
+
+    ``outlier`` is the boolean decision mask of ``LofModel.outliers``, one
+    entry per truth label.
+    """
+    outlier = np.asarray(outlier)
+    if outlier.shape != (len(truth),):
+        raise ConfigError(f"{len(truth)} truth labels vs {outlier.size} predictions")
     if not truth:
         raise RfSentryError("cannot tally an empty prediction set")
-    tp = tn = fp = fn = 0
-    for t, p in zip(truth, pred):
-        positive_truth = t is SignalClass.UAV
-        positive_pred = p is Label.OUTLIER
-        if positive_truth and positive_pred:
-            tp += 1
-        elif positive_truth:
-            fn += 1
-        elif positive_pred:
-            fp += 1
-        else:
-            tn += 1
-    return ConfusionMatrix(tp=tp, tn=tn, fp=fp, fn=fn)
+    if outlier.dtype != bool:  # scores passed for decisions would all count as outliers
+        raise ConfigError(f"predictions must be a boolean mask, got dtype {outlier.dtype}")
+    uav = np.fromiter((t is SignalClass.UAV for t in truth), dtype=bool, count=len(truth))
+    tp = int(np.count_nonzero(uav & outlier))
+    fn = int(np.count_nonzero(uav)) - tp
+    fp = int(np.count_nonzero(outlier)) - tp
+    return ConfusionMatrix(tp=tp, tn=len(truth) - tp - fn - fp, fp=fp, fn=fn)
 
 
 def metrics(cm: ConfusionMatrix) -> Metrics:
@@ -106,19 +105,8 @@ class SweepRow:
     test_accuracy: float
 
 
-@dataclass(frozen=True)
-class SweepTable:
-    rows: tuple[SweepRow, ...]
-
-    def accuracy_at(self, snr_db: float | None, k: int) -> float:
-        for row in self.rows:
-            if row.snr_db == snr_db and row.k == k:
-                return row.test_accuracy
-        raise ConfigError(f"no sweep cell for snr={snr_db}, k={k}")
-
-
 def _accuracy(model: LofModel, scores: np.ndarray, truth: list[SignalClass]) -> float:
-    return metrics(confusion(truth, model.labels(scores))).accuracy
+    return metrics(confusion(truth, model.outliers(scores))).accuracy
 
 
 def sweep_neighbors(
@@ -129,15 +117,15 @@ def sweep_neighbors(
     metric: Metric | str = Metric.MANHATTAN,
     threshold: float = 1.5,
     standardize: bool = True,
-) -> SweepTable:
-    """Fit one model per neighbor count; report validation and test accuracy.
+) -> tuple[SweepRow, ...]:
+    """Fit one model per neighbor count; report validation and test accuracy, one row per k.
 
     The training, validation and test distance tables are built once and
     shared by every k; each row equals a separate fit + score at that k.
     """
     models = fit_grid(train.matrix, sorted(k_grid), metric, threshold, standardize)
     val_scores, test_scores = (score_grid(models, t.matrix) for t in (validation, test))
-    rows = [
+    return tuple(
         SweepRow(
             snr_db=None,
             k=model.k,
@@ -145,13 +133,12 @@ def sweep_neighbors(
             test_accuracy=_accuracy(model, tst, test.classes),
         )
         for model, val, tst in zip(models, val_scores, test_scores)
-    ]
-    return SweepTable(rows=tuple(rows))
+    )
 
 
-def best_k(table: SweepTable) -> int:
+def best_k(rows: tuple[SweepRow, ...]) -> int:
     """Neighbor count with the highest validation accuracy (ties: smaller k)."""
-    rows = [r for r in table.rows if r.validation_accuracy is not None]
+    rows = [r for r in rows if r.validation_accuracy is not None]
     if not rows:
         raise ConfigError("sweep table has no validation accuracies")
     best = max(rows, key=lambda r: (r.validation_accuracy, -r.k))
@@ -185,8 +172,8 @@ def sweep_snr(
     threshold: float = 1.5,
     standardize: bool = True,
     jobs: int = 1,
-) -> SweepTable:
-    """Accuracy of the training-SNR model on re-noised evaluation bursts.
+) -> tuple[SweepRow, ...]:
+    """Accuracy of the training-SNR model on re-noised evaluation bursts, one row per (SNR, k).
 
     ``plan`` names the (profile, burst index) evaluation bursts of corpus
     ``cfg`` to score. ``synth.gen_bursts`` regenerates each one at every
@@ -196,7 +183,7 @@ def sweep_snr(
     reused across SNR cells; each SNR matrix gets one distance table, shared
     by every k. ``jobs`` caps the worker processes, each generating and
     fingerprinting a contiguous chunk of the plan one burst at a time; the
-    table is identical for any worker count.
+    rows are identical for any worker count.
     """
     if not snr_grid:
         raise ConfigError("snr_grid must be non-empty")
@@ -214,7 +201,7 @@ def sweep_snr(
                      test_accuracy=_accuracy(model, model_scores, truth))
             for model, model_scores in zip(models, scores)
         ]
-    return SweepTable(rows=tuple(rows))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -232,15 +219,15 @@ def save_metrics_csv(m: Metrics, path: str | Path) -> None:
                  int(m.degenerate)]])
 
 
-def save_neighbors_csv(table: SweepTable, path: str | Path) -> None:
+def save_neighbors_csv(rows: tuple[SweepRow, ...], path: str | Path) -> None:
     _write_csv(path, ["k", "val_acc", "test_acc"],
                ([row.k, _fmt(row.validation_accuracy), _fmt(row.test_accuracy)]
-                for row in table.rows))
+                for row in rows))
 
 
-def save_snr_csv(table: SweepTable, path: str | Path) -> None:
+def save_snr_csv(rows: tuple[SweepRow, ...], path: str | Path) -> None:
     _write_csv(path, ["snr_db", "k", "accuracy"],
-               ([_fmt(row.snr_db), row.k, _fmt(row.test_accuracy)] for row in table.rows))
+               ([_fmt(row.snr_db), row.k, _fmt(row.test_accuracy)] for row in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -254,10 +241,10 @@ _SVG_W, _SVG_H = 640, 420
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 60, 130, 24, 48
 
 
-def render_snr_svg(table: SweepTable, path: str | Path) -> None:
+def render_snr_svg(rows: tuple[SweepRow, ...], path: str | Path) -> None:
     """Write the SNR sweep as a standalone SVG (no plotting dependency)."""
-    snrs = sorted({row.snr_db for row in table.rows})
-    ks = sorted({row.k for row in table.rows})
+    snrs = sorted({row.snr_db for row in rows})
+    ks = sorted({row.k for row in rows})
     if not snrs or snrs[0] is None:
         raise ConfigError("SNR plot needs rows with snr_db set")
     x0, x1 = _MARGIN_L, _SVG_W - _MARGIN_R
@@ -309,7 +296,7 @@ def render_snr_svg(table: SweepTable, path: str | Path) -> None:
         color = _PALETTE[i % len(_PALETTE)]
         points = " ".join(
             f"{sx(row.snr_db):.2f},{sy(row.test_accuracy):.2f}"
-            for row in table.rows
+            for row in rows
             if row.k == k
         )
         parts.append(

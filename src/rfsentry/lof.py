@@ -54,7 +54,6 @@ from __future__ import annotations
 import contextvars
 import json
 import math
-import os
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -63,7 +62,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, FormatError
-from .seeding import chunk_bounds
+from .seeding import _usable_cpus, chunk_bounds
 from .signals import _BOOL, _INT, _LIST, _NUMBER, _STRING, _json_document, _json_fields
 
 LRD_EPSILON = 1e-10
@@ -85,11 +84,6 @@ _MODEL_FIELDS = {"k": _INT, "metric": _STRING, "threshold": _NUMBER, "standardiz
 _BLOCK_ELEMENTS = 1 << 16
 
 
-class Label(Enum):
-    INLIER = "inlier"
-    OUTLIER = "outlier"
-
-
 class Metric(Enum):
     MANHATTAN = "manhattan"
     EUCLIDEAN = "euclidean"
@@ -98,14 +92,6 @@ class Metric(Enum):
 def _row_blocks(rows: int, cols: int) -> list[slice]:
     step = max(1, _BLOCK_ELEMENTS // max(cols, 1))
     return [slice(start, min(start + step, rows)) for start in range(0, rows, step)]
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity mask, where the OS has one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def _on_threads(fn, items: list) -> list:
@@ -343,9 +329,12 @@ class LofModel:
         """LOF score of each query against the training reference set."""
         return score_grid([self], queries)[0]
 
-    def labels(self, scores) -> list[Label]:
-        """Decision for each score; a score exactly at the threshold stays an inlier."""
-        return [Label.OUTLIER if s > self.threshold else Label.INLIER for s in scores]
+    def outliers(self, scores) -> np.ndarray:
+        """The boolean outlier mask of ``scores``.
+
+        A score exactly at the threshold, or NaN, stays an inlier.
+        """
+        return np.asarray(scores) > self.threshold
 
     # -- persistence ----------------------------------------------------------
 
@@ -427,10 +416,13 @@ def fit_grid(
     if not ks:
         raise ConfigError("k_grid must be non-empty")
     for k in ks:
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+            raise ConfigError(f"k must be an integer, got {k!r}")
         if k < 1:
             raise ConfigError(f"k must be at least 1, got {k}")
         if len(x) < k + 1:
             raise ConfigError(f"need at least k+1={k + 1} rows, got {len(x)}")
+    ks = [int(k) for k in ks]  # a numpy integer k would not save to JSON
     if math.isnan(threshold):
         raise ConfigError("threshold must be a number, got NaN")
     if standardize:

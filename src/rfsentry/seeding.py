@@ -11,6 +11,7 @@ processes and still give the same result for any worker count.
 from __future__ import annotations
 
 import hashlib
+import os
 
 from .errors import ConfigError
 
@@ -27,6 +28,18 @@ def stage_seed(master_seed: int, stage: str) -> int:
     return derive_seed(master_seed, "stage", stage)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, where the OS has one.
+
+    Both fan-outs read it: ``map_chunks`` starts at most this many worker
+    processes, and the LOF layer runs this many threads.
+    """
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def chunk_bounds(count: int, parts: int) -> list[tuple[int, int]]:
     """The ``(lo, hi)`` bounds of ``parts`` contiguous chunks of ``count`` items, in order.
 
@@ -39,16 +52,19 @@ def chunk_bounds(count: int, parts: int) -> list[tuple[int, int]]:
 
 
 def map_chunks(fn, items: list, jobs: int, *args) -> list:
-    """``fn(items, *args)`` computed over ``jobs`` contiguous chunks of ``items``.
+    """``fn(items, *args)`` computed over at most ``jobs`` contiguous chunks of ``items``.
 
     ``fn`` maps a list to a list with one result per item, so the chunk
-    results, concatenated in order, equal the one-call result. One job runs
-    in-process; more run the chunks on a process pool, so ``fn`` must be a
-    module-level function. Workers are spawned, not forked, because the
-    parent may already run BLAS threads.
+    results, concatenated in order, equal the one-call result. There are no
+    more chunks than usable CPUs, since a spawned pool starts one interpreter
+    for each chunk that finds no idle worker. One chunk runs in-process; more
+    run on a process pool, one worker each, so ``fn`` must be a module-level
+    function. Workers are spawned, not forked, because the parent may already
+    run BLAS threads.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
+    jobs = min(jobs, _usable_cpus())
     if jobs == 1:
         return fn(items, *args)
     import multiprocessing

@@ -376,6 +376,22 @@ def balanced_eval_plan(
     return [plan[i] for i in picked]
 
 
+def _pick_per_class(labels: list[SignalClass], count, seed: int) -> set[int]:
+    """``count(len(members))`` random members of each class present in ``labels``.
+
+    One ``rng.permutation`` per present class, in ``SignalClass`` order, from
+    one generator seeded with ``seed``.
+    """
+    rng = np.random.default_rng(seed)
+    picked: set[int] = set()
+    for cls in SignalClass:
+        members = [i for i, c in enumerate(labels) if c is cls]
+        if members:
+            order = rng.permutation(len(members))
+            picked.update(members[j] for j in order[: count(len(members))])
+    return picked
+
+
 def stratified_split_indices(
     labels: list[SignalClass], test_frac: float, seed: int
 ) -> tuple[list[int], list[int]]:
@@ -384,19 +400,8 @@ def stratified_split_indices(
         raise RfSentryError("cannot split an empty evaluation set")
     if not (0.0 < test_frac < 1.0):
         raise ConfigError(f"test_frac must be in (0, 1), got {test_frac}")
-    rng = np.random.default_rng(seed)
-    test_idx: list[int] = []
-    val_idx: list[int] = []
-    for cls in SignalClass:
-        members = [i for i, c in enumerate(labels) if c is cls]
-        if not members:
-            continue
-        order = rng.permutation(len(members))
-        n_test = round(test_frac * len(members))
-        picked = {members[j] for j in order[:n_test]}
-        test_idx.extend(i for i in members if i in picked)
-        val_idx.extend(i for i in members if i not in picked)
-    return sorted(test_idx), sorted(val_idx)
+    picked = _pick_per_class(labels, lambda size: round(test_frac * size), seed)
+    return sorted(picked), [i for i in range(len(labels)) if i not in picked]
 
 
 def balanced_indices(
@@ -405,15 +410,10 @@ def balanced_indices(
     """Pick per_class members of each class (for the balanced SNR-sweep set)."""
     if per_class < 1:
         raise ConfigError(f"per_class must be at least 1, got {per_class}")
-    rng = np.random.default_rng(seed)
-    chosen: list[int] = []
     for cls in SignalClass:
-        members = [i for i, c in enumerate(labels) if c is cls]
-        if len(members) < per_class:
+        have = sum(c is cls for c in labels)
+        if have < per_class:
             raise ConfigError(
-                f"need {per_class} {cls.value} signals for a balanced set, "
-                f"got {len(members)}"
+                f"need {per_class} {cls.value} signals for a balanced set, got {have}"
             )
-        order = rng.permutation(len(members))
-        chosen.extend(members[j] for j in order[:per_class])
-    return sorted(chosen)
+    return sorted(_pick_per_class(labels, lambda size: per_class, seed))

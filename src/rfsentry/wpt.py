@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import RfSentryError
+from .errors import ConfigError, RfSentryError
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -27,6 +27,8 @@ _SQRT2 = np.sqrt(2.0)
 def packet_coefficients(samples: np.ndarray) -> np.ndarray:
     """The (4, n // 4) packet matrix of a sample array: rows a1, d1, a2, d2."""
     x = np.asarray(samples, dtype=np.float64)
+    if x.ndim != 1:
+        raise ConfigError(f"samples must be a 1-D array, got shape {x.shape}")
     if x.size < 4:
         raise RfSentryError(f"two-level decomposition needs >= 4 samples, got {x.size}")
     x0, x1, x2, x3 = x[: x.size // 4 * 4].reshape(-1, 4).T

@@ -54,7 +54,10 @@ def run_cli(*args):
 
 @pytest.fixture(scope="module")
 def snr_trend(default_corpus, default_trigger):
-    """Balanced-set SNR sweeps (k in {100, 200}) for three corpus seeds."""
+    """Balanced-set SNR sweeps (k in {100, 200}) for three corpus seeds.
+
+    Each seed maps to its ``{(snr_db, k): test_accuracy}`` cells.
+    """
     tables = {}
     for seed in (0, 1, 2):
         if seed == 0:
@@ -65,7 +68,7 @@ def snr_trend(default_corpus, default_trigger):
             )
             train_signals, _ = build_corpus(cfg)
         train_table = table_from_signals(train_signals, default_trigger)
-        tables[seed] = sweep_snr(
+        rows = sweep_snr(
             train_table,
             cfg,
             balanced_eval_plan(cfg, 200, stage_seed(cfg.master_seed, "balanced")),
@@ -73,6 +76,7 @@ def snr_trend(default_corpus, default_trigger):
             snr_grid=SNR_GRID,
             trigger=default_trigger,
         )
+        tables[seed] = {(row.snr_db, row.k): row.test_accuracy for row in rows}
     return tables
 
 
@@ -144,7 +148,7 @@ def test_c05_end_to_end_detection_at_training_snr(default_trigger):
         eval_table.classes, 0.7, stage_seed(0, "split")
     )
     test = eval_table.select(test_idx)
-    accuracy = metrics(confusion(test.classes, model.labels(model.score_batch(test.matrix)))).accuracy
+    accuracy = metrics(confusion(test.classes, model.outliers(model.score_batch(test.matrix)))).accuracy
     elapsed = time.perf_counter() - start
     assert accuracy >= 0.90
     assert elapsed < 120.0
@@ -154,9 +158,9 @@ def test_c06_accuracy_degrades_at_low_snr(snr_trend):
     # k=100: mean accuracy over 24-30 dB beats 10-16 dB by >= 0.05,
     # averaged across the three corpus seeds
     gaps = []
-    for table in snr_trend.values():
-        high = mean(table.accuracy_at(s, 100) for s in HIGH_SNRS)
-        low = mean(table.accuracy_at(s, 100) for s in LOW_SNRS)
+    for cells in snr_trend.values():
+        high = mean(cells[(s, 100)] for s in HIGH_SNRS)
+        low = mean(cells[(s, 100)] for s in LOW_SNRS)
         gaps.append(high - low)
     assert mean(gaps) >= 0.05
 
@@ -165,8 +169,8 @@ def test_c07_more_neighbors_help_at_low_snr(snr_trend):
     # at 12 dB, k=200 >= k=100 in at least 2 of 3 seeds
     wins = sum(
         1
-        for table in snr_trend.values()
-        if table.accuracy_at(12.0, 200) >= table.accuracy_at(12.0, 100)
+        for cells in snr_trend.values()
+        if cells[(12.0, 200)] >= cells[(12.0, 100)]
     )
     assert wins >= 2
 

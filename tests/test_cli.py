@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from rfsentry import cli, lof
+from rfsentry import cli, lof, seeding
 from rfsentry.cli import _atomic, _parse_grid
 from rfsentry.features import load_feature_csv
 
@@ -77,7 +77,7 @@ def test_synth_layout(corpus):
     assert len(list((corpus / "signals").glob("*.rfsg"))) == 120
 
 
-def test_synth_deterministic_across_runs_and_jobs(corpus, tmp_path):
+def test_synth_deterministic_across_runs_and_jobs(corpus, tmp_path, monkeypatch):
     again = tmp_path / "again"
     threaded = tmp_path / "threaded"
     assert run_cli("synth", "--out", again, *SYNTH_ARGS).returncode == 0
@@ -90,9 +90,12 @@ def test_synth_deterministic_across_runs_and_jobs(corpus, tmp_path):
         reference = (corpus / "signals" / sample).read_bytes()
         assert (again / "signals" / sample).read_bytes() == reference
         assert (threaded / "signals" / sample).read_bytes() == reference
-    # 3 chunks of 40 bursts: chunk edges fall inside a device's bursts
+    # 3 chunks of 40 bursts: chunk edges fall inside a device's bursts; in
+    # process with three usable CPUs, so that --jobs 3 is not capped on a
+    # smaller host
     chunked = tmp_path / "chunked"
-    assert run_cli("synth", "--out", chunked, *SYNTH_ARGS, "--jobs", 3).returncode == 0
+    monkeypatch.setattr(seeding, "_usable_cpus", lambda: 3)
+    assert cli.main(["synth", "--out", str(chunked), *map(str, SYNTH_ARGS), "--jobs", "3"]) == 0
     names = sorted(p.relative_to(corpus) for p in corpus.rglob("*") if p.is_file())
     assert names == sorted(p.relative_to(chunked) for p in chunked.rglob("*") if p.is_file())
     for name in names:

@@ -7,12 +7,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rfsentry import evaluate, synth
+from rfsentry import evaluate, seeding, synth
 from rfsentry.errors import ConfigError, RfSentryError
 from rfsentry.evaluate import (
     ConfusionMatrix,
     SweepRow,
-    SweepTable,
     best_k,
     confusion,
     metrics,
@@ -25,7 +24,7 @@ from rfsentry.evaluate import (
     sweep_snr,
 )
 from rfsentry.features import FeatureTable, fingerprint
-from rfsentry.lof import Label, fit
+from rfsentry.lof import fit
 from rfsentry.signals import SignalClass, TriggerConfig, add_awgn
 from rfsentry.synth import (
     CorpusConfig,
@@ -41,7 +40,12 @@ from rfsentry.synth import (
 from .conftest import table_from_signals, traced_peak
 
 REC, UAV = SignalClass.RECOGNIZED, SignalClass.UAV
-IN, OUT = Label.INLIER, Label.OUTLIER
+IN, OUT = False, True  # entries of an outlier mask
+
+
+def cells(rows):
+    """A sweep's ``{(snr_db, k): test_accuracy}`` cells."""
+    return {(row.snr_db, row.k): row.test_accuracy for row in rows}
 
 
 # -- confusion tallies --------------------------------------------------------
@@ -65,6 +69,38 @@ def test_confusion_validation():
         confusion([UAV], [OUT, OUT])
     with pytest.raises(RfSentryError, match="cannot tally an empty prediction set"):
         confusion([], [])
+    with pytest.raises(ConfigError, match="predictions must be a boolean mask, got dtype float64"):
+        confusion([UAV, REC], np.array([1.7, 0.9]))  # scores, not decisions
+
+
+def _tally_by_rows(truth, outlier):
+    """The per-row tally, one branch per outcome."""
+    tp = tn = fp = fn = 0
+    for t, o in zip(truth, outlier):
+        if t is UAV and o:
+            tp += 1
+        elif t is UAV:
+            fn += 1
+        elif o:
+            fp += 1
+        else:
+            tn += 1
+    return tp, tn, fp, fn
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 100])
+@pytest.mark.parametrize("mix", ["mixed", "all-uav", "all-recognized"])
+def test_confusion_equals_the_per_row_tally(size, mix):
+    rng = np.random.default_rng(size)
+    for _ in range(20):
+        if mix == "mixed":
+            truth = [UAV if u else REC for u in rng.random(size) < 0.4]
+        else:
+            truth = [UAV if mix == "all-uav" else REC] * size
+        outlier = rng.random(size) < rng.random()
+        cm = confusion(truth, outlier)
+        assert (cm.tp, cm.tn, cm.fp, cm.fn) == _tally_by_rows(truth, outlier)
+        assert all(type(n) is int for n in (cm.tp, cm.tn, cm.fp, cm.fn))
 
 
 # -- metrics ------------------------------------------------------------------
@@ -150,9 +186,9 @@ def test_sweep_neighbors_sorted_rows_and_accuracy():
     train, validation, test = _toy_tables()
     # threshold 2 keeps tiny-k density noise out of the way; the far cluster
     # scores orders of magnitude above it either way
-    table = sweep_neighbors(train, validation, test, k_grid=[7, 3, 5], threshold=2.0)
-    assert [r.k for r in table.rows] == [3, 5, 7]
-    for row in table.rows:
+    rows = sweep_neighbors(train, validation, test, k_grid=[7, 3, 5], threshold=2.0)
+    assert [r.k for r in rows] == [3, 5, 7]
+    for row in rows:
         assert row.snr_db is None
         assert row.validation_accuracy == 1.0
         assert row.test_accuracy == 1.0
@@ -165,25 +201,17 @@ def test_sweep_neighbors_empty_grid():
 
 
 def test_best_k_ties_take_smaller_k():
-    table = SweepTable(rows=(
+    rows = (
         SweepRow(None, 10, 0.90, 0.9),
         SweepRow(None, 30, 0.95, 0.9),
         SweepRow(None, 20, 0.95, 0.9),
-    ))
-    assert best_k(table) == 20
+    )
+    assert best_k(rows) == 20
 
 
 def test_best_k_needs_validation_column():
-    table = SweepTable(rows=(SweepRow(12.0, 10, None, 0.9),))
     with pytest.raises(ValueError):
-        best_k(table)
-
-
-def test_accuracy_at_missing_cell():
-    table = SweepTable(rows=(SweepRow(12.0, 10, None, 0.9),))
-    assert table.accuracy_at(12.0, 10) == 0.9
-    with pytest.raises(ConfigError, match="no sweep cell for snr=14.0, k=10"):
-        table.accuracy_at(14.0, 10)
+        best_k((SweepRow(12.0, 10, None, 0.9),))
 
 
 # -- SNR sweep ----------------------------------------------------------------
@@ -204,13 +232,13 @@ def mini_sweep_parts(mini_cfg):
 def test_sweep_snr_training_cell_matches_direct_scoring(mini_sweep_parts):
     """The 30 dB sweep cell must reproduce scoring of the stored corpus."""
     cfg, trigger, train_table, plan, balanced_stored = mini_sweep_parts
-    table = sweep_snr(train_table, cfg, plan, k_grid=[5],
-                      snr_grid=[cfg.snr_db], trigger=trigger)
+    rows = sweep_snr(train_table, cfg, plan, k_grid=[5],
+                     snr_grid=[cfg.snr_db], trigger=trigger)
     model = fit(train_table.matrix, k=5)
     stored_table = table_from_signals(balanced_stored, trigger)
-    preds = model.labels(model.score_batch(stored_table.matrix))
+    preds = model.outliers(model.score_batch(stored_table.matrix))
     direct = metrics(confusion(stored_table.classes, preds)).accuracy
-    assert table.accuracy_at(float(cfg.snr_db), 5) == direct
+    assert cells(rows)[(float(cfg.snr_db), 5)] == direct
 
 
 def test_sweep_snr_cells_never_stack_noise(mini_sweep_parts):
@@ -218,17 +246,15 @@ def test_sweep_snr_cells_never_stack_noise(mini_sweep_parts):
     cfg, trigger, train_table, plan, _ = mini_sweep_parts
     lone = sweep_snr(train_table, cfg, plan, [5], [cfg.snr_db], trigger)
     stacked = sweep_snr(train_table, cfg, plan, [5], [10.0, cfg.snr_db], trigger)
-    assert stacked.accuracy_at(float(cfg.snr_db), 5) == lone.accuracy_at(
-        float(cfg.snr_db), 5
-    )
-    assert [r.snr_db for r in stacked.rows] == [10.0, 30.0]
+    assert cells(stacked)[(float(cfg.snr_db), 5)] == cells(lone)[(float(cfg.snr_db), 5)]
+    assert [r.snr_db for r in stacked] == [10.0, 30.0]
 
 
 def test_sweep_snr_constant_outlier_scores_half_on_balanced_set(mini_sweep_parts):
     cfg, trigger, train_table, plan, _ = mini_sweep_parts
-    table = sweep_snr(train_table, cfg, plan, [5], [cfg.snr_db], trigger,
-                      threshold=0.0)  # every score exceeds 0 -> all flagged
-    assert table.accuracy_at(float(cfg.snr_db), 5) == 0.5
+    rows = sweep_snr(train_table, cfg, plan, [5], [cfg.snr_db], trigger,
+                     threshold=0.0)  # every score exceeds 0 -> all flagged
+    assert cells(rows)[(float(cfg.snr_db), 5)] == 0.5
 
 
 def test_sweep_snr_parallel_matches_serial(mini_sweep_parts):
@@ -239,10 +265,12 @@ def test_sweep_snr_parallel_matches_serial(mini_sweep_parts):
     assert serial == parallel
 
 
-def test_sweep_snr_identical_for_any_burst_chunking(mini_sweep_parts):
+def test_sweep_snr_identical_for_any_burst_chunking(mini_sweep_parts, monkeypatch):
     # 20 bursts split into chunks of 10/10 and 6/7/7: every burst's noise is
-    # drawn in its own worker, so the chunking must not show in the table
+    # drawn in its own worker, so the chunking must not show in the table;
+    # three usable CPUs, so that --jobs 3 is not capped on a smaller host
     cfg, trigger, train_table, plan, _ = mini_sweep_parts
+    monkeypatch.setattr(seeding, "_usable_cpus", lambda: 3)
     assert len(plan) % 3 != 0
     tables = [
         sweep_snr(train_table, cfg, plan, [3, 5], [6.0, 14.0, cfg.snr_db], trigger,
@@ -303,8 +331,8 @@ def test_sweep_snr_holds_one_burst_at_a_time():
 def _accuracy_by_refit(train_table, matrix, truth, k, metric):
     """One separate fit and score_batch per cell, the loop the sweeps replaced."""
     model = fit(train_table.matrix, k=k, metric=metric)
-    labels = model.labels(model.score_batch(matrix))
-    return metrics(confusion(truth, labels)).accuracy
+    outliers = model.outliers(model.score_batch(matrix))
+    return metrics(confusion(truth, outliers)).accuracy
 
 
 @pytest.mark.parametrize("metric", ["manhattan", "euclidean"])
@@ -314,13 +342,13 @@ def test_sweeps_share_tables_without_changing_cells(mini_sweep_parts, metric):
     stored = table_from_signals(balanced_stored, trigger)
     validation, test = stored.select(range(0, 20, 2)), stored.select(range(1, 20, 2))
     swept = sweep_neighbors(train_table, validation, test, ks, metric=metric)
-    assert swept == SweepTable(rows=tuple(
+    assert swept == tuple(
         SweepRow(None, k,
                  _accuracy_by_refit(train_table, validation.matrix,
                                     validation.classes, k, metric),
                  _accuracy_by_refit(train_table, test.matrix, test.classes, k, metric))
         for k in ks
-    ))
+    )
 
     snrs = [8.0, 18.0, float(cfg.snr_db)]
     swept = sweep_snr(train_table, cfg, plan, ks, snrs, trigger, metric=metric)
@@ -335,7 +363,7 @@ def test_sweeps_share_tables_without_changing_cells(mini_sweep_parts, metric):
         expected += [SweepRow(snr, k, None,
                               _accuracy_by_refit(train_table, matrix, truth, k, metric))
                      for k in ks]
-    assert swept == SweepTable(rows=tuple(expected))
+    assert swept == tuple(expected)
 
 
 def test_sweep_snr_validation(mini_sweep_parts):
@@ -375,20 +403,20 @@ def test_save_metrics_csv_round_trip(tmp_path):
 
 
 def test_save_neighbors_csv(tmp_path):
-    table = SweepTable(rows=(SweepRow(None, 10, 0.925, 0.9375),))
+    rows = (SweepRow(None, 10, 0.925, 0.9375),)
     path = tmp_path / "neighbors.csv"
-    save_neighbors_csv(table, path)
+    save_neighbors_csv(rows, path)
     assert read_rows(path) == [["k", "val_acc", "test_acc"],
                                ["10", "0.925", "0.9375"]]
 
 
 def test_save_snr_csv(tmp_path):
-    table = SweepTable(rows=(
+    rows = (
         SweepRow(6.0, 100, None, 0.65),
         SweepRow(6.0, 200, None, 0.7),
-    ))
+    )
     path = tmp_path / "snr.csv"
-    save_snr_csv(table, path)
+    save_snr_csv(rows, path)
     rows = read_rows(path)
     assert rows[0] == ["snr_db", "k", "accuracy"]
     assert [r[1] for r in rows[1:]] == ["100", "200"]
@@ -401,7 +429,7 @@ def test_render_snr_svg(tmp_path):
         for snr in (6.0, 18.0, 30.0):
             rows.append(SweepRow(snr, k, None, 0.5 + snr / 100 + k / 2000))
     path = tmp_path / "sweep.svg"
-    render_snr_svg(SweepTable(rows=tuple(rows)), path)
+    render_snr_svg(tuple(rows), path)
     text = path.read_text()
     assert text.startswith("<svg")
     assert text.count("<polyline") == 3
@@ -410,6 +438,5 @@ def test_render_snr_svg(tmp_path):
 
 
 def test_render_snr_svg_rejects_neighbor_sweeps(tmp_path):
-    table = SweepTable(rows=(SweepRow(None, 10, 0.9, 0.9),))
     with pytest.raises(ValueError):
-        render_snr_svg(table, tmp_path / "bad.svg")
+        render_snr_svg((SweepRow(None, 10, 0.9, 0.9),), tmp_path / "bad.svg")

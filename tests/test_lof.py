@@ -1,4 +1,4 @@
-"""Local Outlier Factor: distances, fit/score/labels, memory, persistence."""
+"""Local Outlier Factor: distances, fit/score/outliers, memory, persistence."""
 
 import threading
 import warnings
@@ -11,7 +11,6 @@ from rfsentry.errors import ConfigError
 from rfsentry.lof import (
     DEFAULT_K,
     DEFAULT_THRESHOLD,
-    Label,
     LofModel,
     Metric,
     fit,
@@ -396,6 +395,25 @@ def test_fit_validation():
         fit(np.ones(8), k=2)
 
 
+@pytest.mark.parametrize("k", [2.5, 3.0, True, np.True_, "3"])
+def test_fit_rejects_a_k_that_is_not_an_integer(k):
+    x = np.random.default_rng(24).standard_normal((10, 2))
+    with pytest.raises(ConfigError, match="k must be an integer, got"):
+        fit(x, k=k)
+    with pytest.raises(ConfigError, match="k must be an integer, got"):
+        fit_grid(x, [2, k])
+
+
+def test_fit_accepts_a_numpy_integer_k(tmp_path):
+    # it fits the same model as the int, and the model saves
+    x = np.random.default_rng(24).standard_normal((10, 2))
+    model = fit(x, k=np.int64(3))
+    assert type(model.k) is int
+    assert np.array_equal(model.lrd, fit(x, k=3).lrd)
+    model.save(tmp_path / "model.json")
+    assert LofModel.load(tmp_path / "model.json").k == 3
+
+
 def test_fit_is_deterministic():
     rng = np.random.default_rng(22)
     x = rng.standard_normal((40, 3))
@@ -516,18 +534,18 @@ def test_query_validation():
         model.score_batch(np.array([1.0, 2.0, np.inf, 0.0]))
 
 
-# -- labels -------------------------------------------------------------------
+# -- outliers -----------------------------------------------------------------
 
 
 def test_classify_threshold_rules():
     square = np.array([[0.0, 0], [0, 1], [1, 0], [1, 1]])
     model = fit(square, k=2, threshold=1.5, standardize=False)
-    assert model.labels(model.score_batch(np.array([0.5, 0.5])))[0] is Label.INLIER
-    assert model.labels(model.score_batch(np.array([9.0, 9.0])))[0] is Label.OUTLIER
+    assert not model.outliers(model.score_batch(np.array([0.5, 0.5])))[0]
+    assert model.outliers(model.score_batch(np.array([9.0, 9.0])))[0]
     # boundary: score exactly at threshold stays an inlier
     exact = fit(square, k=2, threshold=model.score_batch(np.array([5.0, 5.0]))[0],
                 standardize=False)
-    assert exact.labels(exact.score_batch(np.array([5.0, 5.0])))[0] is Label.INLIER
+    assert not exact.outliers(exact.score_batch(np.array([5.0, 5.0])))[0]
 
 
 def test_classify_batch_agrees_with_scalar():
@@ -535,8 +553,16 @@ def test_classify_batch_agrees_with_scalar():
     train = rng.standard_normal((30, 2))
     queries = rng.standard_normal((12, 2)) * 3.0
     model = fit(train, k=4)
-    batch = model.labels(model.score_batch(queries))
-    assert batch == [model.labels(model.score_batch(q))[0] for q in queries]
+    batch = model.outliers(model.score_batch(queries))
+    assert batch.tolist() == [model.outliers(model.score_batch(q))[0] for q in queries]
+
+
+def test_outliers_at_the_threshold_and_at_nan_are_inliers():
+    model = fit(np.random.default_rng(33).standard_normal((10, 2)), k=3, threshold=1.5)
+    mask = model.outliers([1.5, np.nan, np.nextafter(1.5, 2.0), 0.0, np.inf])
+    assert mask.dtype == bool
+    assert mask.tolist() == [False, False, True, False, True]
+    assert model.outliers(np.array([])).shape == (0,)
 
 
 # -- persistence --------------------------------------------------------------

@@ -291,6 +291,35 @@ def test_balanced_indices():
             balanced_indices(labels, per_class, seed=6)
 
 
+# One mixed label list, 12 recognized and 8 UAV, and the indices each picker
+# returned for it before the two shared one per-class loop.
+_R, _U = SignalClass.RECOGNIZED, SignalClass.UAV
+_MIXED = [_R, _U, _R, _R, _U, _R, _U, _U, _R, _R, _U, _R, _R, _U, _R, _R, _U, _R, _U, _R]
+
+
+@pytest.mark.parametrize("seed, test_idx, val_idx", [
+    (0, [0, 1, 3, 4, 5, 6, 7, 8, 9, 12, 15, 16, 18, 19], [2, 10, 11, 13, 14, 17]),
+    (13, [0, 1, 2, 3, 7, 8, 9, 10, 11, 12, 13, 14, 16, 18], [4, 5, 6, 15, 17, 19]),
+])
+def test_stratified_split_indices_are_pinned(seed, test_idx, val_idx):
+    assert stratified_split_indices(_MIXED, 0.7, seed) == (test_idx, val_idx)
+
+
+@pytest.mark.parametrize("seed, picked", [
+    (0, [3, 4, 6, 7, 8, 12, 15, 18]),
+    (13, [0, 1, 2, 7, 9, 10, 11, 18]),
+])
+def test_balanced_indices_are_pinned(seed, picked):
+    assert balanced_indices(_MIXED, 4, seed) == picked
+
+
+def test_balanced_indices_name_the_short_class():
+    with pytest.raises(ConfigError, match="need 9 uav signals for a balanced set, got 8"):
+        balanced_indices(_MIXED, 9, seed=0)
+    with pytest.raises(ConfigError, match="need 1 recognized signals for a balanced set, got 0"):
+        balanced_indices([_U] * 3, 1, seed=0)
+
+
 def test_balanced_eval_plan_picks_without_generating(mini_cfg, monkeypatch):
     # the picks are balanced_indices over the generated evaluation split
     _, evaluation = build_corpus(mini_cfg)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rfsentry.errors import RfSentryError
+from rfsentry.errors import ConfigError, RfSentryError
 from rfsentry.features import fingerprint
 from rfsentry.signals import Signal, TriggerConfig
 from rfsentry.wpt import packet_coefficients
@@ -58,6 +58,14 @@ def test_wpt2_packet_lengths():
 def test_wpt2_too_short():
     with pytest.raises(RfSentryError, match="two-level decomposition needs >= 4 samples, got 3"):
         packet_coefficients(np.array([1.0, 2.0, 3.0]))
+
+
+def test_packet_coefficients_rejects_arrays_that_are_not_1d():
+    # a (3, 8) array is three rows, not 24 samples
+    with pytest.raises(ConfigError, match=r"samples must be a 1-D array, got shape \(3, 8\)"):
+        packet_coefficients(np.ones((3, 8)))
+    with pytest.raises(ConfigError, match=r"got shape \(\)"):
+        packet_coefficients(np.float64(5.0))
 
 
 def test_wpt2_equals_two_stage_transform_bit_for_bit():
