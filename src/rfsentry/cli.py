@@ -325,7 +325,7 @@ def cmd_sweep_n(args) -> int:
     test_idx, val_idx = stratified_split_indices(
         ev.classes, args.test_frac, stage_seed(args.seed, "split")
     )
-    rows = sweep_neighbors(
+    ks, acc = sweep_neighbors(
         train,
         ev.select(val_idx),
         ev.select(test_idx),
@@ -336,8 +336,8 @@ def cmd_sweep_n(args) -> int:
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _atomic(lambda p: save_neighbors_csv(rows, p), out / "neighbors_sweep.csv")
-    chosen = best_k(rows)
+    _atomic(lambda p: save_neighbors_csv(ks, acc, p), out / "neighbors_sweep.csv")
+    chosen = best_k(ks, acc[0])
     log.info("neighbor sweep written; best k by validation accuracy = %d", chosen)
     print(chosen)
     return 0
@@ -350,7 +350,7 @@ def cmd_sweep_snr(args) -> int:
 
     plan = balanced_eval_plan(cfg, args.per_class, stage_seed(cfg.master_seed, "balanced"))
     trigger = TriggerConfig(capture_len=cfg.capture_len)
-    rows = sweep_snr(
+    snrs, ks, acc = sweep_snr(
         train,
         cfg,
         plan,
@@ -364,9 +364,9 @@ def cmd_sweep_snr(args) -> int:
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _atomic(lambda p: save_snr_csv(rows, p), out / "snr_sweep.csv")
-    _atomic(lambda p: render_snr_svg(rows, p), out / "snr_sweep.svg")
-    log.info("SNR sweep written: %d cells", len(rows))
+    _atomic(lambda p: save_snr_csv(snrs, ks, acc, p), out / "snr_sweep.csv")
+    _atomic(lambda p: render_snr_svg(snrs, ks, acc, p), out / "snr_sweep.svg")
+    log.info("SNR sweep written: %d cells", acc.size)
     return 0
 
 

@@ -3,7 +3,10 @@
 The positive class is the UAV/outlier class throughout. Two sweep harnesses
 cover the standard experiments: accuracy vs neighbor count at the training
 SNR, and accuracy vs SNR for a model trained once at the training SNR and
-never re-fitted.
+never re-fitted. Each returns its sorted axes and one float64 accuracy grid
+whose row i is query set i and column j is ``ks[j]``: ``sweep_neighbors``
+gives ``(ks, acc)`` with validation and test as the two rows, and
+``sweep_snr`` gives ``(snrs, ks, acc)`` with one row per SNR.
 
 Both sweeps do the work that no grid value changes once. They fit their
 whole k grid with one ``lof.fit_grid`` call and score each query set for
@@ -97,16 +100,15 @@ def metrics(cm: ConfusionMatrix) -> Metrics:
                    degenerate=degenerate)
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    snr_db: float | None
-    k: int
-    validation_accuracy: float | None
-    test_accuracy: float
+def _accuracy_grid(models: list[LofModel], queries) -> np.ndarray:
+    """Accuracy of each model on each ``(matrix, truth)`` query set.
 
-
-def _accuracy(model: LofModel, scores: np.ndarray, truth: list[SignalClass]) -> float:
-    return metrics(confusion(truth, model.outliers(scores))).accuracy
+    Row i is query set i and column j is ``models[j]``; each query matrix is
+    scored for every model with one ``score_grid`` call.
+    """
+    return np.array([[metrics(confusion(truth, model.outliers(scores))).accuracy
+                      for model, scores in zip(models, score_grid(models, matrix))]
+                     for matrix, truth in queries], dtype=np.float64)
 
 
 def sweep_neighbors(
@@ -117,32 +119,22 @@ def sweep_neighbors(
     metric: Metric | str = Metric.MANHATTAN,
     threshold: float = 1.5,
     standardize: bool = True,
-) -> tuple[SweepRow, ...]:
-    """Fit one model per neighbor count; report validation and test accuracy, one row per k.
+) -> tuple[list[int], np.ndarray]:
+    """Fit one model per neighbor count; return ``(ks, acc)``.
 
-    The training, validation and test distance tables are built once and
-    shared by every k; each row equals a separate fit + score at that k.
+    ``ks`` is the sorted k grid. ``acc`` has shape ``(2, len(ks))``: row 0
+    is validation accuracy, row 1 test accuracy. The training, validation
+    and test distance tables are built once and shared by every k; each
+    cell equals a separate fit + score at that k.
     """
     models = fit_grid(train.matrix, sorted(k_grid), metric, threshold, standardize)
-    val_scores, test_scores = (score_grid(models, t.matrix) for t in (validation, test))
-    return tuple(
-        SweepRow(
-            snr_db=None,
-            k=model.k,
-            validation_accuracy=_accuracy(model, val, validation.classes),
-            test_accuracy=_accuracy(model, tst, test.classes),
-        )
-        for model, val, tst in zip(models, val_scores, test_scores)
-    )
+    acc = _accuracy_grid(models, [(t.matrix, t.classes) for t in (validation, test)])
+    return [model.k for model in models], acc
 
 
-def best_k(rows: tuple[SweepRow, ...]) -> int:
+def best_k(ks: list[int], validation_accuracy: np.ndarray) -> int:
     """Neighbor count with the highest validation accuracy (ties: smaller k)."""
-    rows = [r for r in rows if r.validation_accuracy is not None]
-    if not rows:
-        raise ConfigError("sweep table has no validation accuracies")
-    best = max(rows, key=lambda r: (r.validation_accuracy, -r.k))
-    return best.k
+    return max(zip(validation_accuracy, ks), key=lambda cell: (cell[0], -cell[1]))[1]
 
 
 def _snr_fingerprints(
@@ -172,18 +164,20 @@ def sweep_snr(
     threshold: float = 1.5,
     standardize: bool = True,
     jobs: int = 1,
-) -> tuple[SweepRow, ...]:
-    """Accuracy of the training-SNR model on re-noised evaluation bursts, one row per (SNR, k).
+) -> tuple[list[float], list[int], np.ndarray]:
+    """Accuracy of the training-SNR model on re-noised evaluation bursts.
 
-    ``plan`` names the (profile, burst index) evaluation bursts of corpus
-    ``cfg`` to score. ``synth.gen_bursts`` regenerates each one at every
-    grid SNR from its clean trace, so cells never stack noise, and draws its
-    noise once. Models are fitted once per k on the
-    (training-SNR) feature table, from one training distance table, and
-    reused across SNR cells; each SNR matrix gets one distance table, shared
-    by every k. ``jobs`` caps the worker processes, each generating and
-    fingerprinting a contiguous chunk of the plan one burst at a time; the
-    rows are identical for any worker count.
+    Returns ``(snrs, ks, acc)``: the sorted SNR and k grids and the
+    ``(len(snrs), len(ks))`` accuracy grid. ``plan`` names the (profile,
+    burst index) evaluation bursts of corpus ``cfg`` to score.
+    ``synth.gen_bursts`` regenerates each one at every grid SNR from its
+    clean trace, so cells never stack noise, and draws its noise once.
+    Models are fitted once per k on the (training-SNR) feature table, from
+    one training distance table, and reused across SNR cells; each SNR
+    matrix gets one distance table, shared by every k. ``jobs`` caps the
+    worker processes, each generating and fingerprinting a contiguous chunk
+    of the plan one burst at a time; the grid is identical for any worker
+    count.
     """
     if not snr_grid:
         raise ConfigError("snr_grid must be non-empty")
@@ -193,15 +187,8 @@ def sweep_snr(
     truth = [profile.signal_class for profile, _ in plan]
     snrs = sorted(float(s) for s in snr_grid)
     per_burst = map_chunks(_snr_fingerprints, plan, jobs, cfg, snrs, trigger)
-    rows = []
-    for snr, matrix in zip(snrs, np.stack(per_burst, axis=1)):
-        scores = score_grid(models, matrix)
-        rows += [
-            SweepRow(snr_db=snr, k=model.k, validation_accuracy=None,
-                     test_accuracy=_accuracy(model, model_scores, truth))
-            for model, model_scores in zip(models, scores)
-        ]
-    return tuple(rows)
+    acc = _accuracy_grid(models, ((matrix, truth) for matrix in np.stack(per_burst, axis=1)))
+    return snrs, [model.k for model in models], acc
 
 
 # ---------------------------------------------------------------------------
@@ -219,15 +206,17 @@ def save_metrics_csv(m: Metrics, path: str | Path) -> None:
                  int(m.degenerate)]])
 
 
-def save_neighbors_csv(rows: tuple[SweepRow, ...], path: str | Path) -> None:
+def save_neighbors_csv(ks: list[int], acc: np.ndarray, path: str | Path) -> None:
+    """One row per k of a ``sweep_neighbors`` grid: validation and test accuracy."""
     _write_csv(path, ["k", "val_acc", "test_acc"],
-               ([row.k, _fmt(row.validation_accuracy), _fmt(row.test_accuracy)]
-                for row in rows))
+               ([k, _fmt(val), _fmt(tst)] for k, val, tst in zip(ks, *acc)))
 
 
-def save_snr_csv(rows: tuple[SweepRow, ...], path: str | Path) -> None:
+def save_snr_csv(snrs: list[float], ks: list[int], acc: np.ndarray, path: str | Path) -> None:
+    """One row per (SNR, k) cell of a ``sweep_snr`` grid, SNR-major."""
     _write_csv(path, ["snr_db", "k", "accuracy"],
-               ([_fmt(row.snr_db), row.k, _fmt(row.test_accuracy)] for row in rows))
+               ([_fmt(snr), k, _fmt(cell)]
+                for snr, row in zip(snrs, acc) for k, cell in zip(ks, row)))
 
 
 # ---------------------------------------------------------------------------
@@ -241,12 +230,12 @@ _SVG_W, _SVG_H = 640, 420
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 60, 130, 24, 48
 
 
-def render_snr_svg(rows: tuple[SweepRow, ...], path: str | Path) -> None:
-    """Write the SNR sweep as a standalone SVG (no plotting dependency)."""
-    snrs = sorted({row.snr_db for row in rows})
-    ks = sorted({row.k for row in rows})
-    if not snrs or snrs[0] is None:
-        raise ConfigError("SNR plot needs rows with snr_db set")
+def render_snr_svg(snrs: list[float], ks: list[int], acc: np.ndarray, path: str | Path) -> None:
+    """Write a ``sweep_snr`` grid as a standalone SVG (no plotting dependency).
+
+    One polyline per k column, its points in ``snrs`` order; the legend
+    lists k ascending.
+    """
     x0, x1 = _MARGIN_L, _SVG_W - _MARGIN_R
     y0, y1 = _SVG_H - _MARGIN_B, _MARGIN_T
     lo, hi = min(snrs), max(snrs)
@@ -255,8 +244,8 @@ def render_snr_svg(rows: tuple[SweepRow, ...], path: str | Path) -> None:
     def sx(snr: float) -> float:
         return x0 + (snr - lo) / span * (x1 - x0)
 
-    def sy(acc: float) -> float:
-        return y0 + acc * (y1 - y0)
+    def sy(accuracy: float) -> float:
+        return y0 + accuracy * (y1 - y0)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" height="{_SVG_H}" '
@@ -292,13 +281,9 @@ def render_snr_svg(rows: tuple[SweepRow, ...], path: str | Path) -> None:
         f'font-family="sans-serif" transform="rotate(-90 16 {(y0 + y1) / 2:.2f})">'
         f'accuracy</text>'
     )
-    for i, k in enumerate(ks):
-        color = _PALETTE[i % len(_PALETTE)]
-        points = " ".join(
-            f"{sx(row.snr_db):.2f},{sy(row.test_accuracy):.2f}"
-            for row in rows
-            if row.k == k
-        )
+    for i, j in enumerate(np.argsort(ks, kind="stable")):
+        k, color = ks[j], _PALETTE[i % len(_PALETTE)]
+        points = " ".join(f"{sx(snr):.2f},{sy(cell):.2f}" for snr, cell in zip(snrs, acc[:, j]))
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.8"/>'
         )

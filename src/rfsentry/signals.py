@@ -332,8 +332,8 @@ def _json_fields(d, spec: dict[str, tuple[tuple[type, ...], str]], what: str) ->
     """The ``spec`` keys of JSON object ``d``, each of one of its exact types.
 
     Exact, so a JSON ``true`` is not an integer and ``300.0`` is not one
-    either; an integer is a valid number, unless it is beyond float range.
-    Other keys are ignored.
+    either; an integer is a valid number, unless it is beyond float range,
+    and an integer-only field must fit int64. Other keys are ignored.
     """
     if not isinstance(d, dict):
         raise FormatError(f"{what} must be an object, got {type(d).__name__}")
@@ -345,6 +345,8 @@ def _json_fields(d, spec: dict[str, tuple[tuple[type, ...], str]], what: str) ->
             raise FormatError(f"{what}: {key} must be {name}, got {d[key]!r}")
         if float in types and type(d[key]) is int and abs(d[key]) > sys.float_info.max:
             raise FormatError(f"{what}: {key} is beyond float range")
+        if float not in types and type(d[key]) is int and not -2**63 <= d[key] < 2**63:
+            raise FormatError(f"{what}: {key} is beyond int64 range")
     return {key: d[key] for key in spec}
 
 

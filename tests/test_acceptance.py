@@ -56,7 +56,7 @@ def run_cli(*args):
 def snr_trend(default_corpus, default_trigger):
     """Balanced-set SNR sweeps (k in {100, 200}) for three corpus seeds.
 
-    Each seed maps to its ``{(snr_db, k): test_accuracy}`` cells.
+    Each seed maps to its ``{(snr_db, k): accuracy}`` cells.
     """
     tables = {}
     for seed in (0, 1, 2):
@@ -68,7 +68,7 @@ def snr_trend(default_corpus, default_trigger):
             )
             train_signals, _ = build_corpus(cfg)
         train_table = table_from_signals(train_signals, default_trigger)
-        rows = sweep_snr(
+        snrs, ks, acc = sweep_snr(
             train_table,
             cfg,
             balanced_eval_plan(cfg, 200, stage_seed(cfg.master_seed, "balanced")),
@@ -76,7 +76,8 @@ def snr_trend(default_corpus, default_trigger):
             snr_grid=SNR_GRID,
             trigger=default_trigger,
         )
-        tables[seed] = {(row.snr_db, row.k): row.test_accuracy for row in rows}
+        tables[seed] = {(snr, k): acc[i, j]
+                        for i, snr in enumerate(snrs) for j, k in enumerate(ks)}
     return tables
 
 

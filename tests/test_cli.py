@@ -429,6 +429,11 @@ CORPUS_CASES = [
      "snr_db must be finite or +inf (clean), got nan"),
     ("snr-huge", _edit_config(lambda d: d["config"].update(snr_db=10**400)),
      "config: snr_db is beyond float range"),
+    ("hop-period-huge",
+     _edit_config(lambda d: d["config"]["profiles"][0].update(hop_period=10**30)),
+     "profiles[0]: profile: hop_period is beyond int64 range"),
+    ("lead-len-huge", _edit_config(lambda d: d["config"].update(lead_len=10**30)),
+     "config: lead_len is beyond int64 range"),
     ("config-type", _edit_config(lambda d: d.update(config=[])),
      "config must be an object, got []"),
 ]

@@ -1,6 +1,7 @@
 """Confusion/metric arithmetic and the two experiment sweeps."""
 
 import csv
+import hashlib
 import math
 from dataclasses import replace
 
@@ -11,7 +12,6 @@ from rfsentry import evaluate, seeding, synth
 from rfsentry.errors import ConfigError, RfSentryError
 from rfsentry.evaluate import (
     ConfusionMatrix,
-    SweepRow,
     best_k,
     confusion,
     metrics,
@@ -43,9 +43,14 @@ REC, UAV = SignalClass.RECOGNIZED, SignalClass.UAV
 IN, OUT = False, True  # entries of an outlier mask
 
 
-def cells(rows):
-    """A sweep's ``{(snr_db, k): test_accuracy}`` cells."""
-    return {(row.snr_db, row.k): row.test_accuracy for row in rows}
+def cells(snrs, ks, acc):
+    """An SNR sweep's ``{(snr_db, k): accuracy}`` cells."""
+    return {(snr, k): acc[i, j] for i, snr in enumerate(snrs) for j, k in enumerate(ks)}
+
+
+def same_sweep(a, b):
+    """Two sweep results with equal axes and every accuracy cell ``==``."""
+    return a[:-1] == b[:-1] and np.array_equal(a[-1], b[-1])
 
 
 # -- confusion tallies --------------------------------------------------------
@@ -186,12 +191,10 @@ def test_sweep_neighbors_sorted_rows_and_accuracy():
     train, validation, test = _toy_tables()
     # threshold 2 keeps tiny-k density noise out of the way; the far cluster
     # scores orders of magnitude above it either way
-    rows = sweep_neighbors(train, validation, test, k_grid=[7, 3, 5], threshold=2.0)
-    assert [r.k for r in rows] == [3, 5, 7]
-    for row in rows:
-        assert row.snr_db is None
-        assert row.validation_accuracy == 1.0
-        assert row.test_accuracy == 1.0
+    ks, acc = sweep_neighbors(train, validation, test, k_grid=[7, 3, 5], threshold=2.0)
+    assert ks == [3, 5, 7]
+    assert acc.dtype == np.float64 and acc.shape == (2, 3)  # validation row, test row
+    assert np.all(acc == 1.0)
 
 
 def test_sweep_neighbors_empty_grid():
@@ -201,17 +204,7 @@ def test_sweep_neighbors_empty_grid():
 
 
 def test_best_k_ties_take_smaller_k():
-    rows = (
-        SweepRow(None, 10, 0.90, 0.9),
-        SweepRow(None, 30, 0.95, 0.9),
-        SweepRow(None, 20, 0.95, 0.9),
-    )
-    assert best_k(rows) == 20
-
-
-def test_best_k_needs_validation_column():
-    with pytest.raises(ValueError):
-        best_k((SweepRow(12.0, 10, None, 0.9),))
+    assert best_k([10, 30, 20], np.array([0.90, 0.95, 0.95])) == 20
 
 
 # -- SNR sweep ----------------------------------------------------------------
@@ -232,13 +225,13 @@ def mini_sweep_parts(mini_cfg):
 def test_sweep_snr_training_cell_matches_direct_scoring(mini_sweep_parts):
     """The 30 dB sweep cell must reproduce scoring of the stored corpus."""
     cfg, trigger, train_table, plan, balanced_stored = mini_sweep_parts
-    rows = sweep_snr(train_table, cfg, plan, k_grid=[5],
-                     snr_grid=[cfg.snr_db], trigger=trigger)
+    swept = sweep_snr(train_table, cfg, plan, k_grid=[5],
+                      snr_grid=[cfg.snr_db], trigger=trigger)
     model = fit(train_table.matrix, k=5)
     stored_table = table_from_signals(balanced_stored, trigger)
     preds = model.outliers(model.score_batch(stored_table.matrix))
     direct = metrics(confusion(stored_table.classes, preds)).accuracy
-    assert cells(rows)[(float(cfg.snr_db), 5)] == direct
+    assert cells(*swept)[(float(cfg.snr_db), 5)] == direct
 
 
 def test_sweep_snr_cells_never_stack_noise(mini_sweep_parts):
@@ -246,15 +239,15 @@ def test_sweep_snr_cells_never_stack_noise(mini_sweep_parts):
     cfg, trigger, train_table, plan, _ = mini_sweep_parts
     lone = sweep_snr(train_table, cfg, plan, [5], [cfg.snr_db], trigger)
     stacked = sweep_snr(train_table, cfg, plan, [5], [10.0, cfg.snr_db], trigger)
-    assert cells(stacked)[(float(cfg.snr_db), 5)] == cells(lone)[(float(cfg.snr_db), 5)]
-    assert [r.snr_db for r in stacked] == [10.0, 30.0]
+    assert cells(*stacked)[(float(cfg.snr_db), 5)] == cells(*lone)[(float(cfg.snr_db), 5)]
+    assert stacked[0] == [10.0, 30.0]
 
 
 def test_sweep_snr_constant_outlier_scores_half_on_balanced_set(mini_sweep_parts):
     cfg, trigger, train_table, plan, _ = mini_sweep_parts
-    rows = sweep_snr(train_table, cfg, plan, [5], [cfg.snr_db], trigger,
-                     threshold=0.0)  # every score exceeds 0 -> all flagged
-    assert cells(rows)[(float(cfg.snr_db), 5)] == 0.5
+    swept = sweep_snr(train_table, cfg, plan, [5], [cfg.snr_db], trigger,
+                      threshold=0.0)  # every score exceeds 0 -> all flagged
+    assert cells(*swept)[(float(cfg.snr_db), 5)] == 0.5
 
 
 def test_sweep_snr_parallel_matches_serial(mini_sweep_parts):
@@ -262,7 +255,7 @@ def test_sweep_snr_parallel_matches_serial(mini_sweep_parts):
     serial = sweep_snr(train_table, cfg, plan, [5], [14.0, cfg.snr_db], trigger)
     parallel = sweep_snr(train_table, cfg, plan, [5], [14.0, cfg.snr_db],
                          trigger, jobs=2)
-    assert serial == parallel
+    assert same_sweep(serial, parallel)
 
 
 def test_sweep_snr_identical_for_any_burst_chunking(mini_sweep_parts, monkeypatch):
@@ -277,7 +270,7 @@ def test_sweep_snr_identical_for_any_burst_chunking(mini_sweep_parts, monkeypatc
                   jobs=jobs)
         for jobs in (1, 2, 3)
     ]
-    assert tables[0] == tables[1] == tables[2]
+    assert same_sweep(tables[0], tables[1]) and same_sweep(tables[0], tables[2])
 
 
 def test_sweep_snr_rejects_bad_inputs_on_the_noise_path(mini_sweep_parts, monkeypatch):
@@ -342,13 +335,10 @@ def test_sweeps_share_tables_without_changing_cells(mini_sweep_parts, metric):
     stored = table_from_signals(balanced_stored, trigger)
     validation, test = stored.select(range(0, 20, 2)), stored.select(range(1, 20, 2))
     swept = sweep_neighbors(train_table, validation, test, ks, metric=metric)
-    assert swept == tuple(
-        SweepRow(None, k,
-                 _accuracy_by_refit(train_table, validation.matrix,
-                                    validation.classes, k, metric),
-                 _accuracy_by_refit(train_table, test.matrix, test.classes, k, metric))
-        for k in ks
-    )
+    assert same_sweep(swept, (ks, np.array([
+        [_accuracy_by_refit(train_table, t.matrix, t.classes, k, metric) for k in ks]
+        for t in (validation, test)
+    ])))
 
     snrs = [8.0, 18.0, float(cfg.snr_db)]
     swept = sweep_snr(train_table, cfg, plan, ks, snrs, trigger, metric=metric)
@@ -360,10 +350,9 @@ def test_sweeps_share_tables_without_changing_cells(mini_sweep_parts, metric):
     for snr in snrs:
         matrix = np.array([fingerprint(add_awgn(sig, snr, seed), trigger)
                            for sig, seed in clean])
-        expected += [SweepRow(snr, k, None,
-                              _accuracy_by_refit(train_table, matrix, truth, k, metric))
-                     for k in ks]
-    assert swept == tuple(expected)
+        expected.append([_accuracy_by_refit(train_table, matrix, truth, k, metric)
+                         for k in ks])
+    assert same_sweep(swept, (snrs, ks, np.array(expected)))
 
 
 def test_sweep_snr_validation(mini_sweep_parts):
@@ -403,40 +392,32 @@ def test_save_metrics_csv_round_trip(tmp_path):
 
 
 def test_save_neighbors_csv(tmp_path):
-    rows = (SweepRow(None, 10, 0.925, 0.9375),)
     path = tmp_path / "neighbors.csv"
-    save_neighbors_csv(rows, path)
+    save_neighbors_csv([10], np.array([[0.925], [0.9375]]), path)
     assert read_rows(path) == [["k", "val_acc", "test_acc"],
                                ["10", "0.925", "0.9375"]]
 
 
 def test_save_snr_csv(tmp_path):
-    rows = (
-        SweepRow(6.0, 100, None, 0.65),
-        SweepRow(6.0, 200, None, 0.7),
-    )
     path = tmp_path / "snr.csv"
-    save_snr_csv(rows, path)
+    save_snr_csv([6.0, 18.0], [100, 200], np.array([[0.65, 0.7], [0.8, 0.85]]), path)
     rows = read_rows(path)
     assert rows[0] == ["snr_db", "k", "accuracy"]
-    assert [r[1] for r in rows[1:]] == ["100", "200"]
-    assert math.isclose(float(rows[1][2]), 0.65)
+    # SNR-major: one row per cell, grid row i before row i + 1
+    assert rows[1:] == [["6.0", "100", "0.65"], ["6.0", "200", "0.7"],
+                        ["18.0", "100", "0.8"], ["18.0", "200", "0.85"]]
 
 
 def test_render_snr_svg(tmp_path):
-    rows = []
-    for k in (100, 150, 200):
-        for snr in (6.0, 18.0, 30.0):
-            rows.append(SweepRow(snr, k, None, 0.5 + snr / 100 + k / 2000))
+    snrs, ks = [6.0, 18.0, 30.0], [150, 100, 200]  # k unsorted: the legend sorts it
+    acc = np.array([[0.5 + snr / 100 + k / 2000 for k in ks] for snr in snrs])
     path = tmp_path / "sweep.svg"
-    render_snr_svg(tuple(rows), path)
+    render_snr_svg(snrs, ks, acc, path)
     text = path.read_text()
     assert text.startswith("<svg")
     assert text.count("<polyline") == 3
     assert "SNR (dB)" in text and "accuracy" in text
     assert "k=100" in text and "k=200" in text
-
-
-def test_render_snr_svg_rejects_neighbor_sweeps(tmp_path):
-    with pytest.raises(ValueError):
-        render_snr_svg((SweepRow(None, 10, 0.9, 0.9),), tmp_path / "bad.svg")
+    # the plot is a data product: its exact bytes for this input are pinned
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "9a4ce715b501670f9dff52cd46cc25b84c1d70d6146477c9974e36a7d4fbaf0f")
