@@ -9,9 +9,10 @@ gives ``(ks, acc)`` with validation and test as the two rows, and
 ``sweep_snr`` gives ``(snrs, ks, acc)`` with one row per SNR.
 
 Both sweeps do the work that no grid value changes once. They fit their
-whole k grid with one ``lof.fit_grid`` call and score each query set for
-every k with one ``lof.score_grid`` call, so each distance is computed
-once. The SNR sweep streams its bursts: ``seeding.map_chunks`` hands each
+whole k grid with one ``lof.fit_grid`` call and score all of their query
+sets, stacked, for every k with one ``lof.score_grid`` call, so each
+distance is computed once and one thread pool serves the whole sweep. The
+SNR sweep streams its bursts: ``seeding.map_chunks`` hands each
 worker process a chunk of (profile, burst index) pairs, and the worker
 fingerprints what ``synth.gen_bursts`` yields for each pair at every grid
 SNR, one burst at a time, so memory holds one burst per worker. The noise
@@ -103,12 +104,20 @@ def metrics(cm: ConfusionMatrix) -> Metrics:
 def _accuracy_grid(models: list[LofModel], queries) -> np.ndarray:
     """Accuracy of each model on each ``(matrix, truth)`` query set.
 
-    Row i is query set i and column j is ``models[j]``; each query matrix is
-    scored for every model with one ``score_grid`` call.
+    Row i is query set i and column j is ``models[j]``. The query matrices
+    are stacked and scored for every model with one ``score_grid`` call, then
+    cut back into sets by row range. Every LOF quantity is per row, so each
+    set's scores are those of its own call, bit for bit.
     """
-    return np.array([[metrics(confusion(truth, model.outliers(scores))).accuracy
-                      for model, scores in zip(models, score_grid(models, matrix))]
-                     for matrix, truth in queries], dtype=np.float64)
+    matrices, truths = zip(*queries)
+    rows = {np.shape(matrix)[1:] for matrix in matrices}
+    if len(rows) > 1:  # np.concatenate would raise numpy's own ValueError
+        raise ConfigError(f"query sets differ in row shape: {sorted(rows)}")
+    scores = score_grid(models, np.concatenate(matrices))
+    bounds = np.cumsum([0, *map(len, matrices)])
+    return np.array([[metrics(confusion(truth, model.outliers(row[lo:hi]))).accuracy
+                      for model, row in zip(models, scores)]
+                     for truth, lo, hi in zip(truths, bounds, bounds[1:])], dtype=np.float64)
 
 
 def sweep_neighbors(

@@ -59,9 +59,15 @@ FEATURE_CSV_HEADER = ["device_id", "class", "snr_db", "sigma1", "sigma2", "sigma
 def sample_variance(x: np.ndarray) -> np.ndarray:
     """Unbiased sample variance along the last axis; a singleton packet has variance 0."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] < 2:
+    n = x.shape[-1]
+    if n < 2:
         return np.zeros(x.shape[:-1])[()]  # [()]: a scalar for a 1-D input
-    return np.var(x, axis=-1, ddof=1)
+    # np.var(x, axis=-1, ddof=1) step by step, bit for bit, without its dispatch
+    mean = np.add.reduce(x, axis=-1, keepdims=True)
+    mean /= n
+    centered = np.subtract(x, mean)
+    np.square(centered, out=centered)
+    return np.add.reduce(centered, axis=-1) / (n - 1)
 
 
 def energy_entropy(x: np.ndarray) -> np.ndarray:

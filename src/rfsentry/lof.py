@@ -18,9 +18,10 @@ Neighbor search is exact brute force, one row block of distances at a time:
 a ``(block, n)`` slab filled by accumulating the feature columns in order,
 never through a ``(q, n, d)`` difference tensor, and never the whole
 ``(q, n)`` table. A block holds about ``_BLOCK_ELEMENTS`` entries. One
-multi-kth partition per block yields the k-distances of every k of a grid,
-so the public API is a k grid; ``fit`` and ``score_batch`` are the same
-calls with a one-element grid.
+partition per block at the grid's largest k, then one sort of the head it
+leaves, yields the k-distances of every k of a grid (see ``_kdist``), so the
+public API is a k grid; ``fit`` and ``score_batch`` are the same calls with
+a one-element grid, and take the single partition alone.
 
 Fitting follows the two steps of the LOF paper (Breunig et al., SIGMOD
 2000, section 7). Pass 1 walks the reference against itself, the diagonal
@@ -166,14 +167,20 @@ def _distance_blocks(at: np.ndarray, bt: np.ndarray, metric: Metric, blocks: lis
 def _kdist(dist: np.ndarray, ks: list[int], spare: np.ndarray) -> np.ndarray:
     """Each row's k-th smallest distance for every k in ``ks``: a (len(ks), rows) array.
 
-    One multi-kth partition of a copy in ``spare`` places every requested
-    order statistic at once; each is an entry of the row, so every k gets
-    the same value a single-k partition gives.
+    A copy in ``spare`` is partitioned once at the largest k, which puts a
+    row's ``max(ks)`` smallest entries first. For a grid of several k that
+    head is then sorted, and every k reads its order statistic from it. An
+    order statistic is an entry of the row, so every k gets the value a
+    single-k partition gives. NumPy's multi-kth partition costs far more:
+    1.1-2.0 ms against 0.18-0.28 ms for the 6-k and 20-k sweep grids on an
+    81 x 800 block (2-vCPU VM).
     """
-    kth = [k - 1 for k in ks]
+    top = max(ks)
     np.copyto(spare, dist)
-    spare.partition(kth, axis=1)
-    return spare[:, kth].T
+    spare.partition(top - 1, axis=1)
+    if len(set(ks)) > 1:
+        spare[:, :top].sort(axis=1)
+    return spare[:, [k - 1 for k in ks]].T
 
 
 def _lrd(mean_reach: np.ndarray) -> np.ndarray:
@@ -446,7 +453,7 @@ def score_grid(models: list[LofModel], queries) -> list[np.ndarray]:
 
     The models must come from one ``fit_grid`` call: they share its training
     rows, metric and scaler, and with them every query block's distances and
-    its one k-distance partition.
+    its k-distance selection.
     """
     if not models or any(model.train is not models[0].train for model in models):
         raise ConfigError("score_grid needs models from one fit_grid call")

@@ -5,6 +5,9 @@ burst by the code that makes it (``synth.gen_bursts``, :func:`load_signal`);
 the noise and capture steps below it pass plain sample arrays. The trigger
 of :func:`extract_transient` emulates an oscilloscope that idles below an
 energy threshold and starts capturing once a sliding window reaches it.
+:func:`find_trigger` scans a growing prefix of the trace, doubling it until
+a window hits, so an early trigger never pays for the whole trace; it
+finds the index that one scan of the whole trace finds.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import struct
 import sys
 from dataclasses import dataclass, replace
@@ -137,22 +141,30 @@ def _scaled_noise(
     return noisy
 
 
-def _window_energies(x: np.ndarray, window_len: int) -> np.ndarray:
-    """Mean-square energy of every length-``window_len`` window, step 1."""
-    csum = np.concatenate(([0.0], np.cumsum(x * x)))
-    return (csum[window_len:] - csum[:-window_len]) / window_len
-
-
 def find_trigger(signal: Signal, cfg: TriggerConfig) -> int:
-    """First index whose window energy reaches the threshold."""
+    """First index whose window energy reaches the threshold.
+
+    A window's energy is its mean square, from a running sum of squares.
+    The scan covers a prefix of the trace, ``16 * window_len`` samples at
+    first and twice as many each time no window in it hits, until the trace
+    ends. ``cumsum`` accumulates in order, so a prefix's sums are those of a
+    scan of the whole trace, bit for bit.
+    """
     x = signal.samples
-    if x.size < cfg.window_len:
-        raise RfSentryError(f"need at least {cfg.window_len} samples, got {x.size}")
-    energies = _window_energies(x, cfg.window_len)
-    hits = np.flatnonzero(energies >= cfg.energy_threshold)
-    if hits.size == 0:
-        raise RfSentryError("no window reached the energy threshold")
-    return int(hits[0])
+    w = cfg.window_len
+    if x.size < w:
+        raise RfSentryError(f"need at least {w} samples, got {x.size}")
+    end = 16 * w
+    while True:
+        head = x[:end]
+        csum = np.concatenate(([0.0], np.cumsum(head * head)))
+        energies = (csum[w:] - csum[:-w]) / w
+        hits = np.flatnonzero(energies >= cfg.energy_threshold)
+        if hits.size:
+            return int(hits[0])
+        if end >= x.size:
+            raise RfSentryError("no window reached the energy threshold")
+        end *= 2
 
 
 def extract_transient(signal: Signal, cfg: TriggerConfig) -> np.ndarray:
@@ -210,9 +222,10 @@ def load_signal(
             raise FormatError(f"{path}: bad magic {magic!r}")
         if version != RFSG_VERSION:
             raise FormatError(f"{path}: unsupported format version {version}")
+        # checked before reading: read(n) allocates n bytes before it reads
+        if 4 * count > os.fstat(fh.fileno()).st_size - fh.tell():
+            raise FormatError(f"{path}: expected {count} samples, file truncated")
         raw = fh.read(4 * count)
-    if len(raw) < 4 * count:
-        raise FormatError(f"{path}: expected {count} samples, file truncated")
     if count == 0:
         raise FormatError(f"{path}: holds no samples")
     if not (math.isfinite(sample_rate) and sample_rate > 0):

@@ -261,13 +261,21 @@ def _hopped_waveform(profile: DeviceProfile, n: int, rng: np.random.Generator) -
     n_hops = n // hop_period + 2
     offsets = rng.uniform(-hop_span, hop_span, n_hops)
     start = int(rng.integers(0, hop_period))  # jittered hop phase
-    idx = (np.arange(n) + start) // hop_period
-    freq = profile.carrier_frac + offsets[idx]
+    # sample i is in hop (i + start) // hop_period
+    freq = np.repeat(offsets, hop_period)[start : start + n]
+    freq += profile.carrier_frac
     wobble_rate = 1.0 / max(8, hop_period // 4)
     wobble_phase = rng.uniform(0.0, 2.0 * np.pi)
-    freq = freq + fm_dev * np.sin(2.0 * np.pi * wobble_rate * np.arange(n) + wobble_phase)
+    wobble = np.multiply(2.0 * np.pi * wobble_rate, np.arange(n))
+    wobble += wobble_phase
+    np.sin(wobble, out=wobble)
+    wobble *= fm_dev
+    freq += wobble
     phase0 = rng.uniform(0.0, 2.0 * np.pi)
-    return np.sin(2.0 * np.pi * np.cumsum(freq) + phase0)
+    phase = np.cumsum(freq)
+    phase *= 2.0 * np.pi
+    phase += phase0
+    return np.sin(phase, out=phase)
 
 
 def _multitone_waveform(profile: DeviceProfile, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -279,8 +287,13 @@ def _multitone_waveform(profile: DeviceProfile, n: int, rng: np.random.Generator
     weights = np.maximum(weights, 0.1)
     t = np.arange(n)
     w = np.zeros(n)
+    tone = np.empty(n)
     for f, ph, a in zip(freqs, phases, weights):
-        w += a * np.sin(2.0 * np.pi * f * t + ph)
+        np.multiply(2.0 * np.pi * f, t, out=tone)
+        tone += ph
+        np.sin(tone, out=tone)
+        tone *= a
+        w += tone
     return w
 
 
@@ -303,12 +316,14 @@ def gen_bursts(
         w = _hopped_waveform(profile, n, rng)
     else:
         w = _multitone_waveform(profile, n, rng)
-    w = w / np.sqrt(np.mean(w * w))
+    w /= np.sqrt(np.mean(w * w))
 
+    # amplitude * envelope * w, where the envelope ramps up over `rise`
+    # samples and is 1 after them: there it is amplitude * w exactly
     rise = min(profile.envelope_rise, n)
-    envelope = np.ones(n)
-    envelope[:rise] = np.arange(1, rise + 1) / rise
-    trace = np.concatenate([np.zeros(cfg.lead_len), amplitude * envelope * w])
+    trace = np.zeros(cfg.lead_len + n)
+    body = np.multiply(amplitude, w, out=trace[cfg.lead_len :])
+    np.multiply(amplitude * (np.arange(1, rise + 1) / rise), w[:rise], out=body[:rise])
 
     power = mean_power(trace)
     unit_noise = None

@@ -203,6 +203,16 @@ def test_sweep_neighbors_empty_grid():
         sweep_neighbors(train, validation, test, k_grid=[])
 
 
+def test_sweep_neighbors_rejects_query_sets_of_another_width():
+    train, validation, test = _toy_tables()
+    narrow = replace(validation, matrix=validation.matrix[:, :-1])
+    with pytest.raises(ConfigError, match="query dimension"):
+        sweep_neighbors(train, narrow, replace(test, matrix=test.matrix[:, :-1]), k_grid=[3])
+    # the sets are scored stacked, so sets that cannot stack are their own error
+    with pytest.raises(ConfigError, match="query sets differ in row shape"):
+        sweep_neighbors(train, narrow, test, k_grid=[3])
+
+
 def test_best_k_ties_take_smaller_k():
     assert best_k([10, 30, 20], np.array([0.90, 0.95, 0.95])) == 20
 

@@ -129,16 +129,33 @@ def test_core_matches_references_across_block_edges(metric, grid, monkeypatch):
         assert np.allclose(mine, ref, rtol=1e-9, atol=1e-12)
 
 
+def assert_kdist_is_one_partition_per_k(table, ks):
+    kdists = lof._kdist(table, ks, np.empty_like(table))
+    assert kdists.shape == (len(ks), len(table))
+    for k, kdist in zip(ks, kdists):
+        assert kdist.tobytes() == np.partition(table, k - 1, axis=1)[:, k - 1].tobytes()
+
+
 @pytest.mark.parametrize("rows", [1, 6, 7, 8, 17])
 def test_multi_k_kdist_equals_one_partition_per_k(rows):
     # integer-grid distances tie often; the grid is unsorted and repeats a k
     n = 12
     table = np.random.default_rng(36).integers(0, 5, (rows, n)).astype(float)
-    ks = [n - 1, 3, 1, 7, 3]
-    kdists = lof._kdist(table, ks, np.empty_like(table))
-    assert kdists.shape == (len(ks), rows)
-    for k, kdist in zip(ks, kdists):
-        assert kdist.tobytes() == np.partition(table, k - 1, axis=1)[:, k - 1].tobytes()
+    assert_kdist_is_one_partition_per_k(table, [n - 1, 3, 1, 7, 3])
+
+
+@pytest.mark.parametrize("ks", [list(range(100, 201, 20)), list(range(10, 201, 10)), [150],
+                                [200, 20, 150, 20]],
+                         ids=["sweep-snr", "sweep-n", "one-k", "unsorted"])
+@pytest.mark.parametrize("data", ["lognormal", "integer"])
+def test_kdist_of_a_sweep_block_equals_one_partition_per_k(ks, data):
+    # one 81 x 800 row block, the size a sweep's n=800 distance pass uses
+    rng = np.random.default_rng(42)
+    if data == "lognormal":
+        table = rng.lognormal(size=(81, 800))
+    else:
+        table = rng.integers(0, 9, (81, 800)).astype(float)
+    assert_kdist_is_one_partition_per_k(table, ks)
 
 
 MODEL_ARRAYS = ("train", "kdist", "lrd", "scaler_mean", "scaler_std")
@@ -163,6 +180,30 @@ def test_grid_equals_one_fit_and_score_per_k(metric):
     assert len(scores) == len(ks)
     for model, grid_scores in zip(models, scores):
         assert grid_scores.tobytes() == model.score_batch(queries).tobytes()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("data", ["lognormal", "integer"])
+def test_score_grid_of_stacked_sets_equals_one_call_per_set(data, cpus, monkeypatch):
+    # 7-row blocks: the sets of 5, 9, 1 and 13 rows straddle block edges
+    rng = np.random.default_rng(43)
+    n = 30
+    if data == "lognormal":
+        train, queries = rng.lognormal(size=(n, 4)), rng.lognormal(size=(28, 4))
+    else:
+        train, queries = (rng.integers(0, 5, (n, 4)).astype(float),
+                          rng.integers(-2, 7, (28, 4)).astype(float))
+    sets = np.split(queries, [5, 14, 15])
+    monkeypatch.setattr(lof, "_BLOCK_ELEMENTS", 7 * n)
+    monkeypatch.setattr(lof, "_usable_cpus", lambda: cpus)
+    models = fit_grid(train, [3, 10, 1, 29])
+    stacked = score_grid(models, np.concatenate(sets))
+    lo = 0
+    for queries in sets:
+        hi = lo + len(queries)
+        for row, alone in zip(stacked, score_grid(models, queries)):
+            assert row[lo:hi].tobytes() == alone.tobytes()
+        lo = hi
 
 
 def test_score_grid_needs_models_of_one_fit():

@@ -23,6 +23,8 @@ from rfsentry.signals import (
     write_manifest,
 )
 
+from .conftest import traced_peak
+
 
 def sig(samples, **kw):
     return Signal(samples=np.asarray(samples, dtype=np.float64), sample_rate=1e6, **kw)
@@ -147,18 +149,49 @@ def test_add_awgn_equals_scaled_normal_draw_bit_for_bit():
 # -- trigger and capture ------------------------------------------------------
 
 
+def direct_scan(x, window_len, threshold):
+    """The first index whose window mean-square reaches ``threshold``, window by window."""
+    return next((i for i in range(x.size - window_len + 1)
+                 if np.mean(x[i : i + window_len] ** 2) >= threshold), None)
+
+
 def test_find_trigger_matches_direct_scan():
     x = np.concatenate([np.zeros(10_000), np.ones(8192)])
     cfg = TriggerConfig(window_len=64, energy_threshold=0.25, capture_len=4096)
     idx = find_trigger(sig(x), cfg)
     assert 10_000 - 63 <= idx <= 10_000
-    # oracle: first index whose window mean-square reaches the threshold
-    direct = next(
-        i
-        for i in range(x.size - 64 + 1)
-        if np.mean(x[i : i + 64] ** 2) >= 0.25
-    )
-    assert idx == direct
+    assert idx == direct_scan(x, 64, 0.25)
+
+
+# the scan covers 16 * 64 = 1,024 samples first, then 2,048, 4,096, ...
+@pytest.mark.parametrize("prefix", [1024, 2048, 4096])
+@pytest.mark.parametrize("from_end", [65, 64, 63, 1])
+def test_find_trigger_at_prefix_edges_matches_direct_scan(prefix, from_end):
+    # a step at `onset` fills a quarter of the window starting 48 samples before
+    # it, so the first hitting window starts at prefix - from_end: the last one
+    # inside the prefix at from_end=64, and one the prefix cuts at 63 and 1
+    first = prefix - from_end
+    onset = first + 48
+    x = np.concatenate([np.zeros(onset), np.ones(prefix + 1000)])
+    cfg = TriggerConfig(window_len=64, energy_threshold=0.25, capture_len=4096)
+    assert find_trigger(sig(x), cfg) == direct_scan(x, 64, 0.25) == first
+
+
+def test_find_trigger_beyond_the_doubled_prefixes():
+    cfg = TriggerConfig(window_len=64, energy_threshold=0.25, capture_len=128)
+    # only the last window of a 5,000-sample trace holds the burst
+    x = np.zeros(5000)
+    x[-1] = 8.0
+    assert find_trigger(sig(x), cfg) == direct_scan(x, 64, 0.25) == 5000 - 64
+    # a 5,000-sample trace that never triggers: the last prefix is the trace
+    with pytest.raises(RfSentryError, match="no window reached the energy threshold"):
+        find_trigger(sig(np.full(5000, 0.49)), cfg)
+    # a window of 100 has a first prefix of 1,600 samples, past a 700-sample trace
+    wide = TriggerConfig(window_len=100, energy_threshold=0.25, capture_len=128)
+    x = np.concatenate([np.zeros(500), np.ones(200)])
+    assert find_trigger(sig(x), wide) == direct_scan(x, 100, 0.25) == 425
+    with pytest.raises(RfSentryError, match="no window reached the energy threshold"):
+        find_trigger(sig(np.zeros(700)), wide)
 
 
 def test_find_trigger_no_trigger_and_too_short():
@@ -250,6 +283,15 @@ def test_rfsg_rejects_corrupt_files(tmp_path):
     truncated.write_bytes(truncated.read_bytes()[:50])
     with pytest.raises(ValueError):
         load_signal(truncated)
+    # a count field of 2**32 - 1 would have read() allocate ~17 GB first
+    huge = tmp_path / "huge.rfsg"
+    huge.write_bytes(_HEADER_STRUCT.pack(b"RFSG", 1, 1e6, 0xFFFFFFFF) + bytes(40))
+
+    def load_huge():
+        with pytest.raises(FormatError, match="expected 4294967295 samples, file truncated"):
+            load_signal(huge)
+
+    assert traced_peak(load_huge) < 1 << 20
 
 
 def _rfsg(header=(b"RFSG", 1, 1e6, 4), samples=(1.0, 2.0, 3.0, 4.0)) -> bytes:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from rfsentry import synth
+from rfsentry.seeding import derive_seed, stage_seed
 from rfsentry.errors import ConfigError, RfSentryError
 from rfsentry.signals import (
     SignalClass,
@@ -30,6 +31,7 @@ from rfsentry.synth import (
     stratified_split_indices,
 )
 
+from . import oracles
 from .conftest import table_from_signals
 
 
@@ -232,6 +234,27 @@ def test_gen_bursts_equal_corpus_bursts_at_each_snr(snrs):
                         burst.sample_rate) == (want.device_id, want.signal_class,
                                                want.snr_db, want.sample_rate)
                 assert burst.snr_db == (None if snr == math.inf else snr)
+
+
+@pytest.mark.parametrize("capture_len", [64, 256, 4096])
+def test_bursts_match_the_plain_array_recipe(capture_len):
+    # the library assembles each burst in place; the oracle makes a new array
+    # per step, so equal bytes mean no step was reordered or fused
+    cfg = CorpusConfig(profiles=default_profiles(capture_len), capture_len=capture_len,
+                       master_seed=stage_seed(0, "corpus"))
+    for profile in cfg.profiles:
+        for index in (0, 1, 299):
+            rng = np.random.default_rng(
+                derive_seed(cfg.master_seed, profile.device_seed, index, "burst"))
+            clean = oracles.clean_burst(profile, cfg.burst_len, cfg.lead_len, rng)
+            unit_noise = np.random.default_rng(
+                noise_seed(cfg, profile, index)).standard_normal(clean.size)
+            corpus = oracles.noisy_burst(clean, cfg.snr_db, unit_noise)
+            assert gen_burst(profile, index, cfg).samples.tobytes() == corpus.tobytes()
+            snrs = [6.0, 18.0, math.inf]
+            got = [burst.samples.tobytes() for burst in gen_bursts(profile, index, cfg, snrs)]
+            assert got == [oracles.noisy_burst(clean, snr, unit_noise).tobytes()
+                           for snr in snrs]
 
 
 def test_noise_seed_is_snr_independent():
