@@ -1,14 +1,19 @@
 #!/usr/bin/env bash
 # Usage: .github/scripts/same_outputs.sh BASE
 #
-# Runs the seed-0 default pipeline at the git revision BASE and at the
+# Runs the default pipeline twice at the git revision BASE and at the
 # working tree, and fails if any data product, stdout or stderr log differs
-# under `diff -r`. The pipeline is synth --jobs 2, extract of both
-# manifests, train, score, eval, sweep-n and sweep-snr --jobs 2. In the
-# logs, each run's output directory and source tree are replaced by fixed
-# names first, so that only what the commands report is compared. BASE is
-# checked out as a detached git worktree in a temporary directory, which is
-# removed on exit. Needs python3 with numpy.
+# under `diff -r`. The pipeline is synth, extract of both manifests, train,
+# score, eval, sweep-n and sweep-snr:
+#
+# * seed 0 with --jobs 2 and the default grids;
+# * seed 1 with --jobs 1 and unsorted grids (sweep-n --k-grid 30,5,200,10,7;
+#   sweep-snr --snr-grid 18,6,30,12 --k-grid 150,100,20).
+#
+# In the logs, each run's output directory and source tree are replaced by
+# fixed names first, so that only what the commands report is compared.
+# BASE is checked out as a detached git worktree in a temporary directory,
+# which is removed on exit. Needs python3 with numpy.
 #
 # A change that alters a product on purpose says so in CHANGES.md; this
 # check then fails for that change, and only for it.
@@ -34,25 +39,34 @@ rfs() {
         { cat "$out/logs/$name.err" >&2; return 1; }
 }
 
+# pipeline SRC OUT SEED JOBS GRIDS: GRIDS is "default" or "unsorted"
 pipeline() {
     src=$1 out=$2
+    local seed=$3 jobs=$4 sweep_n=() sweep_snr=()
+    if [ "$5" = unsorted ]; then
+        sweep_n=(--k-grid 30,5,200,10,7)
+        sweep_snr=(--snr-grid 18,6,30,12 --k-grid 150,100,20)
+    fi
     mkdir -p "$out/logs"
-    rfs synth synth --out "$out/corpus" --seed 0 --jobs 2
+    rfs synth synth --out "$out/corpus" --seed "$seed" --jobs "$jobs"
     rfs extract-train extract --manifest "$out/corpus/train_manifest.csv" --out "$out/train.csv"
     rfs extract-eval extract --manifest "$out/corpus/eval_manifest.csv" --out "$out/eval.csv"
     rfs train train --features "$out/train.csv" --out "$out/model.json"
     rfs score score --model "$out/model.json" --features "$out/eval.csv" --out "$out/scores.csv"
     rfs eval eval --model "$out/model.json" --features "$out/eval.csv" --out "$out/report"
     rfs sweep-n sweep-n --train-features "$out/train.csv" --eval-features "$out/eval.csv" \
-        --out "$out/sweep-n"
+        --out "$out/sweep-n" --seed "$seed" "${sweep_n[@]}"
     rfs sweep-snr sweep-snr --corpus "$out/corpus" --train-features "$out/train.csv" \
-        --out "$out/sweep-snr" --jobs 2
+        --out "$out/sweep-snr" --jobs "$jobs" "${sweep_snr[@]}"
     # the source tree first: the base's lies next to its output directory
     sed -i -e "s|$src|SRC|g" -e "s|$out|OUT|g" "$out"/logs/*
 }
 
-pipeline "$work/base-src" "$work/base"
-pipeline "$repo" "$work/head"
+for run in "0 2 default" "1 1 unsorted"; do
+    read -r seed jobs grids <<<"$run"
+    pipeline "$work/base-src" "$work/base/seed$seed" "$seed" "$jobs" "$grids"
+    pipeline "$repo" "$work/head/seed$seed" "$seed" "$jobs" "$grids"
+done
 if diff -r --brief "$work/base" "$work/head"; then
     echo "same outputs as $base"
 else

@@ -8,7 +8,7 @@ novelty score against a recognized-signal reference set.
 from .errors import RfSentryError
 from .features import fingerprint, rank_features
 from .lof import LofModel, Metric, fit, fit_grid, score_grid
-from .signals import Signal, SignalClass, TriggerConfig, add_awgn, extract_transient
+from .signals import Signal, SignalClass, TriggerConfig, extract_transient
 from .wpt import packet_coefficients
 
 __version__ = "0.1.0"
@@ -21,7 +21,6 @@ __all__ = [
     "SignalClass",
     "TriggerConfig",
     "__version__",
-    "add_awgn",
     "extract_transient",
     "fingerprint",
     "fit",

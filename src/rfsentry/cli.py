@@ -5,21 +5,22 @@ CSVs, train/score/evaluate the detector, and run the neighbor-count and SNR
 sweeps. Logs go to stderr; data products go only to files (or stdout where
 noted), so commands are pipe-safe. A single --seed flag fans out to
 per-stage seeds (see seeding.stage_seed), which keeps every subcommand
-deterministic without threading seeds through each flag.
+deterministic without threading seeds through each flag. This module holds
+no file format, only the corpus directory layout: each format is read and
+written by the module of the type it holds.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import logging
 import math
 import os
 import sys
 from pathlib import Path
 
-from .errors import ConfigError, FormatError, RfSentryError
+from .errors import RfSentryError
 from .evaluate import (
     best_k,
     confusion,
@@ -28,6 +29,7 @@ from .evaluate import (
     save_confusion_csv,
     save_metrics_csv,
     save_neighbors_csv,
+    save_scores_csv,
     save_snr_csv,
     sweep_neighbors,
     sweep_snr,
@@ -36,14 +38,9 @@ from .features import FeatureTable, fingerprint, load_feature_csv, save_feature_
 from .lof import DEFAULT_K, DEFAULT_THRESHOLD, LofModel, fit
 from .seeding import map_chunks, stage_seed
 from .signals import (
-    _OBJECT,
     ManifestRow,
     SignalClass,
     TriggerConfig,
-    _fmt,
-    _json_document,
-    _json_fields,
-    _write_csv,
     load_signal,
     read_manifest,
     save_signal,
@@ -60,8 +57,6 @@ from .synth import (
 log = logging.getLogger("rfsentry")
 
 CORPUS_FILE = "corpus.json"
-CORPUS_FORMAT = "rfsentry-corpus"
-CORPUS_FORMAT_VERSION = 1
 TRAIN_MANIFEST = "train_manifest.csv"
 EVAL_MANIFEST = "eval_manifest.csv"
 
@@ -161,16 +156,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _read_corpus_config(path: Path) -> CorpusConfig:
-    """The configuration in a ``corpus.json`` written by synth; a bad file is a FormatError."""
-    doc = _json_fields(_json_document(path, CORPUS_FORMAT, CORPUS_FORMAT_VERSION),
-                       {"config": _OBJECT}, str(path))
-    try:
-        return CorpusConfig.from_dict(doc["config"])
-    except (FormatError, ConfigError) as exc:
-        raise FormatError(f"{path}: {exc}") from None
-
-
 def _require_recognized(table: FeatureTable, what: str) -> None:
     uav = sum(1 for c in table.classes if c is SignalClass.UAV)
     if uav:
@@ -223,11 +208,7 @@ def cmd_synth(args) -> int:
     # manifests and config last, atomically: their presence means a complete corpus
     _atomic(lambda p: write_manifest(train_rows, p), out / TRAIN_MANIFEST)
     _atomic(lambda p: write_manifest(eval_rows, p), out / EVAL_MANIFEST)
-    doc = {"format": CORPUS_FORMAT, "version": CORPUS_FORMAT_VERSION, "config": cfg.to_dict()}
-    _atomic(
-        lambda p: Path(p).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n"),
-        out / CORPUS_FILE,
-    )
+    _atomic(cfg.save, out / CORPUS_FILE)
     log.info(
         "corpus at %s: %d train + %d eval signals across %d devices",
         out, len(train_rows), len(eval_rows), len(cfg.profiles),
@@ -289,15 +270,7 @@ def cmd_score(args) -> int:
     model = LofModel.load(args.model)
     table = load_feature_csv(args.features)
     scores = model.score_batch(table.matrix)
-
-    rows = (
-        [device_id, cls.value, _fmt(snr), _fmt(score), "outlier" if outlier else "inlier"]
-        for device_id, cls, snr, score, outlier in zip(
-            table.device_ids, table.classes, table.snr_db, scores, model.outliers(scores)
-        )
-    )
-    header = ["device_id", "class", "snr_db", "score", "label"]
-    _atomic(lambda p: _write_csv(p, header, rows), Path(args.out))
+    _atomic(lambda p: save_scores_csv(table, scores, model.outliers(scores), p), Path(args.out))
     log.info("scored %d fingerprints", len(table))
     return 0
 
@@ -344,7 +317,7 @@ def cmd_sweep_n(args) -> int:
 
 
 def cmd_sweep_snr(args) -> int:
-    cfg = _read_corpus_config(Path(args.corpus) / CORPUS_FILE)
+    cfg = CorpusConfig.load(Path(args.corpus) / CORPUS_FILE)
     train = load_feature_csv(args.train_features)
     _require_recognized(train, "training features")
 

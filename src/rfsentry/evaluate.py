@@ -28,9 +28,10 @@ import numpy as np
 
 from .errors import ConfigError, RfSentryError
 from .features import FeatureTable, fingerprint
+from .formats import fmt, write_csv
 from .lof import LofModel, Metric, fit_grid, score_grid
 from .seeding import map_chunks
-from .signals import SignalClass, TriggerConfig, _fmt, _write_csv
+from .signals import SignalClass, TriggerConfig
 from .synth import CorpusConfig, DeviceProfile, gen_bursts
 
 
@@ -205,27 +206,37 @@ def sweep_snr(
 # ---------------------------------------------------------------------------
 
 
+def save_scores_csv(
+    table: FeatureTable, scores: np.ndarray, outlier: np.ndarray, path: str | Path
+) -> None:
+    """One row per feature row: its metadata, LOF score and inlier/outlier label."""
+    write_csv(path, ["device_id", "class", "snr_db", "score", "label"],
+              ([device_id, cls.value, fmt(snr), fmt(score), "outlier" if out else "inlier"]
+               for device_id, cls, snr, score, out in zip(
+                   table.device_ids, table.classes, table.snr_db, scores, outlier)))
+
+
 def save_confusion_csv(cm: ConfusionMatrix, path: str | Path) -> None:
-    _write_csv(path, ["tp", "fp", "fn", "tn"], [[cm.tp, cm.fp, cm.fn, cm.tn]])
+    write_csv(path, ["tp", "fp", "fn", "tn"], [[cm.tp, cm.fp, cm.fn, cm.tn]])
 
 
 def save_metrics_csv(m: Metrics, path: str | Path) -> None:
-    _write_csv(path, ["accuracy", "precision", "recall", "f1", "degenerate"],
-               [[_fmt(m.accuracy), _fmt(m.precision), _fmt(m.recall), _fmt(m.f1),
-                 int(m.degenerate)]])
+    write_csv(path, ["accuracy", "precision", "recall", "f1", "degenerate"],
+              [[fmt(m.accuracy), fmt(m.precision), fmt(m.recall), fmt(m.f1),
+                int(m.degenerate)]])
 
 
 def save_neighbors_csv(ks: list[int], acc: np.ndarray, path: str | Path) -> None:
     """One row per k of a ``sweep_neighbors`` grid: validation and test accuracy."""
-    _write_csv(path, ["k", "val_acc", "test_acc"],
-               ([k, _fmt(val), _fmt(tst)] for k, val, tst in zip(ks, *acc)))
+    write_csv(path, ["k", "val_acc", "test_acc"],
+              ([k, fmt(val), fmt(tst)] for k, val, tst in zip(ks, *acc)))
 
 
 def save_snr_csv(snrs: list[float], ks: list[int], acc: np.ndarray, path: str | Path) -> None:
     """One row per (SNR, k) cell of a ``sweep_snr`` grid, SNR-major."""
-    _write_csv(path, ["snr_db", "k", "accuracy"],
-               ([_fmt(snr), k, _fmt(cell)]
-                for snr, row in zip(snrs, acc) for k, cell in zip(ks, row)))
+    write_csv(path, ["snr_db", "k", "accuracy"],
+              ([fmt(snr), k, fmt(cell)]
+               for snr, row in zip(snrs, acc) for k, cell in zip(ks, row)))
 
 
 # ---------------------------------------------------------------------------

@@ -19,17 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, RfSentryError
-from .signals import (
-    Signal,
-    SignalClass,
-    TriggerConfig,
-    _csv_records,
-    _fmt,
-    _parse_class,
-    _parse_float,
-    _write_csv,
-    extract_transient,
-)
+from .formats import csv_records, fmt, parse_float, write_csv
+from .signals import Signal, SignalClass, TriggerConfig, extract_transient, parse_class
 from .wpt import packet_coefficients
 
 PACKET_NAMES = ("a1", "d1", "a2", "d2")
@@ -174,8 +165,8 @@ class FeatureTable:
 
 
 def save_feature_csv(table: FeatureTable, path: str | Path) -> None:
-    _write_csv(path, FEATURE_CSV_HEADER, (
-        [device_id, cls.value, _fmt(snr), *(_fmt(v) for v in row)]
+    write_csv(path, FEATURE_CSV_HEADER, (
+        [device_id, cls.value, fmt(snr), *(fmt(v) for v in row)]
         for device_id, cls, snr, row in zip(
             table.device_ids, table.classes, table.snr_db, table.matrix
         )
@@ -187,10 +178,10 @@ def load_feature_csv(path: str | Path) -> FeatureTable:
     classes: list[SignalClass] = []
     snrs: list[float | None] = []
     rows: list[list[float]] = []
-    for where, rec in _csv_records(path, FEATURE_CSV_HEADER):
+    for where, rec in csv_records(path, FEATURE_CSV_HEADER):
         device_ids.append(rec[0])
-        classes.append(_parse_class(rec[1], where))
-        snrs.append(None if rec[2] == "" else _parse_float(rec[2], where))
-        rows.append([_parse_float(v, where) for v in rec[3:]])
+        classes.append(parse_class(rec[1], where))
+        snrs.append(None if rec[2] == "" else parse_float(rec[2], where))
+        rows.append([parse_float(v, where) for v in rec[3:]])
     matrix = np.array(rows) if rows else np.empty((0, 4))
     return FeatureTable(device_ids=device_ids, classes=classes, snr_db=snrs, matrix=matrix)

@@ -63,8 +63,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, FormatError
-from .seeding import _usable_cpus, chunk_bounds
-from .signals import _BOOL, _INT, _LIST, _NUMBER, _STRING, _json_document, _json_fields
+from .formats import BOOL, INT, LIST, NUMBER, STRING, json_document, json_fields
+from .seeding import chunk_bounds, usable_cpus
 
 LRD_EPSILON = 1e-10
 
@@ -74,8 +74,8 @@ DEFAULT_THRESHOLD = 1.5
 MODEL_FORMAT = "rfsentry-lof"
 MODEL_FORMAT_VERSION = 1
 _ARRAYS = ("train", "kdist", "lrd", "scaler_mean", "scaler_std")
-_MODEL_FIELDS = {"k": _INT, "metric": _STRING, "threshold": _NUMBER, "standardized": _BOOL,
-                 **dict.fromkeys(["scaler_mean", "scaler_std", "train", "kdist", "lrd"], _LIST)}
+_MODEL_FIELDS = {"k": INT, "metric": STRING, "threshold": NUMBER, "standardized": BOOL,
+                 **dict.fromkeys(["scaler_mean", "scaler_std", "train", "kdist", "lrd"], LIST)}
 
 # Distance-table entries per row block. Each block temporary is 512 KiB of
 # float64 whatever the number of reference rows, small enough for two of
@@ -104,7 +104,7 @@ def _on_threads(fn, items: list) -> list:
     caller's context, which holds numpy's errstate, and an exception in a
     helper re-raises here. ``fn`` must write only what its own group owns.
     """
-    workers = max(1, min(_usable_cpus(), len(items)))
+    workers = max(1, min(usable_cpus(), len(items)))
     groups = [items[lo:hi] for lo, hi in chunk_bounds(len(items), workers)]
     if len(groups) < 2:
         return [fn(group) for group in groups]
@@ -365,8 +365,8 @@ class LofModel:
     @classmethod
     def load(cls, path: str | Path) -> "LofModel":
         """Read a model written by ``save``; any inconsistency is a FormatError."""
-        doc = _json_fields(_json_document(path, MODEL_FORMAT, MODEL_FORMAT_VERSION),
-                           _MODEL_FIELDS, str(path))
+        doc = json_fields(json_document(path, MODEL_FORMAT, MODEL_FORMAT_VERSION),
+                          _MODEL_FIELDS, str(path))
         k, threshold = doc["k"], float(doc["threshold"])
         for name in _ARRAYS:
             _check_numbers(doc[name], name, path)

@@ -28,7 +28,7 @@ def stage_seed(master_seed: int, stage: str) -> int:
     return derive_seed(master_seed, "stage", stage)
 
 
-def _usable_cpus() -> int:
+def usable_cpus() -> int:
     """The CPUs this process may run on: its affinity mask, where the OS has one.
 
     Both fan-outs read it: ``map_chunks`` starts at most this many worker
@@ -64,7 +64,7 @@ def map_chunks(fn, items: list, jobs: int, *args) -> list:
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
-    jobs = min(jobs, _usable_cpus())
+    jobs = min(jobs, usable_cpus())
     if jobs == 1:
         return fn(items, *args)
     import multiprocessing

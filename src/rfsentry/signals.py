@@ -1,31 +1,32 @@
-"""Sampled-signal data model, SNR math, and transient extraction.
+"""Sampled-signal data model, transient extraction, and the trace file formats.
 
 A :class:`Signal` is a real-valued burst and its metadata, built once per
 burst by the code that makes it (``synth.gen_bursts``, :func:`load_signal`);
-the noise and capture steps below it pass plain sample arrays. The trigger
+the capture steps below it pass plain sample arrays. The trigger
 of :func:`extract_transient` emulates an oscilloscope that idles below an
 energy threshold and starts capturing once a sliding window reaches it.
 :func:`find_trigger` scans a growing prefix of the trace, doubling it until
 a window hits, so an early trigger never pays for the whole trace; it
 finds the index that one scan of the whole trace finds.
+
+The RFSG trace format and the corpus manifest CSV are read and written
+here, beside the types they read into; the CSV codecs they share with the
+other formats are in ``formats``.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import os
 import struct
-import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
 from .errors import ConfigError, FormatError, RfSentryError
+from .formats import csv_records, fmt, parse_float, parse_path, write_csv
 
 RFSG_MAGIC = b"RFSG"
 RFSG_VERSION = 1
@@ -36,6 +37,14 @@ MANIFEST_HEADER = ["path", "device_id", "class", "snr_db"]
 class SignalClass(Enum):
     RECOGNIZED = "recognized"
     UAV = "uav"
+
+
+def parse_class(text: str, where: str) -> SignalClass:
+    """The class named by a CSV field; an unknown name is a FormatError at ``where``."""
+    try:
+        return SignalClass(text)
+    except ValueError:
+        raise FormatError(f"{where}: unknown class {text!r}") from None
 
 
 @dataclass(frozen=True)
@@ -84,63 +93,6 @@ class TriggerConfig:
             raise ConfigError("window_len must not exceed capture_len")
 
 
-def mean_power(x: np.ndarray) -> float:
-    """Mean-square power (1/N) * sum(x^2) of a sample array."""
-    return float(np.mean(x * x))
-
-
-def add_awgn(signal: Signal, target_snr_db: float, seed: int) -> Signal:
-    """Add zero-mean Gaussian noise so the trace reaches ``target_snr_db``.
-
-    Noise variance is mean_power(samples) / 10^(snr/10). A target of +inf is
-    the documented no-noise sentinel and returns the input itself.
-    Bit-identical output for a fixed (signal, target, seed).
-    """
-    x = signal.samples
-    unit_noise = np.random.default_rng(seed).standard_normal(x.size)
-    noisy = _scaled_noise(x, mean_power(x), target_snr_db, unit_noise)
-    if noisy is x:  # the +inf sentinel
-        return signal
-    return replace(signal, samples=noisy, snr_db=float(target_snr_db))
-
-
-def snr_power_ratio(snr_db: float) -> float:
-    """The signal-to-noise power ratio 10^(snr/10) of a finite SNR in dB.
-
-    A ConfigError when the ratio or its inverse is beyond float range, which
-    is beyond about +-3,080 dB.
-    """
-    try:
-        ratio = 10.0 ** (snr_db / 10.0)
-    except OverflowError:
-        ratio = math.inf
-    if not (0.0 < ratio < math.inf and math.isfinite(1.0 / ratio)):
-        raise ConfigError(f"an SNR of {snr_db} dB is out of range")
-    return ratio
-
-
-def _scaled_noise(
-    x: np.ndarray, power: float, target_snr_db: float, unit_noise: np.ndarray | None
-) -> np.ndarray:
-    """Samples ``x`` plus ``unit_noise`` scaled to reach ``target_snr_db``.
-
-    ``power`` is ``mean_power(x)``. At +inf the result is ``x`` itself and
-    ``unit_noise`` is not read. numpy defines ``normal(0.0, s, n)`` as
-    ``0.0 + s * standard_normal``, so one unit draw per seed, scaled here,
-    equals ``default_rng(seed).normal(0.0, s, n)`` bit for bit at every SNR.
-    """
-    if target_snr_db == math.inf:
-        return x
-    if power == 0.0:
-        raise RfSentryError("cannot set an SNR on an all-zero signal")
-    noise_std = math.sqrt(power / snr_power_ratio(target_snr_db))
-    if not math.isfinite(noise_std):
-        raise ConfigError(f"an SNR of {target_snr_db} dB is out of range")
-    noisy = noise_std * unit_noise
-    noisy += x  # addition commutes exactly; this saves a temporary
-    return noisy
-
-
 def find_trigger(signal: Signal, cfg: TriggerConfig) -> int:
     """First index whose window energy reaches the threshold.
 
@@ -186,8 +138,7 @@ def extract_transient(signal: Signal, cfg: TriggerConfig) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# On-disk formats: RFSG binary traces, the corpus manifest CSV and the
-# readers shared by every CSV and JSON format.
+# On-disk formats: RFSG binary traces and the corpus manifest CSV.
 # ---------------------------------------------------------------------------
 
 _HEADER_STRUCT = struct.Struct("<4sHdI")  # magic, version, sample_rate, count
@@ -250,132 +201,19 @@ class ManifestRow:
     snr_db: float | None
 
 
-def _fmt(value: float | None) -> str:
-    """CSV text of a float; ``repr`` round-trips exactly and None is empty."""
-    return "" if value is None else repr(float(value))
-
-
-def _csv_records(path: str | Path, header: list[str]) -> Iterator[tuple[str, list[str]]]:
-    """Yield (``path:line``, record) for each data row of a fixed-header CSV.
-
-    An empty file, another header, a row of another width, text that is not
-    UTF-8 and malformed CSV quoting are each a FormatError.
-    """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            found = next(reader, None)
-            if found != header:
-                got = "an empty file" if found is None else f"the header {found}"
-                raise FormatError(f"{path}: expected the header {header}, got {got}")
-            for rec in reader:
-                where = f"{path}:{reader.line_num}"
-                if len(rec) != len(header):
-                    raise FormatError(
-                        f"{where}: expected {len(header)} columns, got {len(rec)}"
-                    )
-                yield where, rec
-        except (UnicodeDecodeError, csv.Error) as exc:
-            raise FormatError(f"{path}:{reader.line_num}: {exc}") from None
-
-
-def _write_csv(path: str | Path, header: list[str], rows) -> None:
-    """Write a header line and then every row as CSV.
-
-    ``rows`` may be a generator, so that no list of all formatted rows exists.
-    """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _parse_class(text: str, where: str) -> SignalClass:
-    try:
-        return SignalClass(text)
-    except ValueError:
-        raise FormatError(f"{where}: unknown class {text!r}") from None
-
-
-def _parse_float(text: str, where: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise FormatError(f"{where}: {text!r} is not a number") from None
-    if not math.isfinite(value):
-        raise FormatError(f"{where}: {text!r} is not finite")
-    return value
-
-
-def _parse_path(text: str, where: str) -> str:
-    if "\0" in text:  # no file system accepts it; open() would raise ValueError
-        raise FormatError(f"{where}: path {text!r} holds a NUL byte")
-    return text
-
-
-def _json_document(path: str | Path, fmt: str, version: int) -> dict:
-    """The top-level object of a JSON document ``{"format": fmt, "version": version, ...}``.
-
-    Text that is not JSON, another format and another version are each a
-    FormatError.
-    """
-    try:
-        doc = json.loads(Path(path).read_text())
-    except ValueError as exc:
-        raise FormatError(f"{path}: not JSON: {exc}") from None
-    if not isinstance(doc, dict) or doc.get("format") != fmt:
-        raise FormatError(f"{path}: not a {fmt} document")
-    if type(doc.get("version")) is not int or doc["version"] != version:
-        raise FormatError(f"{path}: unsupported {fmt} version {doc.get('version')!r}")
-    return doc
-
-
-# JSON value types: the Python types json.loads gives them, and their name
-_STRING = ((str,), "a string")
-_BOOL = ((bool,), "a boolean")
-_LIST = ((list,), "a list")
-_OBJECT = ((dict,), "an object")
-_INT = ((int,), "an integer")
-_NUMBER = ((int, float), "a number")
-_INT_OR_NULL = ((int, type(None)), "an integer or null")
-_NUMBER_OR_NULL = ((int, float, type(None)), "a number or null")
-
-
-def _json_fields(d, spec: dict[str, tuple[tuple[type, ...], str]], what: str) -> dict:
-    """The ``spec`` keys of JSON object ``d``, each of one of its exact types.
-
-    Exact, so a JSON ``true`` is not an integer and ``300.0`` is not one
-    either; an integer is a valid number, unless it is beyond float range,
-    and an integer-only field must fit int64. Other keys are ignored.
-    """
-    if not isinstance(d, dict):
-        raise FormatError(f"{what} must be an object, got {type(d).__name__}")
-    missing = [key for key in spec if key not in d]
-    if missing:
-        raise FormatError(f"{what}: missing key(s) {', '.join(missing)}")
-    for key, (types, name) in spec.items():
-        if type(d[key]) not in types:
-            raise FormatError(f"{what}: {key} must be {name}, got {d[key]!r}")
-        if float in types and type(d[key]) is int and abs(d[key]) > sys.float_info.max:
-            raise FormatError(f"{what}: {key} is beyond float range")
-        if float not in types and type(d[key]) is int and not -2**63 <= d[key] < 2**63:
-            raise FormatError(f"{what}: {key} is beyond int64 range")
-    return {key: d[key] for key in spec}
-
-
 def write_manifest(rows: list[ManifestRow], path: str | Path) -> None:
-    _write_csv(path, MANIFEST_HEADER,
-               ([row.path, row.device_id, row.signal_class.value, _fmt(row.snr_db)]
-                for row in rows))
+    write_csv(path, MANIFEST_HEADER,
+              ([row.path, row.device_id, row.signal_class.value, fmt(row.snr_db)]
+               for row in rows))
 
 
 def read_manifest(path: str | Path) -> list[ManifestRow]:
     return [
         ManifestRow(
-            path=_parse_path(path_col, where),
+            path=parse_path(path_col, where),
             device_id=device_id,
-            signal_class=_parse_class(cls, where),
-            snr_db=None if snr == "" else _parse_float(snr, where),
+            signal_class=parse_class(cls, where),
+            snr_db=None if snr == "" else parse_float(snr, where),
         )
-        for where, (path_col, device_id, cls, snr) in _csv_records(path, MANIFEST_HEADER)
+        for where, (path_col, device_id, cls, snr) in csv_records(path, MANIFEST_HEADER)
     ]

@@ -15,38 +15,44 @@ Generation is purely seed-driven: every random draw derives from
 (master_seed, device_seed, index), so corpora regenerate bit-identically.
 ``gen_bursts`` is the one recipe for "burst b at SNR s", at many SNRs from
 one clean trace and one noise draw; ``gen_burst`` is its corpus-SNR case.
+The noise helpers it uses (``mean_power``, ``snr_power_ratio`` and the
+scaling step) live here with it. ``CorpusConfig.save`` and ``load`` read
+and write the corpus.json format.
 """
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
+from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, FormatError, RfSentryError
-from .seeding import derive_seed
-from .signals import (
-    _INT,
-    _INT_OR_NULL,
-    _LIST,
-    _NUMBER,
-    _NUMBER_OR_NULL,
-    _STRING,
-    Signal,
-    SignalClass,
-    _json_fields,
-    _scaled_noise,
-    mean_power,
-    snr_power_ratio,
+from .formats import (
+    INT,
+    INT_OR_NULL,
+    LIST,
+    NUMBER,
+    NUMBER_OR_NULL,
+    OBJECT,
+    STRING,
+    json_document,
+    json_fields,
 )
+from .seeding import derive_seed
+from .signals import Signal, SignalClass
 
 DEFAULT_SAMPLE_RATE = 100e6
 BASE_AMPLITUDE = 3.0
 AMPLITUDE_JITTER = 0.10
 WIFI_TONES = 8
+
+CORPUS_FORMAT = "rfsentry-corpus"
+CORPUS_FORMAT_VERSION = 1
 
 # Fraction of signals_per_device that goes to training for recognized
 # devices (200 of 300 at the default corpus size).
@@ -92,28 +98,6 @@ class DeviceProfile:
             return SignalClass.UAV
         return SignalClass.RECOGNIZED
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "kind": self.kind.value,
-            "carrier_frac": self.carrier_frac,
-            "bandwidth_frac": self.bandwidth_frac,
-            "hop_period": self.hop_period,
-            "envelope_rise": self.envelope_rise,
-            "modulation_index": self.modulation_index,
-            "device_seed": self.device_seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DeviceProfile":
-        """Inverse of ``to_dict``; a missing key or a wrong type is a FormatError."""
-        fields = _json_fields(d, _PROFILE_FIELDS, "profile")
-        try:
-            fields["kind"] = DeviceKind(fields["kind"])
-        except ValueError:
-            raise FormatError(f"profile: unknown kind {fields['kind']!r}") from None
-        return cls(**fields)
-
 
 @dataclass(frozen=True)
 class CorpusConfig:
@@ -141,6 +125,10 @@ class CorpusConfig:
             raise ConfigError("lead_len must be >= 0")
         if self.lead_len == 0:
             object.__setattr__(self, "lead_len", max(1, self.capture_len // 8))
+        for p in self.profiles:  # the hop gather allocates about 2 * hop_period floats more
+            if p.hop_period is not None and p.hop_period > self.burst_len:
+                raise ConfigError(f"{p.name}: hop_period must not exceed the burst length "
+                                  f"{self.burst_len}, got {p.hop_period}")
 
     @property
     def burst_len(self) -> int:
@@ -168,49 +156,60 @@ class CorpusConfig:
             if not self.is_train(profile, index)
         ]
 
-    def to_dict(self) -> dict:
-        return {
-            "profiles": [p.to_dict() for p in self.profiles],
-            "signals_per_device": self.signals_per_device,
+    def save(self, path: str | Path) -> None:
+        """Write the corpus.json document; a clean corpus's +inf SNR is null."""
+        config = asdict(self) | {
+            "profiles": [asdict(p) | {"kind": p.kind.value} for p in self.profiles],
             "snr_db": None if math.isinf(self.snr_db) else self.snr_db,
-            "capture_len": self.capture_len,
-            "master_seed": self.master_seed,
-            "lead_len": self.lead_len,
         }
+        doc = {"format": CORPUS_FORMAT, "version": CORPUS_FORMAT_VERSION, "config": config}
+        Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
     @classmethod
-    def from_dict(cls, d: dict) -> "CorpusConfig":
-        """Inverse of ``to_dict``; a missing key or a wrong type is a FormatError."""
-        fields = _json_fields(d, _CONFIG_FIELDS, "config")
-        profiles = []
-        for i, profile in enumerate(fields["profiles"]):
-            try:
-                profiles.append(DeviceProfile.from_dict(profile))
-            except FormatError as exc:
-                raise FormatError(f"config: profiles[{i}]: {exc}") from None
-        fields["profiles"] = tuple(profiles)
-        if fields["snr_db"] is None:
-            fields["snr_db"] = math.inf
-        return cls(**fields)
+    def load(cls, path: str | Path) -> "CorpusConfig":
+        """Read a corpus.json written by ``save``.
+
+        A malformed document, a missing key, a wrong type and an invalid
+        configuration are each a FormatError that names the file.
+        """
+        doc = json_fields(json_document(path, CORPUS_FORMAT, CORPUS_FORMAT_VERSION),
+                          {"config": OBJECT}, str(path))
+        try:
+            fields = json_fields(doc["config"], _CONFIG_FIELDS, "config")
+            profiles = []
+            for i, d in enumerate(fields["profiles"]):
+                what = f"config: profiles[{i}]: profile"
+                profile = json_fields(d, _PROFILE_FIELDS, what)
+                try:
+                    profile["kind"] = DeviceKind(profile["kind"])
+                except ValueError:
+                    raise FormatError(f"{what}: unknown kind {profile['kind']!r}") from None
+                profiles.append(DeviceProfile(**profile))
+            fields["profiles"] = tuple(profiles)
+            if fields["snr_db"] is None:
+                fields["snr_db"] = math.inf
+            return cls(**fields)
+        except (FormatError, ConfigError) as exc:
+            raise FormatError(f"{path}: {exc}") from None
 
 
 _PROFILE_FIELDS = {
-    "name": _STRING,
-    "kind": _STRING,
-    "carrier_frac": _NUMBER,
-    "bandwidth_frac": _NUMBER,
-    "hop_period": _INT_OR_NULL,
-    "envelope_rise": _INT,
-    "modulation_index": _NUMBER,
-    "device_seed": _INT,
+    "name": STRING,
+    "kind": STRING,
+    "carrier_frac": NUMBER,
+    "bandwidth_frac": NUMBER,
+    "hop_period": INT_OR_NULL,
+    "envelope_rise": INT,
+    "modulation_index": NUMBER,
+    "device_seed": INT,
 }
 _CONFIG_FIELDS = {
-    "profiles": _LIST,
-    "signals_per_device": _INT,
-    "snr_db": _NUMBER_OR_NULL,
-    "capture_len": _INT,
-    "master_seed": _INT,
-    "lead_len": _INT,
+    "profiles": LIST,
+    "signals_per_device": INT,
+    "snr_db": NUMBER_OR_NULL,
+    "capture_len": INT,
+    "master_seed": INT,
+    "lead_len": INT,
 }
 
 
@@ -250,6 +249,48 @@ def default_profiles(capture_len: int = 4096) -> tuple[DeviceProfile, ...]:
         for i, carrier in enumerate(uav_carriers)
     ]
     return tuple(bt + wifi + uav)
+
+
+def mean_power(x: np.ndarray) -> float:
+    """Mean-square power (1/N) * sum(x^2) of a sample array."""
+    return float(np.mean(x * x))
+
+
+def snr_power_ratio(snr_db: float) -> float:
+    """The signal-to-noise power ratio 10^(snr/10) of a finite SNR in dB.
+
+    A ConfigError when the ratio or its inverse is beyond float range, which
+    is beyond about +-3,080 dB.
+    """
+    try:
+        ratio = 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        ratio = math.inf
+    if not (0.0 < ratio < math.inf and math.isfinite(1.0 / ratio)):
+        raise ConfigError(f"an SNR of {snr_db} dB is out of range")
+    return ratio
+
+
+def _scaled_noise(
+    x: np.ndarray, power: float, target_snr_db: float, unit_noise: np.ndarray | None
+) -> np.ndarray:
+    """Samples ``x`` plus ``unit_noise`` scaled to reach ``target_snr_db``.
+
+    ``power`` is ``mean_power(x)``. At +inf the result is ``x`` itself and
+    ``unit_noise`` is not read. numpy defines ``normal(0.0, s, n)`` as
+    ``0.0 + s * standard_normal``, so one unit draw per seed, scaled here,
+    equals ``default_rng(seed).normal(0.0, s, n)`` bit for bit at every SNR.
+    """
+    if target_snr_db == math.inf:
+        return x
+    if power == 0.0:
+        raise RfSentryError("cannot set an SNR on an all-zero signal")
+    noise_std = math.sqrt(power / snr_power_ratio(target_snr_db))
+    if not math.isfinite(noise_std):
+        raise ConfigError(f"an SNR of {target_snr_db} dB is out of range")
+    noisy = noise_std * unit_noise
+    noisy += x  # addition commutes exactly; this saves a temporary
+    return noisy
 
 
 def _hopped_waveform(profile: DeviceProfile, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -94,7 +94,7 @@ def test_synth_deterministic_across_runs_and_jobs(corpus, tmp_path, monkeypatch)
     # process with three usable CPUs, so that --jobs 3 is not capped on a
     # smaller host
     chunked = tmp_path / "chunked"
-    monkeypatch.setattr(seeding, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(seeding, "usable_cpus", lambda: 3)
     assert cli.main(["synth", "--out", str(chunked), *map(str, SYNTH_ARGS), "--jobs", "3"]) == 0
     names = sorted(p.relative_to(corpus) for p in corpus.rglob("*") if p.is_file())
     assert names == sorted(p.relative_to(chunked) for p in chunked.rglob("*") if p.is_file())
@@ -199,6 +199,24 @@ def test_score_rejects_inconsistent_model(pipeline, tmp_path, edit, message):
                      "--out", tmp_path / "scores.csv")
     assert result.returncode == 2
     assert message in result.stderr
+    assert "Traceback" not in result.stderr
+    assert str(bad) in result.stderr
+    assert len(result.stderr.strip().splitlines()) == 1
+    assert not (tmp_path / "scores.csv").exists()
+
+
+# JSON nested deeper than the decoder's recursion limit
+DEEP_JSON = "[" * 200_000 + "]" * 200_000
+
+
+def test_score_rejects_deeply_nested_model_json(pipeline, tmp_path):
+    _, _, eval_csv, _ = pipeline
+    bad = tmp_path / "model.json"
+    bad.write_text(DEEP_JSON)
+    result = run_cli("score", "--model", bad, "--features", eval_csv,
+                     "--out", tmp_path / "scores.csv")
+    assert result.returncode == 2
+    assert "not JSON: maximum recursion depth exceeded" in result.stderr
     assert "Traceback" not in result.stderr
     assert str(bad) in result.stderr
     assert len(result.stderr.strip().splitlines()) == 1
@@ -318,7 +336,7 @@ def test_train_and_score_do_not_depend_on_lof_threads(pipeline, reference_scores
     _, train_csv, eval_csv, model = pipeline
     monkeypatch.setattr(lof, "_BLOCK_ELEMENTS", 4 * N_TRAIN)
     if cpus is not None:
-        monkeypatch.setattr(lof, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(lof, "usable_cpus", lambda: cpus)
     mine, scores = tmp_path / "model.json", tmp_path / "scores.csv"
     assert cli.main(["train", "--features", str(train_csv), "--out", str(mine), "--k", "5"]) == 0
     assert mine.read_bytes() == model.read_bytes()
@@ -408,6 +426,8 @@ def _edit_config(edit):
 
 CORPUS_CASES = [
     ("not-json", lambda text: text[:-5], "not JSON"),
+    ("deep-nesting", lambda text: text.replace('"profiles": [', f'"profiles": [{DEEP_JSON},', 1),
+     "not JSON: maximum recursion depth exceeded"),
     ("list", lambda text: "[1,2]", "not a rfsentry-corpus document"),
     ("format", _edit_config(lambda d: d.update(format="rfsentry-lof")),
      "not a rfsentry-corpus document"),
@@ -434,6 +454,9 @@ CORPUS_CASES = [
      "profiles[0]: profile: hop_period is beyond int64 range"),
     ("lead-len-huge", _edit_config(lambda d: d["config"].update(lead_len=10**30)),
      "config: lead_len is beyond int64 range"),
+    ("hop-period-long",
+     _edit_config(lambda d: d["config"]["profiles"][0].update(hop_period=2**62)),
+     f"bt_phone: hop_period must not exceed the burst length 288, got {2**62}"),
     ("config-type", _edit_config(lambda d: d.update(config=[])),
      "config must be an object, got []"),
 ]

@@ -25,7 +25,7 @@ from rfsentry.evaluate import (
 )
 from rfsentry.features import FeatureTable, fingerprint
 from rfsentry.lof import fit
-from rfsentry.signals import SignalClass, TriggerConfig, add_awgn
+from rfsentry.signals import SignalClass, TriggerConfig
 from rfsentry.synth import (
     CorpusConfig,
     balanced_eval_plan,
@@ -37,6 +37,7 @@ from rfsentry.synth import (
     noise_seed,
 )
 
+from . import oracles
 from .conftest import table_from_signals, traced_peak
 
 REC, UAV = SignalClass.RECOGNIZED, SignalClass.UAV
@@ -273,7 +274,7 @@ def test_sweep_snr_identical_for_any_burst_chunking(mini_sweep_parts, monkeypatc
     # drawn in its own worker, so the chunking must not show in the table;
     # three usable CPUs, so that --jobs 3 is not capped on a smaller host
     cfg, trigger, train_table, plan, _ = mini_sweep_parts
-    monkeypatch.setattr(seeding, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(seeding, "usable_cpus", lambda: 3)
     assert len(plan) % 3 != 0
     tables = [
         sweep_snr(train_table, cfg, plan, [3, 5], [6.0, 14.0, cfg.snr_db], trigger,
@@ -331,6 +332,12 @@ def test_sweep_snr_holds_one_burst_at_a_time():
     assert peak(large) - peak(small) < 2 * cfg.burst_len * 8
 
 
+def noisy_signal(signal, snr, seed):
+    """``signal`` plus the unit noise of ``seed`` scaled to ``snr``, as plain array code."""
+    unit_noise = np.random.default_rng(seed).standard_normal(signal.samples.size)
+    return replace(signal, samples=oracles.noisy_burst(signal.samples, snr, unit_noise))
+
+
 def _accuracy_by_refit(train_table, matrix, truth, k, metric):
     """One separate fit and score_batch per cell, the loop the sweeps replaced."""
     model = fit(train_table.matrix, k=k, metric=metric)
@@ -358,7 +365,7 @@ def test_sweeps_share_tables_without_changing_cells(mini_sweep_parts, metric):
     truth = [sig.signal_class for sig, _ in clean]
     expected = []
     for snr in snrs:
-        matrix = np.array([fingerprint(add_awgn(sig, snr, seed), trigger)
+        matrix = np.array([fingerprint(noisy_signal(sig, snr, seed), trigger)
                            for sig, seed in clean])
         expected.append([_accuracy_by_refit(train_table, matrix, truth, k, metric)
                          for k in ks])

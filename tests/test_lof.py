@@ -195,7 +195,7 @@ def test_score_grid_of_stacked_sets_equals_one_call_per_set(data, cpus, monkeypa
                           rng.integers(-2, 7, (28, 4)).astype(float))
     sets = np.split(queries, [5, 14, 15])
     monkeypatch.setattr(lof, "_BLOCK_ELEMENTS", 7 * n)
-    monkeypatch.setattr(lof, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(lof, "usable_cpus", lambda: cpus)
     models = fit_grid(train, [3, 10, 1, 29])
     stacked = score_grid(models, np.concatenate(sets))
     lo = 0
@@ -300,7 +300,7 @@ def test_neighbor_lists_and_fused_score_equal_dense_tables(metric, data, n, monk
 def test_row_block_groups_run_on_threads_that_end_with_the_call(monkeypatch):
     # 3 usable CPUs and 5 blocks: groups of 1, 2 and 2 in order, the first in
     # the calling thread and the others on helpers
-    monkeypatch.setattr(lof, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(lof, "usable_cpus", lambda: 3)
     before = threading.active_count()
     groups = lof._on_threads(lambda group: (group, threading.get_ident()), list(range(5)))
     assert [group for group, _ in groups] == [[0], [1, 2], [3, 4]]
@@ -330,9 +330,9 @@ def test_results_do_not_depend_on_the_thread_count(metric, cpus, monkeypatch):
         scores = [[s.tobytes() for s in score_grid(models, q)] for q in query_sets]
         return arrays, scores
 
-    monkeypatch.setattr(lof, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(lof, "usable_cpus", lambda: 1)
     reference = run()
-    monkeypatch.setattr(lof, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(lof, "usable_cpus", lambda: cpus)
     assert run() == reference
 
 
@@ -347,7 +347,7 @@ def overflow_between_helper_rows(monkeypatch):
     """
     n = 24
     monkeypatch.setattr(lof, "_BLOCK_ELEMENTS", 4 * n)
-    monkeypatch.setattr(lof, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(lof, "usable_cpus", lambda: 2)
     rng = np.random.default_rng(45)
     train = rng.standard_normal((n, 4))
     train[15, 0], train[20, 0] = 1e308, -1e308
@@ -393,7 +393,7 @@ def test_fit_peak_memory_is_bounded(monkeypatch):
     x = np.random.default_rng(35).standard_normal((n, 4))
     list_bytes = n * k * (8 + 8)
     for cpus in (1, 2):
-        monkeypatch.setattr(lof, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(lof, "usable_cpus", lambda: cpus)
         peak = traced_peak(lambda: fit(x, k=k))
         assert peak < 2 * list_bytes + 8 * SLAB_BYTES, cpus
     assert n * n * 8 > 10 * (2 * list_bytes + 8 * SLAB_BYTES)
@@ -407,7 +407,7 @@ def test_score_peak_memory_is_bounded(monkeypatch):
     models = fit_grid(rng.standard_normal((n, 4)), [5, 20])
     queries = rng.standard_normal((q, 4))
     for cpus in (1, 2):
-        monkeypatch.setattr(lof, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(lof, "usable_cpus", lambda: cpus)
         peak = traced_peak(lambda: score_grid(models, queries))
         assert peak < 8 * SLAB_BYTES + 4 * queries.nbytes, cpus
     assert q * n * 8 > 10 * (8 * SLAB_BYTES + 4 * queries.nbytes)

@@ -16,7 +16,7 @@ def _seeds(items, stage):
 
 def test_map_chunks_result_is_independent_of_jobs(monkeypatch):
     # three usable CPUs, so that 3 jobs are not capped on a smaller host
-    monkeypatch.setattr(seeding, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(seeding, "usable_cpus", lambda: 3)
     items = list(range(7))
     serial = map_chunks(_seeds, items, 1, "x")
     assert serial == _seeds(items, "x")
@@ -61,10 +61,10 @@ def test_map_chunks_starts_no_more_workers_than_usable_cpus(monkeypatch, cpus, j
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         lambda **kw: _InlinePool(made, **kw))
     if cpus is not None:
-        monkeypatch.setattr(seeding, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(seeding, "usable_cpus", lambda: cpus)
     items = list(range(30))
     assert map_chunks(_seeds, items, jobs, "x") == _seeds(items, "x")
-    usable = seeding._usable_cpus()
+    usable = seeding.usable_cpus()
     if workers is None:  # one usable CPU runs in-process, with no pool
         workers = usable if usable > 1 else None
     assert [(pool.max_workers, pool.submits) for pool in made] == (
@@ -72,5 +72,5 @@ def test_map_chunks_starts_no_more_workers_than_usable_cpus(monkeypatch, cpus, j
 
 
 def test_both_fan_outs_read_one_cpu_rule():
-    assert lof._usable_cpus is seeding._usable_cpus
-    assert seeding._usable_cpus() >= 1
+    assert lof.usable_cpus is seeding.usable_cpus
+    assert seeding.usable_cpus() >= 1

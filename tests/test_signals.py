@@ -1,10 +1,12 @@
-"""Signal model, SNR math, trigger extraction, and on-disk formats."""
+"""Signal model, trigger extraction, on-disk formats, and the noise step on a signal."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from rfsentry import synth
 from rfsentry.errors import ConfigError, FormatError, RfSentryError
 from rfsentry.signals import (
     _HEADER_STRUCT,
@@ -13,16 +15,16 @@ from rfsentry.signals import (
     Signal,
     SignalClass,
     TriggerConfig,
-    add_awgn,
     extract_transient,
     find_trigger,
     load_signal,
-    mean_power,
     read_manifest,
     save_signal,
     write_manifest,
 )
+from rfsentry.synth import CorpusConfig, default_profiles, gen_bursts
 
+from . import oracles
 from .conftest import traced_peak
 
 
@@ -68,21 +70,26 @@ def test_trigger_config_errors_are_config_errors(kwargs):
         TriggerConfig(**kwargs)
 
 
-# -- mean_power ---------------------------------------------------------------
+# -- AWGN: the noise step of synth.gen_bursts ----------------------------------
 
 
-def test_mean_power_examples():
-    assert mean_power(np.array([0.0, 0.0, 0.0, 0.0])) == 0.0
-    assert mean_power(np.array([1.0, -1.0, 1.0, -1.0])) == 1.0
-    assert mean_power(np.array([1.0, 2.0, 3.0, 4.0])) == 7.5  # (1+4+9+16)/4
+def add_awgn(signal, snr, seed):
+    """``signal`` with synth's noise step applied at ``snr``, from the unit draw of ``seed``."""
+    x = signal.samples
+    unit_noise = np.random.default_rng(seed).standard_normal(x.size)
+    return replace(signal, samples=synth._scaled_noise(x, synth.mean_power(x), snr, unit_noise),
+                   snr_db=float(snr))
 
 
-# -- add_awgn -----------------------------------------------------------------
+def oracle_awgn(signal, snr, seed):
+    """The same noise as plain array code (``tests/oracles.py``)."""
+    unit_noise = np.random.default_rng(seed).standard_normal(signal.samples.size)
+    return oracles.noisy_burst(signal.samples, snr, unit_noise)
 
 
 def test_add_awgn_inf_is_noiseless_passthrough():
-    s = sig([1.0, 2.0, 3.0, 4.0])
-    assert add_awgn(s, math.inf, seed=1) is s
+    x = sig([1.0, 2.0, 3.0, 4.0]).samples
+    assert synth._scaled_noise(x, synth.mean_power(x), math.inf, None) is x
 
 
 def test_add_awgn_zero_power_rejected():
@@ -103,19 +110,26 @@ def test_add_awgn_deterministic_and_metadata():
     a = add_awgn(s, 12.0, seed=77)
     b = add_awgn(s, 12.0, seed=77)
     assert np.array_equal(a.samples, b.samples)
-    assert a.snr_db == 12.0
-    assert a.device_id == "dev" and a.signal_class is SignalClass.UAV
-    assert len(a) == len(s) and a.sample_rate == s.sample_rate
     c = add_awgn(s, 12.0, seed=78)
     assert not np.array_equal(a.samples, c.samples)
+    # gen_bursts sets the metadata of each noisy burst it yields
+    cfg = CorpusConfig(default_profiles(256), capture_len=256)
+    profile = next(p for p in cfg.profiles if p.signal_class is SignalClass.UAV)
+    clean, a, b = gen_bursts(profile, 4, cfg, [math.inf, 12.0, 12.0])
+    assert np.array_equal(a.samples, b.samples)
+    assert not np.array_equal(a.samples, clean.samples)
+    assert a.snr_db == 12.0
+    assert a.device_id == profile.name and a.signal_class is SignalClass.UAV
+    assert len(a) == len(clean) and a.sample_rate == clean.sample_rate
 
 
 def test_add_awgn_empirical_noise_power():
     # unit-power signal, 1e5 samples, 10 dB target -> noise power 0.1 +- 5%
     rng = np.random.default_rng(3)
     s = sig(np.sign(rng.standard_normal(100_000)))
-    assert mean_power(s.samples) == 1.0
+    assert synth.mean_power(s.samples) == 1.0
     out = add_awgn(s, 10.0, seed=11)
+    assert out.samples.tobytes() == oracle_awgn(s, 10.0, seed=11).tobytes()
     noise = out.samples - s.samples
     assert abs(float(np.mean(noise**2)) - 0.1) < 0.005
 
@@ -125,16 +139,17 @@ def test_add_awgn_snr_within_half_db():
     s = sig(rng.standard_normal(100_000) * 2.5)
     for target in (0.0, 10.0, 30.0):
         out = add_awgn(s, target, seed=5)
+        assert out.samples.tobytes() == oracle_awgn(s, target, seed=5).tobytes()
         noise = out.samples - s.samples
-        measured = 10.0 * math.log10(mean_power(s.samples) / float(np.mean(noise**2)))
+        measured = 10.0 * math.log10(synth.mean_power(s.samples) / float(np.mean(noise**2)))
         assert abs(measured - target) <= 0.5
 
 
 def test_add_awgn_equals_scaled_normal_draw_bit_for_bit():
-    # the formula add_awgn used before its noise was split into one unit
-    # draw and a per-SNR scale; every output bit must be unchanged
+    # the formula the noise step used before it was split into one unit draw
+    # and a per-SNR scale; every output bit must be unchanged
     def old_add_awgn(signal, snr, seed):
-        noise_var = mean_power(signal.samples) / 10.0 ** (snr / 10.0)
+        noise_var = synth.mean_power(signal.samples) / 10.0 ** (snr / 10.0)
         rng = np.random.default_rng(seed)
         return signal.samples + rng.normal(0.0, math.sqrt(noise_var), signal.samples.size)
 
@@ -144,6 +159,7 @@ def test_add_awgn_equals_scaled_normal_draw_bit_for_bit():
             # bytes, not ==, so that a -0.0 for 0.0 would fail too
             expected = old_add_awgn(s, snr, seed * 7919 + 3).tobytes()
             assert add_awgn(s, snr, seed * 7919 + 3).samples.tobytes() == expected
+            assert oracle_awgn(s, snr, seed * 7919 + 3).tobytes() == expected
 
 
 # -- trigger and capture ------------------------------------------------------

@@ -9,14 +9,7 @@ import pytest
 from rfsentry import synth
 from rfsentry.seeding import derive_seed, stage_seed
 from rfsentry.errors import ConfigError, RfSentryError
-from rfsentry.signals import (
-    SignalClass,
-    TriggerConfig,
-    add_awgn,
-    extract_transient,
-    find_trigger,
-    mean_power,
-)
+from rfsentry.signals import SignalClass, TriggerConfig, extract_transient, find_trigger
 from rfsentry.synth import (
     CorpusConfig,
     DeviceKind,
@@ -27,6 +20,7 @@ from rfsentry.synth import (
     default_profiles,
     gen_burst,
     gen_bursts,
+    mean_power,
     noise_seed,
     stratified_split_indices,
 )
@@ -86,17 +80,34 @@ def test_corpus_snr_is_finite_or_the_clean_sentinel():
             small_cfg(snr_db=snr)
 
 
-def test_profile_dict_round_trip():
-    for p in default_profiles():
-        assert DeviceProfile.from_dict(p.to_dict()) == p
+def test_default_profiles_save_load_round_trip(tmp_path):
+    cfg = CorpusConfig(profiles=default_profiles())
+    cfg.save(tmp_path / "corpus.json")
+    assert CorpusConfig.load(tmp_path / "corpus.json").profiles == cfg.profiles
 
 
-def test_corpus_config_dict_round_trip():
+def test_corpus_config_save_load_round_trip(tmp_path):
     cfg = small_cfg()
-    assert CorpusConfig.from_dict(cfg.to_dict()) == cfg
+    cfg.save(tmp_path / "corpus.json")
+    assert CorpusConfig.load(tmp_path / "corpus.json") == cfg
     clean = small_cfg(snr_db=math.inf)
-    back = CorpusConfig.from_dict(clean.to_dict())
+    clean.save(tmp_path / "clean.json")
+    assert '"snr_db": null' in (tmp_path / "clean.json").read_text()
+    back = CorpusConfig.load(tmp_path / "clean.json")
     assert math.isinf(back.snr_db)
+
+
+def test_hop_period_longer_than_the_burst_is_rejected():
+    cfg = small_cfg()
+    assert cfg.burst_len == 288
+    bt = cfg.profiles[0]
+    assert bt.hop_period is not None
+    for hop in (cfg.burst_len, cfg.burst_len - 1):  # at most the burst length is valid
+        small_cfg(profiles=(replace(bt, hop_period=hop), *cfg.profiles[1:]))
+    for hop in (cfg.burst_len + 1, 10**9, 2**62, 2**63 - 1):
+        with pytest.raises(ConfigError, match=f"bt_phone: hop_period must not exceed the "
+                                              f"burst length 288, got {hop}"):
+            small_cfg(profiles=(replace(bt, hop_period=hop), *cfg.profiles[1:]))
 
 
 def test_train_per_device_ratio():
@@ -105,7 +116,13 @@ def test_train_per_device_ratio():
     assert small_cfg(signals_per_device=300).train_per_device == 200
 
 
-# -- burst generation ---------------------------------------------------------
+# -- noise helpers and burst generation ---------------------------------------
+
+
+def test_mean_power_examples():
+    assert mean_power(np.array([0.0, 0.0, 0.0, 0.0])) == 0.0
+    assert mean_power(np.array([1.0, -1.0, 1.0, -1.0])) == 1.0
+    assert mean_power(np.array([1.0, 2.0, 3.0, 4.0])) == 7.5  # (1+4+9+16)/4
 
 
 def test_gen_burst_deterministic():
@@ -210,8 +227,10 @@ def test_clean_bursts_reproduce_corpus_noise():
     for stored, (profile, index) in zip(evaluation, plan):
         ref = gen_burst(profile, index, clean_cfg)
         assert ref.snr_db is None
-        renoised = add_awgn(ref, cfg.snr_db, noise_seed(cfg, profile, index))
-        assert np.array_equal(renoised.samples, stored.samples)
+        unit_noise = np.random.default_rng(noise_seed(cfg, profile, index)).standard_normal(
+            ref.samples.size)
+        renoised = oracles.noisy_burst(ref.samples, cfg.snr_db, unit_noise)
+        assert np.array_equal(renoised, stored.samples)
         assert ref.device_id == stored.device_id
 
 
