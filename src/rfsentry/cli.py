@@ -20,8 +20,9 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import RfSentryError
+from .errors import FormatError, RfSentryError
 from .evaluate import (
+    accuracy_grid,
     best_k,
     confusion,
     metrics,
@@ -31,11 +32,10 @@ from .evaluate import (
     save_neighbors_csv,
     save_scores_csv,
     save_snr_csv,
-    sweep_neighbors,
     sweep_snr,
 )
 from .features import FeatureTable, fingerprint, load_feature_csv, save_feature_csv
-from .lof import DEFAULT_K, DEFAULT_THRESHOLD, LofModel, fit
+from .lof import DEFAULT_K, DEFAULT_THRESHOLD, LofModel, Metric, fit, fit_grid
 from .seeding import map_chunks, stage_seed
 from .signals import (
     ManifestRow,
@@ -156,13 +156,50 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _require_recognized(table: FeatureTable, what: str) -> None:
+def _load_training(path: str) -> FeatureTable:
+    """The training feature CSV at ``path``, which must hold recognized rows only."""
+    table = load_feature_csv(path)
     uav = sum(1 for c in table.classes if c is SignalClass.UAV)
     if uav:
         raise RfSentryError(
-            f"{what} contains {uav} UAV rows; the detector is semi-supervised "
+            f"training features contains {uav} UAV rows; the detector is semi-supervised "
             "and fits on recognized signals only"
         )
+    return table
+
+
+def _model_options(args) -> dict:
+    """The ``fit``/``fit_grid`` keyword arguments that the model flags set."""
+    return dict(metric=args.metric, threshold=args.threshold,
+                standardize=not args.no_standardize)
+
+
+def _load_corpus(root: Path) -> CorpusConfig:
+    """The corpus.json of corpus directory ``root``, checked against its manifests.
+
+    The manifests must hold ``signals_per_device`` rows per profile, each
+    profile must have rows, and the first trace of each must hold the
+    ``lead_len + burst_len`` samples that corpus.json generates, so that a
+    corpus.json which its own files contradict is a FormatError before a
+    burst is generated or the evaluation plan is enumerated.
+    """
+    path = root / CORPUS_FILE
+    cfg = CorpusConfig.load(path)
+    rows = read_manifest(root / TRAIN_MANIFEST) + read_manifest(root / EVAL_MANIFEST)
+    expected = len(cfg.profiles) * cfg.signals_per_device
+    if len(rows) != expected:
+        raise FormatError(f"{path}: {len(cfg.profiles)} devices x {cfg.signals_per_device} "
+                          f"signals are {expected} bursts, but the manifests hold {len(rows)}")
+    first = {row.device_id: row for row in reversed(rows)}  # each device's first row
+    for profile in cfg.profiles:
+        if profile.name not in first:
+            raise FormatError(f"{path}: device {profile.name} has no rows in the manifests")
+        trace = root / first[profile.name].path
+        count = len(load_signal(trace))
+        if count != cfg.lead_len + cfg.burst_len:
+            raise FormatError(f"{path}: generates {cfg.lead_len + cfg.burst_len} samples "
+                              f"per burst, but {trace} holds {count}")
+    return cfg
 
 
 def _trigger_config(args) -> TriggerConfig:
@@ -222,12 +259,9 @@ def cmd_extract(args) -> int:
     trigger = _trigger_config(args)
     kept, skipped = [], 0
     for row in rows:
-        full = Path(row.path)
-        if not full.is_absolute():
-            full = manifest.parent / full
         try:
             sig = load_signal(
-                full,
+                manifest.parent / row.path,
                 device_id=row.device_id,
                 signal_class=row.signal_class,
                 snr_db=row.snr_db,
@@ -249,15 +283,8 @@ def cmd_extract(args) -> int:
 
 
 def cmd_train(args) -> int:
-    table = load_feature_csv(args.features)
-    _require_recognized(table, "training features")
-    model = fit(
-        table.matrix,
-        k=args.k,
-        metric=args.metric,
-        threshold=args.threshold,
-        standardize=not args.no_standardize,
-    )
+    table = _load_training(args.features)
+    model = fit(table.matrix, k=args.k, **_model_options(args))
     _atomic(model.save, Path(args.out))
     log.info(
         "trained on %d recognized fingerprints (k=%d, metric=%s, threshold=%g)",
@@ -292,21 +319,15 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep_n(args) -> int:
-    train = load_feature_csv(args.train_features)
-    _require_recognized(train, "training features")
+    train = _load_training(args.train_features)
     ev = load_feature_csv(args.eval_features)
     test_idx, val_idx = stratified_split_indices(
         ev.classes, args.test_frac, stage_seed(args.seed, "split")
     )
-    ks, acc = sweep_neighbors(
-        train,
-        ev.select(val_idx),
-        ev.select(test_idx),
-        k_grid=args.k_grid,
-        metric=args.metric,
-        threshold=args.threshold,
-        standardize=not args.no_standardize,
-    )
+    models = fit_grid(train.matrix, sorted(args.k_grid), **_model_options(args))
+    ks = [model.k for model in models]
+    sets = [ev.select(idx) for idx in (val_idx, test_idx)]
+    acc = accuracy_grid(models, [(t.matrix, t.classes) for t in sets])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _atomic(lambda p: save_neighbors_csv(ks, acc, p), out / "neighbors_sweep.csv")
@@ -317,24 +338,13 @@ def cmd_sweep_n(args) -> int:
 
 
 def cmd_sweep_snr(args) -> int:
-    cfg = CorpusConfig.load(Path(args.corpus) / CORPUS_FILE)
-    train = load_feature_csv(args.train_features)
-    _require_recognized(train, "training features")
-
+    cfg = _load_corpus(Path(args.corpus))
+    train = _load_training(args.train_features)
     plan = balanced_eval_plan(cfg, args.per_class, stage_seed(cfg.master_seed, "balanced"))
     trigger = TriggerConfig(capture_len=cfg.capture_len)
-    snrs, ks, acc = sweep_snr(
-        train,
-        cfg,
-        plan,
-        k_grid=args.k_grid,
-        snr_grid=args.snr_grid,
-        trigger=trigger,
-        metric=args.metric,
-        threshold=args.threshold,
-        standardize=not args.no_standardize,
-        jobs=args.jobs,
-    )
+    models = fit_grid(train.matrix, sorted(args.k_grid), **_model_options(args))
+    ks = [model.k for model in models]
+    snrs, acc = sweep_snr(models, cfg, plan, args.snr_grid, trigger, jobs=args.jobs)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _atomic(lambda p: save_snr_csv(snrs, ks, acc, p), out / "snr_sweep.csv")
@@ -349,8 +359,8 @@ def cmd_sweep_snr(args) -> int:
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--metric", choices=["manhattan", "euclidean"],
-                   default="manhattan", help="distance metric (default manhattan)")
+    p.add_argument("--metric", choices=[m.value for m in Metric], default=Metric.MANHATTAN.value,
+                   help="distance metric (default %(default)s)")
     p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
                    help="outlier decision threshold (default %(default)s)")
     p.add_argument("--no-standardize", action="store_true",
@@ -358,11 +368,11 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_trigger_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--capture-len", type=int, default=4096,
+    p.add_argument("--capture-len", type=int, default=TriggerConfig.capture_len,
                    help="transient capture length in samples (default %(default)s)")
-    p.add_argument("--window-len", type=int, default=64,
+    p.add_argument("--window-len", type=int, default=TriggerConfig.window_len,
                    help="energy trigger window length (default %(default)s)")
-    p.add_argument("--energy-threshold", type=float, default=0.05,
+    p.add_argument("--energy-threshold", type=float, default=TriggerConfig.energy_threshold,
                    help="mean-square energy trigger level (default %(default)s)")
 
 
@@ -377,11 +387,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate the synthetic RF corpus")
     p.add_argument("--out", required=True, help="corpus output directory")
     p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    p.add_argument("--snr", type=float, default=30.0,
-                   help="corpus SNR in dB; inf disables noise (default 30)")
-    p.add_argument("--capture-len", type=int, default=4096,
+    p.add_argument("--snr", type=float, default=CorpusConfig.snr_db,
+                   help="corpus SNR in dB; inf disables noise (default %(default)g)")
+    p.add_argument("--capture-len", type=int, default=TriggerConfig.capture_len,
                    help="transient capture length in samples (default %(default)s)")
-    p.add_argument("--signals-per-device", type=int, default=300,
+    p.add_argument("--signals-per-device", type=int, default=CorpusConfig.signals_per_device,
                    help="bursts per device (default %(default)s)")
     p.add_argument("--jobs", type=_positive_int, default=1,
                    help="worker processes, at most one per usable CPU "
@@ -430,7 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep-snr", help="accuracy vs SNR for a 30 dB-trained model")
     p.add_argument("--corpus", required=True,
-                   help="corpus directory written by synth (provides clean signals)")
+                   help="corpus directory written by synth: corpus.json, its two "
+                        "manifests and at least one trace per device")
     p.add_argument("--train-features", required=True, help="training feature CSV")
     p.add_argument("--out", required=True, help="report directory")
     p.add_argument("--k-grid", type=_k_grid, default="100:200:20",

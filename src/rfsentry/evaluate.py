@@ -1,22 +1,22 @@
 """Detector evaluation: confusion counts, metrics, and experiment sweeps.
 
-The positive class is the UAV/outlier class throughout. Two sweep harnesses
-cover the standard experiments: accuracy vs neighbor count at the training
-SNR, and accuracy vs SNR for a model trained once at the training SNR and
-never re-fitted. Each returns its sorted axes and one float64 accuracy grid
-whose row i is query set i and column j is ``ks[j]``: ``sweep_neighbors``
-gives ``(ks, acc)`` with validation and test as the two rows, and
-``sweep_snr`` gives ``(snrs, ks, acc)`` with one row per SNR.
+The positive class is the UAV/outlier class throughout. The two standard
+experiments score models that are already fitted, one per grid k from one
+``lof.fit_grid`` call: accuracy vs neighbor count at the training SNR, and
+accuracy vs SNR for that training-SNR fit, never re-fitted.
+``accuracy_grid`` scores query sets for every model, and its float64 grid
+has row i for query set i and column j for ``models[j]``; the neighbor
+sweep is its validation and test rows. ``sweep_snr`` gives ``(snrs, acc)``
+with one row per sorted grid SNR.
 
-Both sweeps do the work that no grid value changes once. They fit their
-whole k grid with one ``lof.fit_grid`` call and score all of their query
-sets, stacked, for every k with one ``lof.score_grid`` call, so each
-distance is computed once and one thread pool serves the whole sweep. The
-SNR sweep streams its bursts: ``seeding.map_chunks`` hands each
-worker process a chunk of (profile, burst index) pairs, and the worker
-fingerprints what ``synth.gen_bursts`` yields for each pair at every grid
-SNR, one burst at a time, so memory holds one burst per worker. The noise
-recipe itself lives in ``synth.gen_bursts`` alone.
+All query sets of a sweep are scored, stacked, for every k with one
+``lof.score_grid`` call, so each distance is computed once and one thread
+pool serves the whole sweep. The SNR sweep streams its bursts:
+``seeding.map_chunks`` hands each worker process a chunk of (profile, burst
+index) pairs, and the worker fingerprints what ``synth.gen_bursts`` yields
+for each pair at every grid SNR, one burst at a time, so memory holds one
+burst per worker. The noise recipe itself lives in ``synth.gen_bursts``
+alone.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 from .errors import ConfigError, RfSentryError
 from .features import FeatureTable, fingerprint
 from .formats import fmt, write_csv
-from .lof import LofModel, Metric, fit_grid, score_grid
+from .lof import LofModel, score_grid
 from .seeding import map_chunks
 from .signals import SignalClass, TriggerConfig
 from .synth import CorpusConfig, DeviceProfile, gen_bursts
@@ -102,13 +102,14 @@ def metrics(cm: ConfusionMatrix) -> Metrics:
                    degenerate=degenerate)
 
 
-def _accuracy_grid(models: list[LofModel], queries) -> np.ndarray:
+def accuracy_grid(models: list[LofModel], queries) -> np.ndarray:
     """Accuracy of each model on each ``(matrix, truth)`` query set.
 
-    Row i is query set i and column j is ``models[j]``. The query matrices
-    are stacked and scored for every model with one ``score_grid`` call, then
-    cut back into sets by row range. Every LOF quantity is per row, so each
-    set's scores are those of its own call, bit for bit.
+    Row i is query set i and column j is ``models[j]``, models from one
+    ``fit_grid`` call. The query matrices are stacked and scored for every
+    model with one ``score_grid`` call, then cut back into sets by row range.
+    Every LOF quantity is per row, so each set's scores are those of its own
+    call, bit for bit.
     """
     matrices, truths = zip(*queries)
     rows = {np.shape(matrix)[1:] for matrix in matrices}
@@ -119,27 +120,6 @@ def _accuracy_grid(models: list[LofModel], queries) -> np.ndarray:
     return np.array([[metrics(confusion(truth, model.outliers(row[lo:hi]))).accuracy
                       for model, row in zip(models, scores)]
                      for truth, lo, hi in zip(truths, bounds, bounds[1:])], dtype=np.float64)
-
-
-def sweep_neighbors(
-    train: FeatureTable,
-    validation: FeatureTable,
-    test: FeatureTable,
-    k_grid: list[int],
-    metric: Metric | str = Metric.MANHATTAN,
-    threshold: float = 1.5,
-    standardize: bool = True,
-) -> tuple[list[int], np.ndarray]:
-    """Fit one model per neighbor count; return ``(ks, acc)``.
-
-    ``ks`` is the sorted k grid. ``acc`` has shape ``(2, len(ks))``: row 0
-    is validation accuracy, row 1 test accuracy. The training, validation
-    and test distance tables are built once and shared by every k; each
-    cell equals a separate fit + score at that k.
-    """
-    models = fit_grid(train.matrix, sorted(k_grid), metric, threshold, standardize)
-    acc = _accuracy_grid(models, [(t.matrix, t.classes) for t in (validation, test)])
-    return [model.k for model in models], acc
 
 
 def best_k(ks: list[int], validation_accuracy: np.ndarray) -> int:
@@ -164,41 +144,32 @@ def _snr_fingerprints(
 
 
 def sweep_snr(
-    train: FeatureTable,
+    models: list[LofModel],
     cfg: CorpusConfig,
     plan: list[tuple[DeviceProfile, int]],
-    k_grid: list[int],
     snr_grid: list[float],
     trigger: TriggerConfig,
-    metric: Metric | str = Metric.MANHATTAN,
-    threshold: float = 1.5,
-    standardize: bool = True,
     jobs: int = 1,
-) -> tuple[list[float], list[int], np.ndarray]:
-    """Accuracy of the training-SNR model on re-noised evaluation bursts.
+) -> tuple[list[float], np.ndarray]:
+    """Accuracy of training-SNR models on re-noised evaluation bursts.
 
-    Returns ``(snrs, ks, acc)``: the sorted SNR and k grids and the
-    ``(len(snrs), len(ks))`` accuracy grid. ``plan`` names the (profile,
-    burst index) evaluation bursts of corpus ``cfg`` to score.
-    ``synth.gen_bursts`` regenerates each one at every grid SNR from its
-    clean trace, so cells never stack noise, and draws its noise once.
-    Models are fitted once per k on the (training-SNR) feature table, from
-    one training distance table, and reused across SNR cells; each SNR
-    matrix gets one distance table, shared by every k. ``jobs`` caps the
-    worker processes, each generating and fingerprinting a contiguous chunk
-    of the plan one burst at a time; the grid is identical for any worker
-    count.
+    Returns ``(snrs, acc)``: the sorted SNR grid and the ``(len(snrs),
+    len(models))`` ``accuracy_grid`` of the models, from one ``fit_grid``
+    call, on each SNR's set. ``plan`` names the (profile, burst index)
+    evaluation bursts of corpus ``cfg`` to score. ``synth.gen_bursts``
+    regenerates each one at every grid SNR from its clean trace, so cells
+    never stack noise, and draws its noise once. ``jobs`` caps the worker
+    processes, each generating and fingerprinting a contiguous chunk of the
+    plan one burst at a time; the grid is identical for any worker count.
     """
     if not snr_grid:
         raise ConfigError("snr_grid must be non-empty")
     if not plan:
         raise RfSentryError("balanced evaluation set is empty")
-    models = fit_grid(train.matrix, sorted(k_grid), metric, threshold, standardize)
     truth = [profile.signal_class for profile, _ in plan]
     snrs = sorted(float(s) for s in snr_grid)
     per_burst = map_chunks(_snr_fingerprints, plan, jobs, cfg, snrs, trigger)
-    acc = _accuracy_grid(models, ((matrix, truth) for matrix in np.stack(per_burst, axis=1)))
-    return snrs, [model.k for model in models], acc
+    return snrs, accuracy_grid(models, ((matrix, truth) for matrix in np.stack(per_burst, axis=1)))
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +198,7 @@ def save_metrics_csv(m: Metrics, path: str | Path) -> None:
 
 
 def save_neighbors_csv(ks: list[int], acc: np.ndarray, path: str | Path) -> None:
-    """One row per k of a ``sweep_neighbors`` grid: validation and test accuracy."""
+    """One row per k of a neighbor sweep: validation and test accuracy, the two rows of ``acc``."""
     write_csv(path, ["k", "val_acc", "test_acc"],
               ([k, fmt(val), fmt(tst)] for k, val, tst in zip(ks, *acc)))
 

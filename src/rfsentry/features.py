@@ -154,7 +154,7 @@ class FeatureTable:
 
     @classmethod
     def from_rows(
-        cls, rows: list[tuple[str, SignalClass, float | None, np.ndarray]]
+        cls, rows: list[tuple[str, SignalClass, float | None, np.ndarray | list[float]]]
     ) -> "FeatureTable":
         return cls(
             device_ids=[r[0] for r in rows],
@@ -174,14 +174,8 @@ def save_feature_csv(table: FeatureTable, path: str | Path) -> None:
 
 
 def load_feature_csv(path: str | Path) -> FeatureTable:
-    device_ids: list[str] = []
-    classes: list[SignalClass] = []
-    snrs: list[float | None] = []
-    rows: list[list[float]] = []
-    for where, rec in csv_records(path, FEATURE_CSV_HEADER):
-        device_ids.append(rec[0])
-        classes.append(parse_class(rec[1], where))
-        snrs.append(None if rec[2] == "" else parse_float(rec[2], where))
-        rows.append([parse_float(v, where) for v in rec[3:]])
-    matrix = np.array(rows) if rows else np.empty((0, 4))
-    return FeatureTable(device_ids=device_ids, classes=classes, snr_db=snrs, matrix=matrix)
+    return FeatureTable.from_rows([
+        (rec[0], parse_class(rec[1], where), None if rec[2] == "" else parse_float(rec[2], where),
+         [parse_float(v, where) for v in rec[3:]])
+        for where, rec in csv_records(path, FEATURE_CSV_HEADER)
+    ])

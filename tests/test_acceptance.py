@@ -25,7 +25,7 @@ from rfsentry.features import (
     save_feature_csv,
     stats_row,
 )
-from rfsentry.lof import fit
+from rfsentry.lof import fit, fit_grid
 from rfsentry.seeding import stage_seed
 from rfsentry.signals import SignalClass, extract_transient
 from rfsentry.synth import (
@@ -68,11 +68,11 @@ def snr_trend(default_corpus, default_trigger):
             )
             train_signals, _ = build_corpus(cfg)
         train_table = table_from_signals(train_signals, default_trigger)
-        snrs, ks, acc = sweep_snr(
-            train_table,
+        ks = [100, 200]
+        snrs, acc = sweep_snr(
+            fit_grid(train_table.matrix, ks),
             cfg,
             balanced_eval_plan(cfg, 200, stage_seed(cfg.master_seed, "balanced")),
-            k_grid=[100, 200],
             snr_grid=SNR_GRID,
             trigger=default_trigger,
         )

@@ -480,6 +480,38 @@ def test_sweep_snr_rejects_malformed_corpus_json(corpus, pipeline, tmp_path, cas
     assert not (tmp_path / "report").exists()
 
 
+# corpus.json edits that its own manifests and traces contradict; the module
+# corpus has 10 devices x 12 bursts of 32 + 288 samples
+CORPUS_MISMATCH_CASES = [
+    ("row-count", _edit_config(lambda d: d["config"].update(signals_per_device=13)),
+     "10 devices x 13 signals are 130 bursts, but the manifests hold 120"),
+    ("device-name", _edit_config(lambda d: d["config"]["profiles"][0].update(name="bt_tablet")),
+     "device bt_tablet has no rows in the manifests"),
+    ("sample-count", _edit_config(lambda d: d["config"].update(capture_len=512)),
+     "generates 608 samples per burst, but "),
+    ("sample-count-huge", _edit_config(lambda d: d["config"].update(capture_len=10**12)),
+     f"generates {32 + 10**12 + 10**12 // 8} samples per burst, but "),
+]
+
+
+@pytest.mark.parametrize("case, transform, message", CORPUS_MISMATCH_CASES,
+                         ids=[c[0] for c in CORPUS_MISMATCH_CASES])
+def test_sweep_snr_rejects_corpus_json_its_files_contradict(corpus, pipeline, tmp_path, case,
+                                                            transform, message):
+    _, train_csv, _, _ = pipeline
+    bad = tmp_path / "corpus"
+    shutil.copytree(corpus, bad)
+    (bad / "corpus.json").write_text(transform((corpus / "corpus.json").read_text()))
+    result = run_cli("sweep-snr", "--corpus", bad, "--train-features", train_csv,
+                     "--out", tmp_path / "report", "--k-grid", "5", "--snr-grid", "30",
+                     "--per-class", 10)
+    assert result.returncode == 2
+    assert message in result.stderr
+    assert str(bad / "corpus.json") in result.stderr
+    assert len(result.stderr.strip().splitlines()) == 1
+    assert not (tmp_path / "report").exists()
+
+
 @pytest.mark.parametrize("command", ["synth", "sweep-snr"])
 def test_jobs_below_one_is_rejected(corpus, pipeline, tmp_path, command):
     _, train_csv, _, _ = pipeline

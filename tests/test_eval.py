@@ -12,6 +12,7 @@ from rfsentry import evaluate, seeding, synth
 from rfsentry.errors import ConfigError, RfSentryError
 from rfsentry.evaluate import (
     ConfusionMatrix,
+    accuracy_grid,
     best_k,
     confusion,
     metrics,
@@ -20,11 +21,10 @@ from rfsentry.evaluate import (
     save_metrics_csv,
     save_neighbors_csv,
     save_snr_csv,
-    sweep_neighbors,
     sweep_snr,
 )
 from rfsentry.features import FeatureTable, fingerprint
-from rfsentry.lof import fit
+from rfsentry.lof import fit, fit_grid
 from rfsentry.signals import SignalClass, TriggerConfig
 from rfsentry.synth import (
     CorpusConfig,
@@ -44,8 +44,9 @@ REC, UAV = SignalClass.RECOGNIZED, SignalClass.UAV
 IN, OUT = False, True  # entries of an outlier mask
 
 
-def cells(snrs, ks, acc):
-    """An SNR sweep's ``{(snr_db, k): accuracy}`` cells."""
+def cells(swept, ks):
+    """The ``{(snr_db, k): accuracy}`` cells of a ``sweep_snr`` result over models ``ks``."""
+    snrs, acc = swept
     return {(snr, k): acc[i, j] for i, snr in enumerate(snrs) for j, k in enumerate(ks)}
 
 
@@ -188,30 +189,31 @@ def _toy_tables():
     return train, holdout(10, 10, 60.0), holdout(12, 12, 60.0)
 
 
+def query_sets(*tables):
+    """``accuracy_grid``'s ``(matrix, truth)`` query set of each feature table."""
+    return [(t.matrix, t.classes) for t in tables]
+
+
 def test_sweep_neighbors_sorted_rows_and_accuracy():
     train, validation, test = _toy_tables()
     # threshold 2 keeps tiny-k density noise out of the way; the far cluster
     # scores orders of magnitude above it either way
-    ks, acc = sweep_neighbors(train, validation, test, k_grid=[7, 3, 5], threshold=2.0)
-    assert ks == [3, 5, 7]
+    models = fit_grid(train.matrix, sorted([7, 3, 5]), threshold=2.0)
+    acc = accuracy_grid(models, query_sets(validation, test))
+    assert [m.k for m in models] == [3, 5, 7]
     assert acc.dtype == np.float64 and acc.shape == (2, 3)  # validation row, test row
     assert np.all(acc == 1.0)
 
 
-def test_sweep_neighbors_empty_grid():
-    train, validation, test = _toy_tables()
-    with pytest.raises(ValueError):
-        sweep_neighbors(train, validation, test, k_grid=[])
-
-
 def test_sweep_neighbors_rejects_query_sets_of_another_width():
     train, validation, test = _toy_tables()
+    models = fit_grid(train.matrix, [3])
     narrow = replace(validation, matrix=validation.matrix[:, :-1])
     with pytest.raises(ConfigError, match="query dimension"):
-        sweep_neighbors(train, narrow, replace(test, matrix=test.matrix[:, :-1]), k_grid=[3])
+        accuracy_grid(models, query_sets(narrow, replace(test, matrix=test.matrix[:, :-1])))
     # the sets are scored stacked, so sets that cannot stack are their own error
     with pytest.raises(ConfigError, match="query sets differ in row shape"):
-        sweep_neighbors(train, narrow, test, k_grid=[3])
+        accuracy_grid(models, query_sets(narrow, test))
 
 
 def test_best_k_ties_take_smaller_k():
@@ -236,36 +238,38 @@ def mini_sweep_parts(mini_cfg):
 def test_sweep_snr_training_cell_matches_direct_scoring(mini_sweep_parts):
     """The 30 dB sweep cell must reproduce scoring of the stored corpus."""
     cfg, trigger, train_table, plan, balanced_stored = mini_sweep_parts
-    swept = sweep_snr(train_table, cfg, plan, k_grid=[5],
+    swept = sweep_snr(fit_grid(train_table.matrix, [5]), cfg, plan,
                       snr_grid=[cfg.snr_db], trigger=trigger)
     model = fit(train_table.matrix, k=5)
     stored_table = table_from_signals(balanced_stored, trigger)
     preds = model.outliers(model.score_batch(stored_table.matrix))
     direct = metrics(confusion(stored_table.classes, preds)).accuracy
-    assert cells(*swept)[(float(cfg.snr_db), 5)] == direct
+    assert cells(swept, [5])[(float(cfg.snr_db), 5)] == direct
 
 
 def test_sweep_snr_cells_never_stack_noise(mini_sweep_parts):
     # adding more grid points must not perturb an existing cell
     cfg, trigger, train_table, plan, _ = mini_sweep_parts
-    lone = sweep_snr(train_table, cfg, plan, [5], [cfg.snr_db], trigger)
-    stacked = sweep_snr(train_table, cfg, plan, [5], [10.0, cfg.snr_db], trigger)
-    assert cells(*stacked)[(float(cfg.snr_db), 5)] == cells(*lone)[(float(cfg.snr_db), 5)]
+    models = fit_grid(train_table.matrix, [5])
+    lone = sweep_snr(models, cfg, plan, [cfg.snr_db], trigger)
+    stacked = sweep_snr(models, cfg, plan, [10.0, cfg.snr_db], trigger)
+    assert cells(stacked, [5])[(float(cfg.snr_db), 5)] == cells(lone, [5])[(float(cfg.snr_db), 5)]
     assert stacked[0] == [10.0, 30.0]
 
 
 def test_sweep_snr_constant_outlier_scores_half_on_balanced_set(mini_sweep_parts):
     cfg, trigger, train_table, plan, _ = mini_sweep_parts
-    swept = sweep_snr(train_table, cfg, plan, [5], [cfg.snr_db], trigger,
+    models = fit_grid(train_table.matrix, [5],
                       threshold=0.0)  # every score exceeds 0 -> all flagged
-    assert cells(*swept)[(float(cfg.snr_db), 5)] == 0.5
+    swept = sweep_snr(models, cfg, plan, [cfg.snr_db], trigger)
+    assert cells(swept, [5])[(float(cfg.snr_db), 5)] == 0.5
 
 
 def test_sweep_snr_parallel_matches_serial(mini_sweep_parts):
     cfg, trigger, train_table, plan, _ = mini_sweep_parts
-    serial = sweep_snr(train_table, cfg, plan, [5], [14.0, cfg.snr_db], trigger)
-    parallel = sweep_snr(train_table, cfg, plan, [5], [14.0, cfg.snr_db],
-                         trigger, jobs=2)
+    models = fit_grid(train_table.matrix, [5])
+    serial = sweep_snr(models, cfg, plan, [14.0, cfg.snr_db], trigger)
+    parallel = sweep_snr(models, cfg, plan, [14.0, cfg.snr_db], trigger, jobs=2)
     assert same_sweep(serial, parallel)
 
 
@@ -276,18 +280,17 @@ def test_sweep_snr_identical_for_any_burst_chunking(mini_sweep_parts, monkeypatc
     cfg, trigger, train_table, plan, _ = mini_sweep_parts
     monkeypatch.setattr(seeding, "usable_cpus", lambda: 3)
     assert len(plan) % 3 != 0
-    tables = [
-        sweep_snr(train_table, cfg, plan, [3, 5], [6.0, 14.0, cfg.snr_db], trigger,
-                  jobs=jobs)
-        for jobs in (1, 2, 3)
-    ]
+    models = fit_grid(train_table.matrix, [3, 5])
+    tables = [sweep_snr(models, cfg, plan, [6.0, 14.0, cfg.snr_db], trigger, jobs=jobs)
+              for jobs in (1, 2, 3)]
     assert same_sweep(tables[0], tables[1]) and same_sweep(tables[0], tables[2])
 
 
 def test_sweep_snr_rejects_bad_inputs_on_the_noise_path(mini_sweep_parts, monkeypatch):
     cfg, trigger, train_table, plan, _ = mini_sweep_parts
+    models = fit_grid(train_table.matrix, [5])
     with pytest.raises(ValueError, match="jobs must be at least 1"):
-        sweep_snr(train_table, cfg, plan, [5], [30.0], trigger, jobs=0)
+        sweep_snr(models, cfg, plan, [30.0], trigger, jobs=0)
 
     def first_burst_silent(profile, index, burst_cfg, snrs):
         # the real generator, with the first planned burst's carrier at zero
@@ -299,7 +302,7 @@ def test_sweep_snr_rejects_bad_inputs_on_the_noise_path(mini_sweep_parts, monkey
 
     monkeypatch.setattr(evaluate, "gen_bursts", first_burst_silent)
     with pytest.raises(RfSentryError, match="cannot set an SNR on an all-zero signal"):
-        sweep_snr(train_table, cfg, plan, [5], [30.0], trigger)
+        sweep_snr(models, cfg, plan, [30.0], trigger)
 
 
 def test_sweep_snr_regenerates_only_the_planned_bursts(mini_sweep_parts, monkeypatch):
@@ -308,7 +311,7 @@ def test_sweep_snr_regenerates_only_the_planned_bursts(mini_sweep_parts, monkeyp
     monkeypatch.setattr(evaluate, "gen_bursts",
                         lambda profile, index, c, snrs: calls.append((profile, index, snrs))
                         or gen_bursts(profile, index, c, snrs))
-    sweep_snr(train_table, cfg, plan, [5], [cfg.snr_db, 14.0], trigger)
+    sweep_snr(fit_grid(train_table.matrix, [5]), cfg, plan, [cfg.snr_db, 14.0], trigger)
     # each planned burst once, at every grid SNR in ascending order
     assert calls == [(profile, index, [14.0, float(cfg.snr_db)]) for profile, index in plan]
 
@@ -325,8 +328,10 @@ def test_sweep_snr_holds_one_burst_at_a_time():
     small, large = (balanced_eval_plan(cfg, per_class, seed=1) for per_class in (2, 13))
     assert len(large) - len(small) >= 20
 
+    models = fit_grid(train.matrix, [5])
+
     def peak(plan):
-        return traced_peak(lambda: sweep_snr(train, cfg, plan, [5], [12.0, 30.0], trigger))
+        return traced_peak(lambda: sweep_snr(models, cfg, plan, [12.0, 30.0], trigger))
 
     peak(small)  # one-time allocations (caches, lazy imports) stay out of the comparison
     assert peak(large) - peak(small) < 2 * cfg.burst_len * 8
@@ -351,14 +356,15 @@ def test_sweeps_share_tables_without_changing_cells(mini_sweep_parts, metric):
     ks = [2, 3, 5, 8, 13]
     stored = table_from_signals(balanced_stored, trigger)
     validation, test = stored.select(range(0, 20, 2)), stored.select(range(1, 20, 2))
-    swept = sweep_neighbors(train_table, validation, test, ks, metric=metric)
-    assert same_sweep(swept, (ks, np.array([
+    models = fit_grid(train_table.matrix, ks, metric)
+    swept = accuracy_grid(models, query_sets(validation, test))
+    assert same_sweep(([m.k for m in models], swept), (ks, np.array([
         [_accuracy_by_refit(train_table, t.matrix, t.classes, k, metric) for k in ks]
         for t in (validation, test)
     ])))
 
     snrs = [8.0, 18.0, float(cfg.snr_db)]
-    swept = sweep_snr(train_table, cfg, plan, ks, snrs, trigger, metric=metric)
+    swept = sweep_snr(models, cfg, plan, snrs, trigger)
     clean_cfg = replace(cfg, snr_db=math.inf)
     clean = [(gen_burst(profile, index, clean_cfg), noise_seed(cfg, profile, index))
              for profile, index in plan]
@@ -369,17 +375,16 @@ def test_sweeps_share_tables_without_changing_cells(mini_sweep_parts, metric):
                            for sig, seed in clean])
         expected.append([_accuracy_by_refit(train_table, matrix, truth, k, metric)
                          for k in ks])
-    assert same_sweep(swept, (snrs, ks, np.array(expected)))
+    assert same_sweep(swept, (snrs, np.array(expected)))
 
 
 def test_sweep_snr_validation(mini_sweep_parts):
     cfg, trigger, train_table, plan, _ = mini_sweep_parts
+    models = fit_grid(train_table.matrix, [5])
     with pytest.raises(ValueError):
-        sweep_snr(train_table, cfg, plan, [], [30.0], trigger)
-    with pytest.raises(ValueError):
-        sweep_snr(train_table, cfg, plan, [5], [], trigger)
+        sweep_snr(models, cfg, plan, [], trigger)
     with pytest.raises(RfSentryError, match="balanced evaluation set is empty"):
-        sweep_snr(train_table, cfg, [], [5], [30.0], trigger)
+        sweep_snr(models, cfg, [], [30.0], trigger)
 
 
 # -- report files -------------------------------------------------------------

@@ -6,6 +6,7 @@ numeric flags get invalid values; each run is in-process through
 examples are the same on every run.
 """
 
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -105,9 +106,12 @@ def test_damaged_model_json(valid, tmp_path, data):
 @FUZZ
 @given(data=st.data())
 def test_damaged_corpus_json(valid, tmp_path, data):
-    (tmp_path / "corpus.json").write_bytes(
+    corpus = tmp_path / "corpus"  # the valid manifests and traces, under a damaged corpus.json
+    if not corpus.exists():
+        shutil.copytree(valid / "corpus", corpus)
+    (corpus / "corpus.json").write_bytes(
         _damage(data, (valid / "corpus" / "corpus.json").read_bytes()))
-    _run(["sweep-snr", "--corpus", tmp_path, "--train-features", valid / "train.csv",
+    _run(["sweep-snr", "--corpus", corpus, "--train-features", valid / "train.csv",
           "--out", tmp_path / "report", "--k-grid", "5", "--snr-grid", "30",
           "--per-class", "4"])
 
