@@ -8,7 +8,12 @@
 #
 # * seed 0 with --jobs 2 and the default grids;
 # * seed 1 with --jobs 1 and unsorted grids (sweep-n --k-grid 30,5,200,10,7;
-#   sweep-snr --snr-grid 18,6,30,12 --k-grid 150,100,20).
+#   sweep-snr --snr-grid 18,6,30,12 --k-grid 150,100,20);
+# * seed 2 with --jobs 1 at a 1024-sample capture (synth --capture-len 1024
+#   --signals-per-device 60, extract --capture-len 1024, sweep-n --k-grid
+#   5:50:5, sweep-snr --per-class 50 --k-grid 20,40). At the default 4096
+#   samples a wrong capture rule in sweep-snr gives the right result; at
+#   1024 it does not.
 #
 # In the logs, each run's output directory and source tree are replaced by
 # fixed names first, so that only what the commands report is compared.
@@ -39,18 +44,28 @@ rfs() {
         { cat "$out/logs/$name.err" >&2; return 1; }
 }
 
-# pipeline SRC OUT SEED JOBS GRIDS: GRIDS is "default" or "unsorted"
+# pipeline SRC OUT SEED JOBS SETTINGS: SETTINGS is "default", "unsorted" or "capture1024"
 pipeline() {
     src=$1 out=$2
-    local seed=$3 jobs=$4 sweep_n=() sweep_snr=()
-    if [ "$5" = unsorted ]; then
+    local seed=$3 jobs=$4 synth=() extract=() sweep_n=() sweep_snr=()
+    case $5 in
+    unsorted)
         sweep_n=(--k-grid 30,5,200,10,7)
         sweep_snr=(--snr-grid 18,6,30,12 --k-grid 150,100,20)
-    fi
+        ;;
+    capture1024)
+        synth=(--capture-len 1024 --signals-per-device 60)
+        extract=(--capture-len 1024)
+        sweep_n=(--k-grid 5:50:5)
+        sweep_snr=(--per-class 50 --k-grid 20,40)
+        ;;
+    esac
     mkdir -p "$out/logs"
-    rfs synth synth --out "$out/corpus" --seed "$seed" --jobs "$jobs"
-    rfs extract-train extract --manifest "$out/corpus/train_manifest.csv" --out "$out/train.csv"
-    rfs extract-eval extract --manifest "$out/corpus/eval_manifest.csv" --out "$out/eval.csv"
+    rfs synth synth --out "$out/corpus" --seed "$seed" --jobs "$jobs" "${synth[@]}"
+    rfs extract-train extract --manifest "$out/corpus/train_manifest.csv" --out "$out/train.csv" \
+        "${extract[@]}"
+    rfs extract-eval extract --manifest "$out/corpus/eval_manifest.csv" --out "$out/eval.csv" \
+        "${extract[@]}"
     rfs train train --features "$out/train.csv" --out "$out/model.json"
     rfs score score --model "$out/model.json" --features "$out/eval.csv" --out "$out/scores.csv"
     rfs eval eval --model "$out/model.json" --features "$out/eval.csv" --out "$out/report"
@@ -62,10 +77,10 @@ pipeline() {
     sed -i -e "s|$src|SRC|g" -e "s|$out|OUT|g" "$out"/logs/*
 }
 
-for run in "0 2 default" "1 1 unsorted"; do
-    read -r seed jobs grids <<<"$run"
-    pipeline "$work/base-src" "$work/base/seed$seed" "$seed" "$jobs" "$grids"
-    pipeline "$repo" "$work/head/seed$seed" "$seed" "$jobs" "$grids"
+for run in "0 2 default" "1 1 unsorted" "2 1 capture1024"; do
+    read -r seed jobs settings <<<"$run"
+    pipeline "$work/base-src" "$work/base/seed$seed" "$seed" "$jobs" "$settings"
+    pipeline "$repo" "$work/head/seed$seed" "$seed" "$jobs" "$settings"
 done
 if diff -r --brief "$work/base" "$work/head"; then
     echo "same outputs as $base"

@@ -32,9 +32,9 @@ from .evaluate import (
     save_neighbors_csv,
     save_scores_csv,
     save_snr_csv,
-    sweep_snr,
 )
-from .features import FeatureTable, fingerprint, load_feature_csv, save_feature_csv
+from .features import (FeatureTable, fingerprint, load_feature_csv, save_feature_csv,
+                       snr_fingerprints)
 from .lof import DEFAULT_K, DEFAULT_THRESHOLD, LofModel, Metric, fit, fit_grid
 from .seeding import map_chunks, stage_seed
 from .signals import (
@@ -202,6 +202,25 @@ def _load_corpus(root: Path) -> CorpusConfig:
     return cfg
 
 
+def _check_training_source(cfg: CorpusConfig, train: FeatureTable, root: Path,
+                           path: str) -> None:
+    """Training CSV ``path`` must hold each recognized device's burst 0 of corpus ``root``.
+
+    The burst is fingerprinted as the sweep captures it (``cfg.trigger``), and
+    must match a row of its device within 1e-6 relative, as RFSG stores float32.
+    """
+    recognized = [p for p in cfg.profiles if p.signal_class is SignalClass.RECOGNIZED]
+    expected = snr_fingerprints(cfg, [(p, 0) for p in recognized], [cfg.snr_db])[0]
+    for profile, want in zip(recognized, expected):
+        if not any(device_id == profile.name
+                   and all(math.isclose(x, y, rel_tol=1e-6) for x, y in zip(row, want))
+                   for device_id, row in zip(train.device_ids, train.matrix)):
+            raise FormatError(
+                f"{path}: no {profile.name} row matches burst 0 of {root / CORPUS_FILE} "
+                f"captured at its capture_len {cfg.capture_len}; extract the training "
+                f"features from that corpus with --capture-len {cfg.capture_len}")
+
+
 def _trigger_config(args) -> TriggerConfig:
     return TriggerConfig(
         window_len=args.window_len,
@@ -260,13 +279,7 @@ def cmd_extract(args) -> int:
     kept, skipped = [], 0
     for row in rows:
         try:
-            sig = load_signal(
-                manifest.parent / row.path,
-                device_id=row.device_id,
-                signal_class=row.signal_class,
-                snr_db=row.snr_db,
-            )
-            vec = fingerprint(sig, trigger)
+            vec = fingerprint(load_signal(manifest.parent / row.path), trigger)
         except RfSentryError as exc:
             skipped += 1
             log.warning("skipping %s: %s", row.path, exc)
@@ -338,13 +351,17 @@ def cmd_sweep_n(args) -> int:
 
 
 def cmd_sweep_snr(args) -> int:
-    cfg = _load_corpus(Path(args.corpus))
+    root = Path(args.corpus)
+    cfg = _load_corpus(root)
     train = _load_training(args.train_features)
-    plan = balanced_eval_plan(cfg, args.per_class, stage_seed(cfg.master_seed, "balanced"))
-    trigger = TriggerConfig(capture_len=cfg.capture_len)
+    plan = balanced_eval_plan(cfg, args.per_class)
+    _check_training_source(cfg, train, root, args.train_features)
     models = fit_grid(train.matrix, sorted(args.k_grid), **_model_options(args))
     ks = [model.k for model in models]
-    snrs, acc = sweep_snr(models, cfg, plan, args.snr_grid, trigger, jobs=args.jobs)
+    snrs = sorted(args.snr_grid)
+    truth = [profile.signal_class for profile, _ in plan]
+    acc = accuracy_grid(models, [(matrix, truth)
+                                 for matrix in snr_fingerprints(cfg, plan, snrs, args.jobs)])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _atomic(lambda p: save_snr_csv(snrs, ks, acc, p), out / "snr_sweep.csv")

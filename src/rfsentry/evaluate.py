@@ -1,22 +1,13 @@
-"""Detector evaluation: confusion counts, metrics, and experiment sweeps.
+"""Detector evaluation: confusion counts, metrics, the sweep grid and report files.
 
-The positive class is the UAV/outlier class throughout. The two standard
-experiments score models that are already fitted, one per grid k from one
-``lof.fit_grid`` call: accuracy vs neighbor count at the training SNR, and
-accuracy vs SNR for that training-SNR fit, never re-fitted.
-``accuracy_grid`` scores query sets for every model, and its float64 grid
-has row i for query set i and column j for ``models[j]``; the neighbor
-sweep is its validation and test rows. ``sweep_snr`` gives ``(snrs, acc)``
-with one row per sorted grid SNR.
-
-All query sets of a sweep are scored, stacked, for every k with one
-``lof.score_grid`` call, so each distance is computed once and one thread
-pool serves the whole sweep. The SNR sweep streams its bursts:
-``seeding.map_chunks`` hands each worker process a chunk of (profile, burst
-index) pairs, and the worker fingerprints what ``synth.gen_bursts`` yields
-for each pair at every grid SNR, one burst at a time, so memory holds one
-burst per worker. The noise recipe itself lives in ``synth.gen_bursts``
-alone.
+The positive class is the UAV/outlier class throughout. Both standard
+experiments, accuracy vs neighbor count and accuracy vs SNR for a fit at
+the training SNR, are one ``accuracy_grid`` call on the models of one
+``lof.fit_grid`` call. Its float64 grid has row i for query set i and column
+j for ``models[j]``: the neighbor sweep's query sets are its validation and
+test rows, the SNR sweep's the rows of ``features.snr_fingerprints``. All
+sets are scored, stacked, with one ``lof.score_grid`` call, so each distance
+is computed once and one thread pool serves the whole sweep.
 """
 
 from __future__ import annotations
@@ -27,12 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, RfSentryError
-from .features import FeatureTable, fingerprint
+from .features import FeatureTable
 from .formats import fmt, write_csv
 from .lof import LofModel, score_grid
-from .seeding import map_chunks
-from .signals import SignalClass, TriggerConfig
-from .synth import CorpusConfig, DeviceProfile, gen_bursts
+from .signals import SignalClass
 
 
 @dataclass(frozen=True)
@@ -127,51 +116,6 @@ def best_k(ks: list[int], validation_accuracy: np.ndarray) -> int:
     return max(zip(validation_accuracy, ks), key=lambda cell: (cell[0], -cell[1]))[1]
 
 
-def _snr_fingerprints(
-    plan: list[tuple[DeviceProfile, int]],
-    cfg: CorpusConfig,
-    snrs: list[float],
-    trigger: TriggerConfig,
-) -> list[np.ndarray]:
-    """Each planned burst's (len(snrs), 4) fingerprints, one row per grid SNR.
-
-    ``gen_bursts`` yields one burst at a time at each grid SNR; it is done
-    with, and dropped, before the next planned burst is generated.
-    """
-    return [np.array([fingerprint(sig, trigger)
-                      for sig in gen_bursts(profile, index, cfg, snrs)])
-            for profile, index in plan]
-
-
-def sweep_snr(
-    models: list[LofModel],
-    cfg: CorpusConfig,
-    plan: list[tuple[DeviceProfile, int]],
-    snr_grid: list[float],
-    trigger: TriggerConfig,
-    jobs: int = 1,
-) -> tuple[list[float], np.ndarray]:
-    """Accuracy of training-SNR models on re-noised evaluation bursts.
-
-    Returns ``(snrs, acc)``: the sorted SNR grid and the ``(len(snrs),
-    len(models))`` ``accuracy_grid`` of the models, from one ``fit_grid``
-    call, on each SNR's set. ``plan`` names the (profile, burst index)
-    evaluation bursts of corpus ``cfg`` to score. ``synth.gen_bursts``
-    regenerates each one at every grid SNR from its clean trace, so cells
-    never stack noise, and draws its noise once. ``jobs`` caps the worker
-    processes, each generating and fingerprinting a contiguous chunk of the
-    plan one burst at a time; the grid is identical for any worker count.
-    """
-    if not snr_grid:
-        raise ConfigError("snr_grid must be non-empty")
-    if not plan:
-        raise RfSentryError("balanced evaluation set is empty")
-    truth = [profile.signal_class for profile, _ in plan]
-    snrs = sorted(float(s) for s in snr_grid)
-    per_burst = map_chunks(_snr_fingerprints, plan, jobs, cfg, snrs, trigger)
-    return snrs, accuracy_grid(models, ((matrix, truth) for matrix in np.stack(per_burst, axis=1)))
-
-
 # ---------------------------------------------------------------------------
 # Report files.
 # ---------------------------------------------------------------------------
@@ -204,7 +148,7 @@ def save_neighbors_csv(ks: list[int], acc: np.ndarray, path: str | Path) -> None
 
 
 def save_snr_csv(snrs: list[float], ks: list[int], acc: np.ndarray, path: str | Path) -> None:
-    """One row per (SNR, k) cell of a ``sweep_snr`` grid, SNR-major."""
+    """One row per (SNR, k) cell of an SNR sweep grid, SNR-major."""
     write_csv(path, ["snr_db", "k", "accuracy"],
               ([fmt(snr), k, fmt(cell)]
                for snr, row in zip(snrs, acc) for k, cell in zip(ks, row)))
@@ -222,7 +166,7 @@ _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 60, 130, 24, 48
 
 
 def render_snr_svg(snrs: list[float], ks: list[int], acc: np.ndarray, path: str | Path) -> None:
-    """Write a ``sweep_snr`` grid as a standalone SVG (no plotting dependency).
+    """Write an SNR sweep grid as a standalone SVG (no plotting dependency).
 
     One polyline per k column, its points in ``snrs`` order; the legend
     lists k ascending.

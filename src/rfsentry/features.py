@@ -9,6 +9,10 @@ one call. The result is a plain float64 row (sigma1..sigma4: the variances
 of a1, d1, a2, d2), the row type of every feature matrix. ``rank_features``
 reproduces the variance-based column ranking that justifies that choice; it
 is a reporting tool, not part of the scoring path.
+
+``snr_fingerprints`` gives the SNR sweep's query sets: planned corpus bursts
+regenerated at each SNR and captured by ``CorpusConfig.trigger``, streamed
+one burst at a time per ``seeding.map_chunks`` worker.
 """
 
 from __future__ import annotations
@@ -20,7 +24,9 @@ import numpy as np
 
 from .errors import ConfigError, RfSentryError
 from .formats import csv_records, fmt, parse_float, write_csv
+from .seeding import map_chunks
 from .signals import Signal, SignalClass, TriggerConfig, extract_transient, parse_class
+from .synth import CorpusConfig, DeviceProfile, gen_bursts
 from .wpt import packet_coefficients
 
 PACKET_NAMES = ("a1", "d1", "a2", "d2")
@@ -124,6 +130,30 @@ def rank_features(matrix: np.ndarray) -> list[int]:
 def fingerprint(signal: Signal, cfg: TriggerConfig) -> np.ndarray:
     """Full per-signal pipeline: trigger capture -> packet matrix -> the (4,) row variances."""
     return sample_variance(packet_coefficients(extract_transient(signal, cfg)))
+
+
+def _burst_fingerprints(plan: list[tuple[DeviceProfile, int]], cfg: CorpusConfig,
+                        snrs: list[float]) -> list[np.ndarray]:
+    """Each planned burst's (len(snrs), 4) fingerprints; one burst is held at a time."""
+    trigger = cfg.trigger
+    return [np.array([fingerprint(sig, trigger)
+                      for sig in gen_bursts(profile, index, cfg, snrs)])
+            for profile, index in plan]
+
+
+def snr_fingerprints(cfg: CorpusConfig, plan: list[tuple[DeviceProfile, int]],
+                     snrs: list[float], jobs: int = 1) -> np.ndarray:
+    """The ``(len(snrs), len(plan), 4)`` fingerprints of ``plan``'s (profile, index) bursts.
+
+    ``synth.gen_bursts`` regenerates each burst at every SNR from its clean
+    trace, so noise never stacks. ``jobs`` caps the worker processes, each
+    taking a contiguous chunk of the plan; the result is the same for any.
+    """
+    if not snrs:
+        raise ConfigError("snrs must be non-empty")
+    if not plan:
+        raise RfSentryError("the burst plan is empty")
+    return np.stack(map_chunks(_burst_fingerprints, plan, jobs, cfg, snrs), axis=1)
 
 
 # ---------------------------------------------------------------------------

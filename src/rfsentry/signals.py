@@ -154,13 +154,8 @@ def save_signal(signal: Signal, path: str | Path) -> None:
         fh.write(samples.tobytes())
 
 
-def load_signal(
-    path: str | Path,
-    device_id: str = "",
-    signal_class: SignalClass = SignalClass.RECOGNIZED,
-    snr_db: float | None = None,
-) -> Signal:
-    """Read an RFSG file; metadata comes from the manifest, not the file.
+def load_signal(path: str | Path) -> Signal:
+    """Read an RFSG file; its metadata is in the manifest, not the file.
 
     A file that is not a complete, valid RFSG trace is a FormatError.
     """
@@ -184,13 +179,7 @@ def load_signal(
     samples = np.frombuffer(raw, dtype="<f4").astype(np.float64)
     if not np.all(np.isfinite(samples)):
         raise FormatError(f"{path}: holds non-finite samples")
-    return Signal(
-        samples=samples,
-        sample_rate=sample_rate,
-        device_id=device_id,
-        signal_class=signal_class,
-        snr_db=snr_db,
-    )
+    return Signal(samples=samples, sample_rate=sample_rate)
 
 
 @dataclass(frozen=True)

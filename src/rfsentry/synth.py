@@ -16,8 +16,9 @@ Generation is purely seed-driven: every random draw derives from
 ``gen_bursts`` is the one recipe for "burst b at SNR s", at many SNRs from
 one clean trace and one noise draw; ``gen_burst`` is its corpus-SNR case.
 The noise helpers it uses (``mean_power``, ``snr_power_ratio`` and the
-scaling step) live here with it. ``CorpusConfig.save`` and ``load`` read
-and write the corpus.json format.
+scaling step) live here with it. ``CorpusConfig.trigger`` is the capture
+rule of a corpus's bursts, and ``CorpusConfig.save`` and ``load`` read and
+write the corpus.json format.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ from .formats import (
     json_document,
     json_fields,
 )
-from .seeding import derive_seed
-from .signals import Signal, SignalClass
+from .seeding import derive_seed, stage_seed
+from .signals import Signal, SignalClass, TriggerConfig
 
 DEFAULT_SAMPLE_RATE = 100e6
 BASE_AMPLITUDE = 3.0
@@ -89,8 +90,8 @@ class DeviceProfile:
             raise ConfigError(f"{self.name}: hop_period must be > 0 or None")
         if self.envelope_rise <= 0:
             raise ConfigError(f"{self.name}: envelope_rise must be > 0")
-        if self.modulation_index <= 0:
-            raise ConfigError(f"{self.name}: modulation_index must be > 0")
+        if not 0 < self.modulation_index < math.inf:  # NaN fails too
+            raise ConfigError(f"{self.name}: modulation_index must be finite and > 0")
 
     @property
     def signal_class(self) -> SignalClass:
@@ -104,7 +105,7 @@ class CorpusConfig:
     profiles: tuple[DeviceProfile, ...]
     signals_per_device: int = 300
     snr_db: float = 30.0
-    capture_len: int = 4096
+    capture_len: int = TriggerConfig.capture_len
     master_seed: int = 0
     lead_len: int = 0  # 0 means the capture_len // 8 default
 
@@ -134,6 +135,11 @@ class CorpusConfig:
     def burst_len(self) -> int:
         # margin past capture_len keeps a full capture after the trigger
         return self.capture_len + max(1, self.capture_len // 8)
+
+    @property
+    def trigger(self) -> TriggerConfig:
+        """The capture rule of this corpus's bursts: the default trigger at ``capture_len``."""
+        return TriggerConfig(capture_len=self.capture_len)
 
     @property
     def train_per_device(self) -> int:
@@ -213,7 +219,7 @@ _CONFIG_FIELDS = {
 }
 
 
-def default_profiles(capture_len: int = 4096) -> tuple[DeviceProfile, ...]:
+def default_profiles(capture_len: int = TriggerConfig.capture_len) -> tuple[DeviceProfile, ...]:
     """Default device catalog: 2 Bluetooth + 2 WiFi + 6 UAV controllers.
 
     Ramp and hop lengths scale with capture_len so miniature corpora used in
@@ -347,17 +353,22 @@ def gen_bursts(
     fixed order from (master_seed, device_seed, index). Its unit noise is
     drawn once from ``noise_seed``, which does not depend on the SNR, and
     scaled to each SNR, so each burst equals the corpus burst at that SNR.
+    A profile whose waveform overflows or is undefined is a ConfigError.
     """
     rng = np.random.default_rng(
         derive_seed(cfg.master_seed, profile.device_seed, index, "burst")
     )
     n = cfg.burst_len
     amplitude = BASE_AMPLITUDE * (1.0 + AMPLITUDE_JITTER * rng.uniform(-1.0, 1.0))
-    if profile.hop_period is not None:
-        w = _hopped_waveform(profile, n, rng)
-    else:
-        w = _multitone_waveform(profile, n, rng)
-    w /= np.sqrt(np.mean(w * w))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            if profile.hop_period is not None:
+                w = _hopped_waveform(profile, n, rng)
+            else:
+                w = _multitone_waveform(profile, n, rng)
+            w /= np.sqrt(np.mean(w * w))
+    except FloatingPointError as exc:
+        raise ConfigError(f"{profile.name}: the waveform is not finite ({exc})") from None
 
     # amplitude * envelope * w, where the envelope ramps up over `rise`
     # samples and is 1 after them: there it is amplitude * w exactly
@@ -418,17 +429,17 @@ def build_corpus(cfg: CorpusConfig) -> tuple[list[Signal], list[Signal]]:
     return train, evaluation
 
 
-def balanced_eval_plan(
-    cfg: CorpusConfig, per_class: int, seed: int
-) -> list[tuple[DeviceProfile, int]]:
+def balanced_eval_plan(cfg: CorpusConfig, per_class: int) -> list[tuple[DeviceProfile, int]]:
     """(profile, burst index) of a class-balanced evaluation subset, in corpus order.
 
     The picks are ``balanced_indices`` over the classes of ``cfg.eval_plan()``,
-    so no burst is generated to choose them.
+    seeded with the corpus's ``balanced`` stage seed, so no burst is
+    generated to choose them.
     """
     _check_class_mix(cfg)
     plan = cfg.eval_plan()
-    picked = balanced_indices([p.signal_class for p, _ in plan], per_class, seed)
+    picked = balanced_indices([p.signal_class for p, _ in plan], per_class,
+                              stage_seed(cfg.master_seed, "balanced"))
     return [plan[i] for i in picked]
 
 

@@ -15,7 +15,7 @@ from statistics import mean
 import numpy as np
 import pytest
 
-from rfsentry.evaluate import ConfusionMatrix, confusion, metrics, sweep_snr
+from rfsentry.evaluate import ConfusionMatrix, accuracy_grid, confusion, metrics
 from rfsentry.features import (
     VARIANCE_COLUMNS,
     FeatureTable,
@@ -23,6 +23,7 @@ from rfsentry.features import (
     rank_features,
     sample_variance,
     save_feature_csv,
+    snr_fingerprints,
     stats_row,
 )
 from rfsentry.lof import fit, fit_grid
@@ -69,15 +70,12 @@ def snr_trend(default_corpus, default_trigger):
             train_signals, _ = build_corpus(cfg)
         train_table = table_from_signals(train_signals, default_trigger)
         ks = [100, 200]
-        snrs, acc = sweep_snr(
-            fit_grid(train_table.matrix, ks),
-            cfg,
-            balanced_eval_plan(cfg, 200, stage_seed(cfg.master_seed, "balanced")),
-            snr_grid=SNR_GRID,
-            trigger=default_trigger,
-        )
+        plan = balanced_eval_plan(cfg, 200)
+        truth = [profile.signal_class for profile, _ in plan]
+        acc = accuracy_grid(fit_grid(train_table.matrix, ks),
+                            [(matrix, truth) for matrix in snr_fingerprints(cfg, plan, SNR_GRID)])
         tables[seed] = {(snr, k): acc[i, j]
-                        for i, snr in enumerate(snrs) for j, k in enumerate(ks)}
+                        for i, snr in enumerate(SNR_GRID) for j, k in enumerate(ks)}
     return tables
 
 

@@ -512,6 +512,70 @@ def test_sweep_snr_rejects_corpus_json_its_files_contradict(corpus, pipeline, tm
     assert not (tmp_path / "report").exists()
 
 
+def _features_at_capture_len_128(corpus, train_csv, tmp_path):
+    features = tmp_path / "train_128.csv"
+    result = run_cli("extract", "--manifest", corpus / "train_manifest.csv", "--out", features,
+                     "--capture-len", 128)
+    assert result.returncode == 0, result.stderr
+    return corpus, features
+
+
+def _features_of_another_seed(corpus, train_csv, tmp_path):
+    other = tmp_path / "other"
+    assert SYNTH_ARGS[:2] == ["--seed", "3"]
+    assert run_cli("synth", "--out", other, "--seed", 4, *SYNTH_ARGS[2:]).returncode == 0
+    assert extract(other, "train_manifest.csv", tmp_path / "train_4.csv").returncode == 0
+    return corpus, tmp_path / "train_4.csv"
+
+
+def _corpus_of_another_master_seed(corpus, train_csv, tmp_path):
+    bad = tmp_path / "corpus"
+    shutil.copytree(corpus, bad)
+    edit = _edit_config(lambda d: d["config"].update(master_seed=d["config"]["master_seed"] + 1))
+    (bad / "corpus.json").write_text(edit((corpus / "corpus.json").read_text()))
+    return bad, train_csv
+
+
+# a training CSV that the corpus did not produce under its capture rule; the
+# models it fits do not describe the bursts that the sweep regenerates
+TRAINING_MISMATCH_CASES = {
+    "capture-len": _features_at_capture_len_128,
+    "other-corpus-seed": _features_of_another_seed,
+    "corpus-json-master-seed": _corpus_of_another_master_seed,
+}
+
+
+@pytest.mark.parametrize("case", TRAINING_MISMATCH_CASES)
+def test_sweep_snr_rejects_training_features_the_corpus_did_not_produce(corpus, pipeline,
+                                                                        tmp_path, case):
+    _, train_csv, _, _ = pipeline
+    root, features = TRAINING_MISMATCH_CASES[case](corpus, train_csv, tmp_path)
+    result = run_cli("sweep-snr", "--corpus", root, "--train-features", features,
+                     "--out", tmp_path / "report", "--k-grid", "5", "--snr-grid", "30",
+                     "--per-class", 10)
+    assert result.returncode == 2
+    assert "no bt_phone row matches burst 0 of" in result.stderr
+    assert str(features) in result.stderr and str(root / "corpus.json") in result.stderr
+    assert len(result.stderr.strip().splitlines()) == 1
+    assert not (tmp_path / "report").exists()
+
+
+def test_sweep_snr_rejects_a_profile_whose_waveform_overflows(corpus, pipeline, tmp_path):
+    # finite tone weights whose sum overflows the float range
+    _, train_csv, _, _ = pipeline
+    bad = tmp_path / "corpus"
+    shutil.copytree(corpus, bad)
+    edit = _edit_config(lambda d: d["config"]["profiles"][2].update(modulation_index=1e308))
+    (bad / "corpus.json").write_text(edit((corpus / "corpus.json").read_text()))
+    result = run_cli("sweep-snr", "--corpus", bad, "--train-features", train_csv,
+                     "--out", tmp_path / "report", "--k-grid", "5", "--snr-grid", "30",
+                     "--per-class", 10)
+    assert result.returncode == 2
+    assert result.stderr.strip().splitlines() == [
+        "ERROR wifi_router_a: the waveform is not finite (overflow encountered in multiply)"]
+    assert not (tmp_path / "report").exists()
+
+
 @pytest.mark.parametrize("command", ["synth", "sweep-snr"])
 def test_jobs_below_one_is_rejected(corpus, pipeline, tmp_path, command):
     _, train_csv, _, _ = pipeline

@@ -1,4 +1,8 @@
-"""Confusion/metric arithmetic and the two experiment sweeps."""
+"""Confusion/metric arithmetic and the two experiment sweeps.
+
+The SNR sweep is run as the CLI runs it: ``features.snr_fingerprints`` at
+the sorted grid, then ``accuracy_grid``.
+"""
 
 import csv
 import hashlib
@@ -8,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rfsentry import evaluate, seeding, synth
+from rfsentry import features, seeding, synth
 from rfsentry.errors import ConfigError, RfSentryError
 from rfsentry.evaluate import (
     ConfusionMatrix,
@@ -21,11 +25,10 @@ from rfsentry.evaluate import (
     save_metrics_csv,
     save_neighbors_csv,
     save_snr_csv,
-    sweep_snr,
 )
-from rfsentry.features import FeatureTable, fingerprint
+from rfsentry.features import FeatureTable, fingerprint, snr_fingerprints
 from rfsentry.lof import fit, fit_grid
-from rfsentry.signals import SignalClass, TriggerConfig
+from rfsentry.signals import SignalClass
 from rfsentry.synth import (
     CorpusConfig,
     balanced_eval_plan,
@@ -44,8 +47,16 @@ REC, UAV = SignalClass.RECOGNIZED, SignalClass.UAV
 IN, OUT = False, True  # entries of an outlier mask
 
 
+def snr_sweep(models, cfg, plan, snr_grid, jobs=1):
+    """``(snrs, acc)``: the sorted grid and the models' accuracy on each SNR's planned bursts."""
+    snrs = sorted(snr_grid)
+    truth = [profile.signal_class for profile, _ in plan]
+    return snrs, accuracy_grid(models, [(matrix, truth)
+                                        for matrix in snr_fingerprints(cfg, plan, snrs, jobs)])
+
+
 def cells(swept, ks):
-    """The ``{(snr_db, k): accuracy}`` cells of a ``sweep_snr`` result over models ``ks``."""
+    """The ``{(snr_db, k): accuracy}`` cells of an ``snr_sweep`` result over models ``ks``."""
     snrs, acc = swept
     return {(snr, k): acc[i, j] for i, snr in enumerate(snrs) for j, k in enumerate(ks)}
 
@@ -225,7 +236,7 @@ def test_best_k_ties_take_smaller_k():
 
 @pytest.fixture(scope="module")
 def mini_sweep_parts(mini_cfg):
-    trigger = TriggerConfig(capture_len=mini_cfg.capture_len)
+    trigger = mini_cfg.trigger
     train, evaluation = build_corpus(mini_cfg)
     train_table = table_from_signals(train, trigger)
     labels = [s.signal_class for s in evaluation]
@@ -238,8 +249,7 @@ def mini_sweep_parts(mini_cfg):
 def test_sweep_snr_training_cell_matches_direct_scoring(mini_sweep_parts):
     """The 30 dB sweep cell must reproduce scoring of the stored corpus."""
     cfg, trigger, train_table, plan, balanced_stored = mini_sweep_parts
-    swept = sweep_snr(fit_grid(train_table.matrix, [5]), cfg, plan,
-                      snr_grid=[cfg.snr_db], trigger=trigger)
+    swept = snr_sweep(fit_grid(train_table.matrix, [5]), cfg, plan, snr_grid=[cfg.snr_db])
     model = fit(train_table.matrix, k=5)
     stored_table = table_from_signals(balanced_stored, trigger)
     preds = model.outliers(model.score_batch(stored_table.matrix))
@@ -251,8 +261,8 @@ def test_sweep_snr_cells_never_stack_noise(mini_sweep_parts):
     # adding more grid points must not perturb an existing cell
     cfg, trigger, train_table, plan, _ = mini_sweep_parts
     models = fit_grid(train_table.matrix, [5])
-    lone = sweep_snr(models, cfg, plan, [cfg.snr_db], trigger)
-    stacked = sweep_snr(models, cfg, plan, [10.0, cfg.snr_db], trigger)
+    lone = snr_sweep(models, cfg, plan, [cfg.snr_db])
+    stacked = snr_sweep(models, cfg, plan, [10.0, cfg.snr_db])
     assert cells(stacked, [5])[(float(cfg.snr_db), 5)] == cells(lone, [5])[(float(cfg.snr_db), 5)]
     assert stacked[0] == [10.0, 30.0]
 
@@ -261,15 +271,15 @@ def test_sweep_snr_constant_outlier_scores_half_on_balanced_set(mini_sweep_parts
     cfg, trigger, train_table, plan, _ = mini_sweep_parts
     models = fit_grid(train_table.matrix, [5],
                       threshold=0.0)  # every score exceeds 0 -> all flagged
-    swept = sweep_snr(models, cfg, plan, [cfg.snr_db], trigger)
+    swept = snr_sweep(models, cfg, plan, [cfg.snr_db])
     assert cells(swept, [5])[(float(cfg.snr_db), 5)] == 0.5
 
 
 def test_sweep_snr_parallel_matches_serial(mini_sweep_parts):
     cfg, trigger, train_table, plan, _ = mini_sweep_parts
     models = fit_grid(train_table.matrix, [5])
-    serial = sweep_snr(models, cfg, plan, [14.0, cfg.snr_db], trigger)
-    parallel = sweep_snr(models, cfg, plan, [14.0, cfg.snr_db], trigger, jobs=2)
+    serial = snr_sweep(models, cfg, plan, [14.0, cfg.snr_db])
+    parallel = snr_sweep(models, cfg, plan, [14.0, cfg.snr_db], jobs=2)
     assert same_sweep(serial, parallel)
 
 
@@ -281,7 +291,7 @@ def test_sweep_snr_identical_for_any_burst_chunking(mini_sweep_parts, monkeypatc
     monkeypatch.setattr(seeding, "usable_cpus", lambda: 3)
     assert len(plan) % 3 != 0
     models = fit_grid(train_table.matrix, [3, 5])
-    tables = [sweep_snr(models, cfg, plan, [6.0, 14.0, cfg.snr_db], trigger, jobs=jobs)
+    tables = [snr_sweep(models, cfg, plan, [6.0, 14.0, cfg.snr_db], jobs=jobs)
               for jobs in (1, 2, 3)]
     assert same_sweep(tables[0], tables[1]) and same_sweep(tables[0], tables[2])
 
@@ -290,7 +300,7 @@ def test_sweep_snr_rejects_bad_inputs_on_the_noise_path(mini_sweep_parts, monkey
     cfg, trigger, train_table, plan, _ = mini_sweep_parts
     models = fit_grid(train_table.matrix, [5])
     with pytest.raises(ValueError, match="jobs must be at least 1"):
-        sweep_snr(models, cfg, plan, [30.0], trigger, jobs=0)
+        snr_sweep(models, cfg, plan, [30.0], jobs=0)
 
     def first_burst_silent(profile, index, burst_cfg, snrs):
         # the real generator, with the first planned burst's carrier at zero
@@ -300,18 +310,18 @@ def test_sweep_snr_rejects_bad_inputs_on_the_noise_path(mini_sweep_parts, monkey
                 m.setattr(synth, "BASE_AMPLITUDE", 0.0)
             yield from gen_bursts(profile, index, burst_cfg, snrs)
 
-    monkeypatch.setattr(evaluate, "gen_bursts", first_burst_silent)
+    monkeypatch.setattr(features, "gen_bursts", first_burst_silent)
     with pytest.raises(RfSentryError, match="cannot set an SNR on an all-zero signal"):
-        sweep_snr(models, cfg, plan, [30.0], trigger)
+        snr_sweep(models, cfg, plan, [30.0])
 
 
 def test_sweep_snr_regenerates_only_the_planned_bursts(mini_sweep_parts, monkeypatch):
     cfg, trigger, train_table, plan, _ = mini_sweep_parts
     calls = []
-    monkeypatch.setattr(evaluate, "gen_bursts",
+    monkeypatch.setattr(features, "gen_bursts",
                         lambda profile, index, c, snrs: calls.append((profile, index, snrs))
                         or gen_bursts(profile, index, c, snrs))
-    sweep_snr(fit_grid(train_table.matrix, [5]), cfg, plan, [cfg.snr_db, 14.0], trigger)
+    snr_sweep(fit_grid(train_table.matrix, [5]), cfg, plan, [cfg.snr_db, 14.0])
     # each planned burst once, at every grid SNR in ascending order
     assert calls == [(profile, index, [14.0, float(cfg.snr_db)]) for profile, index in plan]
 
@@ -322,16 +332,15 @@ def test_sweep_snr_holds_one_burst_at_a_time():
     capture_len = 16384
     cfg = CorpusConfig(profiles=default_profiles(capture_len), signals_per_device=12,
                        capture_len=capture_len, master_seed=3)
-    trigger = TriggerConfig(capture_len=capture_len)
     rows = np.random.default_rng(8).standard_normal((40, 4))
     train = FeatureTable.from_rows([("d", REC, 30.0, row) for row in rows])
-    small, large = (balanced_eval_plan(cfg, per_class, seed=1) for per_class in (2, 13))
+    small, large = (balanced_eval_plan(cfg, per_class) for per_class in (2, 13))
     assert len(large) - len(small) >= 20
 
     models = fit_grid(train.matrix, [5])
 
     def peak(plan):
-        return traced_peak(lambda: sweep_snr(models, cfg, plan, [12.0, 30.0], trigger))
+        return traced_peak(lambda: snr_sweep(models, cfg, plan, [12.0, 30.0]))
 
     peak(small)  # one-time allocations (caches, lazy imports) stay out of the comparison
     assert peak(large) - peak(small) < 2 * cfg.burst_len * 8
@@ -364,7 +373,7 @@ def test_sweeps_share_tables_without_changing_cells(mini_sweep_parts, metric):
     ])))
 
     snrs = [8.0, 18.0, float(cfg.snr_db)]
-    swept = sweep_snr(models, cfg, plan, snrs, trigger)
+    swept = snr_sweep(models, cfg, plan, snrs)
     clean_cfg = replace(cfg, snr_db=math.inf)
     clean = [(gen_burst(profile, index, clean_cfg), noise_seed(cfg, profile, index))
              for profile, index in plan]
@@ -382,9 +391,9 @@ def test_sweep_snr_validation(mini_sweep_parts):
     cfg, trigger, train_table, plan, _ = mini_sweep_parts
     models = fit_grid(train_table.matrix, [5])
     with pytest.raises(ValueError):
-        sweep_snr(models, cfg, plan, [], trigger)
-    with pytest.raises(RfSentryError, match="balanced evaluation set is empty"):
-        sweep_snr(models, cfg, [], [30.0], trigger)
+        snr_sweep(models, cfg, plan, [])
+    with pytest.raises(RfSentryError, match="the burst plan is empty"):
+        snr_sweep(models, cfg, [], [30.0])
 
 
 # -- report files -------------------------------------------------------------

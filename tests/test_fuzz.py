@@ -1,11 +1,13 @@
 """Damaged inputs: each command exits 0 or 2, never a traceback.
 
-Every parser gets truncated and byte-mutated copies of a valid file, and
+Every parser gets truncated and byte-mutated copies of a valid file,
+corpus.json also gets one config value replaced by a drawn JSON value, and
 numeric flags get invalid values; each run is in-process through
 ``cli.main``. Hypothesis is derandomized and has no example database, so the
 examples are the same on every run.
 """
 
+import json
 import shutil
 import tempfile
 from pathlib import Path
@@ -103,17 +105,48 @@ def test_damaged_model_json(valid, tmp_path, data):
           "--out", tmp_path / "scores.csv"])
 
 
+JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                        st.text(max_size=8), st.lists(st.integers(), max_size=2),
+                        st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
+
+
+def _close(value):
+    """Values of ``value``'s JSON type near it, often valid, so that runs pass the parser."""
+    if isinstance(value, bool) or value is None:
+        return JSON_VALUES
+    if isinstance(value, int):
+        return st.integers(value - 2, value + 2)
+    if isinstance(value, float):
+        return st.floats(*sorted((value / 2, value * 2)))
+    return st.sampled_from(["bluetooth", "wifi", "uav_controller", value + "_x"])
+
+
+def _damage_value(data, original: bytes) -> bytes:
+    """corpus.json ``original`` with one leaf of its config or of a profile replaced."""
+    doc = json.loads(original)
+    config = doc["config"]
+    leaves = [(config, key) for key in config if key != "profiles"]
+    leaves += [(profile, key) for profile in config["profiles"] for key in profile]
+    owner, key = leaves[data.draw(st.integers(0, len(leaves) - 1), label="leaf")]
+    close = data.draw(st.booleans(), label="close")
+    owner[key] = data.draw(_close(owner[key]) if close else JSON_VALUES, label=key)
+    return json.dumps(doc).encode()
+
+
 @FUZZ
 @given(data=st.data())
 def test_damaged_corpus_json(valid, tmp_path, data):
     corpus = tmp_path / "corpus"  # the valid manifests and traces, under a damaged corpus.json
     if not corpus.exists():
         shutil.copytree(valid / "corpus", corpus)
-    (corpus / "corpus.json").write_bytes(
-        _damage(data, (valid / "corpus" / "corpus.json").read_bytes()))
-    _run(["sweep-snr", "--corpus", corpus, "--train-features", valid / "train.csv",
-          "--out", tmp_path / "report", "--k-grid", "5", "--snr-grid", "30",
-          "--per-class", "4"])
+    original = (valid / "corpus" / "corpus.json").read_bytes()
+    damage = _damage_value if data.draw(st.booleans(), label="value") else _damage
+    (corpus / "corpus.json").write_bytes(damage(data, original))
+    report = Path(tempfile.mkdtemp(dir=tmp_path)) / "report"
+    code = _run(["sweep-snr", "--corpus", corpus, "--train-features", valid / "train.csv",
+                 "--out", report, "--k-grid", "5", "--snr-grid", "30", "--per-class", "4"])
+    if code == 2:
+        assert not report.exists()
 
 
 BAD_VALUES = ["0", "-1", "nan", "inf", "-inf", "1e308", "x", ""]

@@ -71,6 +71,23 @@ def test_profile_validation():
                       modulation_index=1.0, device_seed=1)
     with pytest.raises(ConfigError):
         CorpusConfig(profiles=default_profiles(), signals_per_device=0)
+    wifi = default_profiles()[2]
+    for index in (0.0, -1.0, math.nan, math.inf):  # NaN would pass a plain `<= 0` check
+        with pytest.raises(ConfigError, match="wifi_router_a: modulation_index must be finite"):
+            replace(wifi, modulation_index=index)
+
+
+def test_overflowing_waveform_is_a_config_error_naming_the_profile():
+    # finite tone weights whose sum overflows the float range
+    cfg = small_cfg()
+    wifi = replace(cfg.profiles[2], modulation_index=1e308)
+    with pytest.raises(ConfigError, match="wifi_router_a: the waveform is not finite"):
+        gen_burst(wifi, 0, cfg)
+
+
+def test_corpus_trigger_is_the_default_trigger_at_the_capture_len():
+    assert small_cfg().trigger == TriggerConfig(capture_len=256)
+    assert CorpusConfig(profiles=default_profiles()).trigger == TriggerConfig()
 
 
 def test_corpus_snr_is_finite_or_the_clean_sentinel():
@@ -363,12 +380,14 @@ def test_balanced_indices_name_the_short_class():
 
 
 def test_balanced_eval_plan_picks_without_generating(mini_cfg, monkeypatch):
-    # the picks are balanced_indices over the generated evaluation split
+    # the picks are balanced_indices over the generated evaluation split, seeded
+    # with the corpus's balanced stage seed
     _, evaluation = build_corpus(mini_cfg)
-    picked = balanced_indices([sig.signal_class for sig in evaluation], 10, seed=8)
+    picked = balanced_indices([sig.signal_class for sig in evaluation], 10,
+                              stage_seed(mini_cfg.master_seed, "balanced"))
     calls = []
     monkeypatch.setattr(synth, "gen_bursts", lambda *a: calls.append(a) or gen_bursts(*a))
-    plan = balanced_eval_plan(mini_cfg, 10, seed=8)
+    plan = balanced_eval_plan(mini_cfg, 10)
     assert calls == []
     assert plan == [mini_cfg.eval_plan()[i] for i in picked]
     assert len(plan) == 20
@@ -392,7 +411,7 @@ def test_split_rule_matches_the_corpus(mini_cfg):
 
 
 def test_uav_fingerprints_are_far_from_recognized(mini_cfg):
-    trigger = TriggerConfig(capture_len=mini_cfg.capture_len)
+    trigger = mini_cfg.trigger
     train, evaluation = build_corpus(mini_cfg)
     table = table_from_signals(train + evaluation, trigger)
     m = np.asarray(table.matrix)
