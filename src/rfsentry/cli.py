@@ -7,7 +7,10 @@ noted), so commands are pipe-safe. A single --seed flag fans out to
 per-stage seeds (see seeding.stage_seed), which keeps every subcommand
 deterministic without threading seeds through each flag. This module holds
 no file format, only the corpus directory layout: each format is read and
-written by the module of the type it holds.
+written by the module of the type it holds. ``synth`` writes its traces on
+a helper thread in each worker process when its workers leave a usable CPU
+idle (``signals.save_signals``), and in-line otherwise; either way the
+manifests and corpus.json are written last, after every trace is on disk.
 """
 
 from __future__ import annotations
@@ -36,14 +39,14 @@ from .evaluate import (
 from .features import (FeatureTable, fingerprint, load_feature_csv, save_feature_csv,
                        snr_fingerprints)
 from .lof import DEFAULT_K, DEFAULT_THRESHOLD, LofModel, Metric, fit, fit_grid
-from .seeding import map_chunks, stage_seed
+from .seeding import map_chunks, stage_seed, usable_cpus
 from .signals import (
     ManifestRow,
     SignalClass,
     TriggerConfig,
     load_signal,
     read_manifest,
-    save_signal,
+    save_signals,
     write_manifest,
 )
 from .synth import (
@@ -202,6 +205,19 @@ def _load_corpus(root: Path) -> CorpusConfig:
     return cfg
 
 
+def _corpus_fingerprints(cfg: CorpusConfig, root: Path, plan: list, snrs: list,
+                         jobs: int = 1):
+    """``snr_fingerprints`` of corpus ``root``, whose corpus.json an error names.
+
+    A burst that cannot be generated or captured comes from a profile or a
+    setting of that file, so its error, of the same type, starts with its path.
+    """
+    try:
+        return snr_fingerprints(cfg, plan, snrs, jobs)
+    except RfSentryError as exc:
+        raise type(exc)(f"{root / CORPUS_FILE}: {exc}") from exc
+
+
 def _check_training_source(cfg: CorpusConfig, train: FeatureTable, root: Path,
                            path: str) -> None:
     """Training CSV ``path`` must hold each recognized device's burst 0 of corpus ``root``.
@@ -210,7 +226,7 @@ def _check_training_source(cfg: CorpusConfig, train: FeatureTable, root: Path,
     must match a row of its device within 1e-6 relative, as RFSG stores float32.
     """
     recognized = [p for p in cfg.profiles if p.signal_class is SignalClass.RECOGNIZED]
-    expected = snr_fingerprints(cfg, [(p, 0) for p in recognized], [cfg.snr_db])[0]
+    expected = _corpus_fingerprints(cfg, root, [(p, 0) for p in recognized], [cfg.snr_db])[0]
     for profile, want in zip(recognized, expected):
         if not any(device_id == profile.name
                    and all(math.isclose(x, y, rel_tol=1e-6) for x, y in zip(row, want))
@@ -234,15 +250,24 @@ def _trigger_config(args) -> TriggerConfig:
 # ---------------------------------------------------------------------------
 
 
-def _synth_bursts(plan: list, cfg: CorpusConfig, out_dir: str) -> list[ManifestRow]:
-    """Generate and store each (profile, index) burst of ``plan``; one manifest row each."""
+def _synth_bursts(plan: list, cfg: CorpusConfig, out_dir: str,
+                  overlap: bool) -> list[ManifestRow]:
+    """Generate and store each (profile, index) burst of ``plan``; one manifest row each.
+
+    With ``overlap``, each trace is written on a helper thread while the next
+    burst is generated (``signals.save_signals``).
+    """
     rows = []
-    for profile, index in plan:
-        sig = gen_burst(profile, index, cfg)
-        rel = f"signals/{profile.name}_{index:05d}.rfsg"
-        save_signal(sig, Path(out_dir) / rel)
-        rows.append(ManifestRow(path=rel, device_id=sig.device_id,
-                                signal_class=sig.signal_class, snr_db=sig.snr_db))
+
+    def bursts():
+        for profile, index in plan:
+            sig = gen_burst(profile, index, cfg)
+            rel = f"signals/{profile.name}_{index:05d}.rfsg"
+            rows.append(ManifestRow(path=rel, device_id=sig.device_id,
+                                    signal_class=sig.signal_class, snr_db=sig.snr_db))
+            yield sig, Path(out_dir) / rel
+
+    save_signals(bursts(), overlap)
     return rows
 
 
@@ -257,7 +282,9 @@ def cmd_synth(args) -> int:
     out = Path(args.out)
     (out / "signals").mkdir(parents=True, exist_ok=True)
     plan = [(p, i) for p in cfg.profiles for i in range(cfg.signals_per_device)]
-    rows = map_chunks(_synth_bursts, plan, args.jobs, cfg, str(out))
+    # a CPU that no worker process takes runs the trace writes
+    overlap = min(args.jobs, usable_cpus()) < usable_cpus()
+    rows = map_chunks(_synth_bursts, plan, args.jobs, cfg, str(out), overlap)
     train_rows = [row for (p, i), row in zip(plan, rows) if cfg.is_train(p, i)]
     eval_rows = [row for (p, i), row in zip(plan, rows) if not cfg.is_train(p, i)]
 
@@ -360,8 +387,8 @@ def cmd_sweep_snr(args) -> int:
     ks = [model.k for model in models]
     snrs = sorted(args.snr_grid)
     truth = [profile.signal_class for profile, _ in plan]
-    acc = accuracy_grid(models, [(matrix, truth)
-                                 for matrix in snr_fingerprints(cfg, plan, snrs, args.jobs)])
+    acc = accuracy_grid(models, [(matrix, truth) for matrix
+                                 in _corpus_fingerprints(cfg, root, plan, snrs, args.jobs)])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _atomic(lambda p: save_snr_csv(snrs, ks, acc, p), out / "snr_sweep.csv")
@@ -411,8 +438,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--signals-per-device", type=int, default=CorpusConfig.signals_per_device,
                    help="bursts per device (default %(default)s)")
     p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="worker processes, at most one per usable CPU "
-                        "(default 1; output is identical)")
+                   help="worker processes, at most one per usable CPU; while a usable "
+                        "CPU is left over, each writes its traces on a helper thread "
+                        "as it generates the next burst (default 1; output is identical)")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("extract", help="manifest of signals -> feature CSV")

@@ -11,7 +11,11 @@ finds the index that one scan of the whole trace finds.
 
 The RFSG trace format and the corpus manifest CSV are read and written
 here, beside the types they read into; the CSV codecs they share with the
-other formats are in ``formats``.
+other formats are in ``formats``. :func:`save_signals` is the one RFSG
+writer: the caller encodes each trace, and with ``overlap`` a helper thread
+opens, writes and closes it while the caller makes the next, one file in
+flight at a time. Those system calls are kernel CPU time that releases the
+GIL, so a spare CPU takes them over.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import struct
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -144,14 +149,71 @@ def extract_transient(signal: Signal, cfg: TriggerConfig) -> np.ndarray:
 _HEADER_STRUCT = struct.Struct("<4sHdI")  # magic, version, sample_rate, count
 
 
-def save_signal(signal: Signal, path: str | Path) -> None:
-    """Write the RFSG binary format (float32 samples, little-endian)."""
+def _rfsg_bytes(signal: Signal) -> bytes:
+    """The RFSG encoding of ``signal``: the header, then float32 little-endian samples."""
     samples = signal.samples.astype("<f4")
-    with open(path, "wb") as fh:
-        fh.write(
-            _HEADER_STRUCT.pack(RFSG_MAGIC, RFSG_VERSION, signal.sample_rate, samples.size)
-        )
-        fh.write(samples.tobytes())
+    header = _HEADER_STRUCT.pack(RFSG_MAGIC, RFSG_VERSION, signal.sample_rate, samples.size)
+    return header + samples.tobytes()
+
+
+def _write_file(path: str | Path, data: bytes) -> None:
+    """Create or truncate ``path`` and write all of ``data`` to it."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        view = memoryview(data)
+        while view:  # a write may take less than it is given
+            view = view[os.write(fd, view):]
+    finally:
+        os.close(fd)
+
+
+def _write_jobs(jobs, results) -> None:
+    """Write each ``(path, data)`` of ``jobs`` until ``None``; put ``None`` or the error."""
+    for path, data in iter(jobs.get, None):
+        try:
+            _write_file(path, data)
+        except Exception as exc:  # any error: the caller waits for one result per job
+            results.put(exc)
+        else:
+            results.put(None)
+
+
+def save_signals(items: Iterable[tuple[Signal, str | Path]], overlap: bool = False) -> None:
+    """Write each ``(signal, path)`` of ``items`` in the RFSG format, in order.
+
+    With ``overlap``, one helper thread opens, writes and closes each file
+    while this thread draws the next item from ``items`` and encodes it.
+    Those system calls release the GIL, so a spare CPU runs them beside the
+    caller's work. At most one write is in flight: a file is written before
+    the next is handed over, and the helper is joined before this returns
+    or raises. An error from a write is raised here, once the next item has
+    been encoded, and no later file is written. The helper is a bare thread
+    with two queues: an executor's futures cost the caller more.
+    """
+    if not overlap:
+        for signal, path in items:
+            _write_file(path, _rfsg_bytes(signal))
+        return
+    import queue
+    import threading
+
+    jobs, results = queue.SimpleQueue(), queue.SimpleQueue()
+    helper = threading.Thread(target=_write_jobs, args=(jobs, results))
+    helper.start()
+    results.put(None)  # no write in flight yet
+    try:
+        for signal, path in items:
+            data = _rfsg_bytes(signal)
+            error = results.get()  # the previous write is done
+            if error is not None:
+                raise error
+            jobs.put((path, data))
+        error = results.get()
+        if error is not None:
+            raise error
+    finally:
+        jobs.put(None)
+        helper.join()
 
 
 def load_signal(path: str | Path) -> Signal:

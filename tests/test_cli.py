@@ -7,12 +7,14 @@ import json
 import shutil
 import subprocess
 import sys
+import threading
 
 import pytest
 
-from rfsentry import cli, lof, seeding
+from rfsentry import cli, lof, seeding, signals
 from rfsentry.cli import _atomic, _parse_grid
 from rfsentry.features import load_feature_csv
+from rfsentry.synth import default_profiles
 
 SUBCOMMANDS = ["synth", "extract", "train", "score", "eval", "sweep-n", "sweep-snr"]
 
@@ -100,6 +102,84 @@ def test_synth_deterministic_across_runs_and_jobs(corpus, tmp_path, monkeypatch)
     assert names == sorted(p.relative_to(chunked) for p in chunked.rglob("*") if p.is_file())
     for name in names:
         assert (chunked / name).read_bytes() == (corpus / name).read_bytes(), name
+
+
+CORPUS_PRODUCTS = ["corpus.json", "train_manifest.csv", "eval_manifest.csv"]
+
+
+def _usable_cpus(monkeypatch, cpus):
+    """Run in-process commands as if the process may use ``cpus`` CPUs."""
+    monkeypatch.setattr(seeding, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
+
+
+def _tree(root):
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_synth_tree_is_identical_with_and_without_the_write_helper(corpus, tmp_path,
+                                                                   monkeypatch):
+    trees = []
+    for cpus in (2, 1):  # --jobs 1 leaves a CPU for the helper on 2, none on 1
+        _usable_cpus(monkeypatch, cpus)
+        out = tmp_path / f"cpus{cpus}"
+        assert cli.main(["synth", "--out", str(out), *map(str, SYNTH_ARGS), "--jobs", "1"]) == 0
+        trees.append(_tree(out))
+    assert len(trees[0]) == 120 + len(CORPUS_PRODUCTS)
+    assert trees[0] == trees[1] == _tree(corpus)
+
+
+@pytest.mark.parametrize("cpus, jobs, helper", [(1, 1, False), (2, 1, True), (2, 2, False),
+                                                (4, 2, True), (2, 5, False)])
+def test_synth_writes_on_a_helper_thread_only_when_a_cpu_is_spare(tmp_path, monkeypatch,
+                                                                  cpus, jobs, helper):
+    # each worker process starts one write helper while the workers leave a
+    # usable CPU idle; the chunks run in-process here, with the flag each
+    # worker would get
+    _usable_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(cli, "map_chunks", lambda fn, items, jobs, *args: fn(items, *args))
+    writers, started = set(), []
+    write, start = signals._write_file, threading.Thread.start
+
+    def recording_write(path, data):
+        writers.add(threading.get_ident())
+        write(path, data)
+
+    def recording_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(signals, "_write_file", recording_write)
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    before = threading.active_count()
+    out = tmp_path / "corpus"
+    assert cli.main(["synth", "--out", str(out), *map(str, SYNTH_ARGS),
+                     "--jobs", str(jobs)]) == 0
+    assert threading.active_count() == before
+    assert len(started) == helper
+    if helper:
+        assert len(writers) == 1 and threading.get_ident() not in writers
+    else:
+        assert writers == {threading.get_ident()}
+    assert len(list((out / "signals").iterdir())) == 120
+
+
+@pytest.mark.parametrize("cpus", [2, 1])
+def test_synth_stops_at_a_trace_it_cannot_write(tmp_path, monkeypatch, caplog, cpus):
+    _usable_cpus(monkeypatch, cpus)
+    out = tmp_path / "corpus"
+    blocked = out / "signals" / "bt_watch_00005.rfsg"
+    blocked.mkdir(parents=True)
+    before = threading.active_count()
+    assert cli.main(["synth", "--out", str(out), *map(str, SYNTH_ARGS), "--jobs", "1"]) == 2
+    assert threading.active_count() == before
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and str(blocked) in errors[0]
+    assert not any((out / name).exists() for name in CORPUS_PRODUCTS)
+    order = [f"{p.name}_{i:05d}.rfsg" for p in default_profiles(256) for i in range(12)]
+    failing = order.index(blocked.name)
+    written = {p.name for p in (out / "signals").iterdir() if p.is_file()}
+    assert set(order[:failing]) <= written <= set(order[:failing + 2]) - {blocked.name}
 
 
 def test_synth_rejects_bad_config(tmp_path):
@@ -572,7 +652,8 @@ def test_sweep_snr_rejects_a_profile_whose_waveform_overflows(corpus, pipeline, 
                      "--per-class", 10)
     assert result.returncode == 2
     assert result.stderr.strip().splitlines() == [
-        "ERROR wifi_router_a: the waveform is not finite (overflow encountered in multiply)"]
+        f"ERROR {bad / 'corpus.json'}: wifi_router_a: the waveform is not finite "
+        "(overflow encountered in multiply)"]
     assert not (tmp_path / "report").exists()
 
 

@@ -1,6 +1,8 @@
 """Signal model, trigger extraction, on-disk formats, and the noise step on a signal."""
 
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -19,7 +21,7 @@ from rfsentry.signals import (
     find_trigger,
     load_signal,
     read_manifest,
-    save_signal,
+    save_signals,
     write_manifest,
 )
 from rfsentry.synth import CorpusConfig, default_profiles, gen_bursts
@@ -271,7 +273,7 @@ def test_rfsg_round_trip(tmp_path):
     samples = np.array([0.5, -1.25, 3.0, 0.0], dtype=np.float32)
     s = Signal(samples=samples.astype(np.float64), sample_rate=100e6)
     path = tmp_path / "one.rfsg"
-    save_signal(s, path)
+    save_signals([(s, path)])
     back = load_signal(path)
     # float32-representable values survive exactly
     assert np.array_equal(back.samples, s.samples)
@@ -280,11 +282,56 @@ def test_rfsg_round_trip(tmp_path):
 
 def test_rfsg_header_layout(tmp_path):
     path = tmp_path / "x.rfsg"
-    save_signal(sig([1.0, 2.0]), path)
+    save_signals([(sig([1.0, 2.0]), path)])
     raw = path.read_bytes()
     assert raw[:4] == b"RFSG"
     assert int.from_bytes(raw[4:6], "little") == 1
     assert len(raw) == 4 + 2 + 8 + 4 + 2 * 4
+
+
+def test_save_signals_writes_the_same_files_with_and_without_the_helper(tmp_path):
+    traces = [sig(np.linspace(-1.0, 1.0, 50 + i)) for i in range(5)]
+    for overlap in (False, True):
+        before = threading.active_count()
+        save_signals(((s, tmp_path / f"{overlap}_{i}.rfsg") for i, s in enumerate(traces)),
+                     overlap)
+        assert threading.active_count() == before
+        save_signals([], overlap)
+    for i, s in enumerate(traces):
+        written = (tmp_path / f"True_{i}.rfsg").read_bytes()
+        assert written == (tmp_path / f"False_{i}.rfsg").read_bytes()
+        assert written[_HEADER_STRUCT.size:] == s.samples.astype("<f4").tobytes()
+
+
+def test_save_signals_hands_each_trace_to_its_own_file_under_constant_switching(tmp_path):
+    # a thread switch at almost every bytecode: a hand-over that raced would
+    # write a trace to another's file, or lose one; the join is time-bounded
+    traces = [sig(np.full(16, float(i + 1))) for i in range(300)]
+    items = ((s, tmp_path / f"{i}.rfsg") for i, s in enumerate(traces))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=save_signals, args=(items, True))
+        runner.start()
+        runner.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    for i, s in enumerate(traces):
+        assert np.array_equal(load_signal(tmp_path / f"{i}.rfsg").samples, s.samples)
+
+
+@pytest.mark.parametrize("overlap", [False, True])
+def test_save_signals_stops_at_a_file_it_cannot_write(tmp_path, overlap):
+    # the third path is a directory: its OSError reaches the caller, naming
+    # it, and no later file is written
+    (tmp_path / "t2.rfsg").mkdir()
+    before = threading.active_count()
+    with pytest.raises(IsADirectoryError) as err:
+        save_signals(((sig(np.ones(8)), tmp_path / f"t{i}.rfsg") for i in range(5)), overlap)
+    assert err.value.filename == str(tmp_path / "t2.rfsg")
+    assert threading.active_count() == before
+    assert sorted(p.name for p in tmp_path.iterdir() if p.is_file()) == ["t0.rfsg", "t1.rfsg"]
 
 
 def test_rfsg_rejects_corrupt_files(tmp_path):
@@ -293,7 +340,7 @@ def test_rfsg_rejects_corrupt_files(tmp_path):
     with pytest.raises(ValueError):
         load_signal(bad_magic)
     truncated = tmp_path / "trunc.rfsg"
-    save_signal(sig(np.ones(100)), truncated)
+    save_signals([(sig(np.ones(100)), truncated)])
     truncated.write_bytes(truncated.read_bytes()[:50])
     with pytest.raises(ValueError):
         load_signal(truncated)
