@@ -7,10 +7,10 @@ noted), so commands are pipe-safe. A single --seed flag fans out to
 per-stage seeds (see seeding.stage_seed), which keeps every subcommand
 deterministic without threading seeds through each flag. This module holds
 no file format, only the corpus directory layout: each format is read and
-written by the module of the type it holds. ``synth`` writes its traces on
-a helper thread in each worker process when its workers leave a usable CPU
-idle (``signals.save_signals``), and in-line otherwise; either way the
-manifests and corpus.json are written last, after every trace is on disk.
+written by the module of the type it holds. Each ``synth`` worker writes
+its traces on a helper thread while it generates the next burst
+(``signals.save_signals``); the manifests and corpus.json are written last,
+after every trace is on disk.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .evaluate import (
 from .features import (FeatureTable, fingerprint, load_feature_csv, save_feature_csv,
                        snr_fingerprints)
 from .lof import DEFAULT_K, DEFAULT_THRESHOLD, LofModel, Metric, fit, fit_grid
-from .seeding import map_chunks, stage_seed, usable_cpus
+from .seeding import map_chunks, stage_seed
 from .signals import (
     ManifestRow,
     SignalClass,
@@ -250,12 +250,11 @@ def _trigger_config(args) -> TriggerConfig:
 # ---------------------------------------------------------------------------
 
 
-def _synth_bursts(plan: list, cfg: CorpusConfig, out_dir: str,
-                  overlap: bool) -> list[ManifestRow]:
+def _synth_bursts(plan: list, cfg: CorpusConfig, out_dir: str) -> list[ManifestRow]:
     """Generate and store each (profile, index) burst of ``plan``; one manifest row each.
 
-    With ``overlap``, each trace is written on a helper thread while the next
-    burst is generated (``signals.save_signals``).
+    Each trace is written on a helper thread while the next burst is
+    generated (``signals.save_signals``).
     """
     rows = []
 
@@ -267,7 +266,7 @@ def _synth_bursts(plan: list, cfg: CorpusConfig, out_dir: str,
                                     signal_class=sig.signal_class, snr_db=sig.snr_db))
             yield sig, Path(out_dir) / rel
 
-    save_signals(bursts(), overlap)
+    save_signals(bursts())
     return rows
 
 
@@ -282,9 +281,7 @@ def cmd_synth(args) -> int:
     out = Path(args.out)
     (out / "signals").mkdir(parents=True, exist_ok=True)
     plan = [(p, i) for p in cfg.profiles for i in range(cfg.signals_per_device)]
-    # a CPU that no worker process takes runs the trace writes
-    overlap = min(args.jobs, usable_cpus()) < usable_cpus()
-    rows = map_chunks(_synth_bursts, plan, args.jobs, cfg, str(out), overlap)
+    rows = map_chunks(_synth_bursts, plan, args.jobs, cfg, str(out))
     train_rows = [row for (p, i), row in zip(plan, rows) if cfg.is_train(p, i)]
     eval_rows = [row for (p, i), row in zip(plan, rows) if not cfg.is_train(p, i)]
 
@@ -438,9 +435,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--signals-per-device", type=int, default=CorpusConfig.signals_per_device,
                    help="bursts per device (default %(default)s)")
     p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="worker processes, at most one per usable CPU; while a usable "
-                        "CPU is left over, each writes its traces on a helper thread "
-                        "as it generates the next burst (default 1; output is identical)")
+                   help="worker processes, at most one per usable CPU; each writes its "
+                        "traces on a helper thread as it generates the next burst "
+                        "(default 1; output is identical)")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("extract", help="manifest of signals -> feature CSV")

@@ -12,10 +12,10 @@ finds the index that one scan of the whole trace finds.
 The RFSG trace format and the corpus manifest CSV are read and written
 here, beside the types they read into; the CSV codecs they share with the
 other formats are in ``formats``. :func:`save_signals` is the one RFSG
-writer: the caller encodes each trace, and with ``overlap`` a helper thread
-opens, writes and closes it while the caller makes the next, one file in
-flight at a time. Those system calls are kernel CPU time that releases the
-GIL, so a spare CPU takes them over.
+writer: the caller encodes each trace, and a helper thread opens, writes and
+closes it while the caller makes the next, one file in flight at a time.
+Those system calls are kernel CPU time that releases the GIL, so a second
+CPU takes them over.
 """
 
 from __future__ import annotations
@@ -158,7 +158,9 @@ def _rfsg_bytes(signal: Signal) -> bytes:
 
 def _write_file(path: str | Path, data: bytes) -> None:
     """Create or truncate ``path`` and write all of ``data`` to it."""
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    # O_BINARY (0 on POSIX) keeps a Windows C runtime from translating newlines
+    flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
+    fd = os.open(path, flags, 0o666)
     try:
         view = memoryview(data)
         while view:  # a write may take less than it is given
@@ -178,22 +180,18 @@ def _write_jobs(jobs, results) -> None:
             results.put(None)
 
 
-def save_signals(items: Iterable[tuple[Signal, str | Path]], overlap: bool = False) -> None:
+def save_signals(items: Iterable[tuple[Signal, str | Path]]) -> None:
     """Write each ``(signal, path)`` of ``items`` in the RFSG format, in order.
 
-    With ``overlap``, one helper thread opens, writes and closes each file
-    while this thread draws the next item from ``items`` and encodes it.
-    Those system calls release the GIL, so a spare CPU runs them beside the
-    caller's work. At most one write is in flight: a file is written before
-    the next is handed over, and the helper is joined before this returns
-    or raises. An error from a write is raised here, once the next item has
-    been encoded, and no later file is written. The helper is a bare thread
-    with two queues: an executor's futures cost the caller more.
+    One helper thread opens, writes and closes each file while this thread
+    draws the next item from ``items`` and encodes it. Those system calls
+    release the GIL, so a second CPU runs them beside the caller's work. At
+    most one write is in flight: a file is written before the next is handed
+    over, and the helper is joined before this returns or raises. An error
+    from a write is raised here, once the next item has been encoded, and no
+    later file is written. The helper is a bare thread with two queues: an
+    executor's futures cost the caller more.
     """
-    if not overlap:
-        for signal, path in items:
-            _write_file(path, _rfsg_bytes(signal))
-        return
     import queue
     import threading
 

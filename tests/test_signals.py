@@ -289,17 +289,14 @@ def test_rfsg_header_layout(tmp_path):
     assert len(raw) == 4 + 2 + 8 + 4 + 2 * 4
 
 
-def test_save_signals_writes_the_same_files_with_and_without_the_helper(tmp_path):
+def test_save_signals_writes_each_trace_to_its_path(tmp_path):
     traces = [sig(np.linspace(-1.0, 1.0, 50 + i)) for i in range(5)]
-    for overlap in (False, True):
-        before = threading.active_count()
-        save_signals(((s, tmp_path / f"{overlap}_{i}.rfsg") for i, s in enumerate(traces)),
-                     overlap)
-        assert threading.active_count() == before
-        save_signals([], overlap)
+    before = threading.active_count()
+    save_signals((s, tmp_path / f"{i}.rfsg") for i, s in enumerate(traces))
+    save_signals([])
+    assert threading.active_count() == before
     for i, s in enumerate(traces):
-        written = (tmp_path / f"True_{i}.rfsg").read_bytes()
-        assert written == (tmp_path / f"False_{i}.rfsg").read_bytes()
+        written = (tmp_path / f"{i}.rfsg").read_bytes()
         assert written[_HEADER_STRUCT.size:] == s.samples.astype("<f4").tobytes()
 
 
@@ -311,7 +308,7 @@ def test_save_signals_hands_each_trace_to_its_own_file_under_constant_switching(
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        runner = threading.Thread(target=save_signals, args=(items, True))
+        runner = threading.Thread(target=save_signals, args=(items,))
         runner.start()
         runner.join(timeout=60)
     finally:
@@ -321,14 +318,13 @@ def test_save_signals_hands_each_trace_to_its_own_file_under_constant_switching(
         assert np.array_equal(load_signal(tmp_path / f"{i}.rfsg").samples, s.samples)
 
 
-@pytest.mark.parametrize("overlap", [False, True])
-def test_save_signals_stops_at_a_file_it_cannot_write(tmp_path, overlap):
+def test_save_signals_stops_at_a_file_it_cannot_write(tmp_path):
     # the third path is a directory: its OSError reaches the caller, naming
     # it, and no later file is written
     (tmp_path / "t2.rfsg").mkdir()
     before = threading.active_count()
     with pytest.raises(IsADirectoryError) as err:
-        save_signals(((sig(np.ones(8)), tmp_path / f"t{i}.rfsg") for i in range(5)), overlap)
+        save_signals((sig(np.ones(8)), tmp_path / f"t{i}.rfsg") for i in range(5))
     assert err.value.filename == str(tmp_path / "t2.rfsg")
     assert threading.active_count() == before
     assert sorted(p.name for p in tmp_path.iterdir() if p.is_file()) == ["t0.rfsg", "t1.rfsg"]
