@@ -1,12 +1,12 @@
 """RF burst fingerprinting and UAV-controller anomaly detection.
 
 Pipeline: energy-triggered transient capture -> two-level Haar wavelet
-packet transform -> packet-variance fingerprint -> Local Outlier Factor
+packet transform -> four-variance fingerprint -> Local Outlier Factor
 novelty score against a recognized-signal reference set.
 """
 
 from .errors import RfSentryError
-from .features import fingerprint, rank_features
+from .features import fingerprint
 from .lof import LofModel, Metric, fit, fit_grid, score_grid
 from .signals import Signal, SignalClass, TriggerConfig, extract_transient
 from .wpt import packet_coefficients
@@ -26,6 +26,5 @@ __all__ = [
     "fit",
     "fit_grid",
     "packet_coefficients",
-    "rank_features",
     "score_grid",
 ]

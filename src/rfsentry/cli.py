@@ -54,6 +54,7 @@ from .synth import (
     balanced_eval_plan,
     default_profiles,
     gen_burst,
+    snr_power_ratio,
     stratified_split_indices,
 )
 
@@ -375,6 +376,9 @@ def cmd_sweep_n(args) -> int:
 
 
 def cmd_sweep_snr(args) -> int:
+    snrs = sorted(args.snr_grid)
+    for snr in snrs:  # checked before the corpus, whose path prefixes a burst error
+        snr_power_ratio(snr)
     root = Path(args.corpus)
     cfg = _load_corpus(root)
     train = _load_training(args.train_features)
@@ -382,7 +386,6 @@ def cmd_sweep_snr(args) -> int:
     _check_training_source(cfg, train, root, args.train_features)
     models = fit_grid(train.matrix, sorted(args.k_grid), **_model_options(args))
     ks = [model.k for model in models]
-    snrs = sorted(args.snr_grid)
     truth = [profile.signal_class for profile, _ in plan]
     acc = accuracy_grid(models, [(matrix, truth) for matrix
                                  in _corpus_fingerprints(cfg, root, plan, snrs, args.jobs)])

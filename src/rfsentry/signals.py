@@ -1,10 +1,12 @@
 """Sampled-signal data model, transient extraction, and the trace file formats.
 
 A :class:`Signal` is a real-valued burst and its metadata, built once per
-burst by the code that makes it (``synth.gen_bursts``, :func:`load_signal`);
-the capture steps below it pass plain sample arrays. The trigger
-of :func:`extract_transient` emulates an oscilloscope that idles below an
-energy threshold and starts capturing once a sliding window reaches it.
+burst by the code that makes it (``synth.gen_bursts``, :func:`load_signal`).
+The capture steps, :func:`find_trigger` and :func:`extract_transient`, take
+the :class:`Signal`; every step after the capture passes plain sample
+arrays. The trigger of :func:`extract_transient` emulates an oscilloscope
+that idles below an energy threshold and starts capturing once a sliding
+window reaches it.
 :func:`find_trigger` scans a growing prefix of the trace, doubling it until
 a window hits, so an early trigger never pays for the whole trace; it
 finds the index that one scan of the whole trace finds.
@@ -72,8 +74,8 @@ class Signal:
             raise ConfigError("samples must be a non-empty 1-D sequence")
         if not np.all(np.isfinite(samples)):
             raise ConfigError("samples must be finite")
-        if not (self.sample_rate > 0):
-            raise ConfigError("sample_rate must be > 0")
+        if not 0 < self.sample_rate < math.inf:  # the RFSG reader's rule; NaN fails too
+            raise ConfigError(f"sample_rate must be finite and > 0, got {self.sample_rate}")
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
 
@@ -150,8 +152,16 @@ _HEADER_STRUCT = struct.Struct("<4sHdI")  # magic, version, sample_rate, count
 
 
 def _rfsg_bytes(signal: Signal) -> bytes:
-    """The RFSG encoding of ``signal``: the header, then float32 little-endian samples."""
-    samples = signal.samples.astype("<f4")
+    """The RFSG encoding of ``signal``: the header, then float32 little-endian samples.
+
+    A sample beyond float32 range is a ConfigError, not an inf that
+    ``load_signal`` would reject.
+    """
+    try:
+        with np.errstate(over="raise"):
+            samples = signal.samples.astype("<f4")
+    except FloatingPointError:
+        raise ConfigError("a sample is beyond the float32 range of an RFSG trace") from None
     header = _HEADER_STRUCT.pack(RFSG_MAGIC, RFSG_VERSION, signal.sample_rate, samples.size)
     return header + samples.tobytes()
 

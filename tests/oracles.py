@@ -5,7 +5,8 @@ tensor-product definition of the two-level Haar packet basis, the LOF oracle
 is a literal pure-Python transcription of the k-distance/reachability
 definitions, the burst oracle writes the synthetic burst recipe one plain
 array expression at a time, and the statistics helpers lean on the stdlib
-where possible.
+where possible. The 44-statistic packet table, which only acceptance check
+c11 ranks, lives here too: no command or product uses it.
 """
 
 from __future__ import annotations
@@ -138,6 +139,66 @@ def brute_moments(xs) -> tuple[float, float]:
     m3 = sum((v - mean) ** 3 for v in xs) / n
     m4 = sum((v - mean) ** 4 for v in xs) / n
     return m3 / m2**1.5, m4 / m2**2
+
+
+# ---------------------------------------------------------------------------
+# The 44-statistic table behind the paper's choice of variance: eleven
+# statistics of each of the four packets, one packet at a time, laid out
+# packet-major. Acceptance check c11 ranks its columns by spread.
+# ---------------------------------------------------------------------------
+
+STAT_NAMES = ("mean", "std_dev", "mean_root", "abs_mean", "skewness", "kurtosis",
+              "variance", "entropy", "peak", "range", "abs_peak")
+VARIANCE_COLUMNS = (6, 17, 28, 39)  # "variance" in each packet's block of eleven
+
+
+def energy_entropy(x) -> float:
+    """Shannon entropy (base 2) of the normalized coefficient energies; 0 with no energy."""
+    e = np.asarray(x, dtype=np.float64) ** 2
+    total = e.sum()
+    if total == 0.0:
+        return 0.0
+    p = e / total
+    p = p[p > 0.0]  # 0 * log(0) is 0
+    return float(0.0 - np.sum(p * np.log2(p)))  # not a unary minus, which gives -0.0
+
+
+def packet_stats(packet) -> list[float]:
+    """The eleven statistics of one packet, in ``STAT_NAMES`` order.
+
+    Skewness and kurtosis use /n central moments and are 0 for a constant
+    packet; the variance is the n-1 sample variance, 0 for one coefficient.
+    """
+    x = np.asarray(packet, dtype=np.float64)
+    mean, peak, magnitude = x.mean(), x.max(), np.abs(x)
+    centered = x - mean
+    squares = centered**2
+    m2 = np.mean(squares)
+    variance = np.sum(squares) / (x.size - 1) if x.size > 1 else 0.0
+    return [float(v) for v in (
+        mean,
+        np.sqrt(variance),
+        np.mean(np.sqrt(magnitude)) ** 2,
+        np.mean(magnitude),
+        np.mean(squares * centered) / m2**1.5 if m2 > 0.0 else 0.0,
+        np.mean(squares * squares) / m2**2 if m2 > 0.0 else 0.0,
+        variance,
+        energy_entropy(x),
+        peak,
+        peak - x.min(),
+        magnitude.max(),
+    )]
+
+
+def stats_row(packets) -> np.ndarray:
+    """The 44 statistics of a (4, q) packet matrix: packet-major, statistic-minor."""
+    return np.array([v for packet in packets for v in packet_stats(packet)])
+
+
+def rank_features(matrix) -> list[int]:
+    """Column indices by descending across-row sample variance; lower index first on ties."""
+    variances = np.var(np.asarray(matrix, dtype=np.float64), axis=0, ddof=1)
+    return [int(i) for i in np.argsort(-variances, kind="stable")]
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,10 @@ Each test is independently meaningful and pins its own tolerance; the suite
 covers oracle equivalence for the hand-written numerics (criteria 1-4),
 end-to-end detection quality and the two experiment trends on the seeded
 synthetic corpus (5-7), the semi-supervised and determinism contracts (8-9),
-and feature-level invariants plus ranking sanity (10-11).
+feature-level invariants (10), and the reason the fingerprint is the four
+packet variances (11): ranked by spread across the default corpus, at least
+three of them are in the top 8 of the 44 per-packet statistics of
+``tests/oracles.py``.
 """
 
 import subprocess
@@ -16,16 +19,7 @@ import numpy as np
 import pytest
 
 from rfsentry.evaluate import ConfusionMatrix, accuracy_grid, confusion, metrics
-from rfsentry.features import (
-    VARIANCE_COLUMNS,
-    FeatureTable,
-    energy_entropy,
-    rank_features,
-    sample_variance,
-    save_feature_csv,
-    snr_fingerprints,
-    stats_row,
-)
+from rfsentry.features import FeatureTable, sample_variance, save_feature_csv, snr_fingerprints
 from rfsentry.lof import fit, fit_grid
 from rfsentry.seeding import stage_seed
 from rfsentry.signals import SignalClass, extract_transient
@@ -39,7 +33,15 @@ from rfsentry.synth import (
 from rfsentry.wpt import packet_coefficients
 
 from .conftest import table_from_signals
-from .oracles import PACKET_ORDER, brute_lof_scores, matrix_packets
+from .oracles import (
+    PACKET_ORDER,
+    VARIANCE_COLUMNS,
+    brute_lof_scores,
+    energy_entropy,
+    matrix_packets,
+    rank_features,
+    stats_row,
+)
 
 SNR_GRID = [10.0, 12.0, 14.0, 16.0, 24.0, 26.0, 28.0, 30.0]
 LOW_SNRS, HIGH_SNRS = SNR_GRID[:4], SNR_GRID[4:]

@@ -640,6 +640,17 @@ def test_sweep_snr_rejects_a_profile_whose_waveform_overflows(corpus, pipeline, 
     assert not (tmp_path / "report").exists()
 
 
+def test_sweep_snr_rejects_an_snr_grid_value_as_synth_rejects_it(corpus, pipeline, tmp_path):
+    # the grid comes from the command line, so its error names no file
+    _, train_csv, _, _ = pipeline
+    sweep = run_cli(*_sweep_snr(corpus, train_csv, tmp_path / "report", "--snr-grid", "10,4000"))
+    synth = run_cli("synth", "--out", tmp_path / "corpus", *SYNTH_ARGS, "--snr", 4000)
+    assert sweep.returncode == synth.returncode == 2
+    assert sweep.stderr.strip().splitlines() == synth.stderr.strip().splitlines() == [
+        "ERROR an SNR of 4000.0 dB is out of range"]
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["synth", "sweep-snr"])
 def test_jobs_below_one_is_rejected(corpus, pipeline, tmp_path, command):
     _, train_csv, _, _ = pipeline

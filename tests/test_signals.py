@@ -48,6 +48,16 @@ def test_signal_rejects_empty_and_nonfinite():
         Signal(samples=np.array([1.0]), sample_rate=0.0)
 
 
+def test_signal_takes_the_rfsg_readers_sample_rate_rule(tmp_path):
+    # an infinite rate would be written, and then rejected by load_signal
+    for rate in (math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(ConfigError, match=f"sample_rate must be finite and > 0, got {rate}"):
+            Signal(samples=np.ones(4), sample_rate=rate)
+    path = tmp_path / "fastest.rfsg"
+    save_signals([(Signal(samples=np.ones(4), sample_rate=sys.float_info.max), path)])
+    assert load_signal(path).sample_rate == sys.float_info.max
+
+
 def test_signal_samples_immutable():
     s = sig([1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
@@ -328,6 +338,19 @@ def test_save_signals_stops_at_a_file_it_cannot_write(tmp_path):
     assert err.value.filename == str(tmp_path / "t2.rfsg")
     assert threading.active_count() == before
     assert sorted(p.name for p in tmp_path.iterdir() if p.is_file()) == ["t0.rfsg", "t1.rfsg"]
+
+
+def test_save_signals_rejects_a_sample_beyond_float32_range(tmp_path):
+    # float32 would store 1e300 as inf, which load_signal rejects
+    largest = float(np.finfo(np.float32).max)
+    save_signals([(sig([-largest, largest]), tmp_path / "edge.rfsg")])
+    assert load_signal(tmp_path / "edge.rfsg").samples.tolist() == [-largest, largest]
+    before = threading.active_count()
+    for sample in (1e300, -1e300):
+        with pytest.raises(ConfigError, match="a sample is beyond the float32 range"):
+            save_signals([(sig([1.0, sample]), tmp_path / "big.rfsg")])
+    assert threading.active_count() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["edge.rfsg"]
 
 
 def test_rfsg_rejects_corrupt_files(tmp_path):
