@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Usage: .github/scripts/same_outputs.sh BASE
 #
-# Runs the default pipeline twice at the git revision BASE and at the
+# Runs the default pipeline four times at the git revision BASE and at the
 # working tree, and fails if any data product, stdout or stderr log differs
 # under `diff -r`. The pipeline is synth, extract of both manifests, train,
 # score, eval, sweep-n and sweep-snr:
@@ -14,6 +14,11 @@
 #   5:50:5, sweep-snr --per-class 50 --k-grid 20,40). At the default 4096
 #   samples a wrong capture rule in sweep-snr gives the right result; at
 #   1024 it does not.
+# * seed 3 with --jobs 2 at 3,200 training rows (synth --signals-per-device
+#   1200, sweep-n --k-grid 5:50:5, sweep-snr --per-class 50 --k-grid
+#   20,40). At 800 rows every fit measures all pairs; at 3,200 the fits of
+#   train, sweep-n and sweep-snr search bands (lof._band_plan), so this run
+#   compares that path's products too.
 #
 # In the logs, each run's output directory and source tree are replaced by
 # fixed names first, so that only what the commands report is compared.
@@ -44,7 +49,8 @@ rfs() {
         { cat "$out/logs/$name.err" >&2; return 1; }
 }
 
-# pipeline SRC OUT SEED JOBS SETTINGS: SETTINGS is "default", "unsorted" or "capture1024"
+# pipeline SRC OUT SEED JOBS SETTINGS: SETTINGS is "default", "unsorted",
+# "capture1024" or "band"
 pipeline() {
     src=$1 out=$2
     local seed=$3 jobs=$4 synth=() extract=() sweep_n=() sweep_snr=()
@@ -56,6 +62,11 @@ pipeline() {
     capture1024)
         synth=(--capture-len 1024 --signals-per-device 60)
         extract=(--capture-len 1024)
+        sweep_n=(--k-grid 5:50:5)
+        sweep_snr=(--per-class 50 --k-grid 20,40)
+        ;;
+    band)
+        synth=(--signals-per-device 1200)
         sweep_n=(--k-grid 5:50:5)
         sweep_snr=(--per-class 50 --k-grid 20,40)
         ;;
@@ -77,7 +88,7 @@ pipeline() {
     sed -i -e "s|$src|SRC|g" -e "s|$out|OUT|g" "$out"/logs/*
 }
 
-for run in "0 2 default" "1 1 unsorted" "2 1 capture1024"; do
+for run in "0 2 default" "1 1 unsorted" "2 1 capture1024" "3 2 band"; do
     read -r seed jobs settings <<<"$run"
     pipeline "$work/base-src" "$work/base/seed$seed" "$seed" "$jobs" "$settings"
     pipeline "$repo" "$work/head/seed$seed" "$seed" "$jobs" "$settings"

@@ -1,5 +1,6 @@
-"""Local Outlier Factor: distances, fit/score/outliers, memory, persistence."""
+"""Local Outlier Factor: distances, the band search, fit/score/outliers, memory, persistence."""
 
+import math
 import threading
 import warnings
 
@@ -18,7 +19,7 @@ from rfsentry.lof import (
     score_grid,
 )
 
-from .conftest import traced_peak
+from .conftest import table_from_signals, traced_peak
 from .oracles import brute_lof_scores
 
 
@@ -386,16 +387,22 @@ SLAB_BYTES = lof._BLOCK_ELEMENTS * 8
 
 
 def test_fit_peak_memory_is_bounded(monkeypatch):
-    # fit holds the neighbor lists, a flat index and a distance per entry
-    # (n * k entries: normal data has no ties), plus a few slabs of one row
-    # block; the (n, n) table alone would be 72 MB, over 10x the bound
+    # fit holds the neighbor lists, an int32 flat index and a distance per
+    # entry (n * k entries: normal data has no ties), plus a few slabs of
+    # one block and, on the band path, a few arrays of n; the (n, n) table
+    # alone would be 72 MB, over 10x the bound. These rows take brute
+    # force; an unbounded cost sends them down the band path.
     n, k = 3000, 10
     x = np.random.default_rng(35).standard_normal((n, 4))
-    list_bytes = n * k * (8 + 8)
-    for cpus in (1, 2):
-        monkeypatch.setattr(lof, "usable_cpus", lambda: cpus)
-        peak = traced_peak(lambda: fit(x, k=k))
-        assert peak < 2 * list_bytes + 8 * SLAB_BYTES, cpus
+    z = fit(x, k=k).train
+    list_bytes = n * k * (4 + 8)
+    for cost in (lof._BAND_MAX_COST, math.inf):
+        monkeypatch.setattr(lof, "_BAND_MAX_COST", cost)
+        assert (lof._band_plan(z.T.copy(), Metric.MANHATTAN, k) is None) == (cost != math.inf)
+        for cpus in (1, 2):
+            monkeypatch.setattr(lof, "usable_cpus", lambda: cpus)
+            peak = traced_peak(lambda: fit(x, k=k))
+            assert peak < 2 * list_bytes + 8 * SLAB_BYTES, (cost, cpus)
     assert n * n * 8 > 10 * (2 * list_bytes + 8 * SLAB_BYTES)
 
 
@@ -411,6 +418,90 @@ def test_score_peak_memory_is_bounded(monkeypatch):
         peak = traced_peak(lambda: score_grid(models, queries))
         assert peak < 8 * SLAB_BYTES + 4 * queries.nbytes, cpus
     assert q * n * 8 > 10 * (8 * SLAB_BYTES + 4 * queries.nbytes)
+
+
+# -- the band search of fit pass 1 ---------------------------------------------
+
+# module settings that send any fit down each path of pass 1
+BRUTE_FORCE = {"_BAND_MAX_DIM": 0}
+BAND = {"_BAND_MAX_COST": math.inf, "_BAND_MIN_BLOCKS": 0}
+
+
+def neighbor_entries(z, metric, ks):
+    """Pass 1's k-distances and its lists as (row, column, distance) arrays in row-major order.
+
+    Each group of a list must hold at most one block of rows, in row-major
+    order with int32 positions: the layout pass 2 sums.
+    """
+    n = len(z)
+    kdist, lists = lof._neighbor_lists(z, Metric(metric), ks)
+    rows, cols, dists = [], [], []
+    for ids, flat, d in lists:
+        assert flat.dtype == np.int32 and len(ids) <= max(1, lof._BLOCK_ELEMENTS // n)
+        assert np.all(np.diff(flat) > 0)
+        r, c = np.divmod(flat, n)
+        rows.append(ids[r])
+        cols.append(c)
+        dists.append(d)
+    rows, cols, dists = map(np.concatenate, (rows, cols, dists))
+    order = np.lexsort((cols, rows))
+    return kdist, rows[order], cols[order], dists[order]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("data", ["lognormal", "grid", "duplicated", "identical"])
+@pytest.mark.parametrize("metric", ["manhattan", "euclidean"])
+def test_band_search_equals_brute_force(metric, data, d, monkeypatch):
+    # integer-grid rows, not standardized, put columns exactly on a band's
+    # edge; duplicated and identical rows tie; 16-row blocks give the band
+    # path many blocks at n=240; the first grid repeats a k
+    n = 240
+    monkeypatch.setattr(lof, "_BLOCK_ELEMENTS", 16 * n)
+    rng = np.random.default_rng(46)
+    x = {
+        "lognormal": lambda: rng.lognormal(0.0, 1.0, (n, d)),
+        "grid": lambda: rng.integers(0, 5, (n, d)).astype(float),
+        "duplicated": lambda: np.repeat(rng.lognormal(0.0, 1.0, (n // 4, d)), 4, axis=0),
+        "identical": lambda: np.ones((n, d)),
+    }[data]()
+    standardize = data != "grid"
+    z = fit(x, k=1, standardize=standardize).train
+    defaults = {name: getattr(lof, name) for name in {**BRUTE_FORCE, **BAND}}
+    for ks in ([30, 5, 30, 1], [7]):
+        results = []
+        for settings in (BRUTE_FORCE, BAND):
+            for name, value in {**defaults, **settings}.items():
+                monkeypatch.setattr(lof, name, value)
+            assert (lof._band_plan(z.T.copy(), Metric(metric), max(ks)) is None) == (
+                settings is BRUTE_FORCE)
+            for cpus in (1, 2):
+                monkeypatch.setattr(lof, "usable_cpus", lambda: cpus)
+                models = fit_grid(x, ks, metric, standardize=standardize)
+                entries = neighbor_entries(z, metric, ks)
+                results.append(([m.kdist.tobytes() + m.lrd.tobytes() for m in models],
+                                [a.tobytes() for a in entries]))
+        assert all(result == results[0] for result in results), ks
+
+
+def test_the_default_corpus_fits_by_brute_force(default_corpus, default_trigger):
+    # 800 training rows: the train command's k=100 and the sweeps' largest
+    # k=200 both take brute force, which is faster at this size
+    _, train, _ = default_corpus
+    matrix = table_from_signals(train, default_trigger).matrix
+    z = fit(matrix, k=1).train
+    assert len(z) == 800
+    for k in (100, 200):
+        assert lof._band_plan(z.T.copy(), Metric.MANHATTAN, k) is None, k
+
+
+def test_a_clustered_tie_free_fit_takes_the_band():
+    # 3,000 rows around 4 centers, like the fingerprints of 4 devices
+    rng = np.random.default_rng(0)
+    centers = rng.normal(0.0, 10.0, (4, 4))
+    x = centers[np.arange(3000) % 4] + rng.standard_normal((3000, 4))
+    z = fit(x, k=1).train
+    for metric in Metric:
+        assert lof._band_plan(z.T.copy(), metric, 10) is not None, metric
 
 
 # -- fit ----------------------------------------------------------------------
