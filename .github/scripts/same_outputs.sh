@@ -16,9 +16,11 @@
 #   1024 it does not.
 # * seed 3 with --jobs 2 at 3,200 training rows (synth --signals-per-device
 #   1200, sweep-n --k-grid 5:50:5, sweep-snr --per-class 50 --k-grid
-#   20,40). At 800 rows every fit measures all pairs; at 3,200 the fits of
-#   train, sweep-n and sweep-snr search bands (lof._band_plan), so this run
-#   compares that path's products too.
+#   20,40), plus a train --metric euclidean and its score, into
+#   model-euclidean.json and scores-euclidean.csv. At 800 rows every fit
+#   measures all pairs; at 3,200 the fits of train, sweep-n and sweep-snr
+#   search bands (lof._band_plan) under both metrics, so this run compares
+#   that path's products too, the Euclidean rounding slack included.
 #
 # In the logs, each run's output directory and source tree are replaced by
 # fixed names first, so that only what the commands report is compared.
@@ -53,7 +55,7 @@ rfs() {
 # "capture1024" or "band"
 pipeline() {
     src=$1 out=$2
-    local seed=$3 jobs=$4 synth=() extract=() sweep_n=() sweep_snr=()
+    local seed=$3 jobs=$4 synth=() extract=() sweep_n=() sweep_snr=() euclidean=false
     case $5 in
     unsorted)
         sweep_n=(--k-grid 30,5,200,10,7)
@@ -69,6 +71,7 @@ pipeline() {
         synth=(--signals-per-device 1200)
         sweep_n=(--k-grid 5:50:5)
         sweep_snr=(--per-class 50 --k-grid 20,40)
+        euclidean=true
         ;;
     esac
     mkdir -p "$out/logs"
@@ -79,6 +82,12 @@ pipeline() {
         "${extract[@]}"
     rfs train train --features "$out/train.csv" --out "$out/model.json"
     rfs score score --model "$out/model.json" --features "$out/eval.csv" --out "$out/scores.csv"
+    if $euclidean; then
+        rfs train-euclidean train --features "$out/train.csv" --out "$out/model-euclidean.json" \
+            --metric euclidean
+        rfs score-euclidean score --model "$out/model-euclidean.json" \
+            --features "$out/eval.csv" --out "$out/scores-euclidean.csv"
+    fi
     rfs eval eval --model "$out/model.json" --features "$out/eval.csv" --out "$out/report"
     rfs sweep-n sweep-n --train-features "$out/train.csv" --eval-features "$out/eval.csv" \
         --out "$out/sweep-n" --seed "$seed" "${sweep_n[@]}"

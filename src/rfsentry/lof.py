@@ -43,11 +43,12 @@ with exact k-distances, bounds each row's k-distance from above by the
 distances to a window of rows near it in p, widens each bound by a derived
 rounding slack, and measures each block of rows only against the run of
 sorted rows that its bands span. Each distance is accumulated as brute
-force does it, and each list is put back in brute force's order, so the
-k-distances and lists are brute force's bit for bit. It falls back to brute
-force below 64 blocks of table, above 6 features, or where the sample says
-that the bounds and bands would measure more than half of the table, as
-for all-identical rows. The gain depends on the data: on 8,000 fingerprint
+force does it, so the k-distances and each row's list entries are brute
+force's bit for bit. Brute force is the plan that measures every row
+against all n in order, and one list builder serves both. It is used below
+64 blocks of table, above 6 features, or where the sample says that the
+bounds and bands would measure more than half of the table, as for
+all-identical rows. The gain depends on the data: on 8,000 fingerprint
 rows of 4 devices pass 1 took 0.21-0.27 s against 0.40-0.47 s for brute
 force, and on 16,000 0.48-0.64 s against 1.55-1.65 s (2-vCPU VM, 2
 threads); i.i.d. 4-D lognormal rows keep brute force
@@ -62,14 +63,14 @@ at most one per block. Each thread takes one contiguous group of blocks,
 with scratch arrays of its own, and writes only its own rows. Pass 2 stays
 on the calling thread (see ``_fit_lrds``). Fit memory is 12 bytes per list
 entry, n * k_max entries (more where distances tie), plus O(n) for the
-band's order and W sets of block-sized scratch arrays; scoring takes the
-scratch arrays alone.
+plan's row order and W sets of block-sized scratch arrays; scoring takes
+the scratch arrays alone.
 
 Every density is a whole-row sum over all n columns with zeros outside N_k,
 not a sum over gathered neighbors: that fixes the summation order, and with
-it the last bit of every lrd and score. The results equal the dense-table
-formula, one (n, n) table for fit and one (q, n) table per query set, bit
-for bit, for any W.
+it the last bit of every lrd and score, whatever order a list holds a
+row's entries in. The results equal the dense-table formula, one (n, n)
+table for fit and one (q, n) table per query set, bit for bit, for any W.
 """
 
 from __future__ import annotations
@@ -178,7 +179,7 @@ class _Block(NamedTuple):
     cols: slice  # of b
     dist: np.ndarray  # float64 distances, rows x cols
     spare: np.ndarray  # float64
-    bits: np.ndarray  # int64, a mask for _masked_row_sums
+    bits: np.ndarray  # int64, a mask for _masked_row_sums, or fit pass 1's index scratch
     mask: np.ndarray  # bool
 
 
@@ -406,32 +407,27 @@ def _neighbor_lists(z: np.ndarray, metric: Metric, ks: list[int]):
     ``_BLOCK_ELEMENTS // n`` rows, ``(rows, flat, dist)``: the rows' indices,
     the int32 flat index into the group's (rows, n) table and the distance
     of every entry within its row's k-distance at the largest k, ties
-    included, in row-major order.
+    included. Entries are grouped by row: row numbers never decrease, and
+    each flat index appears once. Within a row they keep the order the block
+    measured its columns in, which pass 2's whole-row sums do not depend on.
+    Brute force is the identity plan: every row, in order, against all n.
     """
     n = len(z)
     kdist = np.empty((len(ks), n))
     largest = ks.index(max(ks))
     zt = z.T.copy()
-    plan = _band_plan(zt, metric, max(ks))
-    if plan is None:  # brute force
-        at = bt = zt
-        order, self_cols, blocks = None, np.arange(n), _row_blocks(n, n)
-        ids = self_cols
-    else:
-        order, self_cols, blocks = plan
-        bt = zt[:, order]
-        at, ids = bt[:, self_cols], order[self_cols]
-        rank = np.empty(n, dtype=np.intp)  # each row's position in bt
-        rank[order] = np.arange(n)
+    identity = np.arange(n)
+    order, self_cols, blocks = (_band_plan(zt, metric, max(ks))  # None: brute force
+                                or (identity, identity, _row_blocks(n, n)))
+    bt = zt[:, order]
+    at, ids = bt[:, self_cols], order[self_cols]
     # row i of at is row ids[i] of z and column self_cols[i] of bt
     step = max(1, _BLOCK_ELEMENTS // n)
-    # flat indices into a block: the band path compresses them, and brute
-    # force, whose blocks have at most step rows, needs the row numbers
     size = max((rows.stop - rows.start) * (cols.stop - cols.start) for rows, cols in blocks)
-    positions = np.arange(step if order is None else size, dtype=np.int32)
+    positions = np.arange(size, dtype=np.int32)  # flat indices into a block
 
-    # A band block's temporaries live in its thread's scratch arrays, so that
-    # only the lists stay on the heap between blocks: with fresh temporaries,
+    # A block's temporaries live in its thread's scratch arrays, so that only
+    # the lists stay on the heap between blocks: with fresh temporaries,
     # lof_scale's peak RSS read 56.7 MB against brute force's 54.6 MB.
     def lists(blocks: list) -> list:
         out = []
@@ -439,39 +435,26 @@ def _neighbor_lists(z: np.ndarray, metric: Metric, ks: list[int]):
         for block in _distance_blocks(at, bt, metric, blocks):
             rows, dist, first = block.rows, block.dist, block.cols.start
             height, width = dist.shape
-            ints = block.bits.ravel().view(np.int32)
-            own = np.subtract(self_cols[rows], first, out=ints[:height])
+            bits = block.bits.ravel()
+            own = np.subtract(self_cols[rows], first, out=bits[:height])
             dist[positions[:height], own] = np.inf  # no point is its own neighbor
             kd = _kdist(dist, ks, block.spare, kd_rows[:height])
             kdist[:, ids[rows]] = kd
             mask = np.less_equal(dist, kd[largest, :, None], out=block.mask).ravel()
-            if order is None:  # one group of rows, columns in order
-                flat = np.flatnonzero(mask)
-                out.append((ids[rows], flat.astype(np.int32), dist.ravel()[flat]))
-                continue
             count = np.count_nonzero(mask)
-            flat = np.compress(mask, positions[: mask.size], out=ints[:count])
-            # sort by row, then original column: key = row * n + column
-            key = block.spare.ravel()[:count].view(np.int64)
-            np.divmod(flat, width, out=(key, flat))
-            flat += first
-            np.take(order, flat, out=flat, mode="clip")
-            key *= n
-            key += flat
-            key.sort()
-            cuts = [key.searchsorted(i * n) for i in range(0, height + step, step)]
-            np.remainder(key, n, out=flat)
-            key //= n
+            flat = np.compress(mask, positions[: mask.size], out=bits.view(np.int32)[:count])
+            row = block.spare.ravel().view(np.int64)[:count]
+            np.copyto(row, flat)  # widened once, before bits is overwritten
+            values = np.take(dist.ravel(), row)
+            column = bits[:count]
+            np.divmod(row, width, out=(row, column))
+            column += first
+            np.take(order, column, out=column, mode="clip")
+            cuts = row.searchsorted(np.arange(0, height + step, step))
             # the flat index into each group's (step, n) table
-            grouped = np.remainder(key, step, out=np.empty(count, dtype=np.int32), casting="unsafe")
+            grouped = np.remainder(row, step, out=np.empty(count, dtype=np.int32), casting="unsafe")
             grouped *= n
-            grouped += flat
-            # and the entry's position in this block, for its distance
-            np.take(rank, flat, out=flat, mode="clip")
-            flat -= first
-            key *= width
-            key += flat
-            values = dist.ravel()[key]
+            grouped += column
             out += [(ids[rows][i:i + step], grouped[lo:hi], values[lo:hi])
                     for i, lo, hi in zip(range(0, height, step), cuts, cuts[1:])]
         return out
@@ -486,9 +469,9 @@ def _fit_lrds(lists, kdists: np.ndarray) -> np.ndarray:
     N_k of a row is the part of its list within the row's k-distance. Its
     reach values are scattered into a zeroed ``(rows, n)`` array at the
     positions where ``_lof`` keeps them and reduced by the same whole-row
-    sum, so each lrd is the dense formula's bit for bit. A group of list
-    rows has at most ``_BLOCK_ELEMENTS // n`` rows, whichever path of pass
-    1 made it, so the array is one block. Every k of a group writes the
+    sum, so each lrd is the dense formula's bit for bit, in any order of a
+    row's entries. A group of list rows has at most ``_BLOCK_ELEMENTS // n``
+    rows, so the array is one block. Every k of a group writes the
     same list positions, so the array is zeroed once and only those
     positions are cleared after each group.
 
@@ -526,6 +509,27 @@ def _check_numbers(values: list, name: str, path) -> None:
     if not set(map(type, values)) <= {int, float}:
         bad = next(v for v in values if type(v) not in (int, float))
         raise FormatError(f"{path}: {name} entries must be numbers, got {bad!r}")
+
+
+def _model_problem(k: int, threshold: float, arrays: dict) -> str | None:
+    """What makes a model unusable, or None: the one rule ``save`` and ``load`` apply."""
+    train = arrays["train"]
+    if train.ndim != 2 or len(train) < 2:
+        return f"train must be a matrix of at least 2 rows, got shape {train.shape}"
+    n, dim = train.shape
+    for name, size in (("kdist", n), ("lrd", n), ("scaler_mean", dim), ("scaler_std", dim)):
+        if arrays[name].shape != (size,):
+            return f"{name} has shape {arrays[name].shape}, expected ({size},)"
+    if not 1 <= k <= n - 1:
+        return f"k={k} outside 1..{n - 1} for {n} training rows"
+    for name, values in arrays.items():
+        if not np.all(np.isfinite(values)):
+            return f"{name} holds non-finite values"
+    if math.isnan(threshold):
+        return "threshold is NaN"
+    if np.any(arrays["scaler_std"] <= 0.0):
+        return "scaler_std must be positive"
+    return None
 
 
 @dataclass(frozen=True)
@@ -583,6 +587,15 @@ class LofModel:
     # -- persistence ----------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
+        """Write the model as model.json; a model ``load`` would refuse is a ConfigError.
+
+        Training rows near the float range can fit to an infinite k-distance
+        or scaler_std. Such a model is refused before ``path`` is opened.
+        """
+        arrays = {name: getattr(self, name) for name in _ARRAYS}
+        problem = _model_problem(self.k, self.threshold, arrays)
+        if problem:
+            raise ConfigError(f"cannot save the model: {problem}")
         doc = {
             "format": MODEL_FORMAT,
             "version": MODEL_FORMAT_VERSION,
@@ -612,26 +625,9 @@ class LofModel:
             arrays = {name: np.array(doc[name], dtype=np.float64) for name in _ARRAYS}
         except (TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"{path}: {exc}") from None
-        train = arrays["train"]
-        if train.ndim != 2 or len(train) < 2:
-            raise FormatError(
-                f"{path}: train must be a matrix of at least 2 rows, got shape {train.shape}"
-            )
-        n, dim = train.shape
-        for name, size in (("kdist", n), ("lrd", n), ("scaler_mean", dim), ("scaler_std", dim)):
-            if arrays[name].shape != (size,):
-                raise FormatError(
-                    f"{path}: {name} has shape {arrays[name].shape}, expected ({size},)"
-                )
-        if not 1 <= k <= n - 1:
-            raise FormatError(f"{path}: k={k} outside 1..{n - 1} for {n} training rows")
-        for name, values in arrays.items():
-            if not np.all(np.isfinite(values)):
-                raise FormatError(f"{path}: {name} holds non-finite values")
-        if math.isnan(threshold):
-            raise FormatError(f"{path}: threshold is NaN")
-        if np.any(arrays["scaler_std"] <= 0.0):
-            raise FormatError(f"{path}: scaler_std must be positive")
+        problem = _model_problem(k, threshold, arrays)
+        if problem:
+            raise FormatError(f"{path}: {problem}")
         return cls(k=k, metric=metric, threshold=threshold,
                    standardized=doc["standardized"], **arrays)
 
@@ -651,7 +647,11 @@ def fit_grid(
     set to inf, so no point is its own neighbor; one pass yields every k's
     k-distances and the neighbor lists that every k's densities come from.
     """
-    metric = Metric(metric)
+    try:
+        metric = Metric(metric)
+    except ValueError:
+        names = ", ".join(m.value for m in Metric)
+        raise ConfigError(f"metric must be one of {names}, got {metric!r}") from None
     x = np.asarray(train, dtype=np.float64)
     if x.ndim != 2:
         raise ConfigError(f"training matrix must be 2-D, got shape {x.shape}")

@@ -9,11 +9,12 @@ import subprocess
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 from rfsentry import cli, lof, seeding, signals
 from rfsentry.cli import _atomic, _parse_grid
-from rfsentry.features import load_feature_csv
+from rfsentry.features import FEATURE_CSV_HEADER, load_feature_csv
 from rfsentry.signals import _HEADER_STRUCT
 from rfsentry.synth import default_profiles, gen_burst
 
@@ -227,6 +228,32 @@ def test_train_k_zero_exits_two(pipeline, tmp_path):
                      "--out", tmp_path / "model.json", "--k", 0)
     assert result.returncode == 2
     assert "k must be at least 1, got 0" in result.stderr
+
+
+# rows near the float range: distances overflow to an infinite k-distance
+# without standardization, and the variance to an infinite scaler_std with it
+UNSAVABLE_MODEL_CASES = [
+    ("infinite-kdist", [[1e308, 1, 1, 1], [-1e308, 1, 1, 1], [0.5, 1, 1, 1]],
+     ["--no-standardize"], "kdist holds non-finite values"),
+    ("infinite-scaler-std",
+     [*np.random.default_rng(48).standard_normal((20, 4)).tolist(),
+      [1e308, 0, 0, 0], [-1e308, 0, 0, 0]],
+     [], "scaler_std holds non-finite values"),
+]
+
+
+@pytest.mark.parametrize("case, rows, flags, message", UNSAVABLE_MODEL_CASES,
+                         ids=[c[0] for c in UNSAVABLE_MODEL_CASES])
+def test_train_writes_no_model_that_score_would_refuse(tmp_path, case, rows, flags, message):
+    features = tmp_path / "train.csv"
+    features.write_text("\n".join([",".join(FEATURE_CSV_HEADER)] + [
+        ",".join(["dev", "recognized", "", *map(repr, row)]) for row in rows]) + "\n")
+    result = run_cli("train", "--features", features, "--out", tmp_path / "model.json",
+                     "--k", 2, *flags)
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert f"cannot save the model: {message}" in result.stderr.strip().splitlines()[-1]
+    assert list(tmp_path.iterdir()) == [features]
 
 
 @pytest.mark.parametrize("edit, message", [

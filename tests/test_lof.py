@@ -430,15 +430,15 @@ BAND = {"_BAND_MAX_COST": math.inf, "_BAND_MIN_BLOCKS": 0}
 def neighbor_entries(z, metric, ks):
     """Pass 1's k-distances and its lists as (row, column, distance) arrays in row-major order.
 
-    Each group of a list must hold at most one block of rows, in row-major
-    order with int32 positions: the layout pass 2 sums.
+    Each group of a list must hold at most one block of rows, with int32
+    positions grouped by row, each at most once: the layout pass 2 sums.
     """
     n = len(z)
     kdist, lists = lof._neighbor_lists(z, Metric(metric), ks)
     rows, cols, dists = [], [], []
     for ids, flat, d in lists:
         assert flat.dtype == np.int32 and len(ids) <= max(1, lof._BLOCK_ELEMENTS // n)
-        assert np.all(np.diff(flat) > 0)
+        assert np.all(np.diff(flat // n) >= 0) and len(np.unique(flat)) == len(flat)
         r, c = np.divmod(flat, n)
         rows.append(ids[r])
         cols.append(c)
@@ -483,6 +483,29 @@ def test_band_search_equals_brute_force(metric, data, d, monkeypatch):
         assert all(result == results[0] for result in results), ks
 
 
+@pytest.mark.parametrize("data", ["lognormal", "grid"])
+@pytest.mark.parametrize("settings", [BRUTE_FORCE, BAND], ids=["brute-force", "band"])
+def test_fit_lrds_do_not_depend_on_the_order_within_a_row(data, settings, monkeypatch):
+    # pass 2 sums whole rows, so any order of a row's list entries gives the
+    # same bytes; integer-grid rows tie, and the grid repeats a k
+    n = 240
+    monkeypatch.setattr(lof, "_BLOCK_ELEMENTS", 16 * n)
+    for name, value in settings.items():
+        monkeypatch.setattr(lof, name, value)
+    rng = np.random.default_rng(47)
+    x = (rng.lognormal(0.0, 1.0, (n, 4)) if data == "lognormal"
+         else rng.integers(0, 5, (n, 4)).astype(float))
+    z = fit(x, k=1, standardize=data != "grid").train
+    kdists, lists = lof._neighbor_lists(z, Metric.MANHATTAN, [30, 5, 30, 1])
+    shuffled = []
+    for ids, flat, d in lists:
+        order = rng.permutation(len(flat))
+        order = order[np.argsort(flat[order] // n, kind="stable")]
+        shuffled.append((ids, flat[order], d[order]))
+    assert any(not np.array_equal(a[1], b[1]) for a, b in zip(lists, shuffled))
+    assert lof._fit_lrds(shuffled, kdists).tobytes() == lof._fit_lrds(lists, kdists).tobytes()
+
+
 def test_the_default_corpus_fits_by_brute_force(default_corpus, default_trigger):
     # 800 training rows: the train command's k=100 and the sweeps' largest
     # k=200 both take brute force, which is faster at this size
@@ -525,6 +548,9 @@ def test_fit_validation():
         fit(np.array([[1.0, np.nan], [0.0, 1.0], [2.0, 0.5]]), k=1)
     with pytest.raises(ConfigError, match=r"training matrix must be 2-D, got shape \(8,\)"):
         fit(np.ones(8), k=2)
+    with pytest.raises(ConfigError,
+                       match="metric must be one of manhattan, euclidean, got 'cosine'"):
+        fit_grid(np.eye(3), [1], metric="cosine")
 
 
 @pytest.mark.parametrize("k", [2.5, 3.0, True, np.True_, "3"])
@@ -712,6 +738,17 @@ def test_model_json_round_trip(tmp_path):
     assert np.array_equal(back.train, model.train)
     # identical scores after the round trip
     assert np.array_equal(back.score_batch(queries), model.score_batch(queries))
+
+
+def test_model_save_refuses_what_load_would_refuse(tmp_path):
+    # distances beyond float range fit to an infinite k-distance
+    x = np.array([[1e308, 1.0], [-1e308, 1.0], [0.5, 1.0]])
+    with np.errstate(over="ignore"):
+        model = fit(x, k=2, standardize=False)
+    path = tmp_path / "model.json"
+    with pytest.raises(ConfigError, match="cannot save the model: kdist holds non-finite values"):
+        model.save(path)
+    assert not path.exists()
 
 
 def test_model_load_rejects_other_documents(tmp_path):
