@@ -10,7 +10,9 @@ no file format, only the corpus directory layout: each format is read and
 written by the module of the type it holds. Each ``synth`` worker writes
 its traces on a helper thread while it generates the next burst
 (``signals.save_signals``); the manifests and corpus.json are written last,
-after every trace is on disk.
+after every trace is on disk. Every command runs with numpy's overflow,
+invalid and divide warnings off, so stderr holds only the log: a fit that
+overflowed is refused by ``LofModel.problem`` instead.
 """
 
 from __future__ import annotations
@@ -23,12 +25,13 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .errors import FormatError, RfSentryError
 from .evaluate import (
     accuracy_grid,
     best_k,
     confusion,
-    metrics,
     render_snr_svg,
     save_confusion_csv,
     save_metrics_csv,
@@ -176,6 +179,20 @@ def _model_options(args) -> dict:
     """The ``fit``/``fit_grid`` keyword arguments that the model flags set."""
     return dict(metric=args.metric, threshold=args.threshold,
                 standardize=not args.no_standardize)
+
+
+def _sweep_models(train: FeatureTable, args) -> list[LofModel]:
+    """The models of a sweep's ``--k-grid``, fitted on ``train``, sorted by k.
+
+    A model that ``train`` could not save (``LofModel.problem``) is an error:
+    its scores would be NaN or infinite.
+    """
+    models = fit_grid(train.matrix, sorted(args.k_grid), **_model_options(args))
+    for model in models:
+        problem = model.problem()
+        if problem:
+            raise RfSentryError(f"cannot use the model at k={model.k}: {problem}")
+    return models
 
 
 def _load_corpus(root: Path) -> CorpusConfig:
@@ -344,14 +361,13 @@ def cmd_eval(args) -> int:
     model = LofModel.load(args.model)
     table = load_feature_csv(args.features)
     cm = confusion(table.classes, model.outliers(model.score_batch(table.matrix)))
-    m = metrics(cm)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _atomic(lambda p: save_confusion_csv(cm, p), out / "confusion.csv")
-    _atomic(lambda p: save_metrics_csv(m, p), out / "metrics.csv")
+    _atomic(lambda p: save_metrics_csv(cm, p), out / "metrics.csv")
     log.info(
         "accuracy=%.4f precision=%.4f recall=%.4f f1=%.4f (tp=%d fp=%d fn=%d tn=%d)",
-        m.accuracy, m.precision, m.recall, m.f1, cm.tp, cm.fp, cm.fn, cm.tn,
+        cm.accuracy, cm.precision, cm.recall, cm.f1, cm.tp, cm.fp, cm.fn, cm.tn,
     )
     return 0
 
@@ -362,7 +378,7 @@ def cmd_sweep_n(args) -> int:
     test_idx, val_idx = stratified_split_indices(
         ev.classes, args.test_frac, stage_seed(args.seed, "split")
     )
-    models = fit_grid(train.matrix, sorted(args.k_grid), **_model_options(args))
+    models = _sweep_models(train, args)
     ks = [model.k for model in models]
     sets = [ev.select(idx) for idx in (val_idx, test_idx)]
     acc = accuracy_grid(models, [(t.matrix, t.classes) for t in sets])
@@ -384,7 +400,7 @@ def cmd_sweep_snr(args) -> int:
     train = _load_training(args.train_features)
     plan = balanced_eval_plan(cfg, args.per_class)
     _check_training_source(cfg, train, root, args.train_features)
-    models = fit_grid(train.matrix, sorted(args.k_grid), **_model_options(args))
+    models = _sweep_models(train, args)
     ks = [model.k for model in models]
     truth = [profile.signal_class for profile, _ in plan]
     acc = accuracy_grid(models, [(matrix, truth) for matrix
@@ -514,7 +530,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (RfSentryError, OSError) as exc:
         log.error("%s", exc)
         return 2

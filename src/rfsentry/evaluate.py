@@ -1,13 +1,15 @@
 """Detector evaluation: confusion counts, metrics, the sweep grid and report files.
 
-The positive class is the UAV/outlier class throughout. Both standard
-experiments, accuracy vs neighbor count and accuracy vs SNR for a fit at
-the training SNR, are one ``accuracy_grid`` call on the models of one
-``lof.fit_grid`` call. Its float64 grid has row i for query set i and column
-j for ``models[j]``: the neighbor sweep's query sets are its validation and
-test rows, the SNR sweep's the rows of ``features.snr_fingerprints``. All
-sets are scored, stacked, with one ``lof.score_grid`` call, so each distance
-is computed once and one thread pool serves the whole sweep.
+The positive class is the UAV/outlier class throughout. A
+``ConfusionMatrix`` holds at least one prediction, and its metrics are
+properties of its counts. Both standard experiments, accuracy vs neighbor
+count and accuracy vs SNR for a fit at the training SNR, are one
+``accuracy_grid`` call on the models of one ``lof.fit_grid`` call. Its
+float64 grid has row i for query set i and column j for ``models[j]``: the
+neighbor sweep's query sets are its validation and test rows, the SNR
+sweep's the rows of ``features.snr_fingerprints``. All sets are scored,
+stacked, with one ``lof.score_grid`` call, so each distance is computed once
+and one thread pool serves the whole sweep.
 """
 
 from __future__ import annotations
@@ -26,23 +28,47 @@ from .signals import SignalClass
 
 @dataclass(frozen=True)
 class ConfusionMatrix:
+    """Outcome counts of at least one prediction, and the metrics they give.
+
+    With no true positive the matrix is ``degenerate``: precision, recall
+    and F1 are then 0/0 or 0, and each reads 0 instead of NaN.
+    """
+
     tp: int
     tn: int
     fp: int
     fn: int
 
+    def __post_init__(self) -> None:
+        if self.total == 0:
+            raise RfSentryError("cannot tally an empty prediction set")
+
     @property
     def total(self) -> int:
         return self.tp + self.tn + self.fp + self.fn
 
+    @property
+    def degenerate(self) -> bool:
+        return self.tp == 0
 
-@dataclass(frozen=True)
-class Metrics:
-    accuracy: float
-    precision: float
-    recall: float
-    f1: float
-    degenerate: bool = False
+    @property
+    def accuracy(self) -> float:
+        return (self.tp + self.tn) / self.total
+
+    @property
+    def precision(self) -> float:
+        return 0.0 if self.degenerate else self.tp / (self.tp + self.fp)
+
+    @property
+    def recall(self) -> float:
+        return 0.0 if self.degenerate else self.tp / (self.tp + self.fn)
+
+    @property
+    def f1(self) -> float:
+        if self.degenerate:
+            return 0.0
+        precision, recall = self.precision, self.recall
+        return 2.0 * (precision * recall) / (precision + recall)
 
 
 def confusion(truth: list[SignalClass], outlier: np.ndarray) -> ConfusionMatrix:
@@ -54,8 +80,6 @@ def confusion(truth: list[SignalClass], outlier: np.ndarray) -> ConfusionMatrix:
     outlier = np.asarray(outlier)
     if outlier.shape != (len(truth),):
         raise ConfigError(f"{len(truth)} truth labels vs {outlier.size} predictions")
-    if not truth:
-        raise RfSentryError("cannot tally an empty prediction set")
     if outlier.dtype != bool:  # scores passed for decisions would all count as outliers
         raise ConfigError(f"predictions must be a boolean mask, got dtype {outlier.dtype}")
     uav = np.fromiter((t is SignalClass.UAV for t in truth), dtype=bool, count=len(truth))
@@ -63,32 +87,6 @@ def confusion(truth: list[SignalClass], outlier: np.ndarray) -> ConfusionMatrix:
     fn = int(np.count_nonzero(uav)) - tp
     fp = int(np.count_nonzero(outlier)) - tp
     return ConfusionMatrix(tp=tp, tn=len(truth) - tp - fn - fp, fp=fp, fn=fn)
-
-
-def metrics(cm: ConfusionMatrix) -> Metrics:
-    """Accuracy, precision, recall, F1.
-
-    A zero denominator (e.g. no positive predictions) yields 0 for that
-    metric and sets the degenerate flag instead of producing NaN.
-    """
-    if cm.total == 0:
-        raise RfSentryError("metrics are undefined for an empty confusion matrix")
-    accuracy = (cm.tp + cm.tn) / cm.total
-    degenerate = False
-    if cm.tp + cm.fp == 0:
-        precision, degenerate = 0.0, True
-    else:
-        precision = cm.tp / (cm.tp + cm.fp)
-    if cm.tp + cm.fn == 0:
-        recall, degenerate = 0.0, True
-    else:
-        recall = cm.tp / (cm.tp + cm.fn)
-    if precision + recall == 0.0:
-        f1, degenerate = 0.0, True
-    else:
-        f1 = 2.0 * (precision * recall) / (precision + recall)
-    return Metrics(accuracy=accuracy, precision=precision, recall=recall, f1=f1,
-                   degenerate=degenerate)
 
 
 def accuracy_grid(models: list[LofModel], queries) -> np.ndarray:
@@ -106,7 +104,7 @@ def accuracy_grid(models: list[LofModel], queries) -> np.ndarray:
         raise ConfigError(f"query sets differ in row shape: {sorted(rows)}")
     scores = score_grid(models, np.concatenate(matrices))
     bounds = np.cumsum([0, *map(len, matrices)])
-    return np.array([[metrics(confusion(truth, model.outliers(row[lo:hi]))).accuracy
+    return np.array([[confusion(truth, model.outliers(row[lo:hi])).accuracy
                       for model, row in zip(models, scores)]
                      for truth, lo, hi in zip(truths, bounds, bounds[1:])], dtype=np.float64)
 
@@ -135,10 +133,10 @@ def save_confusion_csv(cm: ConfusionMatrix, path: str | Path) -> None:
     write_csv(path, ["tp", "fp", "fn", "tn"], [[cm.tp, cm.fp, cm.fn, cm.tn]])
 
 
-def save_metrics_csv(m: Metrics, path: str | Path) -> None:
+def save_metrics_csv(cm: ConfusionMatrix, path: str | Path) -> None:
     write_csv(path, ["accuracy", "precision", "recall", "f1", "degenerate"],
-              [[fmt(m.accuracy), fmt(m.precision), fmt(m.recall), fmt(m.f1),
-                int(m.degenerate)]])
+              [[fmt(cm.accuracy), fmt(cm.precision), fmt(cm.recall), fmt(cm.f1),
+                int(cm.degenerate)]])
 
 
 def save_neighbors_csv(ks: list[int], acc: np.ndarray, path: str | Path) -> None:

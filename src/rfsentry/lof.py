@@ -511,27 +511,6 @@ def _check_numbers(values: list, name: str, path) -> None:
         raise FormatError(f"{path}: {name} entries must be numbers, got {bad!r}")
 
 
-def _model_problem(k: int, threshold: float, arrays: dict) -> str | None:
-    """What makes a model unusable, or None: the one rule ``save`` and ``load`` apply."""
-    train = arrays["train"]
-    if train.ndim != 2 or len(train) < 2:
-        return f"train must be a matrix of at least 2 rows, got shape {train.shape}"
-    n, dim = train.shape
-    for name, size in (("kdist", n), ("lrd", n), ("scaler_mean", dim), ("scaler_std", dim)):
-        if arrays[name].shape != (size,):
-            return f"{name} has shape {arrays[name].shape}, expected ({size},)"
-    if not 1 <= k <= n - 1:
-        return f"k={k} outside 1..{n - 1} for {n} training rows"
-    for name, values in arrays.items():
-        if not np.all(np.isfinite(values)):
-            return f"{name} holds non-finite values"
-    if math.isnan(threshold):
-        return "threshold is NaN"
-    if np.any(arrays["scaler_std"] <= 0.0):
-        return "scaler_std must be positive"
-    return None
-
-
 @dataclass(frozen=True)
 class LofModel:
     """Immutable fitted detector state.
@@ -561,6 +540,30 @@ class LofModel:
     def dim(self) -> int:
         return self.train.shape[1]
 
+    def problem(self) -> str | None:
+        """What makes this model unusable, or None: the rule of ``save`` and ``load``.
+
+        Training rows near the float range can fit to an infinite k-distance
+        or scaler_std, so a caller that scores fitted models checks it too.
+        """
+        arrays = {name: getattr(self, name) for name in _ARRAYS}
+        if self.train.ndim != 2 or len(self.train) < 2:
+            return f"train must be a matrix of at least 2 rows, got shape {self.train.shape}"
+        n, dim = self.train.shape
+        for name, size in (("kdist", n), ("lrd", n), ("scaler_mean", dim), ("scaler_std", dim)):
+            if arrays[name].shape != (size,):
+                return f"{name} has shape {arrays[name].shape}, expected ({size},)"
+        if not 1 <= self.k <= n - 1:
+            return f"k={self.k} outside 1..{n - 1} for {n} training rows"
+        for name, values in arrays.items():
+            if not np.all(np.isfinite(values)):
+                return f"{name} holds non-finite values"
+        if math.isnan(self.threshold):
+            return "threshold is NaN"
+        if np.any(self.scaler_std <= 0.0):
+            return "scaler_std must be positive"
+        return None
+
     # -- scoring ------------------------------------------------------------
 
     def _transform(self, queries: np.ndarray) -> np.ndarray:
@@ -587,13 +590,12 @@ class LofModel:
     # -- persistence ----------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        """Write the model as model.json; a model ``load`` would refuse is a ConfigError.
+        """Write the model as model.json; a model with a ``problem`` is a ConfigError.
 
-        Training rows near the float range can fit to an infinite k-distance
-        or scaler_std. Such a model is refused before ``path`` is opened.
+        Such a model, which ``load`` would refuse, is refused before ``path``
+        is opened.
         """
-        arrays = {name: getattr(self, name) for name in _ARRAYS}
-        problem = _model_problem(self.k, self.threshold, arrays)
+        problem = self.problem()
         if problem:
             raise ConfigError(f"cannot save the model: {problem}")
         doc = {
@@ -625,11 +627,12 @@ class LofModel:
             arrays = {name: np.array(doc[name], dtype=np.float64) for name in _ARRAYS}
         except (TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"{path}: {exc}") from None
-        problem = _model_problem(k, threshold, arrays)
+        model = cls(k=k, metric=metric, threshold=threshold,
+                    standardized=doc["standardized"], **arrays)
+        problem = model.problem()
         if problem:
             raise FormatError(f"{path}: {problem}")
-        return cls(k=k, metric=metric, threshold=threshold,
-                   standardized=doc["standardized"], **arrays)
+        return model
 
 
 def fit_grid(
@@ -677,6 +680,9 @@ def fit_grid(
         mean = np.zeros(x.shape[1])
         std = np.ones(x.shape[1])
     z = (x - mean) / std
+    if not np.all(np.isfinite(z)):  # NaN distances would leave a neighbor list empty
+        raise ConfigError("cannot standardize the training features: a column's mean "
+                          "or spread is beyond the float range")
     kdists, lists = _neighbor_lists(z, metric, ks)
     return [
         LofModel(train=z, k=k, metric=metric, threshold=threshold, kdist=kdist,

@@ -13,6 +13,8 @@ from __future__ import annotations
 import hashlib
 import os
 
+import numpy as np
+
 from .errors import ConfigError
 
 
@@ -51,6 +53,12 @@ def chunk_bounds(count: int, parts: int) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
+def _under_errstate(errstate: dict, fn, items: list, *args) -> list:
+    """``fn(items, *args)`` under numpy's ``errstate``: a worker's, set to its caller's."""
+    with np.errstate(**errstate):
+        return fn(items, *args)
+
+
 def map_chunks(fn, items: list, jobs: int, *args) -> list:
     """``fn(items, *args)`` computed over at most ``jobs`` contiguous chunks of ``items``.
 
@@ -60,7 +68,7 @@ def map_chunks(fn, items: list, jobs: int, *args) -> list:
     for each chunk that finds no idle worker. One chunk runs in-process; more
     run on a process pool, one worker each, so ``fn`` must be a module-level
     function. Workers are spawned, not forked, because the parent may already
-    run BLAS threads.
+    run BLAS threads, and each runs its chunk under the caller's numpy errstate.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
@@ -72,6 +80,6 @@ def map_chunks(fn, items: list, jobs: int, *args) -> list:
 
     spawn = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(max_workers=jobs, mp_context=spawn) as pool:
-        futures = [pool.submit(fn, items[lo:hi], *args)
+        futures = [pool.submit(_under_errstate, np.geterr(), fn, items[lo:hi], *args)
                    for lo, hi in chunk_bounds(len(items), jobs)]
         return [result for future in futures for result in future.result()]

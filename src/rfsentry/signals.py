@@ -2,6 +2,7 @@
 
 A :class:`Signal` is a real-valued burst and its metadata, built once per
 burst by the code that makes it (``synth.gen_bursts``, :func:`load_signal`).
+It holds no sample rate: every trace stores ``RFSG_SAMPLE_RATE``.
 The capture steps, :func:`find_trigger` and :func:`extract_transient`, take
 the :class:`Signal`; every step after the capture passes plain sample
 arrays. The trigger of :func:`extract_transient` emulates an oscilloscope
@@ -37,6 +38,7 @@ from .formats import csv_records, fmt, parse_float, parse_path, write_csv
 
 RFSG_MAGIC = b"RFSG"
 RFSG_VERSION = 1
+RFSG_SAMPLE_RATE = 100e6  # the header field of every trace the writer stores
 
 MANIFEST_HEADER = ["path", "device_id", "class", "snr_db"]
 
@@ -63,7 +65,6 @@ class Signal:
     """
 
     samples: np.ndarray
-    sample_rate: float
     device_id: str = ""
     signal_class: SignalClass = SignalClass.RECOGNIZED
     snr_db: float | None = None
@@ -74,8 +75,6 @@ class Signal:
             raise ConfigError("samples must be a non-empty 1-D sequence")
         if not np.all(np.isfinite(samples)):
             raise ConfigError("samples must be finite")
-        if not 0 < self.sample_rate < math.inf:  # the RFSG reader's rule; NaN fails too
-            raise ConfigError(f"sample_rate must be finite and > 0, got {self.sample_rate}")
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
 
@@ -92,12 +91,16 @@ class TriggerConfig:
     capture_len: int = 4096
 
     def __post_init__(self) -> None:
-        if self.window_len <= 0 or self.capture_len <= 0:
-            raise ConfigError("window_len and capture_len must be > 0")
+        if self.window_len <= 0:
+            raise ConfigError(f"window_len must be > 0, got {self.window_len}")
+        if self.capture_len < 4:
+            raise ConfigError("capture_len must be at least 4, the two-level packet "
+                              f"transform's minimum, got {self.capture_len}")
         if not self.energy_threshold >= 0:  # NaN fails too
             raise ConfigError(f"energy_threshold must be >= 0, got {self.energy_threshold}")
         if self.window_len > self.capture_len:
-            raise ConfigError("window_len must not exceed capture_len")
+            raise ConfigError(f"window_len {self.window_len} must not exceed "
+                              f"capture_len {self.capture_len}")
 
 
 def find_trigger(signal: Signal, cfg: TriggerConfig) -> int:
@@ -162,7 +165,7 @@ def _rfsg_bytes(signal: Signal) -> bytes:
             samples = signal.samples.astype("<f4")
     except FloatingPointError:
         raise ConfigError("a sample is beyond the float32 range of an RFSG trace") from None
-    header = _HEADER_STRUCT.pack(RFSG_MAGIC, RFSG_VERSION, signal.sample_rate, samples.size)
+    header = _HEADER_STRUCT.pack(RFSG_MAGIC, RFSG_VERSION, RFSG_SAMPLE_RATE, samples.size)
     return header + samples.tobytes()
 
 
@@ -249,7 +252,7 @@ def load_signal(path: str | Path) -> Signal:
     samples = np.frombuffer(raw, dtype="<f4").astype(np.float64)
     if not np.all(np.isfinite(samples)):
         raise FormatError(f"{path}: holds non-finite samples")
-    return Signal(samples=samples, sample_rate=sample_rate)
+    return Signal(samples=samples)
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,10 @@ Generation is purely seed-driven: every random draw derives from
 one clean trace and one noise draw; ``gen_burst`` is its corpus-SNR case.
 The noise helpers it uses (``mean_power``, ``snr_power_ratio`` and the
 scaling step) live here with it. ``CorpusConfig.trigger`` is the capture
-rule of a corpus's bursts, and ``CorpusConfig.save`` and ``load`` read and
-write the corpus.json format.
+rule of a corpus's bursts: a ``capture_len`` that the default trigger
+refuses is refused by the corpus too, so every corpus can be captured and
+swept. ``CorpusConfig.save`` and ``load`` read and write the corpus.json
+format.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from .formats import (
 from .seeding import derive_seed, stage_seed
 from .signals import Signal, SignalClass, TriggerConfig
 
-DEFAULT_SAMPLE_RATE = 100e6
 BASE_AMPLITUDE = 3.0
 AMPLITUDE_JITTER = 0.10
 WIFI_TONES = 8
@@ -117,11 +118,7 @@ class CorpusConfig:
             raise ConfigError(f"snr_db must be finite or +inf (clean), got {self.snr_db}")
         if math.isfinite(self.snr_db):
             snr_power_ratio(self.snr_db)  # rejects an SNR no noise level can reach
-        if self.capture_len < 4:
-            raise ConfigError(
-                "capture_len must be at least 4, the two-level packet transform's "
-                f"minimum, got {self.capture_len}"
-            )
+        self.trigger  # builds the capture rule, which refuses what it cannot capture
         if self.lead_len < 0:
             raise ConfigError("lead_len must be >= 0")
         if self.lead_len == 0:
@@ -384,8 +381,7 @@ def gen_bursts(
         unit_noise = noise_rng.standard_normal(trace.size)
     for snr in snrs:
         yield Signal(samples=_scaled_noise(trace, power, snr, unit_noise),
-                     sample_rate=DEFAULT_SAMPLE_RATE, device_id=profile.name,
-                     signal_class=profile.signal_class,
+                     device_id=profile.name, signal_class=profile.signal_class,
                      snr_db=None if snr == math.inf else float(snr))
 
 

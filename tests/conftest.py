@@ -11,9 +11,13 @@ from rfsentry.signals import TriggerConfig
 from rfsentry.synth import CorpusConfig, build_corpus, default_profiles
 
 # The CLI tests run ``python -m rfsentry`` in subprocesses: point them at the
-# package under test, so that a plain checkout needs no install.
+# package under test, so that a plain checkout needs no install, and turn a
+# RuntimeWarning there into an error, as pyproject's filter does in-process.
 os.environ["PYTHONPATH"] = os.pathsep.join(
     filter(None, [str(Path(rfsentry.__file__).parents[1]), os.environ.get("PYTHONPATH")])
+)
+os.environ["PYTHONWARNINGS"] = ",".join(
+    filter(None, [os.environ.get("PYTHONWARNINGS"), "error::RuntimeWarning"])
 )
 
 

@@ -18,7 +18,7 @@ from statistics import mean
 import numpy as np
 import pytest
 
-from rfsentry.evaluate import ConfusionMatrix, accuracy_grid, confusion, metrics
+from rfsentry.evaluate import ConfusionMatrix, accuracy_grid, confusion
 from rfsentry.features import FeatureTable, sample_variance, save_feature_csv, snr_fingerprints
 from rfsentry.lof import fit, fit_grid
 from rfsentry.seeding import stage_seed
@@ -126,12 +126,12 @@ def test_c03_lof_matches_brute_force_definition():
 
 
 def test_c04_metric_arithmetic():
-    m = metrics(ConfusionMatrix(tp=40, tn=30, fp=20, fn=10))
+    m = ConfusionMatrix(tp=40, tn=30, fp=20, fn=10)
     assert abs(m.accuracy - 0.7) <= 1e-6
     assert abs(m.precision - 0.666667) <= 1e-6
     assert abs(m.recall - 0.8) <= 1e-6
     assert abs(m.f1 - 0.727273) <= 1e-6
-    perfect = metrics(ConfusionMatrix(tp=7, tn=5, fp=0, fn=0))
+    perfect = ConfusionMatrix(tp=7, tn=5, fp=0, fn=0)
     assert (perfect.accuracy, perfect.precision, perfect.recall, perfect.f1) == (
         1.0, 1.0, 1.0, 1.0,
     )
@@ -149,7 +149,7 @@ def test_c05_end_to_end_detection_at_training_snr(default_trigger):
         eval_table.classes, 0.7, stage_seed(0, "split")
     )
     test = eval_table.select(test_idx)
-    accuracy = metrics(confusion(test.classes, model.outliers(model.score_batch(test.matrix)))).accuracy
+    accuracy = confusion(test.classes, model.outliers(model.score_batch(test.matrix))).accuracy
     elapsed = time.perf_counter() - start
     assert accuracy >= 0.90
     assert elapsed < 120.0

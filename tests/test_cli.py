@@ -121,7 +121,7 @@ def test_synth_traces_hold_the_bursts_they_are_named_for(corpus):
             name = f"{profile.name}_{index:05d}.rfsg"
             names.add(name)
             assert (corpus / "signals" / name).read_bytes() == _HEADER_STRUCT.pack(
-                b"RFSG", 1, burst.sample_rate, samples.size) + samples.tobytes(), name
+                b"RFSG", 1, 100e6, samples.size) + samples.tobytes(), name
     assert {p.name for p in (corpus / "signals").iterdir()} == names
 
 
@@ -242,18 +242,58 @@ UNSAVABLE_MODEL_CASES = [
 ]
 
 
+def write_features(path, rows, device_id="dev"):
+    """A feature CSV of recognized ``rows``; appended to ``path`` if it exists."""
+    lines = [",".join([device_id, "recognized", "", *map(repr, row)]) for row in rows]
+    if not path.exists():
+        lines.insert(0, ",".join(FEATURE_CSV_HEADER))
+    with open(path, "a") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def assert_one_error_line(result, message):
+    """Exit 2 with ``message`` as the only line on stderr: no warning, no traceback."""
+    assert result.returncode == 2
+    assert result.stderr.strip().splitlines() == [f"ERROR {message}"]
+
+
 @pytest.mark.parametrize("case, rows, flags, message", UNSAVABLE_MODEL_CASES,
                          ids=[c[0] for c in UNSAVABLE_MODEL_CASES])
 def test_train_writes_no_model_that_score_would_refuse(tmp_path, case, rows, flags, message):
     features = tmp_path / "train.csv"
-    features.write_text("\n".join([",".join(FEATURE_CSV_HEADER)] + [
-        ",".join(["dev", "recognized", "", *map(repr, row)]) for row in rows]) + "\n")
+    write_features(features, rows)
     result = run_cli("train", "--features", features, "--out", tmp_path / "model.json",
                      "--k", 2, *flags)
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
     assert f"cannot save the model: {message}" in result.stderr.strip().splitlines()[-1]
     assert list(tmp_path.iterdir()) == [features]
+
+
+def test_sweep_n_refuses_a_fit_that_train_would_refuse(tmp_path):
+    # k=1 fits finite densities; at k=2 the k-distance overflows, and the
+    # model would score NaN
+    features = tmp_path / "features.csv"
+    write_features(features, UNSAVABLE_MODEL_CASES[0][1])
+    result = run_cli(*_sweep_n(features, features, tmp_path / "report", "--k-grid", "1,2",
+                               "--no-standardize"))
+    assert_one_error_line(result, "cannot use the model at k=2: kdist holds non-finite values")
+    assert list(tmp_path.iterdir()) == [features]
+
+
+def test_sweep_snr_refuses_a_fit_that_train_would_refuse(corpus, pipeline, tmp_path):
+    _, train_csv, _, _ = pipeline
+    features = tmp_path / "train.csv"
+    shutil.copy(train_csv, features)
+    write_features(features, [[1e308, 0, 0, 0], [-1e308, 0, 0, 0]], device_id="bt_phone")
+    result = run_cli(*_sweep_snr(corpus, features, tmp_path / "report", "--snr-grid", "30"))
+    assert_one_error_line(result,
+                          "cannot use the model at k=5: scaler_std holds non-finite values")
+    assert list(tmp_path.iterdir()) == [features]
+    # without standardization the same rows fit a finite model, which train saves
+    result = run_cli(*_sweep_snr(corpus, features, tmp_path / "report", "--snr-grid", "30",
+                                 "--no-standardize"))
+    assert result.returncode == 0, result.stderr
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -727,6 +767,11 @@ REJECTED_VALUE_CASES = [
     ("snr-grid-out-of-range",
      lambda c, tr, ev, out: _sweep_snr(c, tr, out, "--snr-grid", "4000"),
      "an SNR of 4000.0 dB is out of range", False),
+    # the noise reaches about 1e154, and the fingerprints overflow in the
+    # worker processes, which keep the CLI's numpy errstate
+    ("snr-grid-overflows-in-workers",
+     lambda c, tr, ev, out: _sweep_snr(c, tr, out, "--snr-grid=-3070", "--jobs", 2),
+     "query features must be finite", False),
     ("synth-snr-out-of-range",
      lambda c, tr, ev, out: ["synth", "--out", out, *SYNTH_ARGS, "--snr", "4000"],
      "an SNR of 4000.0 dB is out of range", False),
@@ -746,6 +791,16 @@ REJECTED_VALUE_CASES = [
      lambda c, tr, ev, out: ["extract", "--manifest", c / "eval_manifest.csv", "--out", out,
                              "--capture-len", 256, "--energy-threshold", "nan"],
      "energy_threshold must be >= 0, got nan", False),
+    # a corpus that the default trigger cannot capture could never be swept
+    ("synth-capture-below-window",
+     lambda c, tr, ev, out: ["synth", "--out", out, "--capture-len", 32,
+                             "--signals-per-device", 3],
+     "window_len 64 must not exceed capture_len 32", False),
+    ("extract-capture-below-packet-block",
+     lambda c, tr, ev, out: ["extract", "--manifest", c / "eval_manifest.csv", "--out", out,
+                             "--capture-len", 3, "--window-len", 2],
+     "capture_len must be at least 4, the two-level packet transform's minimum, got 3",
+     False),
 ]
 
 

@@ -19,7 +19,6 @@ from rfsentry.evaluate import (
     accuracy_grid,
     best_k,
     confusion,
-    metrics,
     render_snr_svg,
     save_confusion_csv,
     save_metrics_csv,
@@ -86,7 +85,7 @@ def test_confusion_validation():
     with pytest.raises(ConfigError, match="1 truth labels vs 2 predictions"):
         confusion([UAV], [OUT, OUT])
     with pytest.raises(RfSentryError, match="cannot tally an empty prediction set"):
-        confusion([], [])
+        confusion([], np.zeros(0, dtype=bool))
     with pytest.raises(ConfigError, match="predictions must be a boolean mask, got dtype float64"):
         confusion([UAV, REC], np.array([1.7, 0.9]))  # scores, not decisions
 
@@ -125,13 +124,13 @@ def test_confusion_equals_the_per_row_tally(size, mix):
 
 
 def test_metrics_perfect():
-    m = metrics(ConfusionMatrix(tp=5, tn=5, fp=0, fn=0))
+    m = ConfusionMatrix(tp=5, tn=5, fp=0, fn=0)
     assert (m.accuracy, m.precision, m.recall, m.f1) == (1.0, 1.0, 1.0, 1.0)
     assert not m.degenerate
 
 
 def test_metrics_hand_example():
-    m = metrics(ConfusionMatrix(tp=40, tn=30, fp=20, fn=10))
+    m = ConfusionMatrix(tp=40, tn=30, fp=20, fn=10)
     assert m.accuracy == pytest.approx(0.7, abs=1e-12)
     assert m.precision == pytest.approx(2 / 3, abs=1e-12)
     assert m.recall == pytest.approx(0.8, abs=1e-12)
@@ -140,14 +139,14 @@ def test_metrics_hand_example():
 
 
 def test_metrics_degenerate_no_positives_anywhere():
-    m = metrics(ConfusionMatrix(tp=0, tn=4, fp=0, fn=0))
+    m = ConfusionMatrix(tp=0, tn=4, fp=0, fn=0)
     assert m.accuracy == 1.0
     assert (m.precision, m.recall, m.f1) == (0.0, 0.0, 0.0)
     assert m.degenerate
 
 
 def test_metrics_degenerate_no_positive_truth():
-    m = metrics(ConfusionMatrix(tp=0, tn=2, fp=2, fn=0))
+    m = ConfusionMatrix(tp=0, tn=2, fp=2, fn=0)
     assert m.accuracy == 0.5
     assert m.precision == 0.0  # 0/2, well-defined
     assert m.recall == 0.0
@@ -155,23 +154,23 @@ def test_metrics_degenerate_no_positive_truth():
 
 
 def test_metrics_empty_matrix():
-    with pytest.raises(RfSentryError, match="metrics are undefined for an empty confusion matrix"):
-        metrics(ConfusionMatrix(tp=0, tn=0, fp=0, fn=0))
+    with pytest.raises(RfSentryError, match="cannot tally an empty prediction set"):
+        ConfusionMatrix(tp=0, tn=0, fp=0, fn=0)
 
 
 def test_metrics_identities_random():
     rng = np.random.default_rng(17)
     for _ in range(50):
         tp, tn, fp, fn = (int(v) for v in rng.integers(0, 40, 4))
-        cm = ConfusionMatrix(tp=tp, tn=tn, fp=fp, fn=fn)
-        if cm.total == 0:
+        if tp + tn + fp + fn == 0:
             continue
-        m = metrics(cm)
-        assert abs(m.accuracy * cm.total - (tp + tn)) < 1e-9
+        m = ConfusionMatrix(tp=tp, tn=tn, fp=fp, fn=fn)
+        assert abs(m.accuracy * m.total - (tp + tn)) < 1e-9
         if m.precision > 0 and m.recall > 0:
             harmonic = 2 / (1 / m.precision + 1 / m.recall)
             assert abs(m.f1 - harmonic) < 1e-12
         assert 0.0 <= m.accuracy <= 1.0
+        assert m.degenerate == (tp == 0)
 
 
 # -- neighbor sweep -----------------------------------------------------------
@@ -253,7 +252,7 @@ def test_sweep_snr_training_cell_matches_direct_scoring(mini_sweep_parts):
     model = fit(train_table.matrix, k=5)
     stored_table = table_from_signals(balanced_stored, trigger)
     preds = model.outliers(model.score_batch(stored_table.matrix))
-    direct = metrics(confusion(stored_table.classes, preds)).accuracy
+    direct = confusion(stored_table.classes, preds).accuracy
     assert cells(swept, [5])[(float(cfg.snr_db), 5)] == direct
 
 
@@ -356,7 +355,7 @@ def _accuracy_by_refit(train_table, matrix, truth, k, metric):
     """One separate fit and score_batch per cell, the loop the sweeps replaced."""
     model = fit(train_table.matrix, k=k, metric=metric)
     outliers = model.outliers(model.score_batch(matrix))
-    return metrics(confusion(truth, outliers)).accuracy
+    return confusion(truth, outliers).accuracy
 
 
 @pytest.mark.parametrize("metric", ["manhattan", "euclidean"])
@@ -412,7 +411,7 @@ def test_save_confusion_csv(tmp_path):
 
 def test_save_metrics_csv_round_trip(tmp_path):
     path = tmp_path / "metrics.csv"
-    m = metrics(ConfusionMatrix(tp=40, tn=30, fp=20, fn=10))
+    m = ConfusionMatrix(tp=40, tn=30, fp=20, fn=10)
     save_metrics_csv(m, path)
     header, row = read_rows(path)
     assert header == ["accuracy", "precision", "recall", "f1", "degenerate"]

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from rfsentry.errors import RfSentryError
+from rfsentry.errors import ConfigError, RfSentryError
 from rfsentry.features import (
     FEATURE_CSV_HEADER,
     FeatureTable,
@@ -110,12 +110,15 @@ def test_feature_vector_rules():
     assert sample_variance(np.zeros((4, 4))).tolist() == [0.0, 0.0, 0.0, 0.0]
     # singleton packets (a 4-sample capture) fall back to variance 0
     whole = TriggerConfig(window_len=1, energy_threshold=0.0, capture_len=4)
-    singleton = Signal(samples=np.array([4.0, 1.0, -2.0, 7.0]), sample_rate=1.0)
+    singleton = Signal(samples=np.array([4.0, 1.0, -2.0, 7.0]))
     assert fingerprint(singleton, whole).tolist() == [0.0, 0.0, 0.0, 0.0]
-    # a capture shorter than one 4-sample block has no packets at all
-    short = TriggerConfig(window_len=1, energy_threshold=0.0, capture_len=3)
+    # a capture shorter than one 4-sample block has no packets at all: the
+    # trigger refuses to capture it, and the transform refuses its samples
+    with pytest.raises(ConfigError, match="capture_len must be at least 4, the two-level "
+                                          "packet transform's minimum, got 3"):
+        TriggerConfig(window_len=1, energy_threshold=0.0, capture_len=3)
     with pytest.raises(RfSentryError, match="two-level decomposition needs >= 4 samples, got 3"):
-        fingerprint(Signal(samples=np.ones(3), sample_rate=1.0), short)
+        packet_coefficients(np.ones(3))
 
 
 def test_feature_vector_matches_packet_variances():
@@ -167,7 +170,7 @@ def test_fingerprint_pipeline_composition():
     # fingerprint == per-packet variances of the transient's packet matrix, bit for bit
     rng = np.random.default_rng(17)
     burst = np.concatenate([np.zeros(100), rng.standard_normal(600)])
-    s = Signal(samples=burst, sample_rate=1.0)
+    s = Signal(samples=burst)
     cfg = TriggerConfig(window_len=16, energy_threshold=0.2, capture_len=512)
     fv = fingerprint(s, cfg)
     packets = packet_coefficients(extract_transient(s, cfg))

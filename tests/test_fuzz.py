@@ -1,10 +1,12 @@
 """Damaged inputs: each command exits 0 or 2, never a traceback.
 
 Every parser gets truncated and byte-mutated copies of a valid file,
-corpus.json also gets one config value replaced by a drawn JSON value, and
-numeric flags get invalid values; each run is in-process through
-``cli.main``. Hypothesis is derandomized and has no example database, so the
-examples are the same on every run.
+corpus.json also gets one config value replaced by a drawn JSON value,
+numeric flags get invalid values, and feature CSVs get values anywhere in
+the finite float range; each run is in-process through ``cli.main``, where
+pyproject's filter fails a run that lets a RuntimeWarning out. Hypothesis is
+derandomized and has no example database, so the examples are the same on
+every run.
 """
 
 import json
@@ -17,6 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from rfsentry import cli
+from rfsentry.features import FEATURE_CSV_HEADER
 
 MINI = ["--capture-len", "256"]
 
@@ -195,3 +198,34 @@ def test_fuzzed_arguments(valid, tmp_path, command, data):
         code = 2
     if code == 2:
         assert list(work.iterdir()) == []
+
+
+def _feature_csv(path: Path, rows: list) -> Path:
+    """A feature CSV of ``(class, values)`` rows, spread over three devices."""
+    path.write_text("\n".join([",".join(FEATURE_CSV_HEADER)] + [
+        ",".join([f"dev{i % 3}", cls, "", *map(repr, values)])
+        for i, (cls, values) in enumerate(rows)]) + "\n")
+    return path
+
+
+FINITE_ROW = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=4, max_size=4)
+TRAIN_ROWS = st.lists(st.tuples(st.just("recognized"), FINITE_ROW), min_size=3, max_size=8)
+QUERY_ROWS = st.lists(st.tuples(st.sampled_from(["recognized", "uav"]), FINITE_ROW),
+                      min_size=1, max_size=6)
+
+
+@FUZZ
+@given(data=st.data())
+def test_feature_values_anywhere_in_float_range(tmp_path, data):
+    # distances, densities and scalers may overflow: each command then exits
+    # 2 or fits finite models that score, and numpy's warnings stay quiet
+    work = Path(tempfile.mkdtemp(dir=tmp_path))
+    train = _feature_csv(work / "train.csv", data.draw(TRAIN_ROWS, label="train"))
+    queries = _feature_csv(work / "eval.csv", data.draw(QUERY_ROWS, label="eval"))
+    flags = data.draw(st.sampled_from([[], ["--no-standardize"]]), label="flags")
+    model = work / "model.json"
+    if _run(["train", "--features", train, "--out", model, "--k", "2", *flags]) == 0:
+        _run(["score", "--model", model, "--features", queries, "--out", work / "scores.csv"])
+        _run(["eval", "--model", model, "--features", queries, "--out", work / "report"])
+    _run(["sweep-n", "--train-features", train, "--eval-features", queries,
+          "--out", work / "sweep", "--k-grid", "1,2", *flags])

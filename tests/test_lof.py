@@ -546,6 +546,10 @@ def test_fit_validation():
         fit(square, k=0)
     with pytest.raises(ConfigError, match="training features must be finite"):
         fit(np.array([[1.0, np.nan], [0.0, 1.0], [2.0, 0.5]]), k=1)
+    # finite rows whose column mean overflows standardize to NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ConfigError, match="cannot standardize the training features"):
+            fit(np.array([[0.0, 1.0], [1.7e308, 0.0], [1.7e308, 0.5]]), k=1)
     with pytest.raises(ConfigError, match=r"training matrix must be 2-D, got shape \(8,\)"):
         fit(np.ones(8), k=2)
     with pytest.raises(ConfigError,

@@ -31,7 +31,7 @@ from .conftest import traced_peak
 
 
 def sig(samples, **kw):
-    return Signal(samples=np.asarray(samples, dtype=np.float64), sample_rate=1e6, **kw)
+    return Signal(samples=np.asarray(samples, dtype=np.float64), **kw)
 
 
 # -- Signal validation -------------------------------------------------------
@@ -39,23 +39,11 @@ def sig(samples, **kw):
 
 def test_signal_rejects_empty_and_nonfinite():
     with pytest.raises(ValueError):
-        Signal(samples=np.array([]), sample_rate=1.0)
+        Signal(samples=np.array([]))
     with pytest.raises(ValueError):
         sig([1.0, np.nan])
     with pytest.raises(ValueError):
         sig([1.0, np.inf])
-    with pytest.raises(ValueError):
-        Signal(samples=np.array([1.0]), sample_rate=0.0)
-
-
-def test_signal_takes_the_rfsg_readers_sample_rate_rule(tmp_path):
-    # an infinite rate would be written, and then rejected by load_signal
-    for rate in (math.inf, math.nan, 0.0, -1.0):
-        with pytest.raises(ConfigError, match=f"sample_rate must be finite and > 0, got {rate}"):
-            Signal(samples=np.ones(4), sample_rate=rate)
-    path = tmp_path / "fastest.rfsg"
-    save_signals([(Signal(samples=np.ones(4), sample_rate=sys.float_info.max), path)])
-    assert load_signal(path).sample_rate == sys.float_info.max
 
 
 def test_signal_samples_immutable():
@@ -69,8 +57,12 @@ def test_trigger_config_validation():
         TriggerConfig(window_len=0)
     with pytest.raises(ValueError):
         TriggerConfig(energy_threshold=-0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="window_len 128 must not exceed capture_len 64"):
         TriggerConfig(window_len=128, capture_len=64)
+    # the packet transform's minimum, checked before the default window's fit
+    with pytest.raises(ConfigError, match="capture_len must be at least 4, the two-level packet "
+                                          "transform's minimum, got 3"):
+        TriggerConfig(capture_len=3)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -132,7 +124,7 @@ def test_add_awgn_deterministic_and_metadata():
     assert not np.array_equal(a.samples, clean.samples)
     assert a.snr_db == 12.0
     assert a.device_id == profile.name and a.signal_class is SignalClass.UAV
-    assert len(a) == len(clean) and a.sample_rate == clean.sample_rate
+    assert len(a) == len(clean)
 
 
 def test_add_awgn_empirical_noise_power():
@@ -281,13 +273,14 @@ def test_extract_transient_input_too_short():
 
 def test_rfsg_round_trip(tmp_path):
     samples = np.array([0.5, -1.25, 3.0, 0.0], dtype=np.float32)
-    s = Signal(samples=samples.astype(np.float64), sample_rate=100e6)
+    s = Signal(samples=samples.astype(np.float64))
     path = tmp_path / "one.rfsg"
     save_signals([(s, path)])
     back = load_signal(path)
     # float32-representable values survive exactly
     assert np.array_equal(back.samples, s.samples)
-    assert back.sample_rate == 100e6
+    # every trace's header holds the one RFSG sample rate
+    assert _HEADER_STRUCT.unpack(path.read_bytes()[:_HEADER_STRUCT.size])[2] == 100e6
 
 
 def test_rfsg_header_layout(tmp_path):

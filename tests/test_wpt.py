@@ -33,7 +33,7 @@ def test_wpt2_hand_example():
 
 
 def test_wpt2_accepts_signal_objects():
-    s = Signal(samples=np.array([1.0, 2.0, 3.0, 4.0]), sample_rate=1.0)
+    s = Signal(samples=np.array([1.0, 2.0, 3.0, 4.0]))
     p = packet_coefficients(s.samples)
     assert np.allclose(p[0], [5.0])
 
@@ -85,7 +85,7 @@ def test_fingerprint_matches_oracle_variances():
     for n in (8, 64, 256, 1024):
         x = rng.standard_normal(n + 37) * float(10.0 ** rng.uniform(-2, 2))
         whole = TriggerConfig(window_len=1, energy_threshold=0.0, capture_len=n)
-        fv = fingerprint(Signal(samples=x, sample_rate=1.0), whole)
+        fv = fingerprint(Signal(samples=x), whole)
         ref = matrix_packets(x[:n])
         want = np.array([brute_variance(ref[name]) for name in PACKET_ORDER])
         assert np.max(np.abs(fv - want) / want) <= 1e-12
