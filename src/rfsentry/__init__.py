@@ -7,7 +7,7 @@ novelty score against a recognized-signal reference set.
 
 from .errors import RfSentryError
 from .features import fingerprint
-from .lof import LofModel, Metric, fit, fit_grid, score_grid
+from .lof import LofModel, Metric, fit_grid, score_grid
 from .signals import Signal, SignalClass, TriggerConfig, extract_transient
 from .wpt import packet_coefficients
 
@@ -23,7 +23,6 @@ __all__ = [
     "__version__",
     "extract_transient",
     "fingerprint",
-    "fit",
     "fit_grid",
     "packet_coefficients",
     "score_grid",

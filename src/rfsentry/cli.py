@@ -9,10 +9,11 @@ deterministic without threading seeds through each flag. This module holds
 no file format, only the corpus directory layout: each format is read and
 written by the module of the type it holds. Each ``synth`` worker writes
 its traces on a helper thread while it generates the next burst
-(``signals.save_signals``); the manifests and corpus.json are written last,
-after every trace is on disk. Every command runs with numpy's overflow,
-invalid and divide warnings off, so stderr holds only the log: a fit that
-overflowed is refused by ``LofModel.problem`` instead.
+(``signals.save_signals``); the manifests and corpus.json are removed
+before the first trace is written and written last, after every trace is
+on disk, so a failed ``synth`` leaves no corpus. Every command runs with
+numpy's overflow, invalid and divide warnings off, so stderr holds only the
+log: a fit that overflowed is refused by ``LofModel.problem`` instead.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .evaluate import (
 )
 from .features import (FeatureTable, fingerprint, load_feature_csv, save_feature_csv,
                        snr_fingerprints)
-from .lof import DEFAULT_K, DEFAULT_THRESHOLD, LofModel, Metric, fit, fit_grid
+from .lof import DEFAULT_K, DEFAULT_THRESHOLD, LofModel, Metric, fit_grid, score_grid
 from .seeding import map_chunks, stage_seed
 from .signals import (
     ManifestRow,
@@ -169,14 +170,14 @@ def _load_training(path: str) -> FeatureTable:
     uav = sum(1 for c in table.classes if c is SignalClass.UAV)
     if uav:
         raise RfSentryError(
-            f"training features contains {uav} UAV rows; the detector is semi-supervised "
-            "and fits on recognized signals only"
+            f"{path}: training features contains {uav} UAV rows; the detector is "
+            "semi-supervised and fits on recognized signals only"
         )
     return table
 
 
 def _model_options(args) -> dict:
-    """The ``fit``/``fit_grid`` keyword arguments that the model flags set."""
+    """The ``fit_grid`` keyword arguments that the model flags set."""
     return dict(metric=args.metric, threshold=args.threshold,
                 standardize=not args.no_standardize)
 
@@ -298,6 +299,8 @@ def cmd_synth(args) -> int:
     )
     out = Path(args.out)
     (out / "signals").mkdir(parents=True, exist_ok=True)
+    for name in (CORPUS_FILE, TRAIN_MANIFEST, EVAL_MANIFEST):  # no stale corpus if this fails
+        (out / name).unlink(missing_ok=True)
     plan = [(p, i) for p in cfg.profiles for i in range(cfg.signals_per_device)]
     rows = map_chunks(_synth_bursts, plan, args.jobs, cfg, str(out))
     train_rows = [row for (p, i), row in zip(plan, rows) if cfg.is_train(p, i)]
@@ -339,7 +342,7 @@ def cmd_extract(args) -> int:
 
 def cmd_train(args) -> int:
     table = _load_training(args.features)
-    model = fit(table.matrix, k=args.k, **_model_options(args))
+    model = fit_grid(table.matrix, [args.k], **_model_options(args))[0]
     _atomic(model.save, Path(args.out))
     log.info(
         "trained on %d recognized fingerprints (k=%d, metric=%s, threshold=%g)",
@@ -351,7 +354,7 @@ def cmd_train(args) -> int:
 def cmd_score(args) -> int:
     model = LofModel.load(args.model)
     table = load_feature_csv(args.features)
-    scores = model.score_batch(table.matrix)
+    scores = score_grid([model], table.matrix)[0]
     _atomic(lambda p: save_scores_csv(table, scores, model.outliers(scores), p), Path(args.out))
     log.info("scored %d fingerprints", len(table))
     return 0
@@ -360,7 +363,7 @@ def cmd_score(args) -> int:
 def cmd_eval(args) -> int:
     model = LofModel.load(args.model)
     table = load_feature_csv(args.features)
-    cm = confusion(table.classes, model.outliers(model.score_batch(table.matrix)))
+    cm = confusion(table.classes, model.outliers(score_grid([model], table.matrix)[0]))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _atomic(lambda p: save_confusion_csv(cm, p), out / "confusion.csv")

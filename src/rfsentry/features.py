@@ -65,12 +65,17 @@ def snr_fingerprints(cfg: CorpusConfig, plan: list[tuple[DeviceProfile, int]],
     ``synth.gen_bursts`` regenerates each burst at every SNR from its clean
     trace, so noise never stacks. ``jobs`` caps the worker processes, each
     taking a contiguous chunk of the plan; the result is the same for any.
+    Noise that overflows the fingerprints is a ConfigError naming the SNR.
     """
     if not snrs:
         raise ConfigError("snrs must be non-empty")
     if not plan:
         raise RfSentryError("the burst plan is empty")
-    return np.stack(map_chunks(_burst_fingerprints, plan, jobs, cfg, snrs), axis=1)
+    fingerprints = np.stack(map_chunks(_burst_fingerprints, plan, jobs, cfg, snrs), axis=1)
+    for snr, at_snr in zip(snrs, fingerprints):
+        if not np.all(np.isfinite(at_snr)):
+            raise ConfigError(f"the fingerprints at an SNR of {snr} dB are not finite")
+    return fingerprints
 
 
 # ---------------------------------------------------------------------------

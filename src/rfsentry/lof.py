@@ -19,9 +19,8 @@ Distances are computed one block at a time: a slab of at most about
 order, never through a ``(q, n, d)`` difference tensor, and never the
 whole table. One partition per block at the grid's largest k, then one
 sort of the head it leaves, yields the k-distances of every k of a grid
-(see ``_kdist``), so the public API is a k grid; ``fit`` and
-``score_batch`` are the same calls with a one-element grid, and take the
-single partition alone.
+(see ``_kdist``), so the public API is a k grid (``fit_grid`` and
+``score_grid``); a one-element grid takes the single partition alone.
 
 Fitting follows the two steps of the LOF paper (Breunig et al., SIGMOD
 2000, section 7). Pass 1 walks the reference against itself, no point
@@ -544,7 +543,9 @@ class LofModel:
         """What makes this model unusable, or None: the rule of ``save`` and ``load``.
 
         Training rows near the float range can fit to an infinite k-distance
-        or scaler_std, so a caller that scores fitted models checks it too.
+        or scaler_std, and more than k copies of a row to a k-distance of 0,
+        whose density of 1/``LRD_EPSILON`` inflates the score of every query
+        near those rows; so a caller that scores fitted models checks it too.
         """
         arrays = {name: getattr(self, name) for name in _ARRAYS}
         if self.train.ndim != 2 or len(self.train) < 2:
@@ -562,6 +563,10 @@ class LofModel:
             return "threshold is NaN"
         if np.any(self.scaler_std <= 0.0):
             return "scaler_std must be positive"
+        zero = np.count_nonzero(self.kdist == 0.0)
+        if zero:
+            return (f"{zero} training rows have k-distance 0 at k={self.k}: at least k+1 "
+                    "identical rows; deduplicate them or raise k")
         return None
 
     # -- scoring ------------------------------------------------------------
@@ -575,10 +580,6 @@ class LofModel:
         if not np.all(np.isfinite(q)):
             raise ConfigError("query features must be finite")
         return (q - self.scaler_mean) / self.scaler_std
-
-    def score_batch(self, queries) -> np.ndarray:
-        """LOF score of each query against the training reference set."""
-        return score_grid([self], queries)[0]
 
     def outliers(self, scores) -> np.ndarray:
         """The boolean outlier mask of ``scores``.
@@ -715,13 +716,3 @@ def score_grid(models: list[LofModel], queries) -> list[np.ndarray]:
     _on_threads(score_blocks, _row_blocks(len(q), len(first.train)))
     return list(scores)
 
-
-def fit(
-    train,
-    k: int = DEFAULT_K,
-    metric: Metric | str = Metric.MANHATTAN,
-    threshold: float = DEFAULT_THRESHOLD,
-    standardize: bool = True,
-) -> LofModel:
-    """Fit the reference densities on recognized fingerprints (``fit_grid`` at one k)."""
-    return fit_grid(train, [k], metric, threshold, standardize)[0]

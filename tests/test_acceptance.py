@@ -20,7 +20,7 @@ import pytest
 
 from rfsentry.evaluate import ConfusionMatrix, accuracy_grid, confusion
 from rfsentry.features import FeatureTable, sample_variance, save_feature_csv, snr_fingerprints
-from rfsentry.lof import fit, fit_grid
+from rfsentry.lof import fit_grid, score_grid
 from rfsentry.seeding import stage_seed
 from rfsentry.signals import SignalClass, extract_transient
 from rfsentry.synth import (
@@ -118,7 +118,7 @@ def test_c03_lof_matches_brute_force_definition():
         )
         k = (2, 5, 10)[trial % 3]
         metric = ("manhattan", "euclidean")[trial % 2]
-        got = fit(train, k=k, metric=metric, standardize=False).score_batch(queries)
+        got = score_grid(fit_grid(train, [k], metric=metric, standardize=False), queries)[0]
         want = brute_lof_scores(train, queries, k, metric)
         for g, w in zip(got, want):
             assert abs(g - w) <= 1e-9 * abs(w)
@@ -144,12 +144,13 @@ def test_c05_end_to_end_detection_at_training_snr(default_trigger):
     train, evaluation = build_corpus(cfg)
     train_table = table_from_signals(train, default_trigger)
     eval_table = table_from_signals(evaluation, default_trigger)
-    model = fit(train_table.matrix, k=100, threshold=1.5)
+    model = fit_grid(train_table.matrix, [100], threshold=1.5)[0]
     test_idx, _ = stratified_split_indices(
         eval_table.classes, 0.7, stage_seed(0, "split")
     )
     test = eval_table.select(test_idx)
-    accuracy = confusion(test.classes, model.outliers(model.score_batch(test.matrix))).accuracy
+    scores = score_grid([model], test.matrix)[0]
+    accuracy = confusion(test.classes, model.outliers(scores)).accuracy
     elapsed = time.perf_counter() - start
     assert accuracy >= 0.90
     assert elapsed < 120.0

@@ -166,6 +166,19 @@ def test_synth_stops_at_a_trace_it_cannot_write(tmp_path, caplog):
     assert set(order[:failing]) <= written <= set(order[:failing + 2]) - {blocked.name}
 
 
+def test_a_failed_synth_over_a_corpus_leaves_no_corpus(corpus, tmp_path):
+    # the old manifests would list traces the new seed has already overwritten
+    out = tmp_path / "corpus"
+    shutil.copytree(corpus, out)
+    blocked = out / "signals" / "bt_watch_00005.rfsg"
+    blocked.unlink()
+    blocked.mkdir()
+    result = run_cli("synth", "--out", out, *SYNTH_ARGS[2:], "--seed", 4)
+    assert result.returncode == 2
+    assert str(blocked) in result.stderr
+    assert not any((out / name).exists() for name in CORPUS_PRODUCTS)
+
+
 def test_synth_rejects_bad_config(tmp_path):
     result = run_cli("synth", "--out", tmp_path / "x", "--signals-per-device", 0)
     assert result.returncode == 2
@@ -211,7 +224,7 @@ def test_train_refuses_uav_rows(pipeline, tmp_path):
     result = run_cli("train", "--features", eval_csv,
                      "--out", tmp_path / "model.json", "--k", 5)
     assert result.returncode == 2
-    assert "UAV" in result.stderr
+    assert f"{eval_csv}: training features contains 72 UAV rows" in result.stderr
     assert not (tmp_path / "model.json").exists()
 
 
@@ -239,6 +252,11 @@ UNSAVABLE_MODEL_CASES = [
      [*np.random.default_rng(48).standard_normal((20, 4)).tolist(),
       [1e308, 0, 0, 0], [-1e308, 0, 0, 0]],
      [], "scaler_std holds non-finite values"),
+    # three copies of a row are each other's two nearest neighbors
+    ("zero-kdist",
+     [[1.0, 2.0, 3.0, 4.0]] * 3 + np.random.default_rng(49).standard_normal((5, 4)).tolist(),
+     [], "3 training rows have k-distance 0 at k=2: at least k+1 identical rows; "
+         "deduplicate them or raise k"),
 ]
 
 
@@ -278,6 +296,15 @@ def test_sweep_n_refuses_a_fit_that_train_would_refuse(tmp_path):
     result = run_cli(*_sweep_n(features, features, tmp_path / "report", "--k-grid", "1,2",
                                "--no-standardize"))
     assert_one_error_line(result, "cannot use the model at k=2: kdist holds non-finite values")
+    assert list(tmp_path.iterdir()) == [features]
+
+
+def test_sweep_n_refuses_a_model_with_zero_kdist(tmp_path):
+    # at k=3 the three copies have a fourth neighbor; at k=2 they do not
+    features = tmp_path / "features.csv"
+    write_features(features, UNSAVABLE_MODEL_CASES[2][1])
+    result = run_cli(*_sweep_n(features, features, tmp_path / "report", "--k-grid", "3,2"))
+    assert_one_error_line(result, f"cannot use the model at k=2: {UNSAVABLE_MODEL_CASES[2][3]}")
     assert list(tmp_path.iterdir()) == [features]
 
 
@@ -767,11 +794,14 @@ REJECTED_VALUE_CASES = [
     ("snr-grid-out-of-range",
      lambda c, tr, ev, out: _sweep_snr(c, tr, out, "--snr-grid", "4000"),
      "an SNR of 4000.0 dB is out of range", False),
-    # the noise reaches about 1e154, and the fingerprints overflow in the
-    # worker processes, which keep the CLI's numpy errstate
+    # the noise reaches about 1e154, and the fingerprints overflow, in this
+    # process or in the worker processes, which keep the CLI's numpy errstate
+    ("snr-grid-overflows",
+     lambda c, tr, ev, out: _sweep_snr(c, tr, out, "--snr-grid=-3070"),
+     "corpus.json: the fingerprints at an SNR of -3070.0 dB are not finite", False),
     ("snr-grid-overflows-in-workers",
      lambda c, tr, ev, out: _sweep_snr(c, tr, out, "--snr-grid=-3070", "--jobs", 2),
-     "query features must be finite", False),
+     "corpus.json: the fingerprints at an SNR of -3070.0 dB are not finite", False),
     ("synth-snr-out-of-range",
      lambda c, tr, ev, out: ["synth", "--out", out, *SYNTH_ARGS, "--snr", "4000"],
      "an SNR of 4000.0 dB is out of range", False),

@@ -26,7 +26,7 @@ from rfsentry.evaluate import (
     save_snr_csv,
 )
 from rfsentry.features import FeatureTable, fingerprint, snr_fingerprints
-from rfsentry.lof import fit, fit_grid
+from rfsentry.lof import fit_grid, score_grid
 from rfsentry.signals import SignalClass
 from rfsentry.synth import (
     CorpusConfig,
@@ -249,9 +249,9 @@ def test_sweep_snr_training_cell_matches_direct_scoring(mini_sweep_parts):
     """The 30 dB sweep cell must reproduce scoring of the stored corpus."""
     cfg, trigger, train_table, plan, balanced_stored = mini_sweep_parts
     swept = snr_sweep(fit_grid(train_table.matrix, [5]), cfg, plan, snr_grid=[cfg.snr_db])
-    model = fit(train_table.matrix, k=5)
+    model = fit_grid(train_table.matrix, [5])[0]
     stored_table = table_from_signals(balanced_stored, trigger)
-    preds = model.outliers(model.score_batch(stored_table.matrix))
+    preds = model.outliers(score_grid([model], stored_table.matrix)[0])
     direct = confusion(stored_table.classes, preds).accuracy
     assert cells(swept, [5])[(float(cfg.snr_db), 5)] == direct
 
@@ -352,9 +352,9 @@ def noisy_signal(signal, snr, seed):
 
 
 def _accuracy_by_refit(train_table, matrix, truth, k, metric):
-    """One separate fit and score_batch per cell, the loop the sweeps replaced."""
-    model = fit(train_table.matrix, k=k, metric=metric)
-    outliers = model.outliers(model.score_batch(matrix))
+    """One separate one-k fit and score per cell, the loop the sweeps replaced."""
+    model = fit_grid(train_table.matrix, [k], metric=metric)[0]
+    outliers = model.outliers(score_grid([model], matrix)[0])
     return confusion(truth, outliers).accuracy
 
 

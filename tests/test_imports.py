@@ -3,7 +3,9 @@
 An import left behind by a refactor hides which module a decision lives in,
 so each ``import x`` / ``from m import x`` in ``src/rfsentry/`` must bind a
 name that the module reads. Names listed in a module's ``__all__`` (the
-package's re-exports) count as read.
+package's re-exports) count as read, so each of them must also be a name
+that the package defines: an entry left behind by a deleted import would
+otherwise pass the scan and fail only at ``from rfsentry import *``.
 
 A module of the package calls another only through its public names: a
 ``from .m import _name`` would let a decision live in one module and be made
@@ -13,6 +15,7 @@ in another. Tests may import private names.
 import ast
 from pathlib import Path
 
+import rfsentry
 from rfsentry import errors
 
 SRC = Path(errors.__file__).parent
@@ -69,6 +72,10 @@ def test_no_module_imports_a_name_it_never_uses():
         for name in _unused_imports(ast.parse(path.read_text()))
     ]
     assert unused == []
+
+
+def test_every_exported_name_resolves_on_the_package():
+    assert [name for name in rfsentry.__all__ if not hasattr(rfsentry, name)] == []
 
 
 def test_scan_finds_a_private_import_from_a_package_module():

@@ -14,7 +14,6 @@ from rfsentry.lof import (
     DEFAULT_THRESHOLD,
     LofModel,
     Metric,
-    fit,
     fit_grid,
     score_grid,
 )
@@ -51,14 +50,14 @@ def test_euclidean_example():
 def test_distance_dimension_mismatch():
     # the distance pass trusts its shapes; queries are checked where they enter
     with pytest.raises(ConfigError, match="query dimension 3 != model dimension 4"):
-        fit(np.eye(4), k=1, metric="manhattan").score_batch(np.zeros(3))
+        score_grid(fit_grid(np.eye(4), [1], metric="manhattan"), np.zeros(3))
     with pytest.raises(ConfigError, match="query dimension 5 != model dimension 2"):
-        fit(np.eye(2) * 3.0, k=1, metric="euclidean").score_batch(np.zeros(5))
+        score_grid(fit_grid(np.eye(2) * 3.0, [1], metric="euclidean"), np.zeros(5))
     # a third axis is its own error, whether or not the last axis fits the model
     for shape in ((2, 4, 4), (2, 2, 4)):
         with pytest.raises(ConfigError,
                            match="queries must be one row or a 2-D array, got 3 dimensions"):
-            fit(np.eye(4), k=1).score_batch(np.zeros(shape))
+            score_grid(fit_grid(np.eye(4), [1]), np.zeros(shape))
 
 
 def test_metric_axioms_on_random_triples():
@@ -118,13 +117,13 @@ def test_core_matches_references_across_block_edges(metric, grid, monkeypatch):
         return rng.normal(lo, hi - lo, (rows, d))
 
     train = sample(n, 0, 4)
-    model = fit(train, k=3, metric=metric, standardize=False)
+    model = fit_grid(train, [3], metric=metric, standardize=False)[0]
     for q in (1, block - 1, block, block + 1, 2 * block + 3):
         queries = sample(q, -2, 6)
         kdist, lrd, scores = tensor_lof(train, queries, 3, metric)
         assert np.array_equal(model.kdist, kdist)
         assert np.array_equal(model.lrd, lrd)
-        mine = model.score_batch(queries)
+        mine = score_grid([model], queries)[0]
         assert np.array_equal(mine, scores)
         ref = brute_lof_scores(train, queries, k=3, metric=metric)
         assert np.allclose(mine, ref, rtol=1e-9, atol=1e-12)
@@ -164,7 +163,8 @@ MODEL_ARRAYS = ("train", "kdist", "lrd", "scaler_mean", "scaler_std")
 
 @pytest.mark.parametrize("metric", ["manhattan", "euclidean"])
 def test_grid_equals_one_fit_and_score_per_k(metric):
-    # integer-grid data ties often; the grid is unsorted and repeats a k
+    # each k of a longer grid equals a one-element grid at that k; integer-grid
+    # data ties often, and the grid is unsorted and repeats a k
     rng = np.random.default_rng(37)
     train = rng.integers(0, 5, (25, 4)).astype(float)
     queries = rng.integers(-2, 7, (9, 4)).astype(float)
@@ -172,7 +172,7 @@ def test_grid_equals_one_fit_and_score_per_k(metric):
     models = fit_grid(train, ks, metric, threshold=1.2)
     assert [m.k for m in models] == ks
     for model, k in zip(models, ks):
-        single = fit(train, k, metric, threshold=1.2)
+        single = fit_grid(train, [k], metric, threshold=1.2)[0]
         assert (model.metric, model.threshold, model.standardized) == (
             single.metric, single.threshold, single.standardized)
         for name in MODEL_ARRAYS:
@@ -180,7 +180,7 @@ def test_grid_equals_one_fit_and_score_per_k(metric):
     scores = score_grid(models, queries)
     assert len(scores) == len(ks)
     for model, grid_scores in zip(models, scores):
-        assert grid_scores.tobytes() == model.score_batch(queries).tobytes()
+        assert grid_scores.tobytes() == score_grid([model], queries)[0].tobytes()
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -224,7 +224,8 @@ def test_fit_grid_rejects_an_empty_grid():
 
 def test_fit_rejects_nan_threshold():
     with pytest.raises(ConfigError, match="threshold"):
-        fit(np.random.default_rng(39).standard_normal((10, 4)), k=3, threshold=float("nan"))
+        fit_grid(np.random.default_rng(39).standard_normal((10, 4)), [3],
+                 threshold=float("nan"))
 
 
 def dense_table(a, b, metric):
@@ -361,9 +362,9 @@ def test_helpers_raise_under_the_callers_errstate(monkeypatch):
     train, queries = overflow_between_helper_rows(monkeypatch)
     with np.errstate(over="raise"):
         with pytest.raises(FloatingPointError, match="overflow"):
-            fit(train, k=3, standardize=False)
+            fit_grid(train, [3], standardize=False)
     with np.errstate(all="ignore"):
-        model = fit(np.delete(train, 20, axis=0), k=3, standardize=False)
+        model = fit_grid(np.delete(train, 20, axis=0), [3], standardize=False)[0]
     with np.errstate(over="raise"):
         with pytest.raises(FloatingPointError, match="overflow"):
             score_grid([model], queries)
@@ -375,7 +376,7 @@ def test_helpers_stay_quiet_under_the_callers_errstate(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with np.errstate(all="ignore"):
-            fit(train, k=3, standardize=False).score_batch(queries)
+            score_grid(fit_grid(train, [3], standardize=False), queries)
 
 
 # one (block, n) float64 distance slab, whatever n is
@@ -394,14 +395,14 @@ def test_fit_peak_memory_is_bounded(monkeypatch):
     # force; an unbounded cost sends them down the band path.
     n, k = 3000, 10
     x = np.random.default_rng(35).standard_normal((n, 4))
-    z = fit(x, k=k).train
+    z = fit_grid(x, [k])[0].train
     list_bytes = n * k * (4 + 8)
     for cost in (lof._BAND_MAX_COST, math.inf):
         monkeypatch.setattr(lof, "_BAND_MAX_COST", cost)
         assert (lof._band_plan(z.T.copy(), Metric.MANHATTAN, k) is None) == (cost != math.inf)
         for cpus in (1, 2):
             monkeypatch.setattr(lof, "usable_cpus", lambda: cpus)
-            peak = traced_peak(lambda: fit(x, k=k))
+            peak = traced_peak(lambda: fit_grid(x, [k])[0])
             assert peak < 2 * list_bytes + 8 * SLAB_BYTES, (cost, cpus)
     assert n * n * 8 > 10 * (2 * list_bytes + 8 * SLAB_BYTES)
 
@@ -465,7 +466,7 @@ def test_band_search_equals_brute_force(metric, data, d, monkeypatch):
         "identical": lambda: np.ones((n, d)),
     }[data]()
     standardize = data != "grid"
-    z = fit(x, k=1, standardize=standardize).train
+    z = fit_grid(x, [1], standardize=standardize)[0].train
     defaults = {name: getattr(lof, name) for name in {**BRUTE_FORCE, **BAND}}
     for ks in ([30, 5, 30, 1], [7]):
         results = []
@@ -495,7 +496,7 @@ def test_fit_lrds_do_not_depend_on_the_order_within_a_row(data, settings, monkey
     rng = np.random.default_rng(47)
     x = (rng.lognormal(0.0, 1.0, (n, 4)) if data == "lognormal"
          else rng.integers(0, 5, (n, 4)).astype(float))
-    z = fit(x, k=1, standardize=data != "grid").train
+    z = fit_grid(x, [1], standardize=data != "grid")[0].train
     kdists, lists = lof._neighbor_lists(z, Metric.MANHATTAN, [30, 5, 30, 1])
     shuffled = []
     for ids, flat, d in lists:
@@ -511,7 +512,7 @@ def test_the_default_corpus_fits_by_brute_force(default_corpus, default_trigger)
     # k=200 both take brute force, which is faster at this size
     _, train, _ = default_corpus
     matrix = table_from_signals(train, default_trigger).matrix
-    z = fit(matrix, k=1).train
+    z = fit_grid(matrix, [1])[0].train
     assert len(z) == 800
     for k in (100, 200):
         assert lof._band_plan(z.T.copy(), Metric.MANHATTAN, k) is None, k
@@ -522,7 +523,7 @@ def test_a_clustered_tie_free_fit_takes_the_band():
     rng = np.random.default_rng(0)
     centers = rng.normal(0.0, 10.0, (4, 4))
     x = centers[np.arange(3000) % 4] + rng.standard_normal((3000, 4))
-    z = fit(x, k=1).train
+    z = fit_grid(x, [1])[0].train
     for metric in Metric:
         assert lof._band_plan(z.T.copy(), metric, 10) is not None, metric
 
@@ -532,7 +533,7 @@ def test_a_clustered_tie_free_fit_takes_the_band():
 
 def test_fit_unit_square_hand_values():
     square = np.array([[0.0, 0], [0, 1], [1, 0], [1, 1]])
-    model = fit(square, k=2, standardize=False)
+    model = fit_grid(square, [2], standardize=False)[0]
     # Manhattan: each corner sees distances (1, 1, 2) -> kdist 1; all lrds equal
     assert np.allclose(model.kdist, 1.0)
     assert np.allclose(model.lrd, model.lrd[0])
@@ -541,17 +542,17 @@ def test_fit_unit_square_hand_values():
 def test_fit_validation():
     square = np.ones((4, 2))
     with pytest.raises(ConfigError, match=r"need at least k\+1=5 rows, got 4"):
-        fit(square, k=4)
+        fit_grid(square, [4])
     with pytest.raises(ConfigError, match="k must be at least 1, got 0"):
-        fit(square, k=0)
+        fit_grid(square, [0])
     with pytest.raises(ConfigError, match="training features must be finite"):
-        fit(np.array([[1.0, np.nan], [0.0, 1.0], [2.0, 0.5]]), k=1)
+        fit_grid(np.array([[1.0, np.nan], [0.0, 1.0], [2.0, 0.5]]), [1])
     # finite rows whose column mean overflows standardize to NaN
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ConfigError, match="cannot standardize the training features"):
-            fit(np.array([[0.0, 1.0], [1.7e308, 0.0], [1.7e308, 0.5]]), k=1)
+            fit_grid(np.array([[0.0, 1.0], [1.7e308, 0.0], [1.7e308, 0.5]]), [1])
     with pytest.raises(ConfigError, match=r"training matrix must be 2-D, got shape \(8,\)"):
-        fit(np.ones(8), k=2)
+        fit_grid(np.ones(8), [2])
     with pytest.raises(ConfigError,
                        match="metric must be one of manhattan, euclidean, got 'cosine'"):
         fit_grid(np.eye(3), [1], metric="cosine")
@@ -561,7 +562,7 @@ def test_fit_validation():
 def test_fit_rejects_a_k_that_is_not_an_integer(k):
     x = np.random.default_rng(24).standard_normal((10, 2))
     with pytest.raises(ConfigError, match="k must be an integer, got"):
-        fit(x, k=k)
+        fit_grid(x, [k])
     with pytest.raises(ConfigError, match="k must be an integer, got"):
         fit_grid(x, [2, k])
 
@@ -569,9 +570,9 @@ def test_fit_rejects_a_k_that_is_not_an_integer(k):
 def test_fit_accepts_a_numpy_integer_k(tmp_path):
     # it fits the same model as the int, and the model saves
     x = np.random.default_rng(24).standard_normal((10, 2))
-    model = fit(x, k=np.int64(3))
+    model = fit_grid(x, [np.int64(3)])[0]
     assert type(model.k) is int
-    assert np.array_equal(model.lrd, fit(x, k=3).lrd)
+    assert np.array_equal(model.lrd, fit_grid(x, [3])[0].lrd)
     model.save(tmp_path / "model.json")
     assert LofModel.load(tmp_path / "model.json").k == 3
 
@@ -579,8 +580,8 @@ def test_fit_accepts_a_numpy_integer_k(tmp_path):
 def test_fit_is_deterministic():
     rng = np.random.default_rng(22)
     x = rng.standard_normal((40, 3))
-    a = fit(x, k=5)
-    b = fit(x, k=5)
+    a = fit_grid(x, [5])[0]
+    b = fit_grid(x, [5])[0]
     assert np.array_equal(a.kdist, b.kdist)
     assert np.array_equal(a.lrd, b.lrd)
     assert np.array_equal(a.train, b.train)
@@ -588,7 +589,7 @@ def test_fit_is_deterministic():
 
 def test_model_defaults():
     x = np.random.default_rng(23).standard_normal((150, 4))
-    model = fit(x)
+    model = fit_grid(x, [DEFAULT_K])[0]
     assert model.k == DEFAULT_K == 100
     assert model.threshold == DEFAULT_THRESHOLD == 1.5
     assert model.metric is Metric.MANHATTAN
@@ -599,8 +600,8 @@ def test_model_defaults():
 
 def test_score_unit_square_far_query():
     square = np.array([[0.0, 0], [0, 1], [1, 0], [1, 1]])
-    model = fit(square, k=2, standardize=False)
-    score = model.score_batch(np.array([5.0, 5.0]))[0]
+    model = fit_grid(square, [2], standardize=False)[0]
+    score = score_grid([model], np.array([5.0, 5.0]))[0][0]
     # hand value: kdist(q)=9 ties in all of (1,1),(0,1),(1,0); reaches 8,9,9
     # -> lrd(q)=3/26, neighbor lrds 1 -> score 26/3 (up to the lrd epsilon)
     assert score > 3.0
@@ -612,28 +613,28 @@ def test_score_unit_square_far_query():
 def test_score_inlier_near_one():
     rng = np.random.default_rng(24)
     cluster = rng.uniform(0.0, 1.0, (100, 2))
-    model = fit(cluster, k=10, standardize=False)
+    model = fit_grid(cluster, [10], standardize=False)[0]
     # a training point interior to the uniform cluster scores close to 1
     interior = cluster[np.argmin(np.abs(cluster - 0.5).sum(axis=1))]
-    assert 0.8 <= model.score_batch(interior)[0] <= 1.2
+    assert 0.8 <= score_grid([model], interior)[0][0] <= 1.2
 
 
 def test_score_duplicates_stay_finite():
     data = np.array([[1.0, 1.0]] * 5 + [[2.0, 2.0]] * 5)
-    model = fit(data, k=3, standardize=False)
+    model = fit_grid(data, [3], standardize=False)[0]
     assert np.all(np.isfinite(model.lrd))
-    s = model.score_batch(np.array([1.0, 1.0]))[0]
+    s = score_grid([model], np.array([1.0, 1.0]))[0][0]
     assert np.isfinite(s)
 
 
-def test_score_batch_matches_oracle_with_ties():
+def test_score_grid_matches_oracle_with_ties():
     # integer grid data makes distance ties common
     rng = np.random.default_rng(25)
     train = rng.integers(0, 4, (30, 2)).astype(float)
     queries = rng.integers(-2, 6, (10, 2)).astype(float)
     for metric in ("manhattan", "euclidean"):
-        model = fit(train, k=3, metric=metric, standardize=False)
-        mine = model.score_batch(queries)
+        model = fit_grid(train, [3], metric=metric, standardize=False)[0]
+        mine = score_grid([model], queries)[0]
         ref = brute_lof_scores(train, queries, k=3, metric=metric)
         assert np.allclose(mine, ref, rtol=1e-9, atol=1e-12)
 
@@ -642,18 +643,18 @@ def test_permutation_invariance():
     rng = np.random.default_rng(26)
     train = rng.standard_normal((60, 3))
     queries = rng.standard_normal((15, 3))
-    base = fit(train, k=7).score_batch(queries)
+    base = score_grid(fit_grid(train, [7]), queries)[0]
     perm = rng.permutation(60)
-    shuffled = fit(train[perm], k=7).score_batch(queries)
+    shuffled = score_grid(fit_grid(train[perm], [7]), queries)[0]
     assert np.max(np.abs(base - shuffled)) <= 1e-12
 
 
 def test_monotone_isolation_along_ray():
     rng = np.random.default_rng(27)
     cluster = rng.uniform(-1.0, 1.0, (80, 2))
-    model = fit(cluster, k=10, standardize=False)
+    model = fit_grid(cluster, [10], standardize=False)[0]
     radii = np.linspace(2.0, 30.0, 15)
-    scores = [model.score_batch(np.array([r, r]))[0] for r in radii]
+    scores = [score_grid([model], np.array([r, r]))[0][0] for r in radii]
     assert all(b >= a - 1e-9 for a, b in zip(scores, scores[1:]))
 
 
@@ -662,8 +663,8 @@ def test_scaling_invariance_with_standardization():
     train = rng.standard_normal((50, 4))
     queries = rng.standard_normal((10, 4))
     scale = np.array([100.0, 0.01, 7.0, 1e5])
-    base = fit(train, k=5, standardize=True).score_batch(queries)
-    scaled = fit(train * scale, k=5, standardize=True).score_batch(queries * scale)
+    base = score_grid(fit_grid(train, [5], standardize=True), queries)[0]
+    scaled = score_grid(fit_grid(train * scale, [5], standardize=True), queries * scale)[0]
     assert np.allclose(base, scaled, rtol=1e-9)
 
 
@@ -671,9 +672,9 @@ def test_standardize_equals_manual_zscore():
     rng = np.random.default_rng(29)
     train = rng.standard_normal((40, 3)) * np.array([10.0, 0.1, 1.0]) + 5.0
     queries = rng.standard_normal((8, 3))
-    a = fit(train, k=4, standardize=True).score_batch(queries)
+    a = score_grid(fit_grid(train, [4], standardize=True), queries)[0]
     mu, sd = train.mean(axis=0), train.std(axis=0)
-    b = fit((train - mu) / sd, k=4, standardize=False).score_batch((queries - mu) / sd)
+    b = score_grid(fit_grid((train - mu) / sd, [4], standardize=False), (queries - mu) / sd)[0]
     assert np.allclose(a, b, rtol=1e-12)
 
 
@@ -681,19 +682,19 @@ def test_constant_column_does_not_blow_up():
     rng = np.random.default_rng(30)
     train = rng.standard_normal((30, 3))
     train[:, 1] = 4.2  # zero-std column; scaler guard maps it to 1
-    model = fit(train, k=3)
-    scores = model.score_batch(rng.standard_normal((5, 3)))
+    model = fit_grid(train, [3])[0]
+    scores = score_grid([model], rng.standard_normal((5, 3)))[0]
     assert np.all(np.isfinite(scores))
 
 
 def test_query_validation():
-    model = fit(np.random.default_rng(31).standard_normal((20, 4)), k=3)
+    model = fit_grid(np.random.default_rng(31).standard_normal((20, 4)), [3])[0]
     with pytest.raises(ConfigError, match="query dimension 3 != model dimension 4"):
-        model.score_batch(np.zeros(3))
+        score_grid([model], np.zeros(3))
     with pytest.raises(ConfigError, match="query dimension 1 != model dimension 4"):
-        model.score_batch(5.0)
+        score_grid([model], 5.0)
     with pytest.raises(ConfigError, match="query features must be finite"):
-        model.score_batch(np.array([1.0, 2.0, np.inf, 0.0]))
+        score_grid([model], np.array([1.0, 2.0, np.inf, 0.0]))
 
 
 # -- outliers -----------------------------------------------------------------
@@ -701,26 +702,26 @@ def test_query_validation():
 
 def test_classify_threshold_rules():
     square = np.array([[0.0, 0], [0, 1], [1, 0], [1, 1]])
-    model = fit(square, k=2, threshold=1.5, standardize=False)
-    assert not model.outliers(model.score_batch(np.array([0.5, 0.5])))[0]
-    assert model.outliers(model.score_batch(np.array([9.0, 9.0])))[0]
+    model = fit_grid(square, [2], threshold=1.5, standardize=False)[0]
+    assert not model.outliers(score_grid([model], np.array([0.5, 0.5]))[0])[0]
+    assert model.outliers(score_grid([model], np.array([9.0, 9.0]))[0])[0]
     # boundary: score exactly at threshold stays an inlier
-    exact = fit(square, k=2, threshold=model.score_batch(np.array([5.0, 5.0]))[0],
-                standardize=False)
-    assert not exact.outliers(exact.score_batch(np.array([5.0, 5.0])))[0]
+    exact = fit_grid(square, [2], threshold=score_grid([model], np.array([5.0, 5.0]))[0][0],
+                     standardize=False)[0]
+    assert not exact.outliers(score_grid([exact], np.array([5.0, 5.0]))[0])[0]
 
 
 def test_classify_batch_agrees_with_scalar():
     rng = np.random.default_rng(32)
     train = rng.standard_normal((30, 2))
     queries = rng.standard_normal((12, 2)) * 3.0
-    model = fit(train, k=4)
-    batch = model.outliers(model.score_batch(queries))
-    assert batch.tolist() == [model.outliers(model.score_batch(q))[0] for q in queries]
+    model = fit_grid(train, [4])[0]
+    batch = model.outliers(score_grid([model], queries)[0])
+    assert batch.tolist() == [model.outliers(score_grid([model], q)[0])[0] for q in queries]
 
 
 def test_outliers_at_the_threshold_and_at_nan_are_inliers():
-    model = fit(np.random.default_rng(33).standard_normal((10, 2)), k=3, threshold=1.5)
+    model = fit_grid(np.random.default_rng(33).standard_normal((10, 2)), [3], threshold=1.5)[0]
     mask = model.outliers([1.5, np.nan, np.nextafter(1.5, 2.0), 0.0, np.inf])
     assert mask.dtype == bool
     assert mask.tolist() == [False, False, True, False, True]
@@ -734,21 +735,21 @@ def test_model_json_round_trip(tmp_path):
     rng = np.random.default_rng(33)
     train = rng.standard_normal((40, 4)) * np.array([1.0, 10.0, 0.1, 2.0])
     queries = rng.standard_normal((10, 4))
-    model = fit(train, k=6, metric="euclidean", threshold=2.0)
+    model = fit_grid(train, [6], metric="euclidean", threshold=2.0)[0]
     path = tmp_path / "model.json"
     model.save(path)
     back = LofModel.load(path)
     assert back.k == 6 and back.metric is Metric.EUCLIDEAN and back.threshold == 2.0
     assert np.array_equal(back.train, model.train)
     # identical scores after the round trip
-    assert np.array_equal(back.score_batch(queries), model.score_batch(queries))
+    assert np.array_equal(score_grid([back], queries)[0], score_grid([model], queries)[0])
 
 
 def test_model_save_refuses_what_load_would_refuse(tmp_path):
     # distances beyond float range fit to an infinite k-distance
     x = np.array([[1e308, 1.0], [-1e308, 1.0], [0.5, 1.0]])
     with np.errstate(over="ignore"):
-        model = fit(x, k=2, standardize=False)
+        model = fit_grid(x, [2], standardize=False)[0]
     path = tmp_path / "model.json"
     with pytest.raises(ConfigError, match="cannot save the model: kdist holds non-finite values"):
         model.save(path)
