@@ -16,11 +16,12 @@
 #   1024 it does not.
 # * seed 3 with --jobs 2 at 3,200 training rows (synth --signals-per-device
 #   1200, sweep-n --k-grid 5:50:5, sweep-snr --per-class 50 --k-grid
-#   20,40), plus a train --metric euclidean and its score, into
-#   model-euclidean.json and scores-euclidean.csv. At 800 rows every fit
-#   measures all pairs; at 3,200 the fits of train, sweep-n and sweep-snr
-#   search bands (lof._band_plan) under both metrics, so this run compares
-#   that path's products too, the Euclidean rounding slack included.
+#   20,40), plus a train --metric euclidean and a train --no-standardize,
+#   each with its score, into model-euclidean.json, scores-euclidean.csv,
+#   model-raw.json and scores-raw.csv. At 800 rows every fit measures all
+#   pairs; at 3,200 the fits of train, sweep-n and sweep-snr search bands
+#   (lof._band_plan) under both metrics and on raw features too, so this run
+#   compares that path's products, the Euclidean rounding slack included.
 #
 # In the logs, each run's output directory and source tree are replaced by
 # fixed names first, so that only what the commands report is compared.
@@ -55,7 +56,7 @@ rfs() {
 # "capture1024" or "band"
 pipeline() {
     src=$1 out=$2
-    local seed=$3 jobs=$4 synth=() extract=() sweep_n=() sweep_snr=() euclidean=false
+    local seed=$3 jobs=$4 synth=() extract=() sweep_n=() sweep_snr=() more_fits=false
     case $5 in
     unsorted)
         sweep_n=(--k-grid 30,5,200,10,7)
@@ -71,7 +72,7 @@ pipeline() {
         synth=(--signals-per-device 1200)
         sweep_n=(--k-grid 5:50:5)
         sweep_snr=(--per-class 50 --k-grid 20,40)
-        euclidean=true
+        more_fits=true
         ;;
     esac
     mkdir -p "$out/logs"
@@ -82,11 +83,15 @@ pipeline() {
         "${extract[@]}"
     rfs train train --features "$out/train.csv" --out "$out/model.json"
     rfs score score --model "$out/model.json" --features "$out/eval.csv" --out "$out/scores.csv"
-    if $euclidean; then
+    if $more_fits; then
         rfs train-euclidean train --features "$out/train.csv" --out "$out/model-euclidean.json" \
             --metric euclidean
         rfs score-euclidean score --model "$out/model-euclidean.json" \
             --features "$out/eval.csv" --out "$out/scores-euclidean.csv"
+        rfs train-raw train --features "$out/train.csv" --out "$out/model-raw.json" \
+            --no-standardize
+        rfs score-raw score --model "$out/model-raw.json" \
+            --features "$out/eval.csv" --out "$out/scores-raw.csv"
     fi
     rfs eval eval --model "$out/model.json" --features "$out/eval.csv" --out "$out/report"
     rfs sweep-n sweep-n --train-features "$out/train.csv" --eval-features "$out/eval.csv" \

@@ -2,7 +2,8 @@
 
 * ``ConfigError``: the caller passed an invalid argument, such as a value
   out of range, arrays of mismatched shape, dimension or length,
-  non-finite features, or fewer training rows than k+1.
+  non-finite features, fewer training rows than k+1, or a value that is
+  not a number (or not an integer) where one belongs.
 * ``FormatError``: a file the CLI reads is malformed or internally
   inconsistent.
 * ``RfSentryError`` itself: valid input that cannot be processed, such as a

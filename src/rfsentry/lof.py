@@ -78,6 +78,7 @@ import contextvars
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -543,9 +544,11 @@ class LofModel:
         """What makes this model unusable, or None: the rule of ``save`` and ``load``.
 
         Training rows near the float range can fit to an infinite k-distance
-        or scaler_std, and more than k copies of a row to a k-distance of 0,
-        whose density of 1/``LRD_EPSILON`` inflates the score of every query
-        near those rows; so a caller that scores fitted models checks it too.
+        or scaler_std, and rows at distance 0 from k or more others to a
+        k-distance of 0 (identical rows, or rows whose squared Euclidean
+        differences underflow), whose density of 1/``LRD_EPSILON`` inflates
+        the score of every query near those rows; so a caller that scores
+        fitted models checks it too.
         """
         arrays = {name: getattr(self, name) for name in _ARRAYS}
         if self.train.ndim != 2 or len(self.train) < 2:
@@ -565,14 +568,18 @@ class LofModel:
             return "scaler_std must be positive"
         zero = np.count_nonzero(self.kdist == 0.0)
         if zero:
-            return (f"{zero} training rows have k-distance 0 at k={self.k}: at least k+1 "
-                    "identical rows; deduplicate them or raise k")
+            return (f"{zero} training rows have k-distance 0 at k={self.k}: each is at distance "
+                    "0 from k or more others (identical, or closer than the metric resolves); "
+                    "deduplicate them or raise k")
         return None
 
     # -- scoring ------------------------------------------------------------
 
     def _transform(self, queries: np.ndarray) -> np.ndarray:
-        q = np.atleast_2d(np.asarray(queries, dtype=np.float64))  # one row, or a scalar
+        try:
+            q = np.atleast_2d(np.asarray(queries, dtype=np.float64))  # one row, or a scalar
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"query features must be numbers: {exc}") from None
         if q.ndim > 2:
             raise ConfigError(f"queries must be one row or a 2-D array, got {q.ndim} dimensions")
         if q.shape[1] != self.dim:
@@ -586,7 +593,10 @@ class LofModel:
 
         A score exactly at the threshold, or NaN, stays an inlier.
         """
-        return np.asarray(scores) > self.threshold
+        try:
+            return np.asarray(scores, dtype=np.float64) > self.threshold
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"scores must be numbers: {exc}") from None
 
     # -- persistence ----------------------------------------------------------
 
@@ -656,21 +666,37 @@ def fit_grid(
     except ValueError:
         names = ", ".join(m.value for m in Metric)
         raise ConfigError(f"metric must be one of {names}, got {metric!r}") from None
-    x = np.asarray(train, dtype=np.float64)
+    try:
+        x = np.asarray(train, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"training features must be numbers: {exc}") from None
     if x.ndim != 2:
         raise ConfigError(f"training matrix must be 2-D, got shape {x.shape}")
+    if x.shape[1] == 0:  # every distance would be 0
+        raise ConfigError("training matrix must have at least one column")
     if not np.all(np.isfinite(x)):
         raise ConfigError("training features must be finite")
+    try:
+        ks = list(ks)
+    except TypeError:
+        raise ConfigError(f"k_grid must be a sequence of integers, got {ks!r}") from None
     if not ks:
         raise ConfigError("k_grid must be non-empty")
     for k in ks:
         if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
             raise ConfigError(f"k must be an integer, got {k!r}")
+    ks = [int(k) for k in ks]  # a numpy integer would not save to JSON, and k + 1 could wrap
+    for k in ks:
         if k < 1:
             raise ConfigError(f"k must be at least 1, got {k}")
         if len(x) < k + 1:
             raise ConfigError(f"need at least k+1={k + 1} rows, got {len(x)}")
-    ks = [int(k) for k in ks]  # a numpy integer k would not save to JSON
+    if isinstance(threshold, bool) or not isinstance(threshold, numbers.Real):
+        raise ConfigError(f"threshold must be a number, got {threshold!r}")
+    try:
+        threshold = float(threshold)  # a numpy float32 would not save to JSON
+    except OverflowError:
+        raise ConfigError(f"threshold {threshold} is beyond the float range") from None
     if math.isnan(threshold):
         raise ConfigError("threshold must be a number, got NaN")
     if standardize:

@@ -24,6 +24,7 @@ CPU takes them over.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import struct
 from dataclasses import dataclass
@@ -70,7 +71,10 @@ class Signal:
     snr_db: float | None = None
 
     def __post_init__(self) -> None:
-        samples = np.asarray(self.samples, dtype=np.float64)
+        try:
+            samples = np.asarray(self.samples, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"samples must be numbers: {exc}") from None
         if samples.ndim != 1 or samples.size == 0:
             raise ConfigError("samples must be a non-empty 1-D sequence")
         if not np.all(np.isfinite(samples)):
@@ -91,13 +95,18 @@ class TriggerConfig:
     capture_len: int = 4096
 
     def __post_init__(self) -> None:
+        for name in ("window_len", "capture_len"):  # a float length would not slice
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.window_len <= 0:
             raise ConfigError(f"window_len must be > 0, got {self.window_len}")
         if self.capture_len < 4:
             raise ConfigError("capture_len must be at least 4, the two-level packet "
                               f"transform's minimum, got {self.capture_len}")
-        if not self.energy_threshold >= 0:  # NaN fails too
-            raise ConfigError(f"energy_threshold must be >= 0, got {self.energy_threshold}")
+        if not (isinstance(self.energy_threshold, numbers.Real)
+                and self.energy_threshold >= 0):  # NaN fails too
+            raise ConfigError(f"energy_threshold must be >= 0, got {self.energy_threshold!r}")
         if self.window_len > self.capture_len:
             raise ConfigError(f"window_len {self.window_len} must not exceed "
                               f"capture_len {self.capture_len}")

@@ -19,8 +19,8 @@ The noise helpers it uses (``mean_power``, ``snr_power_ratio`` and the
 scaling step) live here with it. ``CorpusConfig.trigger`` is the capture
 rule of a corpus's bursts: a ``capture_len`` that the default trigger
 refuses is refused by the corpus too, so every corpus can be captured and
-swept. ``CorpusConfig.save`` and ``load`` read and write the corpus.json
-format.
+swept. A corpus also needs at least 2 recognized profiles and 1 UAV profile.
+``CorpusConfig.save`` and ``load`` read and write the corpus.json format.
 """
 
 from __future__ import annotations
@@ -112,6 +112,10 @@ class CorpusConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "profiles", tuple(self.profiles))
+        recognized = sum(p.signal_class is SignalClass.RECOGNIZED for p in self.profiles)
+        uav = len(self.profiles) - recognized
+        if recognized < 2 or uav < 1:  # the detector fits on recognized bursts alone
+            raise ConfigError(f"need >= 2 recognized and >= 1 UAV profiles, got {recognized}/{uav}")
         if self.signals_per_device <= 0:
             raise ConfigError("signals_per_device must be > 0")
         if math.isnan(self.snr_db) or self.snr_db == -math.inf:
@@ -399,15 +403,6 @@ def noise_seed(cfg: CorpusConfig, profile: DeviceProfile, index: int) -> int:
     return derive_seed(cfg.master_seed, profile.device_seed, index, "noise")
 
 
-def _check_class_mix(cfg: CorpusConfig) -> None:
-    recognized = sum(1 for p in cfg.profiles if p.signal_class is SignalClass.RECOGNIZED)
-    uav = sum(1 for p in cfg.profiles if p.signal_class is SignalClass.UAV)
-    if recognized < 2 or uav < 1:
-        raise ConfigError(
-            f"need >= 2 recognized and >= 1 UAV profiles, got {recognized}/{uav}"
-        )
-
-
 def build_corpus(cfg: CorpusConfig) -> tuple[list[Signal], list[Signal]]:
     """Generate all signals and split them by the semi-supervised protocol.
 
@@ -415,7 +410,6 @@ def build_corpus(cfg: CorpusConfig) -> tuple[list[Signal], list[Signal]]:
     their first train_per_device bursts to the training set and the remainder
     to evaluation; UAV devices contribute all bursts to evaluation only.
     """
-    _check_class_mix(cfg)
     train: list[Signal] = []
     evaluation: list[Signal] = []
     for profile in cfg.profiles:
@@ -432,7 +426,6 @@ def balanced_eval_plan(cfg: CorpusConfig, per_class: int) -> list[tuple[DevicePr
     seeded with the corpus's ``balanced`` stage seed, so no burst is
     generated to choose them.
     """
-    _check_class_mix(cfg)
     plan = cfg.eval_plan()
     picked = balanced_indices([p.signal_class for p, _ in plan], per_class,
                               stage_seed(cfg.master_seed, "balanced"))

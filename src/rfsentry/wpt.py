@@ -27,7 +27,10 @@ _SQRT2 = np.sqrt(2.0)
 
 def packet_coefficients(samples: np.ndarray) -> np.ndarray:
     """The (4, n // 4) packet matrix of a sample array: rows a1, d1, a2, d2."""
-    x = np.asarray(samples, dtype=np.float64)
+    try:
+        x = np.asarray(samples, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"samples must be numbers: {exc}") from None
     if x.ndim != 1:
         raise ConfigError(f"samples must be a 1-D array, got shape {x.shape}")
     if x.size < 4:

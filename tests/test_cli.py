@@ -255,8 +255,8 @@ UNSAVABLE_MODEL_CASES = [
     # three copies of a row are each other's two nearest neighbors
     ("zero-kdist",
      [[1.0, 2.0, 3.0, 4.0]] * 3 + np.random.default_rng(49).standard_normal((5, 4)).tolist(),
-     [], "3 training rows have k-distance 0 at k=2: at least k+1 identical rows; "
-         "deduplicate them or raise k"),
+     [], "3 training rows have k-distance 0 at k=2: each is at distance 0 from k or more "
+         "others (identical, or closer than the metric resolves); deduplicate them or raise k"),
 ]
 
 
@@ -731,6 +731,23 @@ def test_sweep_snr_rejects_a_profile_whose_waveform_overflows(corpus, pipeline, 
     assert result.stderr.strip().splitlines() == [
         f"ERROR {bad / 'corpus.json'}: wifi_router_a: the waveform is not finite "
         "(overflow encountered in multiply)"]
+    assert not (tmp_path / "report").exists()
+
+
+def test_sweep_snr_refuses_a_corpus_json_with_no_uav_profile(corpus, pipeline, tmp_path):
+    # the detector needs UAV bursts to flag; corpus.json is refused when it is read
+    _, train_csv, _, _ = pipeline
+    bad = tmp_path / "corpus"
+    shutil.copytree(corpus, bad)
+    doc = json.loads((corpus / "corpus.json").read_text())
+    for profile in doc["config"]["profiles"]:
+        if profile["kind"] == "uav_controller":
+            profile["kind"] = "wifi"
+    (bad / "corpus.json").write_text(json.dumps(doc))
+    result = run_cli(*_sweep_snr(bad, train_csv, tmp_path / "report"))
+    assert result.returncode == 2
+    assert result.stderr.strip().splitlines() == [
+        f"ERROR {bad / 'corpus.json'}: need >= 2 recognized and >= 1 UAV profiles, got 10/0"]
     assert not (tmp_path / "report").exists()
 
 

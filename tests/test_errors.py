@@ -3,14 +3,19 @@
 ``ConfigError`` is an invalid argument, ``FormatError`` a malformed input
 file and a plain ``RfSentryError`` valid input that cannot be processed.
 A builtin exception raised by the package is allowed only where argparse
-turns it into a usage error.
+turns it into a usage error, and a library argument that is not a number
+is a ``ConfigError``.
 """
 
 import ast
 import builtins
 from pathlib import Path
 
-from rfsentry import errors
+import numpy as np
+import pytest
+
+from rfsentry import Signal, TriggerConfig, errors, fit_grid, packet_coefficients, score_grid
+from rfsentry.errors import ConfigError
 
 SRC = Path(errors.__file__).parent
 
@@ -57,3 +62,50 @@ def test_only_argparse_converters_raise_builtin_errors():
                 stray.append(f"{path.name}: {function} raises {name}")
     assert stray == []
     assert converters_raise == CONVERTERS  # the scan does find raises
+
+
+_X = np.random.default_rng(50).standard_normal((10, 4))
+_MODEL = fit_grid(_X, [3])[0]
+
+# library arguments that are not numbers, or not integers where a count is
+# asked for: each is a ConfigError, never numpy's or Python's own error
+NOT_NUMBER_CASES = {
+    "fit-str-rows": (lambda: fit_grid(np.full((5, 4), "a"), [2]),
+                     "training features must be numbers"),
+    "fit-object-rows": (lambda: fit_grid(np.full((5, 4), object()), [2]),
+                        "training features must be numbers"),
+    "fit-ragged-rows": (lambda: fit_grid([[1.0, 2.0], [1.0]], [1]),
+                        "training features must be numbers"),
+    "fit-no-columns": (lambda: fit_grid(np.empty((5, 0)), [2]),
+                       "training matrix must have at least one column"),
+    "fit-str-threshold": (lambda: fit_grid(_X, [2], threshold="1.5"),
+                          "threshold must be a number, got '1.5'"),
+    "fit-none-threshold": (lambda: fit_grid(_X, [2], threshold=None),
+                           "threshold must be a number, got None"),
+    "fit-ndarray-ks": (lambda: fit_grid(_X, np.array([2, 0])), "k must be at least 1, got 0"),
+    "fit-int64-max-k": (lambda: fit_grid(_X, np.array([2, 2**63 - 1])),
+                        rf"need at least k\+1={2**63} rows, got 10"),
+    "score-str": (lambda: score_grid([_MODEL], "abc"), "query features must be numbers"),
+    "score-str-rows": (lambda: score_grid([_MODEL], np.full((2, 4), "a")),
+                       "query features must be numbers"),
+    "outliers-str": (lambda: _MODEL.outliers("abc"), "scores must be numbers"),
+    "packets-str": (lambda: packet_coefficients("abcd"), "samples must be numbers"),
+    "packets-object": (lambda: packet_coefficients(np.full(8, object())),
+                       "samples must be numbers"),
+    "signal-str": (lambda: Signal(samples="abc"), "samples must be numbers"),
+    "trigger-str-window": (lambda: TriggerConfig(window_len="64"),
+                           "window_len must be an integer, got '64'"),
+    "trigger-str-energy": (lambda: TriggerConfig(energy_threshold="0.05"),
+                           "energy_threshold must be >= 0, got '0.05'"),
+    "trigger-float-window": (lambda: TriggerConfig(window_len=64.0),
+                             "window_len must be an integer, got 64.0"),
+    "trigger-float-capture": (lambda: TriggerConfig(capture_len=4096.0),
+                              "capture_len must be an integer, got 4096.0"),
+}
+
+
+@pytest.mark.parametrize("case", NOT_NUMBER_CASES)
+def test_library_arguments_that_are_not_numbers_are_config_errors(case):
+    call, message = NOT_NUMBER_CASES[case]
+    with pytest.raises(ConfigError, match=message):
+        call()

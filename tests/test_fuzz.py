@@ -4,21 +4,35 @@ Every parser gets truncated and byte-mutated copies of a valid file,
 corpus.json also gets one config value replaced by a drawn JSON value,
 numeric flags get invalid values, and feature CSVs get values anywhere in
 the finite float range; each run is in-process through ``cli.main``, where
-pyproject's filter fails a run that lets a RuntimeWarning out. Hypothesis is
-derandomized and has no example database, so the examples are the same on
-every run.
+pyproject's filter fails a run that lets a RuntimeWarning out. The library
+calls get drawn arrays and arguments, and each returns or raises one of the
+package's three errors. Hypothesis is derandomized and has no example
+database, so the examples are the same on every run.
 """
 
 import json
+import math
 import shutil
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from rfsentry import cli
+from rfsentry import (
+    LofModel,
+    RfSentryError,
+    Signal,
+    TriggerConfig,
+    cli,
+    fingerprint,
+    fit_grid,
+    packet_coefficients,
+    score_grid,
+)
 from rfsentry.features import FEATURE_CSV_HEADER
 
 MINI = ["--capture-len", "256"]
@@ -229,3 +243,115 @@ def test_feature_values_anywhere_in_float_range(tmp_path, data):
         _run(["eval", "--model", model, "--features", queries, "--out", work / "report"])
     _run(["sweep-n", "--train-features", train, "--eval-features", queries,
           "--out", work / "sweep", "--k-grid", "1,2", *flags])
+
+
+# -- library calls --------------------------------------------------------------
+
+FLOATS = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([math.nan, math.inf, -math.inf, 0.0]),
+                   st.floats())
+ELEMENTS = {  # by dtype: float64, int64, bool, str and object
+    "f8": FLOATS,
+    "i8": st.integers(-(2**63), 2**63 - 1),
+    "?": st.booleans(),
+    "U4": st.one_of(st.text(st.characters(exclude_characters="\0"), max_size=4),
+                    st.sampled_from(["1.5", "-2", "nan", "inf"])),
+    "O": st.one_of(st.none(), FLOATS, st.integers(-(2**70), 2**70), st.text(max_size=3)),
+}
+
+
+@st.composite
+def arrays(draw):
+    """An array of 0 to 64 entries, 0 to 3 dimensions, of a drawn dtype."""
+    shape, room = [], 64
+    for _ in range(draw(st.integers(0, 3), label="ndim")):
+        side = draw(st.integers(0, room), label="side")
+        shape.append(side)
+        room //= max(side, 1)
+    dtype = draw(st.sampled_from(list(ELEMENTS)), label="dtype")
+    return draw(hnp.arrays(dtype, tuple(shape), elements=ELEMENTS[dtype]), label="array")
+
+
+def usual(rows, cols):
+    """Float arrays of a shape the call takes, so that some runs get past its checks."""
+    shape = st.tuples(rows, cols) if cols is not None else st.tuples(rows)
+    return hnp.arrays(np.float64, shape, elements=st.floats(-10.0, 10.0))
+
+
+# k below 1, k >= n, repeated k, a k whose k + 1 wraps in int64, and non-integers
+KS = st.one_of(st.lists(st.integers(1, 4), min_size=1, max_size=4),
+               st.lists(st.one_of(st.integers(-1, 12), st.integers(13, 70),
+                                  st.sampled_from([True, 2.0, 2**63 - 1])), max_size=4))
+SCALARS = st.one_of(st.integers(-2, 300), FLOATS, st.none(), st.booleans(), st.text(max_size=3))
+
+
+def usual_or(value, other):
+    """``value`` half the time, else a draw of ``other``; ``one_of`` would flatten ``other``."""
+    return st.booleans().flatmap(lambda usual: st.just(value) if usual else other)
+
+
+_FIT = fit_grid(np.random.default_rng(51).standard_normal((12, 4)), [1, 3, 3])
+
+
+def _fit(data, tmp_path):
+    ks = data.draw(KS, label="ks")
+    ks = data.draw(st.sampled_from([list, tuple, np.array]), label="container")(ks)
+    train = st.one_of(usual(st.integers(0, 16), st.integers(1, 4)), arrays())
+    fit_grid(data.draw(train, label="train"), ks,
+             metric=data.draw(st.sampled_from(["manhattan", "euclidean"]), label="metric"),
+             threshold=data.draw(usual_or(1.5, SCALARS), label="threshold"),
+             standardize=data.draw(st.booleans(), label="standardize"))
+
+
+def _score(data, tmp_path):
+    queries = st.one_of(usual(st.integers(0, 16), st.just(4)), arrays())
+    score_grid(_FIT, data.draw(queries, label="queries"))
+
+
+def _outliers(data, tmp_path):
+    _FIT[0].outliers(data.draw(arrays(), label="scores"))
+
+
+def _packets(data, tmp_path):
+    samples = st.one_of(usual(st.integers(0, 64), None), arrays())
+    packet_coefficients(data.draw(samples, label="samples"))
+
+
+def _fingerprint(data, tmp_path):
+    trigger = TriggerConfig(**{name: data.draw(usual_or(default, SCALARS), label=name)
+                               for name, default in [("window_len", 8), ("capture_len", 16),
+                                                     ("energy_threshold", 0.05)]})
+    samples = st.one_of(usual(st.integers(16, 64), None), arrays())
+    fingerprint(Signal(samples=data.draw(samples, label="samples")), trigger)
+
+
+def _load(data, tmp_path):
+    path = tmp_path / "model.json"
+    _FIT[0].save(path)
+    doc = json.loads(path.read_text())
+    for key in data.draw(st.lists(st.sampled_from(sorted(doc)), min_size=1, max_size=2),
+                         label="keys"):
+        drawn = data.draw(st.one_of(arrays(), SCALARS), label=key)
+        value = drawn.tolist() if isinstance(drawn, np.ndarray) else drawn
+        if isinstance(doc[key], list) and data.draw(st.booleans(), label="one entry"):
+            doc[key][data.draw(st.integers(0, len(doc[key]) - 1), label="at")] = value
+        else:
+            doc[key] = value
+    path.write_text(json.dumps(doc))
+    LofModel.load(path)
+
+
+LIBRARY_CALLS = {"fit_grid": _fit, "score_grid": _score, "outliers": _outliers,
+                 "packet_coefficients": _packets, "fingerprint": _fingerprint,
+                 "load": _load}
+
+
+@FUZZ
+@given(data=st.data())
+@pytest.mark.parametrize("call", LIBRARY_CALLS)
+def test_library_calls_return_or_raise_the_package_errors(tmp_path, call, data):
+    # under the CLI's errstate; any other exception, or a warning, fails the run
+    with np.errstate(all="ignore"):
+        try:
+            LIBRARY_CALLS[call](data, tmp_path)
+        except RfSentryError:  # ConfigError and FormatError are subclasses
+            pass

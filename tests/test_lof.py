@@ -577,6 +577,16 @@ def test_fit_accepts_a_numpy_integer_k(tmp_path):
     assert LofModel.load(tmp_path / "model.json").k == 3
 
 
+def test_fit_takes_numpy_ks_and_threshold(tmp_path):
+    # an ndarray grid fits as the list does, and a float32 threshold saves
+    x = np.random.default_rng(24).standard_normal((10, 2))
+    models = fit_grid(x, np.array([2, 3]), threshold=np.float32(1.5))
+    assert [m.k for m in models] == [2, 3] and type(models[0].threshold) is float
+    assert np.array_equal(models[1].lrd, fit_grid(x, [2, 3])[1].lrd)
+    models[0].save(tmp_path / "model.json")
+    assert LofModel.load(tmp_path / "model.json").threshold == 1.5
+
+
 def test_fit_is_deterministic():
     rng = np.random.default_rng(22)
     x = rng.standard_normal((40, 3))
@@ -754,6 +764,18 @@ def test_model_save_refuses_what_load_would_refuse(tmp_path):
     with pytest.raises(ConfigError, match="cannot save the model: kdist holds non-finite values"):
         model.save(path)
     assert not path.exists()
+
+
+def test_zero_kdist_refusal_names_distinct_rows_the_metric_cannot_tell_apart():
+    # distinct rows 1e-170 apart: their squared differences underflow to 0
+    x = np.array([[0.0, 0, 0, 0], [1e-170, 0, 0, 0], [3e-170, 0, 0, 0], [5, 5, 5, 5], [9, 1, 2, 3]])
+    euclidean = fit_grid(x, [1], metric="euclidean", standardize=False)[0]
+    assert np.array_equal(euclidean.kdist[:3], np.zeros(3))
+    assert euclidean.problem() == (
+        "3 training rows have k-distance 0 at k=1: each is at distance 0 from k or more others "
+        "(identical, or closer than the metric resolves); deduplicate them or raise k")
+    manhattan = fit_grid(x, [1], standardize=False)[0]
+    assert manhattan.kdist[0] == 1e-170 and manhattan.problem() is None
 
 
 def test_model_load_rejects_other_documents(tmp_path):

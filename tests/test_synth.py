@@ -226,6 +226,16 @@ def test_build_corpus_requires_class_mix():
         build_corpus(small_cfg(profiles=tuple(recognized_only)))
 
 
+@pytest.mark.parametrize("keep, got", [
+    (lambda i, p: p.signal_class is SignalClass.RECOGNIZED, "4/0"),
+    (lambda i, p: p.signal_class is SignalClass.UAV or i == 0, "1/6"),
+], ids=["recognized-only", "one-recognized"])
+def test_corpus_config_requires_class_mix(keep, got):
+    profiles = tuple(p for i, p in enumerate(default_profiles(256)) if keep(i, p))
+    with pytest.raises(ConfigError, match=f"need >= 2 recognized and >= 1 UAV profiles, got {got}"):
+        small_cfg(profiles=profiles)
+
+
 def test_build_corpus_regeneration_is_bit_identical():
     cfg = small_cfg()
     a_train, a_eval = build_corpus(cfg)
