@@ -1,4 +1,4 @@
-"""The three errors the pipeline raises on purpose.
+"""The three errors the pipeline raises on purpose, and the argument rules.
 
 * ``ConfigError``: the caller passed an invalid argument, such as a value
   out of range, arrays of mismatched shape, dimension or length,
@@ -13,7 +13,17 @@
 The CLI maps every ``RfSentryError`` to exit code 2 with a one-line
 message; any other exception is a bug. Both subclasses are also
 ``ValueError``s.
+
+The argument rules live here too, each stated once: ``float_array``,
+``integer`` and ``real`` give a library argument as a float64 array, an
+``int`` or a ``float``, and refuse a bool, complex, text or object value
+with a ``ConfigError`` that names it. Ranges, NaN included, stay each
+caller's rule.
 """
+
+import numbers
+
+import numpy as np
 
 
 class RfSentryError(Exception):
@@ -26,3 +36,31 @@ class ConfigError(RfSentryError, ValueError):
 
 class FormatError(RfSentryError, ValueError):
     """A file the CLI reads is malformed or internally inconsistent."""
+
+
+def float_array(value, what: str) -> np.ndarray:
+    """``value`` as float64, uncopied if it is; only integer and float dtypes are numbers."""
+    try:
+        array = np.asarray(value)
+    except (TypeError, ValueError, OverflowError) as exc:  # a ragged sequence, for one
+        raise ConfigError(f"{what} must be numbers: {exc}") from None
+    if array.dtype.kind not in "iuf":  # numpy would cast bool and complex, and parse text
+        raise ConfigError(f"{what} must be numbers, got dtype {array.dtype}")
+    return array.astype(np.float64, copy=False)
+
+
+def integer(value, what: str) -> int:
+    """``value`` as an ``int``; a bool or a non-integer is a ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def real(value, what: str) -> float:
+    """``value`` as a ``float``; a bool, a non-number or an overflow is a ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{what} is beyond the float range") from None

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, RfSentryError
+from .errors import ConfigError, RfSentryError, float_array
 from .formats import csv_records, fmt, parse_float, write_csv
 from .seeding import map_chunks
 from .signals import Signal, SignalClass, TriggerConfig, extract_transient, parse_class
@@ -32,7 +32,9 @@ FEATURE_CSV_HEADER = ["device_id", "class", "snr_db", "sigma1", "sigma2", "sigma
 
 def sample_variance(x: np.ndarray) -> np.ndarray:
     """Unbiased sample variance along the last axis; a singleton packet has variance 0."""
-    x = np.asarray(x, dtype=np.float64)
+    x = float_array(x, "x")
+    if x.ndim == 0:
+        raise ConfigError("x must have at least one axis")
     n = x.shape[-1]
     if n < 2:
         return np.zeros(x.shape[:-1])[()]  # [()]: a scalar for a 1-D input

@@ -78,7 +78,6 @@ import contextvars
 import itertools
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -86,7 +85,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, float_array, integer, real
 from .formats import BOOL, INT, LIST, NUMBER, STRING, json_document, json_fields
 from .seeding import chunk_bounds, usable_cpus
 
@@ -576,10 +575,7 @@ class LofModel:
     # -- scoring ------------------------------------------------------------
 
     def _transform(self, queries: np.ndarray) -> np.ndarray:
-        try:
-            q = np.atleast_2d(np.asarray(queries, dtype=np.float64))  # one row, or a scalar
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"query features must be numbers: {exc}") from None
+        q = np.atleast_2d(float_array(queries, "query features"))  # one row, or a scalar
         if q.ndim > 2:
             raise ConfigError(f"queries must be one row or a 2-D array, got {q.ndim} dimensions")
         if q.shape[1] != self.dim:
@@ -593,10 +589,7 @@ class LofModel:
 
         A score exactly at the threshold, or NaN, stays an inlier.
         """
-        try:
-            return np.asarray(scores, dtype=np.float64) > self.threshold
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"scores must be numbers: {exc}") from None
+        return float_array(scores, "scores") > self.threshold
 
     # -- persistence ----------------------------------------------------------
 
@@ -635,8 +628,8 @@ class LofModel:
             _check_numbers(doc[name], name, path)
         try:
             metric = Metric(doc["metric"])
-            arrays = {name: np.array(doc[name], dtype=np.float64) for name in _ARRAYS}
-        except (TypeError, ValueError, OverflowError) as exc:
+            arrays = {name: float_array(doc[name], name) for name in _ARRAYS}
+        except ValueError as exc:  # ConfigError is one too
             raise FormatError(f"{path}: {exc}") from None
         model = cls(k=k, metric=metric, threshold=threshold,
                     standardized=doc["standardized"], **arrays)
@@ -666,10 +659,7 @@ def fit_grid(
     except ValueError:
         names = ", ".join(m.value for m in Metric)
         raise ConfigError(f"metric must be one of {names}, got {metric!r}") from None
-    try:
-        x = np.asarray(train, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"training features must be numbers: {exc}") from None
+    x = float_array(train, "training features")
     if x.ndim != 2:
         raise ConfigError(f"training matrix must be 2-D, got shape {x.shape}")
     if x.shape[1] == 0:  # every distance would be 0
@@ -682,23 +672,18 @@ def fit_grid(
         raise ConfigError(f"k_grid must be a sequence of integers, got {ks!r}") from None
     if not ks:
         raise ConfigError("k_grid must be non-empty")
-    for k in ks:
-        if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-            raise ConfigError(f"k must be an integer, got {k!r}")
-    ks = [int(k) for k in ks]  # a numpy integer would not save to JSON, and k + 1 could wrap
+    ks = [integer(k, "k") for k in ks]  # a numpy k would not save to JSON, and k + 1 could wrap
     for k in ks:
         if k < 1:
             raise ConfigError(f"k must be at least 1, got {k}")
         if len(x) < k + 1:
             raise ConfigError(f"need at least k+1={k + 1} rows, got {len(x)}")
-    if isinstance(threshold, bool) or not isinstance(threshold, numbers.Real):
-        raise ConfigError(f"threshold must be a number, got {threshold!r}")
-    try:
-        threshold = float(threshold)  # a numpy float32 would not save to JSON
-    except OverflowError:
-        raise ConfigError(f"threshold {threshold} is beyond the float range") from None
+    threshold = real(threshold, "threshold")  # a numpy float32 would not save to JSON
     if math.isnan(threshold):
         raise ConfigError("threshold must be a number, got NaN")
+    if not isinstance(standardize, (bool, np.bool_)):  # save writes a JSON boolean
+        raise ConfigError(f"standardize must be a boolean, got {standardize!r}")
+    standardize = bool(standardize)
     if standardize:
         mean = x.mean(axis=0)
         std = x.std(axis=0)
@@ -725,6 +710,9 @@ def score_grid(models: list[LofModel], queries) -> list[np.ndarray]:
     rows, metric and scaler, and with them every query block's distances and
     its k-distance selection.
     """
+    if not (isinstance(models, (list, tuple))
+            and all(isinstance(model, LofModel) for model in models)):
+        raise ConfigError("models must be a list or tuple of LofModel")
     if not models or any(model.train is not models[0].train for model in models):
         raise ConfigError("score_grid needs models from one fit_grid call")
     first = models[0]

@@ -24,7 +24,6 @@ CPU takes them over.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import struct
 from dataclasses import dataclass
@@ -34,7 +33,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, RfSentryError
+from .errors import ConfigError, FormatError, RfSentryError, float_array, integer, real
 from .formats import csv_records, fmt, parse_float, parse_path, write_csv
 
 RFSG_MAGIC = b"RFSG"
@@ -71,10 +70,9 @@ class Signal:
     snr_db: float | None = None
 
     def __post_init__(self) -> None:
-        try:
-            samples = np.asarray(self.samples, dtype=np.float64)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"samples must be numbers: {exc}") from None
+        if not isinstance(self.signal_class, SignalClass):
+            raise ConfigError(f"signal_class must be a SignalClass, got {self.signal_class!r}")
+        samples = float_array(self.samples, "samples")
         if samples.ndim != 1 or samples.size == 0:
             raise ConfigError("samples must be a non-empty 1-D sequence")
         if not np.all(np.isfinite(samples)):
@@ -95,17 +93,15 @@ class TriggerConfig:
     capture_len: int = 4096
 
     def __post_init__(self) -> None:
-        for name in ("window_len", "capture_len"):  # a float length would not slice
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        rules = {"window_len": integer, "capture_len": integer, "energy_threshold": real}
+        for name, rule in rules.items():  # stored as Python values; a float length would not slice
+            object.__setattr__(self, name, rule(getattr(self, name), name))
         if self.window_len <= 0:
             raise ConfigError(f"window_len must be > 0, got {self.window_len}")
         if self.capture_len < 4:
             raise ConfigError("capture_len must be at least 4, the two-level packet "
                               f"transform's minimum, got {self.capture_len}")
-        if not (isinstance(self.energy_threshold, numbers.Real)
-                and self.energy_threshold >= 0):  # NaN fails too
+        if not self.energy_threshold >= 0:  # NaN fails too
             raise ConfigError(f"energy_threshold must be >= 0, got {self.energy_threshold!r}")
         if self.window_len > self.capture_len:
             raise ConfigError(f"window_len {self.window_len} must not exceed "

@@ -34,7 +34,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, RfSentryError
+from .errors import ConfigError, FormatError, RfSentryError, integer, real
 from .formats import (
     INT,
     INT_OR_NULL,
@@ -81,6 +81,12 @@ class DeviceProfile:
     device_seed: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise ConfigError(f"profile name must be a string, got {self.name!r}")
+        if not isinstance(self.kind, DeviceKind):
+            raise ConfigError(f"{self.name}: kind must be a DeviceKind, got {self.kind!r}")
+        for name, rule in _PROFILE_RULES.items():  # stored as the Python values load reads
+            object.__setattr__(self, name, rule(getattr(self, name), f"{self.name}: {name}"))
         if not (0.0 < self.carrier_frac < 0.5):
             raise ConfigError(f"{self.name}: carrier_frac must be in (0, 0.5)")
         if not (0.0 < self.bandwidth_frac < 0.5):
@@ -111,7 +117,12 @@ class CorpusConfig:
     lead_len: int = 0  # 0 means the capture_len // 8 default
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.profiles, (list, tuple))
+                and all(isinstance(p, DeviceProfile) for p in self.profiles)):
+            raise ConfigError("profiles must be a list or tuple of DeviceProfile")
         object.__setattr__(self, "profiles", tuple(self.profiles))
+        for name, rule in _CONFIG_RULES.items():  # stored as the Python values load reads
+            object.__setattr__(self, name, rule(getattr(self, name), name))
         recognized = sum(p.signal_class is SignalClass.RECOGNIZED for p in self.profiles)
         uav = len(self.profiles) - recognized
         if recognized < 2 or uav < 1:  # the detector fits on recognized bursts alone
@@ -200,6 +211,15 @@ class CorpusConfig:
             raise FormatError(f"{path}: {exc}") from None
 
 
+def _integer_or_none(value, what: str) -> int | None:
+    return None if value is None else integer(value, what)
+
+
+# The argument rules of each record's numeric fields (see ``errors``)
+_PROFILE_RULES = {"carrier_frac": real, "bandwidth_frac": real, "hop_period": _integer_or_none,
+                  "envelope_rise": integer, "modulation_index": real, "device_seed": integer}
+_CONFIG_RULES = {"signals_per_device": integer, "snr_db": real, "capture_len": integer,
+                 "master_seed": integer, "lead_len": integer}
 _PROFILE_FIELDS = {
     "name": STRING,
     "kind": STRING,

@@ -20,17 +20,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, RfSentryError
+from .errors import ConfigError, RfSentryError, float_array
 
 _SQRT2 = np.sqrt(2.0)
 
 
 def packet_coefficients(samples: np.ndarray) -> np.ndarray:
     """The (4, n // 4) packet matrix of a sample array: rows a1, d1, a2, d2."""
-    try:
-        x = np.asarray(samples, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"samples must be numbers: {exc}") from None
+    x = float_array(samples, "samples")
     if x.ndim != 1:
         raise ConfigError(f"samples must be a 1-D array, got shape {x.shape}")
     if x.size < 4:

@@ -335,7 +335,7 @@ def test_sweep_snr_refuses_a_fit_that_train_would_refuse(corpus, pipeline, tmp_p
     (lambda d: d.update(threshold=True), "threshold must be a number, got True"),
     (lambda d: d.update(threshold="1.5"), "threshold must be a number, got '1.5'"),
     (lambda d: d.update(threshold=10**400), "threshold is beyond float range"),
-    (lambda d: d["kdist"].__setitem__(0, 10**400), "int too large to convert to float"),
+    (lambda d: d["kdist"].__setitem__(0, 10**400), "kdist must be numbers, got dtype object"),
     (lambda d: d.update(k=5.0), "k must be an integer, got 5.0"),
     (lambda d: d.update(standardized=1), "standardized must be a boolean, got 1"),
     (lambda d: d.update(version=True), "unsupported rfsentry-lof version True"),

@@ -4,7 +4,7 @@
 file and a plain ``RfSentryError`` valid input that cannot be processed.
 A builtin exception raised by the package is allowed only where argparse
 turns it into a usage error, and a library argument that is not a number
-is a ``ConfigError``.
+is a ``ConfigError``. Only ``errors`` turns an argument into float64.
 """
 
 import ast
@@ -16,6 +16,7 @@ import pytest
 
 from rfsentry import Signal, TriggerConfig, errors, fit_grid, packet_coefficients, score_grid
 from rfsentry.errors import ConfigError
+from rfsentry.features import sample_variance
 
 SRC = Path(errors.__file__).parent
 
@@ -68,8 +69,33 @@ _X = np.random.default_rng(50).standard_normal((10, 4))
 _MODEL = fit_grid(_X, [3])[0]
 
 # library arguments that are not numbers, or not integers where a count is
-# asked for: each is a ConfigError, never numpy's or Python's own error
+# asked for, or not of the type asked for: each is a ConfigError that names
+# the argument, never numpy's or Python's own error, and never a cast
 NOT_NUMBER_CASES = {
+    "fit-complex-rows": (lambda: fit_grid(_X * (1 + 1j), [3]),
+                         "training features must be numbers, got dtype complex128"),
+    "fit-bool-rows": (lambda: fit_grid(_X > 0, [3]),
+                      "training features must be numbers, got dtype bool"),
+    "fit-huge-threshold": (lambda: fit_grid(_X, [3], threshold=10**5000),
+                           "threshold is beyond the float range"),  # too long for str()
+    "fit-str-standardize": (lambda: fit_grid(_X, [3], standardize="no"),
+                            "standardize must be a boolean, got 'no'"),
+    "score-numeric-text": (lambda: score_grid([_MODEL], np.array([["1", "2", "3", "4"]])),
+                           "query features must be numbers, got dtype <U1"),
+    "score-one-model": (lambda: score_grid(_MODEL, _X),
+                        "models must be a list or tuple of LofModel"),
+    "score-str-models": (lambda: score_grid("ab", _X),
+                         "models must be a list or tuple of LofModel"),
+    "score-mixed-models": (lambda: score_grid([_MODEL, "x"], _X),
+                           "models must be a list or tuple of LofModel"),
+    "outliers-complex": (lambda: _MODEL.outliers(np.ones(3, dtype=complex)),
+                         "scores must be numbers, got dtype complex128"),
+    "packets-complex": (lambda: packet_coefficients(np.ones(8, dtype=complex)),
+                        "samples must be numbers, got dtype complex128"),
+    "signal-numeric-text": (lambda: Signal(samples=["1", "2"]),
+                            "samples must be numbers, got dtype <U1"),
+    "variance-str": (lambda: sample_variance("abc"), "x must be numbers, got dtype <U3"),
+    "variance-scalar": (lambda: sample_variance(1.0), "x must have at least one axis"),
     "fit-str-rows": (lambda: fit_grid(np.full((5, 4), "a"), [2]),
                      "training features must be numbers"),
     "fit-object-rows": (lambda: fit_grid(np.full((5, 4), object()), [2]),
@@ -96,7 +122,7 @@ NOT_NUMBER_CASES = {
     "trigger-str-window": (lambda: TriggerConfig(window_len="64"),
                            "window_len must be an integer, got '64'"),
     "trigger-str-energy": (lambda: TriggerConfig(energy_threshold="0.05"),
-                           "energy_threshold must be >= 0, got '0.05'"),
+                           "energy_threshold must be a number, got '0.05'"),
     "trigger-float-window": (lambda: TriggerConfig(window_len=64.0),
                              "window_len must be an integer, got 64.0"),
     "trigger-float-capture": (lambda: TriggerConfig(capture_len=4096.0),
@@ -109,3 +135,32 @@ def test_library_arguments_that_are_not_numbers_are_config_errors(case):
     call, message = NOT_NUMBER_CASES[case]
     with pytest.raises(ConfigError, match=message):
         call()
+
+
+def _float64_conversions(tree: ast.Module) -> list[int]:
+    """Line of each ``np.asarray``/``np.array`` call that converts a name,
+    attribute or subscript with ``dtype=np.float64``."""
+    return [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and ast.unparse(node.func) in ("np.asarray", "np.array")
+        and node.args and isinstance(node.args[0], (ast.Name, ast.Attribute, ast.Subscript))
+        and any(kw.arg == "dtype" and ast.unparse(kw.value) == "np.float64"
+                for kw in node.keywords)
+    ]
+
+
+def test_only_errors_converts_arguments_to_float64():
+    # what a number is lives in errors.float_array: numpy's own conversion
+    # would cast bool and complex values and parse text
+    sample = ("a = np.asarray(x, dtype=np.float64)\n"
+              "b = np.array(doc[key], dtype=np.float64)\n"
+              "c = np.array([v for v in x], dtype=np.float64)\n"
+              "d = np.asarray(x)\n")
+    assert _float64_conversions(ast.parse(sample)) == [1, 2]
+    stray = [
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py")) if path.name != "errors.py"
+        for line in _float64_conversions(ast.parse(path.read_text()))
+    ]
+    assert stray == []

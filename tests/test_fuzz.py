@@ -6,7 +6,8 @@ numeric flags get invalid values, and feature CSVs get values anywhere in
 the finite float range; each run is in-process through ``cli.main``, where
 pyproject's filter fails a run that lets a RuntimeWarning out. The library
 calls get drawn arrays and arguments, and each returns or raises one of the
-package's three errors. Hypothesis is derandomized and has no example
+package's three errors; a model or corpus config that builds also saves
+and loads back. Hypothesis is derandomized and has no example
 database, so the examples are the same on every run.
 """
 
@@ -34,6 +35,7 @@ from rfsentry import (
     score_grid,
 )
 from rfsentry.features import FEATURE_CSV_HEADER
+from rfsentry.synth import CorpusConfig, DeviceProfile, default_profiles
 
 MINI = ["--capture-len", "256"]
 
@@ -249,14 +251,16 @@ def test_feature_values_anywhere_in_float_range(tmp_path, data):
 
 FLOATS = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([math.nan, math.inf, -math.inf, 0.0]),
                    st.floats())
-ELEMENTS = {  # by dtype: float64, int64, bool, str and object
-    "f8": FLOATS,
-    "i8": st.integers(-(2**63), 2**63 - 1),
-    "?": st.booleans(),
-    "U4": st.one_of(st.text(st.characters(exclude_characters="\0"), max_size=4),
-                    st.sampled_from(["1.5", "-2", "nan", "inf"])),
-    "O": st.one_of(st.none(), FLOATS, st.integers(-(2**70), 2**70), st.text(max_size=3)),
-}
+DTYPES = [  # float64, int64, bool, complex128, str, numeric str and object
+    ("f8", FLOATS),
+    ("i8", st.integers(-(2**63), 2**63 - 1)),
+    ("?", st.booleans()),
+    ("c16", st.complex_numbers()),
+    ("U4", st.one_of(st.text(st.characters(exclude_characters="\0"), max_size=4),
+                     st.sampled_from(["1.5", "-2", "nan", "inf"]))),
+    ("U4", st.sampled_from(["1.5", "-2", "0", "1e3"])),
+    ("O", st.one_of(st.none(), FLOATS, st.integers(-(2**70), 2**70), st.text(max_size=3))),
+]
 
 
 @st.composite
@@ -267,8 +271,8 @@ def arrays(draw):
         side = draw(st.integers(0, room), label="side")
         shape.append(side)
         room //= max(side, 1)
-    dtype = draw(st.sampled_from(list(ELEMENTS)), label="dtype")
-    return draw(hnp.arrays(dtype, tuple(shape), elements=ELEMENTS[dtype]), label="array")
+    dtype, elements = draw(st.sampled_from(DTYPES), label="dtype")
+    return draw(hnp.arrays(dtype, tuple(shape), elements=elements), label="array")
 
 
 def usual(rows, cols):
@@ -282,6 +286,8 @@ KS = st.one_of(st.lists(st.integers(1, 4), min_size=1, max_size=4),
                st.lists(st.one_of(st.integers(-1, 12), st.integers(13, 70),
                                   st.sampled_from([True, 2.0, 2**63 - 1])), max_size=4))
 SCALARS = st.one_of(st.integers(-2, 300), FLOATS, st.none(), st.booleans(), st.text(max_size=3))
+NUMPY_SCALARS = st.one_of(st.integers(-2, 300).map(np.int64), FLOATS.map(np.float64),
+                          st.floats(width=32).map(np.float32), st.booleans().map(np.bool_))
 
 
 def usual_or(value, other):
@@ -292,14 +298,27 @@ def usual_or(value, other):
 _FIT = fit_grid(np.random.default_rng(51).standard_normal((12, 4)), [1, 3, 3])
 
 
+def _saves_and_loads(value, load, path):
+    """``load(path)`` after ``value.save(path)``; an error of either fails the run."""
+    try:
+        value.save(path)
+        return load(path)
+    except RfSentryError as exc:  # not one that the call under test may raise
+        pytest.fail(f"save then load raised {exc!r}")
+
+
 def _fit(data, tmp_path):
     ks = data.draw(KS, label="ks")
     ks = data.draw(st.sampled_from([list, tuple, np.array]), label="container")(ks)
     train = st.one_of(usual(st.integers(0, 16), st.integers(1, 4)), arrays())
-    fit_grid(data.draw(train, label="train"), ks,
-             metric=data.draw(st.sampled_from(["manhattan", "euclidean"]), label="metric"),
-             threshold=data.draw(usual_or(1.5, SCALARS), label="threshold"),
-             standardize=data.draw(st.booleans(), label="standardize"))
+    models = fit_grid(
+        data.draw(train, label="train"), ks,
+        metric=data.draw(st.sampled_from(["manhattan", "euclidean"]), label="metric"),
+        threshold=data.draw(usual_or(1.5, SCALARS), label="threshold"),
+        standardize=data.draw(st.one_of(st.booleans(), SCALARS), label="standardize"))
+    for model in models:
+        if model.problem() is None:  # what save writes, load reads
+            _saves_and_loads(model, LofModel.load, tmp_path / "model.json")
 
 
 def _score(data, tmp_path):
@@ -336,13 +355,34 @@ def _load(data, tmp_path):
             doc[key][data.draw(st.integers(0, len(doc[key]) - 1), label="at")] = value
         else:
             doc[key] = value
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc, default=str))  # complex entries as text
     LofModel.load(path)
+
+
+def _corpus(data, tmp_path):
+    # a drawn profile's fields and the config's: up to two drawn scalars, the
+    # others valid, each as a Python value or a numpy scalar
+    profiles = list(default_profiles(256))
+    at = data.draw(st.integers(0, len(profiles) - 1), label="profile")
+    config = {"signals_per_device": 6, "snr_db": 30.0, "capture_len": 256,
+              "master_seed": 99, "lead_len": 0}
+    drawn = data.draw(st.lists(st.sampled_from([*vars(profiles[at]), *config]), max_size=2),
+                      label="drawn")
+
+    def field(name, value):
+        if name in drawn:
+            return data.draw(st.one_of(SCALARS, NUMPY_SCALARS), label=name)
+        return data.draw(st.sampled_from([value, np.asarray(value)[()]]), label=name)
+
+    profiles[at] = DeviceProfile(**{name: field(name, value)
+                                    for name, value in vars(profiles[at]).items()})
+    cfg = CorpusConfig(profiles, **{name: field(name, value) for name, value in config.items()})
+    assert _saves_and_loads(cfg, CorpusConfig.load, tmp_path / "corpus.json") == cfg
 
 
 LIBRARY_CALLS = {"fit_grid": _fit, "score_grid": _score, "outliers": _outliers,
                  "packet_coefficients": _packets, "fingerprint": _fingerprint,
-                 "load": _load}
+                 "load": _load, "corpus": _corpus}
 
 
 @FUZZ

@@ -578,10 +578,12 @@ def test_fit_accepts_a_numpy_integer_k(tmp_path):
 
 
 def test_fit_takes_numpy_ks_and_threshold(tmp_path):
-    # an ndarray grid fits as the list does, and a float32 threshold saves
+    # an ndarray grid fits as the list does, and a float32 threshold and a
+    # numpy bool standardize save
     x = np.random.default_rng(24).standard_normal((10, 2))
-    models = fit_grid(x, np.array([2, 3]), threshold=np.float32(1.5))
+    models = fit_grid(x, np.array([2, 3]), threshold=np.float32(1.5), standardize=np.bool_(True))
     assert [m.k for m in models] == [2, 3] and type(models[0].threshold) is float
+    assert models[0].standardized is True
     assert np.array_equal(models[1].lrd, fit_grid(x, [2, 3])[1].lrd)
     models[0].save(tmp_path / "model.json")
     assert LofModel.load(tmp_path / "model.json").threshold == 1.5

@@ -9,7 +9,7 @@ import pytest
 from rfsentry import synth
 from rfsentry.seeding import derive_seed, stage_seed
 from rfsentry.errors import ConfigError, RfSentryError
-from rfsentry.signals import SignalClass, TriggerConfig, extract_transient, find_trigger
+from rfsentry.signals import Signal, SignalClass, TriggerConfig, extract_transient, find_trigger
 from rfsentry.synth import (
     CorpusConfig,
     DeviceKind,
@@ -112,6 +112,61 @@ def test_corpus_config_save_load_round_trip(tmp_path):
     assert '"snr_db": null' in (tmp_path / "clean.json").read_text()
     back = CorpusConfig.load(tmp_path / "clean.json")
     assert math.isinf(back.snr_db)
+
+
+def _uav(**fields):
+    return replace(default_profiles(256)[-1], **fields)
+
+
+def _numpy_fields():
+    """small_cfg with numpy scalars in the config and in a hopped and a multitone profile."""
+    bt, watch, wifi, *rest = default_profiles(256)
+    bt = replace(bt, hop_period=np.int64(bt.hop_period), device_seed=np.uint32(7),
+                 carrier_frac=np.float32(bt.carrier_frac))
+    wifi = replace(wifi, envelope_rise=np.int16(8), modulation_index=np.float64(2.0))
+    return small_cfg(profiles=[bt, watch, wifi, *rest],
+                     signals_per_device=np.int64(6), snr_db=np.float32(20.0),
+                     capture_len=np.int32(256), master_seed=np.int64(99), lead_len=np.int8(40))
+
+
+# Records that take an argument of the wrong type refuse it, and the ones
+# that take numpy scalars store Python values, so save writes what load reads
+RECORD_CASES = {
+    "profile-kind-text": (lambda: _uav(kind="uav_controller"),
+                          "uav_ctrl_f: kind must be a DeviceKind, got 'uav_controller'"),
+    "profile-seed-float": (lambda: _uav(device_seed=1.5),
+                           "uav_ctrl_f: device_seed must be an integer, got 1.5"),
+    "profile-hop-float": (lambda: _uav(hop_period=2.5),
+                          "uav_ctrl_f: hop_period must be an integer, got 2.5"),
+    "profile-carrier-text": (lambda: _uav(carrier_frac="a"),
+                             "uav_ctrl_f: carrier_frac must be a number, got 'a'"),
+    "config-seed-float": (lambda: small_cfg(master_seed=1.5),
+                          "master_seed must be an integer, got 1.5"),
+    "config-count-float": (lambda: small_cfg(signals_per_device=2.5),
+                           "signals_per_device must be an integer, got 2.5"),
+    "config-count-text": (lambda: small_cfg(signals_per_device="3"),
+                          "signals_per_device must be an integer, got '3'"),
+    "config-snr-text": (lambda: small_cfg(snr_db="30"), "snr_db must be a number, got '30'"),
+    "profile-name-int": (lambda: _uav(name=1), "profile name must be a string, got 1"),
+    "config-profile-text": (lambda: small_cfg(profiles=[*default_profiles(256), "uav"]),
+                            "profiles must be a list or tuple of DeviceProfile"),
+    "signal-class-text": (lambda: Signal(samples=[1.0], signal_class="uav"),
+                          "signal_class must be a SignalClass, got 'uav'"),
+    "numpy-fields": (_numpy_fields, None),
+}
+
+
+@pytest.mark.parametrize("case", RECORD_CASES)
+def test_corpus_records_take_the_argument_rules(tmp_path, case):
+    build, message = RECORD_CASES[case]
+    if message is not None:
+        with pytest.raises(ConfigError, match=message):
+            build()
+        return
+    cfg = build()
+    assert type(cfg.snr_db) is float and type(cfg.profiles[0].hop_period) is int
+    cfg.save(tmp_path / "corpus.json")
+    assert CorpusConfig.load(tmp_path / "corpus.json") == cfg
 
 
 def test_hop_period_longer_than_the_burst_is_rejected():
