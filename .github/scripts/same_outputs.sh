@@ -8,7 +8,10 @@
 #
 # * seed 0 with --jobs 2 and the default grids;
 # * seed 1 with --jobs 1 and unsorted grids (sweep-n --k-grid 30,5,200,10,7;
-#   sweep-snr --snr-grid 18,6,30,12 --k-grid 150,100,20);
+#   sweep-snr --snr-grid 18,6,30,12 --k-grid 150,100,20), plus a train --k 50
+#   --threshold 1.25 and its eval, into model-k50.json and report-k50/, so
+#   that a model's k and threshold other than the defaults go through save,
+#   load and the report;
 # * seed 2 with --jobs 1 at a 1024-sample capture (synth --capture-len 1024
 #   --signals-per-device 60, extract --capture-len 1024, sweep-n --k-grid
 #   5:50:5, sweep-snr --per-class 50 --k-grid 20,40). At the default 4096
@@ -56,11 +59,12 @@ rfs() {
 # "capture1024" or "band"
 pipeline() {
     src=$1 out=$2
-    local seed=$3 jobs=$4 synth=() extract=() sweep_n=() sweep_snr=() more_fits=false
+    local seed=$3 jobs=$4 synth=() extract=() sweep_n=() sweep_snr=() more_fits=false k50=false
     case $5 in
     unsorted)
         sweep_n=(--k-grid 30,5,200,10,7)
         sweep_snr=(--snr-grid 18,6,30,12 --k-grid 150,100,20)
+        k50=true
         ;;
     capture1024)
         synth=(--capture-len 1024 --signals-per-device 60)
@@ -94,6 +98,12 @@ pipeline() {
             --features "$out/eval.csv" --out "$out/scores-raw.csv"
     fi
     rfs eval eval --model "$out/model.json" --features "$out/eval.csv" --out "$out/report"
+    if $k50; then
+        rfs train-k50 train --features "$out/train.csv" --out "$out/model-k50.json" \
+            --k 50 --threshold 1.25
+        rfs eval-k50 eval --model "$out/model-k50.json" --features "$out/eval.csv" \
+            --out "$out/report-k50"
+    fi
     rfs sweep-n sweep-n --train-features "$out/train.csv" --eval-features "$out/eval.csv" \
         --out "$out/sweep-n" --seed "$seed" "${sweep_n[@]}"
     rfs sweep-snr sweep-snr --corpus "$out/corpus" --train-features "$out/train.csv" \

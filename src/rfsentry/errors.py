@@ -16,9 +16,10 @@ message; any other exception is a bug. Both subclasses are also
 
 The argument rules live here too, each stated once: ``float_array``,
 ``integer`` and ``real`` give a library argument as a float64 array, an
-``int`` or a ``float``, and refuse a bool, complex, text or object value
-with a ``ConfigError`` that names it. Ranges, NaN included, stay each
-caller's rule.
+``int`` within int64 or a ``float``, and refuse a bool, complex, text or
+object value with a ``ConfigError`` that names it. The JSON readers pass
+their values to the records' constructors, which apply these rules. Ranges,
+NaN included, stay each caller's rule.
 """
 
 import numbers
@@ -50,10 +51,13 @@ def float_array(value, what: str) -> np.ndarray:
 
 
 def integer(value, what: str) -> int:
-    """``value`` as an ``int``; a bool or a non-integer is a ConfigError."""
+    """``value`` as an ``int``; a bool, a non-integer or one beyond int64 is a ConfigError."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ConfigError(f"{what} must be an integer, got {value!r}")
-    return int(value)
+    value = int(value)
+    if not -2**63 <= value < 2**63:
+        raise ConfigError(f"{what} is beyond int64 range")
+    return value
 
 
 def real(value, what: str) -> float:
@@ -63,4 +67,4 @@ def real(value, what: str) -> float:
     try:
         return float(value)
     except OverflowError:
-        raise ConfigError(f"{what} is beyond the float range") from None
+        raise ConfigError(f"{what} is beyond float range") from None

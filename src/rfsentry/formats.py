@@ -4,8 +4,9 @@ Each on-disk format has its reader and writer next to the type it reads
 into: RFSG traces and the manifest in ``signals``, the feature CSV in
 ``features``, model.json in ``lof``, corpus.json in ``synth`` and the
 report CSVs in ``evaluate``. This module holds only what they share: float
-text, fixed-header CSV records, and typed fields of a versioned JSON
-document. It knows no domain type and imports nothing from the package but
+text, fixed-header CSV records, and the keys of a versioned JSON document;
+the types of a document's values are the rules of the records they build.
+It knows no domain type and imports nothing from the package but
 ``errors``.
 """
 
@@ -14,7 +15,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import sys
 from pathlib import Path
 from typing import Iterator
 
@@ -94,34 +94,14 @@ def json_document(path: str | Path, name: str, version: int) -> dict:
     return doc
 
 
-# JSON value types: the Python types json.loads gives them, and their name
-STRING = ((str,), "a string")
-BOOL = ((bool,), "a boolean")
-LIST = ((list,), "a list")
-OBJECT = ((dict,), "an object")
-INT = ((int,), "an integer")
-NUMBER = ((int, float), "a number")
-INT_OR_NULL = ((int, type(None)), "an integer or null")
-NUMBER_OR_NULL = ((int, float, type(None)), "a number or null")
+def json_fields(d, keys, what: str) -> dict:
+    """The ``keys`` of JSON object ``d``; other keys are ignored.
 
-
-def json_fields(d, spec: dict[str, tuple[tuple[type, ...], str]], what: str) -> dict:
-    """The ``spec`` keys of JSON object ``d``, each of one of its exact types.
-
-    Exact, so a JSON ``true`` is not an integer and ``300.0`` is not one
-    either; an integer is a valid number, unless it is beyond float range,
-    and an integer-only field must fit int64. Other keys are ignored.
+    Each value's type is the rule of the record the caller builds from it.
     """
     if not isinstance(d, dict):
-        raise FormatError(f"{what} must be an object, got {type(d).__name__}")
-    missing = [key for key in spec if key not in d]
+        raise FormatError(f"{what} must be an object, got {d!r}")
+    missing = [key for key in keys if key not in d]
     if missing:
         raise FormatError(f"{what}: missing key(s) {', '.join(missing)}")
-    for key, (types, name) in spec.items():
-        if type(d[key]) not in types:
-            raise FormatError(f"{what}: {key} must be {name}, got {d[key]!r}")
-        if float in types and type(d[key]) is int and abs(d[key]) > sys.float_info.max:
-            raise FormatError(f"{what}: {key} is beyond float range")
-        if float not in types and type(d[key]) is int and not -2**63 <= d[key] < 2**63:
-            raise FormatError(f"{what}: {key} is beyond int64 range")
-    return {key: d[key] for key in spec}
+    return {key: d[key] for key in keys}

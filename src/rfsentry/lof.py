@@ -78,7 +78,7 @@ import contextvars
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 from typing import NamedTuple
@@ -86,7 +86,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, FormatError, float_array, integer, real
-from .formats import BOOL, INT, LIST, NUMBER, STRING, json_document, json_fields
+from .formats import json_document, json_fields
 from .seeding import chunk_bounds, usable_cpus
 
 LRD_EPSILON = 1e-10
@@ -97,8 +97,6 @@ DEFAULT_THRESHOLD = 1.5
 MODEL_FORMAT = "rfsentry-lof"
 MODEL_FORMAT_VERSION = 1
 _ARRAYS = ("train", "kdist", "lrd", "scaler_mean", "scaler_std")
-_MODEL_FIELDS = {"k": INT, "metric": STRING, "threshold": NUMBER, "standardized": BOOL,
-                 **dict.fromkeys(["scaler_mean", "scaler_std", "train", "kdist", "lrd"], LIST)}
 
 # Distance-table entries per row block. Each block temporary is 512 KiB of
 # float64 whatever the number of reference rows, small enough for two of
@@ -133,6 +131,17 @@ _SUBNORMAL = float(np.finfo(np.float64).smallest_subnormal)
 class Metric(Enum):
     MANHATTAN = "manhattan"
     EUCLIDEAN = "euclidean"
+
+    @classmethod
+    def _missing_(cls, value):  # Metric(value) raises this, so the lookup is the metric rule
+        names = ", ".join(m.value for m in cls)
+        raise ConfigError(f"metric must be one of {names}, got {value!r}")
+
+
+def _boolean(value, what: str) -> bool:
+    if not isinstance(value, (bool, np.bool_)):  # save writes a JSON boolean
+        raise ConfigError(f"{what} must be a boolean, got {value!r}")
+    return bool(value)
 
 
 def _row_blocks(rows: int, cols: int) -> list[tuple[slice, slice]]:
@@ -497,12 +506,14 @@ def _fit_lrds(lists, kdists: np.ndarray) -> np.ndarray:
     return lrds
 
 
-def _check_numbers(values: list, name: str, path) -> None:
+def _check_numbers(values, name: str, path) -> None:
     """Each entry of a model.json array, or of a ``train`` row, is a JSON number.
 
-    ``np.array`` alone would read ``"1.5"`` as 1.5 and ``true`` as 1.0. A
-    ``train`` row that is not a list fails the shape checks instead.
+    ``np.array`` alone would read ``[1.0, true]`` as floats. A value or a
+    ``train`` row that is not a list is left to the constructor and ``problem``.
     """
+    if type(values) is not list:
+        return
     if name == "train":
         values = [v for row in values if type(row) is list for v in row]
     if not set(map(type, values)) <= {int, float}:
@@ -517,7 +528,9 @@ class LofModel:
     ``train`` holds the (standardized) reference matrix; ``kdist`` and
     ``lrd`` are its per-point k-distances and local reachability densities.
     ``scaler_mean``/``scaler_std`` transform raw queries into the space the
-    model was fitted in (identity when standardization is off).
+    model was fitted in (identity when standardization is off). The
+    constructor is each field's type rule, for ``fit_grid`` and ``load``
+    alike; ``problem`` holds the rules that relate the fields.
     """
 
     train: np.ndarray
@@ -531,9 +544,18 @@ class LofModel:
     standardized: bool
 
     def __post_init__(self) -> None:
+        # stored as Python values and float64 arrays, so save writes what load reads
+        object.__setattr__(self, "k", integer(self.k, "k"))
+        object.__setattr__(self, "metric", Metric(self.metric))
+        threshold = real(self.threshold, "threshold")
+        if math.isnan(threshold):
+            raise ConfigError("threshold must be a number, got NaN")
+        object.__setattr__(self, "threshold", threshold)
+        object.__setattr__(self, "standardized", _boolean(self.standardized, "standardized"))
         for name in _ARRAYS:
-            arr = getattr(self, name)
-            arr.flags.writeable = False
+            array = float_array(getattr(self, name), name)  # float64 input stays uncopied
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     @property
     def dim(self) -> int:
@@ -561,8 +583,6 @@ class LofModel:
         for name, values in arrays.items():
             if not np.all(np.isfinite(values)):
                 return f"{name} holds non-finite values"
-        if math.isnan(self.threshold):
-            return "threshold is NaN"
         if np.any(self.scaler_std <= 0.0):
             return "scaler_std must be positive"
         zero = np.count_nonzero(self.kdist == 0.0)
@@ -620,19 +640,18 @@ class LofModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "LofModel":
-        """Read a model written by ``save``; any inconsistency is a FormatError."""
+        """Read a model written by ``save``; any inconsistency is a FormatError.
+
+        The reader checks the keys and the array entries; the types are the constructor's.
+        """
         doc = json_fields(json_document(path, MODEL_FORMAT, MODEL_FORMAT_VERSION),
-                          _MODEL_FIELDS, str(path))
-        k, threshold = doc["k"], float(doc["threshold"])
+                          [f.name for f in fields(cls)], str(path))
         for name in _ARRAYS:
             _check_numbers(doc[name], name, path)
         try:
-            metric = Metric(doc["metric"])
-            arrays = {name: float_array(doc[name], name) for name in _ARRAYS}
-        except ValueError as exc:  # ConfigError is one too
+            model = cls(**doc)
+        except ConfigError as exc:
             raise FormatError(f"{path}: {exc}") from None
-        model = cls(k=k, metric=metric, threshold=threshold,
-                    standardized=doc["standardized"], **arrays)
         problem = model.problem()
         if problem:
             raise FormatError(f"{path}: {problem}")
@@ -654,11 +673,7 @@ def fit_grid(
     set to inf, so no point is its own neighbor; one pass yields every k's
     k-distances and the neighbor lists that every k's densities come from.
     """
-    try:
-        metric = Metric(metric)
-    except ValueError:
-        names = ", ".join(m.value for m in Metric)
-        raise ConfigError(f"metric must be one of {names}, got {metric!r}") from None
+    metric = Metric(metric)
     x = float_array(train, "training features")
     if x.ndim != 2:
         raise ConfigError(f"training matrix must be 2-D, got shape {x.shape}")
@@ -672,19 +687,13 @@ def fit_grid(
         raise ConfigError(f"k_grid must be a sequence of integers, got {ks!r}") from None
     if not ks:
         raise ConfigError("k_grid must be non-empty")
-    ks = [integer(k, "k") for k in ks]  # a numpy k would not save to JSON, and k + 1 could wrap
+    ks = [integer(k, "k") for k in ks]  # k + 1 could wrap as a numpy int
     for k in ks:
         if k < 1:
             raise ConfigError(f"k must be at least 1, got {k}")
         if len(x) < k + 1:
             raise ConfigError(f"need at least k+1={k + 1} rows, got {len(x)}")
-    threshold = real(threshold, "threshold")  # a numpy float32 would not save to JSON
-    if math.isnan(threshold):
-        raise ConfigError("threshold must be a number, got NaN")
-    if not isinstance(standardize, (bool, np.bool_)):  # save writes a JSON boolean
-        raise ConfigError(f"standardize must be a boolean, got {standardize!r}")
-    standardize = bool(standardize)
-    if standardize:
+    if _boolean(standardize, "standardize"):
         mean = x.mean(axis=0)
         std = x.std(axis=0)
         std = np.where(std == 0.0, 1.0, std)  # constant columns contribute 0

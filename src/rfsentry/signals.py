@@ -70,8 +70,12 @@ class Signal:
     snr_db: float | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.device_id, str):
+            raise ConfigError(f"device_id must be a string, got {self.device_id!r}")
         if not isinstance(self.signal_class, SignalClass):
             raise ConfigError(f"signal_class must be a SignalClass, got {self.signal_class!r}")
+        if self.snr_db is not None:  # stored as a Python float, which the manifest writes
+            object.__setattr__(self, "snr_db", real(self.snr_db, "snr_db"))
         samples = float_array(self.samples, "samples")
         if samples.ndim != 1 or samples.size == 0:
             raise ConfigError("samples must be a non-empty 1-D sequence")

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -35,17 +35,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import ConfigError, FormatError, RfSentryError, integer, real
-from .formats import (
-    INT,
-    INT_OR_NULL,
-    LIST,
-    NUMBER,
-    NUMBER_OR_NULL,
-    OBJECT,
-    STRING,
-    json_document,
-    json_fields,
-)
+from .formats import json_document, json_fields
 from .seeding import derive_seed, stage_seed
 from .signals import Signal, SignalClass, TriggerConfig
 
@@ -187,26 +177,29 @@ class CorpusConfig:
     def load(cls, path: str | Path) -> "CorpusConfig":
         """Read a corpus.json written by ``save``.
 
-        A malformed document, a missing key, a wrong type and an invalid
-        configuration are each a FormatError that names the file.
+        It checks the keys, the ``profiles`` list and each ``kind``, and reads
+        a null ``snr_db`` as +inf; the constructors check every value. Each
+        failure is a FormatError that names the file.
         """
         doc = json_fields(json_document(path, CORPUS_FORMAT, CORPUS_FORMAT_VERSION),
-                          {"config": OBJECT}, str(path))
+                          ["config"], str(path))
         try:
-            fields = json_fields(doc["config"], _CONFIG_FIELDS, "config")
+            config = json_fields(doc["config"], [f.name for f in fields(cls)], "config")
+            if not isinstance(config["profiles"], list):
+                raise FormatError(f"profiles must be a list, got {config['profiles']!r}")
             profiles = []
-            for i, d in enumerate(fields["profiles"]):
+            for i, d in enumerate(config["profiles"]):
                 what = f"config: profiles[{i}]: profile"
-                profile = json_fields(d, _PROFILE_FIELDS, what)
+                profile = json_fields(d, [f.name for f in fields(DeviceProfile)], what)
                 try:
                     profile["kind"] = DeviceKind(profile["kind"])
                 except ValueError:
                     raise FormatError(f"{what}: unknown kind {profile['kind']!r}") from None
                 profiles.append(DeviceProfile(**profile))
-            fields["profiles"] = tuple(profiles)
-            if fields["snr_db"] is None:
-                fields["snr_db"] = math.inf
-            return cls(**fields)
+            config["profiles"] = profiles
+            if config["snr_db"] is None:
+                config["snr_db"] = math.inf
+            return cls(**config)
         except (FormatError, ConfigError) as exc:
             raise FormatError(f"{path}: {exc}") from None
 
@@ -220,24 +213,6 @@ _PROFILE_RULES = {"carrier_frac": real, "bandwidth_frac": real, "hop_period": _i
                   "envelope_rise": integer, "modulation_index": real, "device_seed": integer}
 _CONFIG_RULES = {"signals_per_device": integer, "snr_db": real, "capture_len": integer,
                  "master_seed": integer, "lead_len": integer}
-_PROFILE_FIELDS = {
-    "name": STRING,
-    "kind": STRING,
-    "carrier_frac": NUMBER,
-    "bandwidth_frac": NUMBER,
-    "hop_period": INT_OR_NULL,
-    "envelope_rise": INT,
-    "modulation_index": NUMBER,
-    "device_seed": INT,
-}
-_CONFIG_FIELDS = {
-    "profiles": LIST,
-    "signals_per_device": INT,
-    "snr_db": NUMBER_OR_NULL,
-    "capture_len": INT,
-    "master_seed": INT,
-    "lead_len": INT,
-}
 
 
 def default_profiles(capture_len: int = TriggerConfig.capture_len) -> tuple[DeviceProfile, ...]:

@@ -605,12 +605,12 @@ CORPUS_CASES = [
     ("snr-nan", _edit_config(lambda d: d["config"].update(snr_db=float("nan"))),
      "snr_db must be finite or +inf (clean), got nan"),
     ("snr-huge", _edit_config(lambda d: d["config"].update(snr_db=10**400)),
-     "config: snr_db is beyond float range"),
+     "corpus.json: snr_db is beyond float range"),
     ("hop-period-huge",
      _edit_config(lambda d: d["config"]["profiles"][0].update(hop_period=10**30)),
-     "profiles[0]: profile: hop_period is beyond int64 range"),
+     "corpus.json: bt_phone: hop_period is beyond int64 range"),
     ("lead-len-huge", _edit_config(lambda d: d["config"].update(lead_len=10**30)),
-     "config: lead_len is beyond int64 range"),
+     "corpus.json: lead_len is beyond int64 range"),
     ("hop-period-long",
      _edit_config(lambda d: d["config"]["profiles"][0].update(hop_period=2**62)),
      f"bt_phone: hop_period must not exceed the burst length 288, got {2**62}"),

@@ -5,18 +5,25 @@ file and a plain ``RfSentryError`` valid input that cannot be processed.
 A builtin exception raised by the package is allowed only where argparse
 turns it into a usage error, and a library argument that is not a number
 is a ``ConfigError``. Only ``errors`` turns an argument into float64.
+corpus.json and model.json are read through the constructors of the
+records they hold, so a value is refused in a file exactly where the
+library refuses it.
 """
 
 import ast
 import builtins
+import json
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rfsentry import Signal, TriggerConfig, errors, fit_grid, packet_coefficients, score_grid
-from rfsentry.errors import ConfigError
+from rfsentry import (LofModel, Signal, TriggerConfig, errors, fit_grid, packet_coefficients,
+                      score_grid)
+from rfsentry.errors import ConfigError, FormatError
 from rfsentry.features import sample_variance
+from rfsentry.synth import CorpusConfig, DeviceProfile, default_profiles
 
 SRC = Path(errors.__file__).parent
 
@@ -77,7 +84,7 @@ NOT_NUMBER_CASES = {
     "fit-bool-rows": (lambda: fit_grid(_X > 0, [3]),
                       "training features must be numbers, got dtype bool"),
     "fit-huge-threshold": (lambda: fit_grid(_X, [3], threshold=10**5000),
-                           "threshold is beyond the float range"),  # too long for str()
+                           "threshold is beyond float range"),  # too long for str()
     "fit-str-standardize": (lambda: fit_grid(_X, [3], standardize="no"),
                             "standardize must be a boolean, got 'no'"),
     "score-numeric-text": (lambda: score_grid([_MODEL], np.array([["1", "2", "3", "4"]])),
@@ -119,6 +126,16 @@ NOT_NUMBER_CASES = {
     "packets-object": (lambda: packet_coefficients(np.full(8, object())),
                        "samples must be numbers"),
     "signal-str": (lambda: Signal(samples="abc"), "samples must be numbers"),
+    "signal-text-snr": (lambda: Signal(samples=[1.0, 2.0], snr_db="x"),
+                        "snr_db must be a number, got 'x'"),
+    "signal-bool-snr": (lambda: Signal(samples=[1.0, 2.0], snr_db=True),
+                        "snr_db must be a number, got True"),
+    "signal-huge-snr": (lambda: Signal(samples=[1.0, 2.0], snr_db=10**400),
+                        "snr_db is beyond float range"),
+    "signal-int-device": (lambda: Signal(samples=[1.0, 2.0], device_id=3),
+                          "device_id must be a string, got 3"),
+    "signal-none-device": (lambda: Signal(samples=[1.0, 2.0], device_id=None),
+                           "device_id must be a string, got None"),
     "trigger-str-window": (lambda: TriggerConfig(window_len="64"),
                            "window_len must be an integer, got '64'"),
     "trigger-str-energy": (lambda: TriggerConfig(energy_threshold="0.05"),
@@ -164,3 +181,87 @@ def test_only_errors_converts_arguments_to_float64():
         for line in _float64_conversions(ast.parse(path.read_text()))
     ]
     assert stray == []
+
+
+# -- one type rule for the library and for the file --------------------------
+
+# The JSON values that each field of corpus.json and model.json takes in turn:
+# 1.5 only where an integer belongs, null only where null is not valid
+JSON_VALUES = [True, 1.5, "1", None, [], {}, 2**63, 10**400]
+INTEGER_FIELDS = {"hop_period", "envelope_rise", "device_seed", "signals_per_device",
+                  "capture_len", "master_seed", "lead_len", "k"}
+NULLABLE_FIELDS = {"hop_period", "snr_db"}
+
+_CFG = CorpusConfig(default_profiles(256), signals_per_device=6, capture_len=256)
+
+
+def _values(field: str) -> list:
+    return [value for value in JSON_VALUES
+            if (value != 1.5 or field in INTEGER_FIELDS)
+            and (value is not None or field not in NULLABLE_FIELDS)]
+
+
+def _built(build):
+    """What ``build()`` returns, or the message of its ConfigError."""
+    try:
+        return build()
+    except ConfigError as exc:
+        return str(exc)
+
+
+def _state(model: LofModel) -> tuple:
+    return (model.k, model.metric, model.threshold, model.standardized,
+            *(getattr(model, name).tolist()
+              for name in ("train", "kdist", "lrd", "scaler_mean", "scaler_std")))
+
+
+def _case(path, document: str, field: str, value):
+    """The saved document with ``value`` in ``field``, and what its reader
+    must give: the constructors' outcome for ``value`` (for a model that
+    builds, its ``problem``), or the message of the reader's own steps, the
+    ``profiles`` list check and the ``kind`` lookup."""
+    (_CFG if document == "corpus" else _MODEL).save(path)
+    doc = json.loads(path.read_text())
+    if document == "model":
+        doc[field] = value
+        expected = _built(lambda: LofModel(**{f.name: doc[f.name] for f in fields(LofModel)}))
+        if isinstance(expected, LofModel):
+            expected = expected.problem() or _state(expected)
+        return doc, expected
+    first, *rest = _CFG.profiles
+    in_profile = field in first.__dataclass_fields__
+    (doc["config"]["profiles"][0] if in_profile else doc["config"])[field] = value
+    if field == "kind":
+        expected = f"unknown kind {value!r}"
+    elif field == "profiles" and not isinstance(value, list):
+        expected = f"profiles must be a list, got {value!r}"
+    elif in_profile:
+        expected = _built(lambda: replace(_CFG, profiles=[replace(first, **{field: value}),
+                                                          *rest]))
+    else:  # an empty profiles list reaches the constructor
+        expected = _built(lambda: replace(_CFG, **{field: value}))
+    return doc, expected
+
+
+RECORD_FIELDS = ([("corpus", f.name) for f in fields(CorpusConfig)]
+                 + [("corpus", f.name) for f in fields(DeviceProfile)]
+                 + [("model", f.name) for f in fields(LofModel)])
+
+
+@pytest.mark.parametrize("document, field", RECORD_FIELDS,
+                         ids=[f"{document}-{field}" for document, field in RECORD_FIELDS])
+def test_files_refuse_a_value_where_the_constructor_does(tmp_path, document, field):
+    # a reader's FormatError names the file and ends with the constructor's
+    # ConfigError for the same value; a value that the constructor takes loads
+    load = CorpusConfig.load if document == "corpus" else LofModel.load
+    path = tmp_path / f"{document}.json"
+    for value in _values(field):
+        doc, expected = _case(path, document, field, value)
+        path.write_text(json.dumps(doc))
+        try:
+            loaded = load(path)
+        except FormatError as exc:
+            assert isinstance(expected, str), (value, str(exc))
+            assert str(exc).startswith(f"{path}: ") and str(exc).endswith(expected), value
+        else:
+            assert (loaded if document == "corpus" else _state(loaded)) == expected, value

@@ -285,9 +285,15 @@ def usual(rows, cols):
 KS = st.one_of(st.lists(st.integers(1, 4), min_size=1, max_size=4),
                st.lists(st.one_of(st.integers(-1, 12), st.integers(13, 70),
                                   st.sampled_from([True, 2.0, 2**63 - 1])), max_size=4))
-SCALARS = st.one_of(st.integers(-2, 300), FLOATS, st.none(), st.booleans(), st.text(max_size=3))
+# the int64 edges, the first integer past them and one beyond float range; no
+# numpy scalar holds 10**400, and 2**63 is a uint64 one
+EDGES = [-(2**63), 2**63 - 1, 2**63, 10**400]
+SCALARS = st.one_of(st.integers(-2, 300), FLOATS, st.none(), st.booleans(), st.text(max_size=3),
+                    st.sampled_from(EDGES))
 NUMPY_SCALARS = st.one_of(st.integers(-2, 300).map(np.int64), FLOATS.map(np.float64),
-                          st.floats(width=32).map(np.float32), st.booleans().map(np.bool_))
+                          st.floats(width=32).map(np.float32), st.booleans().map(np.bool_),
+                          st.sampled_from([np.int64(EDGES[0]), np.int64(EDGES[1]),
+                                           np.uint64(EDGES[2])]))
 
 
 def usual_or(value, other):

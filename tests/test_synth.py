@@ -169,6 +169,17 @@ def test_corpus_records_take_the_argument_rules(tmp_path, case):
     assert CorpusConfig.load(tmp_path / "corpus.json") == cfg
 
 
+def test_integer_fields_beyond_int64_are_refused_where_they_are_built(tmp_path):
+    # save would write what load refuses, so the constructor refuses it
+    with pytest.raises(ConfigError, match="master_seed is beyond int64 range"):
+        CorpusConfig(default_profiles(256), capture_len=256, master_seed=2**63)
+    with pytest.raises(ConfigError, match="bt_phone: device_seed is beyond int64 range"):
+        replace(default_profiles(256)[0], device_seed=-2**63 - 1)
+    cfg = CorpusConfig(default_profiles(256), capture_len=256, master_seed=2**63 - 1)
+    cfg.save(tmp_path / "corpus.json")
+    assert CorpusConfig.load(tmp_path / "corpus.json") == cfg
+
+
 def test_hop_period_longer_than_the_burst_is_rejected():
     cfg = small_cfg()
     assert cfg.burst_len == 288
