@@ -32,7 +32,11 @@
 # which is removed on exit. Needs python3 with numpy.
 #
 # A change that alters a product on purpose says so in CHANGES.md; this
-# check then fails for that change, and only for it.
+# check then fails for that change, and only for it. When the outputs differ,
+# each differing CSV or JSON file is listed again with the largest relative
+# difference of its numeric fields and whether any other field (a label, a
+# key, a row count) differs, so that a declared change can be checked
+# against its declaration. The exit status is 1 either way.
 set -euo pipefail
 
 base=${1:?usage: same_outputs.sh BASE}
@@ -112,6 +116,72 @@ pipeline() {
     sed -i -e "s|$src|SRC|g" -e "s|$out|OUT|g" "$out"/logs/*
 }
 
+# what_moved BASE HEAD: each CSV or JSON file that differs between the two
+# output trees, with how far its numbers moved and whether anything else did
+what_moved() {
+    python3 - "$1" "$2" <<'PY'
+import csv
+import filecmp
+import json
+import math
+import sys
+from pathlib import Path
+
+base, head = map(Path, sys.argv[1:])
+
+
+def fields(path):
+    """Each leaf of a JSON document, or each CSV cell, by its place in the file."""
+    if path.suffix == ".json":
+        leaves = {}
+
+        def walk(value, where):
+            items = (value.items() if isinstance(value, dict)
+                     else enumerate(value) if isinstance(value, list) else None)
+            if items is None:
+                leaves[where] = value
+            for key, item in items or ():
+                walk(item, where + (key,))
+
+        walk(json.loads(path.read_text()), ())
+        return leaves
+    with open(path, newline="") as fh:
+        return {(r, c): cell for r, row in enumerate(csv.reader(fh)) for c, cell in enumerate(row)}
+
+
+def number(value):
+    if isinstance(value, bool):
+        return None
+    try:
+        return float(value)  # a JSON number, or a CSV cell's text
+    except (TypeError, ValueError):
+        return None
+
+
+def moved(x, y):
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0
+    return abs(x - y) / max(abs(x), abs(y)) if math.isfinite(x) and math.isfinite(y) else math.inf
+
+
+for path in sorted(base.rglob("*")):
+    rel = path.relative_to(base)
+    other = head / rel
+    if path.suffix not in (".csv", ".json") or not other.is_file() or filecmp.cmp(path, other, False):
+        continue
+    a, b = fields(path), fields(other)
+    largest, elsewhere = 0.0, a.keys() != b.keys()
+    for key in a.keys() & b.keys():
+        x, y = number(a[key]), number(b[key])
+        if x is None or y is None:
+            elsewhere |= a[key] != b[key]
+        else:
+            largest = max(largest, moved(x, y))
+    print(f"{rel}: numbers moved by at most {largest:.2g} relative; "
+          + ("other fields differ too" if elsewhere else "no other field differs"))
+PY
+}
+
 for run in "0 2 default" "1 1 unsorted" "2 1 capture1024" "3 2 band"; do
     read -r seed jobs settings <<<"$run"
     pipeline "$work/base-src" "$work/base/seed$seed" "$seed" "$jobs" "$settings"
@@ -121,5 +191,6 @@ if diff -r --brief "$work/base" "$work/head"; then
     echo "same outputs as $base"
 else
     echo "outputs differ from $base: the files listed above" >&2
+    what_moved "$work/base" "$work/head" >&2
     exit 1
 fi

@@ -72,7 +72,8 @@ EVAL_MANIFEST = "eval_manifest.csv"
 def _atomic(write_fn, path: Path) -> None:
     """Write via a sibling temp file so a failure never leaves a partial file.
 
-    An OSError about the temp file names ``path``, the file the user asked for.
+    A system error about the temp file, or about no file (a write's error
+    names none), names ``path``, the file the user asked for.
     """
     tmp = path.with_name(path.name + ".tmp")
     try:
@@ -80,8 +81,8 @@ def _atomic(write_fn, path: Path) -> None:
         os.replace(tmp, path)
     except BaseException as exc:
         tmp.unlink(missing_ok=True)
-        if isinstance(exc, OSError) and exc.filename is not None \
-                and os.fspath(exc.filename) == os.fspath(tmp):
+        if isinstance(exc, OSError) and exc.strerror is not None and (
+                exc.filename is None or os.fspath(exc.filename) == os.fspath(tmp)):
             raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
         raise
 

@@ -17,11 +17,13 @@ message; any other exception is a bug. Both subclasses are also
 The argument rules live here too, each stated once: ``float_array``,
 ``integer`` and ``real`` give a library argument as a float64 array, an
 ``int`` within int64 or a ``float``, and refuse a bool, complex, text or
-object value with a ``ConfigError`` that names it. The JSON readers pass
+object value with a ``ConfigError`` that names it, and so is a finite
+value that float64 cannot hold (a wide ``np.longdouble``). The JSON readers pass
 their values to the records' constructors, which apply these rules. Ranges,
 NaN included, stay each caller's rule.
 """
 
+import math
 import numbers
 
 import numpy as np
@@ -47,6 +49,12 @@ def float_array(value, what: str) -> np.ndarray:
         raise ConfigError(f"{what} must be numbers: {exc}") from None
     if array.dtype.kind not in "iuf":  # numpy would cast bool and complex, and parse text
         raise ConfigError(f"{what} must be numbers, got dtype {array.dtype}")
+    if array.dtype.itemsize > 8:  # np.longdouble, whose finite values may exceed float64
+        with np.errstate(over="ignore"):
+            narrow = array.astype(np.float64)
+        if np.any(np.isinf(narrow) & np.isfinite(array)):
+            raise ConfigError(f"{what} is beyond float range")
+        return narrow
     return array.astype(np.float64, copy=False)
 
 
@@ -65,6 +73,9 @@ def real(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{what} must be a number, got {value!r}")
     try:
-        return float(value)
-    except OverflowError:
-        raise ConfigError(f"{what} is beyond float range") from None
+        number = float(value)
+    except OverflowError:  # a Python int, say
+        number = math.inf
+    if math.isinf(number) and value != number:  # a wide np.longdouble becomes inf instead
+        raise ConfigError(f"{what} is beyond float range")
+    return number

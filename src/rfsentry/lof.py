@@ -65,11 +65,12 @@ entry, n * k_max entries (more where distances tie), plus O(n) for the
 plan's row order and W sets of block-sized scratch arrays; scoring takes
 the scratch arrays alone.
 
-Every density is a whole-row sum over all n columns with zeros outside N_k,
-not a sum over gathered neighbors: that fixes the summation order, and with
-it the last bit of every lrd and score, whatever order a list holds a
-row's entries in. The results equal the dense-table formula, one (n, n)
-table for fit and one (q, n) table per query set, bit for bit, for any W.
+Each sum has one fixed order, so no result depends on the plan, on W or
+on the grid. A fit density sums a row's N_k entries alone, in column
+order: within about 1e-15 relative of the dense-table formula (one (n, n)
+table), with its inf and NaN. A score sums whole rows of all n columns,
+with zeros outside N_k: the dense formula (one (q, n) table per query set)
+bit for bit, given the model's lrd.
 """
 
 from __future__ import annotations
@@ -411,14 +412,13 @@ def _band_plan(zt: np.ndarray, metric: Metric, k_max: int):
 def _neighbor_lists(z: np.ndarray, metric: Metric, ks: list[int]):
     """Fit pass 1: the k-distances of every k in ``ks`` and the neighbor lists.
 
-    Returns the (len(ks), n) k-distances and, per group of at most
-    ``_BLOCK_ELEMENTS // n`` rows, ``(rows, flat, dist)``: the rows' indices,
-    the int32 flat index into the group's (rows, n) table and the distance
-    of every entry within its row's k-distance at the largest k, ties
-    included. Entries are grouped by row: row numbers never decrease, and
-    each flat index appears once. Within a row they keep the order the block
-    measured its columns in, which pass 2's whole-row sums do not depend on.
-    Brute force is the identity plan: every row, in order, against all n.
+    Returns the (len(ks), n) k-distances and, per block of pass 1,
+    ``(ids, starts, cols, dists)``: the block's row indices, where each row's
+    entries start, and the int32 column and the distance of every entry
+    within its row's k-distance at the largest k, ties included. Each row's
+    entries are one run, never empty, in ascending column order, whatever
+    order the plan measured the columns in. Brute force is the identity
+    plan: every row, in order, against all n.
     """
     n = len(z)
     kdist = np.empty((len(ks), n))
@@ -430,7 +430,7 @@ def _neighbor_lists(z: np.ndarray, metric: Metric, ks: list[int]):
     bt = zt[:, order]
     at, ids = bt[:, self_cols], order[self_cols]
     # row i of at is row ids[i] of z and column self_cols[i] of bt
-    step = max(1, _BLOCK_ELEMENTS // n)
+    inverse = np.argsort(order)  # column j of z is column inverse[j] of bt
     size = max((rows.stop - rows.start) * (cols.stop - cols.start) for rows, cols in blocks)
     positions = np.arange(size, dtype=np.int32)  # flat indices into a block
 
@@ -443,28 +443,27 @@ def _neighbor_lists(z: np.ndarray, metric: Metric, ks: list[int]):
         for block in _distance_blocks(at, bt, metric, blocks):
             rows, dist, first = block.rows, block.dist, block.cols.start
             height, width = dist.shape
-            bits = block.bits.ravel()
-            own = np.subtract(self_cols[rows], first, out=bits[:height])
+            own = np.subtract(self_cols[rows], first, out=block.bits.ravel()[:height])
             dist[positions[:height], own] = np.inf  # no point is its own neighbor
             kd = _kdist(dist, ks, block.spare, kd_rows[:height])
             kdist[:, ids[rows]] = kd
-            mask = np.less_equal(dist, kd[largest, :, None], out=block.mask).ravel()
-            count = np.count_nonzero(mask)
-            flat = np.compress(mask, positions[: mask.size], out=bits.view(np.int32)[:count])
-            row = block.spare.ravel().view(np.int64)[:count]
-            np.copyto(row, flat)  # widened once, before bits is overwritten
-            values = np.take(dist.ravel(), row)
-            column = bits[:count]
-            np.divmod(row, width, out=(row, column))
-            column += first
-            np.take(order, column, out=column, mode="clip")
-            cuts = row.searchsorted(np.arange(0, height + step, step))
-            # the flat index into each group's (step, n) table
-            grouped = np.remainder(row, step, out=np.empty(count, dtype=np.int32), casting="unsafe")
-            grouped *= n
-            grouped += column
-            out += [(ids[rows][i:i + step], grouped[lo:hi], values[lo:hi])
-                    for i, lo, hi in zip(range(0, height, step), cuts, cuts[1:])]
+            mask = np.less_equal(dist, kd[largest, :, None], out=block.mask)
+            counts = np.count_nonzero(mask, axis=1)
+            key = block.bits.ravel()[:counts.sum()]
+            column = block.spare.ravel().view(np.int64)[: len(key)]
+            flat = np.compress(mask.ravel(), positions[: mask.size],
+                               out=key.view(np.int32)[: len(key)])
+            np.copyto(column, flat)  # widened once, before key is overwritten
+            np.divmod(column, width, out=(key, column))  # the block's row and column
+            np.take(order[first:], column, out=column, mode="clip")  # the column of z
+            key *= n  # row * n + column, sorted in place
+            key += column
+            key.sort()
+            np.divmod(key, n, out=(key, column))
+            cols = column.astype(np.int32)
+            np.take(inverse, column, out=column, mode="clip")
+            column -= first
+            out.append((ids[rows], np.cumsum(counts) - counts, cols, dist[key, column]))
         return out
 
     groups = _on_threads(lists, blocks)
@@ -474,35 +473,29 @@ def _neighbor_lists(z: np.ndarray, metric: Metric, ks: list[int]):
 def _fit_lrds(lists, kdists: np.ndarray) -> np.ndarray:
     """Fit pass 2: every reference point's lrd at every k, from the neighbor lists.
 
-    N_k of a row is the part of its list within the row's k-distance. Its
-    reach values are scattered into a zeroed ``(rows, n)`` array at the
-    positions where ``_lof`` keeps them and reduced by the same whole-row
-    sum, so each lrd is the dense formula's bit for bit, in any order of a
-    row's entries. A group of list rows has at most ``_BLOCK_ELEMENTS // n``
-    rows, so the array is one block. Every k of a group writes the
-    same list positions, so the array is zeroed once and only those
-    positions are cleared after each group.
+    N_k of a row is the part of its run within the row's k-distance: at
+    least k entries, so never empty, which ``np.add.reduceat`` needs (it
+    returns the next entry for an empty run, not 0). Each k sums exactly
+    its own entries, in column order, so every lrd depends on neither the
+    plan nor the thread count, and each k of a grid equals a one-element
+    grid at that k bit for bit.
 
-    It runs on the calling thread. Most of its numpy calls are small (a
-    group's list is about 800 entries at n=8,000, k=100), and threads gained
-    nothing: on a 2-vCPU VM at n=8,000, two threads took a median 0.11-0.13 s
-    against 0.09-0.10 s for one at k=100, and 0.46-0.52 s against 0.45-0.48 s
-    for a 5-k grid.
+    It runs on the calling thread. Its numpy calls are small (a block's list
+    held a median 4,850 entries on lof_scale's rows, n=8,000, k=100), and
+    threads gained nothing: on a 2-vCPU VM there, two threads took a median
+    0.014 s against 0.008 s for one at k=100, 0.071-0.074 s against
+    0.068-0.070 s for a 5-k grid, and 0.28-0.34 s against 0.30-0.31 s for
+    the 20-k grid 10:200:10.
     """
-    n = kdists.shape[1]
     lrds = np.empty_like(kdists)
-    reach = np.zeros((max(1, _BLOCK_ELEMENTS // n), n))
-    for rows, flat, d in lists:
-        block = reach[: len(rows)]
-        flat = flat.astype(np.intp)  # once, not at every index use below
-        r, c = np.divmod(flat, n)
-        starts = np.searchsorted(r, np.arange(len(block)))  # no row's list is empty
+    for ids, starts, cols, d in lists:
+        cols = cols.astype(np.intp)  # once, not at every index use below
+        rows = np.repeat(ids, np.diff(starts, append=len(cols)))  # each entry's row
         for kdist, lrd in zip(kdists, lrds):
-            keep = d <= kdist[rows][r]
-            np.put(block, flat, np.where(keep, np.maximum(kdist[c], d), 0.0))
+            keep = d <= kdist[rows]
             counts = np.add.reduceat(keep, starts, dtype=np.intp)
-            lrd[rows] = _lrd(block.sum(axis=1) / counts)
-        np.put(block, flat, 0.0)
+            reach = np.maximum(kdist[cols], d)[keep]
+            lrd[ids] = _lrd(np.add.reduceat(reach, np.cumsum(counts) - counts) / counts)
     return lrds
 
 

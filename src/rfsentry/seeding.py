@@ -59,6 +59,24 @@ def _under_errstate(errstate: dict, fn, items: list, *args) -> list:
         return fn(items, *args)
 
 
+def _exit_with_parent() -> None:
+    """A pool worker's initializer: the worker ends as soon as its parent process does.
+
+    Without it, the workers of a killed ``synth`` ran their chunks to the
+    end, writing traces into a corpus that nothing would finish, and then
+    waited forever to send their results.
+    """
+    import multiprocessing
+    import threading
+    from multiprocessing.connection import wait
+
+    def watch():
+        wait([multiprocessing.parent_process().sentinel])  # ready once the parent is gone
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
 def map_chunks(fn, items: list, jobs: int, *args) -> list:
     """``fn(items, *args)`` computed over at most ``jobs`` contiguous chunks of ``items``.
 
@@ -68,7 +86,8 @@ def map_chunks(fn, items: list, jobs: int, *args) -> list:
     for each chunk that finds no idle worker. One chunk runs in-process; more
     run on a process pool, one worker each, so ``fn`` must be a module-level
     function. Workers are spawned, not forked, because the parent may already
-    run BLAS threads, and each runs its chunk under the caller's numpy errstate.
+    run BLAS threads, and each runs its chunk under the caller's numpy errstate
+    and exits when the caller's process ends.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
@@ -79,7 +98,8 @@ def map_chunks(fn, items: list, jobs: int, *args) -> list:
     from concurrent.futures import ProcessPoolExecutor
 
     spawn = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=jobs, mp_context=spawn) as pool:
+    with ProcessPoolExecutor(max_workers=jobs, mp_context=spawn,
+                             initializer=_exit_with_parent) as pool:
         futures = [pool.submit(_under_errstate, np.geterr(), fn, items[lo:hi], *args)
                    for lo, hi in chunk_bounds(len(items), jobs)]
         return [result for future in futures for result in future.result()]

@@ -179,7 +179,7 @@ def _rfsg_bytes(signal: Signal) -> bytes:
 
 
 def _write_file(path: str | Path, data: bytes) -> None:
-    """Create or truncate ``path`` and write all of ``data`` to it."""
+    """Create or truncate ``path`` and write all of ``data`` to it; an OSError names ``path``."""
     # O_BINARY (0 on POSIX) keeps a Windows C runtime from translating newlines
     flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
     fd = os.open(path, flags, 0o666)
@@ -187,6 +187,8 @@ def _write_file(path: str | Path, data: bytes) -> None:
         view = memoryview(data)
         while view:  # a write may take less than it is given
             view = view[os.write(fd, view):]
+    except OSError as exc:  # os.write's error names no file
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
     finally:
         os.close(fd)
 

@@ -4,10 +4,14 @@ import argparse
 import csv
 import fractions
 import json
+import os
 import shutil
+import signal
 import subprocess
 import sys
 import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,12 +30,13 @@ SYNTH_ARGS = ["--seed", "3", "--snr", "30", "--capture-len", "256",
 N_TRAIN, N_EVAL = 32, 88
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, preexec_fn=None):
     return subprocess.run(
         [sys.executable, "-m", "rfsentry", *(str(a) for a in args)],
         capture_output=True,
         text=True,
         cwd=cwd,
+        preexec_fn=preexec_fn,
     )
 
 
@@ -473,6 +478,90 @@ def test_write_to_a_missing_directory_names_the_output_path(pipeline, tmp_path):
     assert result.stderr.strip().endswith(f"No such file or directory: '{out}'")
     assert ".tmp" not in result.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+def file_size_limit(size: int):
+    """A ``preexec_fn`` that caps every file the child process writes at ``size`` bytes."""
+    import resource
+
+    return lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (size, size))
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="no RLIMIT_FSIZE")
+@pytest.mark.parametrize("command", ["synth", "extract"])
+def test_a_write_error_names_the_file_being_written(corpus, tmp_path, command):
+    # at 512 bytes the first trace (about 1 KB) or the feature CSV fails part
+    # way, where the write's own error names no file; the limit acts on the
+    # child alone
+    if command == "synth":
+        out = tmp_path / "corpus"
+        args = ["synth", "--out", out, *SYNTH_ARGS]
+        failing = out / "signals" / f"{default_profiles(256)[0].name}_00000.rfsg"
+    else:
+        out = failing = tmp_path / "train.csv"
+        args = ["extract", "--manifest", corpus / "train_manifest.csv", "--out", out,
+                "--capture-len", 256]
+    result = run_cli(*args, preexec_fn=file_size_limit(512))
+    assert_one_error_line(result, f"[Errno 27] File too large: '{failing}'")
+    if command == "extract":
+        assert list(tmp_path.iterdir()) == []
+
+
+def live_children(pid: int) -> set[int]:
+    """The processes whose parent is ``pid`` and that have not ended (Linux /proc)."""
+    children = set()
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            state, ppid = stat.read_text().rsplit(")", 1)[1].split()[:2]
+        except OSError:  # it ended while we looked
+            continue
+        if int(ppid) == pid and state != "Z":
+            children.add(int(stat.parent.name))
+    return children
+
+
+def is_live(pid: int) -> bool:
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(seeding.usable_cpus() < 2, reason="--jobs 2 runs in-process on one CPU")
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+def test_synth_workers_end_with_a_killed_parent(tmp_path):
+    # the workers, and the resource tracker, are the parent's children until
+    # it is killed; each must be gone a few seconds later, and no trace may
+    # be written after that
+    out = tmp_path / "corpus"
+    signals_dir = out / "signals"
+    proc = subprocess.Popen([sys.executable, "-m", "rfsentry", "synth", "--out", str(out),
+                             "--signals-per-device", "200", "--jobs", "2"],
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    children = set()
+    try:
+        deadline = time.monotonic() + 60
+        while proc.poll() is None and time.monotonic() < deadline:
+            children |= live_children(proc.pid)
+            if signals_dir.exists() and len(list(signals_dir.iterdir())) >= 50:
+                break
+            time.sleep(0.01)
+        assert proc.poll() is None, "synth ended before it could be killed"
+        children |= live_children(proc.pid)
+        assert len(children) >= 2
+        proc.terminate()
+        proc.wait(timeout=10)
+        deadline = time.monotonic() + 10
+        while any(map(is_live, children)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(is_live, children))
+        written = len(list(signals_dir.iterdir()))
+        time.sleep(1.0)
+        assert len(list(signals_dir.iterdir())) == written < 2000
+    finally:
+        proc.kill()
+        for pid in filter(is_live, children):
+            os.kill(pid, signal.SIGKILL)
 
 
 @pytest.fixture(scope="module")

@@ -75,6 +75,10 @@ def test_only_argparse_converters_raise_builtin_errors():
 _X = np.random.default_rng(50).standard_normal((10, 4))
 _MODEL = fit_grid(_X, [3])[0]
 
+# a finite np.longdouble beyond float64, where longdouble is wider (x86-64)
+LONGDOUBLE_IS_WIDER = np.finfo(np.longdouble).max > np.finfo(np.float64).max
+_HUGE = np.longdouble(10) ** 400 if LONGDOUBLE_IS_WIDER else None
+
 # library arguments that are not numbers, or not integers where a count is
 # asked for, or not of the type asked for: each is a ConfigError that names
 # the argument, never numpy's or Python's own error, and never a cast
@@ -144,10 +148,24 @@ NOT_NUMBER_CASES = {
                              "window_len must be an integer, got 64.0"),
     "trigger-float-capture": (lambda: TriggerConfig(capture_len=4096.0),
                               "capture_len must be an integer, got 4096.0"),
+    "longdouble-real": (lambda: errors.real(-_HUGE, "x"), "x is beyond float range"),
+    "longdouble-array": (lambda: errors.float_array(np.array([1.0, _HUGE]), "x"),
+                         "x is beyond float range"),
+    "longdouble-rows": (lambda: fit_grid(np.full((5, 4), _HUGE), [2]),
+                        "training features is beyond float range"),
+    "longdouble-snr": (lambda: Signal(samples=[1.0, 2.0], snr_db=_HUGE),
+                       "snr_db is beyond float range"),
+    "longdouble-corpus-snr": (lambda: CorpusConfig(default_profiles(256), capture_len=256,
+                                                   snr_db=_HUGE),
+                              "snr_db is beyond float range"),
 }
 
 
-@pytest.mark.parametrize("case", NOT_NUMBER_CASES)
+@pytest.mark.parametrize("case", [
+    pytest.param(case, marks=pytest.mark.skipif(
+        case.startswith("longdouble-") and not LONGDOUBLE_IS_WIDER,
+        reason="np.longdouble is no wider than float64 here"))
+    for case in NOT_NUMBER_CASES])
 def test_library_arguments_that_are_not_numbers_are_config_errors(case):
     call, message = NOT_NUMBER_CASES[case]
     with pytest.raises(ConfigError, match=message):

@@ -75,8 +75,12 @@ def test_metric_axioms_on_random_triples():
 # -- the shared core against its references -----------------------------------
 
 
-def tensor_lof(train, queries, k, metric):
-    """The (q, n, d) difference-tensor formula the row-block core replaced."""
+def tensor_lof(train, queries, k, metric, ref_lrd=None):
+    """The (q, n, d) difference-tensor formula the row-block core replaced.
+
+    The scores are against ``ref_lrd`` where it is given, else against the
+    formula's own lrd.
+    """
 
     def pairwise(a, b):
         diff = a[:, None, :] - b[None, :, :]
@@ -96,9 +100,22 @@ def tensor_lof(train, queries, k, metric):
     np.fill_diagonal(dist, np.inf)
     kdist = np.partition(dist, k - 1, axis=1)[:, k - 1]
     _, _, lrd = densities(dist, kdist)
+    ref_lrd = lrd if ref_lrd is None else ref_lrd
     neighborhood, counts, lrd_q = densities(pairwise(queries, train), kdist)
-    mean_neighbor_lrd = np.where(neighborhood, lrd[None, :], 0.0).sum(axis=1) / counts
+    mean_neighbor_lrd = np.where(neighborhood, ref_lrd[None, :], 0.0).sum(axis=1) / counts
     return kdist, lrd, mean_neighbor_lrd / lrd_q
+
+
+def assert_lrd_near(mine, dense):
+    """Fit lrds within 1e-12 relative of the dense formula's, inf and NaN where it has them.
+
+    Fit pass 2 sums each row's N_k entries in column order, and the dense
+    formula sums whole rows with zeros outside N_k: the two round apart.
+    """
+    finite = np.isfinite(dense)
+    assert np.array_equal(np.isfinite(mine), finite)
+    assert np.array_equal(mine[~finite], dense[~finite], equal_nan=True)
+    assert np.allclose(mine[finite], dense[finite], rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("grid", [True, False], ids=["grid", "normal"])
@@ -106,7 +123,8 @@ def tensor_lof(train, queries, k, metric):
 def test_core_matches_references_across_block_edges(metric, grid, monkeypatch):
     # integer grid data forces distance ties, and normal data makes the
     # rounding of every sum visible; 7-row blocks put both the fit (30 rows)
-    # and every query count below on and around block edges
+    # and every query count below on and around block edges; the scores are
+    # the formula's bit for bit, fed the model's own lrd
     block, n, d = 7, 30, 4
     monkeypatch.setattr(lof, "_BLOCK_ELEMENTS", block * n)
     rng = np.random.default_rng(34)
@@ -120,9 +138,9 @@ def test_core_matches_references_across_block_edges(metric, grid, monkeypatch):
     model = fit_grid(train, [3], metric=metric, standardize=False)[0]
     for q in (1, block - 1, block, block + 1, 2 * block + 3):
         queries = sample(q, -2, 6)
-        kdist, lrd, scores = tensor_lof(train, queries, 3, metric)
+        kdist, lrd, scores = tensor_lof(train, queries, 3, metric, model.lrd)
         assert np.array_equal(model.kdist, kdist)
-        assert np.array_equal(model.lrd, lrd)
+        assert_lrd_near(model.lrd, lrd)
         mine = score_grid([model], queries)[0]
         assert np.array_equal(mine, scores)
         ref = brute_lof_scores(train, queries, k=3, metric=metric)
@@ -258,7 +276,8 @@ def dense_kdist(table, k):
 @pytest.mark.parametrize("metric", ["manhattan", "euclidean"])
 def test_neighbor_lists_and_fused_score_equal_dense_tables(metric, data, n, monkeypatch):
     # the dense fit (one (n, n) table, diagonal inf) and dense score (one
-    # (q, n) table) are the reference, bit for bit: integer-grid data ties
+    # (q, n) table) are the reference: k-distances and scores (fed the
+    # model's own lrd) bit for bit, lrd to 1e-12; integer-grid data ties
     # often, lognormal data shows the rounding of every sum, and rows at
     # 1e308 overflow to inf distances and k-distances; 7-row blocks put the
     # fit and every query count on and around block edges; the grid is
@@ -282,15 +301,16 @@ def test_neighbor_lists_and_fused_score_equal_dense_tables(metric, data, n, monk
         table = dense_table(train, train, metric)
         np.fill_diagonal(table, np.inf)
         kdists = [dense_kdist(table, k) for k in ks]
-        lrds = [dense_lof(table, kdist, kdist) for kdist in kdists]
-        for model, kdist, lrd in zip(models, kdists, lrds):
+        for model, kdist in zip(models, kdists):
+            lrd = dense_lof(table, kdist, kdist)
             assert model.kdist.tobytes() == kdist.tobytes()
-            assert model.lrd.tobytes() == lrd.tobytes()
+            assert_lrd_near(model.lrd, lrd)
         for q in (1, block - 1, block, block + 1, 2 * block + 3):
             queries = sample(q)
             query_table = dense_table(queries, train, metric)
-            for k, kdist, lrd, scores in zip(ks, kdists, lrds, score_grid(models, queries)):
-                expected = dense_lof(query_table, dense_kdist(query_table, k), kdist, lrd)
+            for model, kdist, scores in zip(models, kdists, score_grid(models, queries)):
+                expected = dense_lof(query_table, dense_kdist(query_table, model.k), kdist,
+                                     model.lrd)
                 assert scores.tobytes() == expected.tobytes()
     if data == "overflow":
         assert np.isinf(table).any() and np.isinf(kdists[0]).any()
@@ -388,7 +408,7 @@ SLAB_BYTES = lof._BLOCK_ELEMENTS * 8
 
 
 def test_fit_peak_memory_is_bounded(monkeypatch):
-    # fit holds the neighbor lists, an int32 flat index and a distance per
+    # fit holds the neighbor lists, an int32 column and a distance per
     # entry (n * k entries: normal data has no ties), plus a few slabs of
     # one block and, on the band path, a few arrays of n; the (n, n) table
     # alone would be 72 MB, over 10x the bound. These rows take brute
@@ -429,23 +449,25 @@ BAND = {"_BAND_MAX_COST": math.inf, "_BAND_MIN_BLOCKS": 0}
 
 
 def neighbor_entries(z, metric, ks):
-    """Pass 1's k-distances and its lists as (row, column, distance) arrays in row-major order.
+    """Pass 1's k-distances and its lists as (row, column, distance) arrays, row by row.
 
-    Each group of a list must hold at most one block of rows, with int32
-    positions grouped by row, each at most once: the layout pass 2 sums.
+    Each row's entries must be one run, never empty, of int32 columns in
+    strictly ascending order: the layout pass 2 sums. Runs keep their order,
+    so comparing two results compares it.
     """
-    n = len(z)
     kdist, lists = lof._neighbor_lists(z, Metric(metric), ks)
     rows, cols, dists = [], [], []
-    for ids, flat, d in lists:
-        assert flat.dtype == np.int32 and len(ids) <= max(1, lof._BLOCK_ELEMENTS // n)
-        assert np.all(np.diff(flat // n) >= 0) and len(np.unique(flat)) == len(flat)
-        r, c = np.divmod(flat, n)
-        rows.append(ids[r])
+    for ids, starts, c, d in lists:
+        assert c.dtype == np.int32 and len(starts) == len(ids) and len(c) == len(d)
+        counts = np.diff(starts, append=len(c))
+        assert starts[0] == 0 and np.all(counts > 0)
+        r = np.repeat(ids, counts)
+        assert np.all((np.diff(c) > 0) | (np.diff(r) != 0))
+        rows.append(r)
         cols.append(c)
         dists.append(d)
     rows, cols, dists = map(np.concatenate, (rows, cols, dists))
-    order = np.lexsort((cols, rows))
+    order = np.argsort(rows, kind="stable")
     return kdist, rows[order], cols[order], dists[order]
 
 
@@ -482,29 +504,6 @@ def test_band_search_equals_brute_force(metric, data, d, monkeypatch):
                 results.append(([m.kdist.tobytes() + m.lrd.tobytes() for m in models],
                                 [a.tobytes() for a in entries]))
         assert all(result == results[0] for result in results), ks
-
-
-@pytest.mark.parametrize("data", ["lognormal", "grid"])
-@pytest.mark.parametrize("settings", [BRUTE_FORCE, BAND], ids=["brute-force", "band"])
-def test_fit_lrds_do_not_depend_on_the_order_within_a_row(data, settings, monkeypatch):
-    # pass 2 sums whole rows, so any order of a row's list entries gives the
-    # same bytes; integer-grid rows tie, and the grid repeats a k
-    n = 240
-    monkeypatch.setattr(lof, "_BLOCK_ELEMENTS", 16 * n)
-    for name, value in settings.items():
-        monkeypatch.setattr(lof, name, value)
-    rng = np.random.default_rng(47)
-    x = (rng.lognormal(0.0, 1.0, (n, 4)) if data == "lognormal"
-         else rng.integers(0, 5, (n, 4)).astype(float))
-    z = fit_grid(x, [1], standardize=data != "grid")[0].train
-    kdists, lists = lof._neighbor_lists(z, Metric.MANHATTAN, [30, 5, 30, 1])
-    shuffled = []
-    for ids, flat, d in lists:
-        order = rng.permutation(len(flat))
-        order = order[np.argsort(flat[order] // n, kind="stable")]
-        shuffled.append((ids, flat[order], d[order]))
-    assert any(not np.array_equal(a[1], b[1]) for a, b in zip(lists, shuffled))
-    assert lof._fit_lrds(shuffled, kdists).tobytes() == lof._fit_lrds(lists, kdists).tobytes()
 
 
 def test_the_default_corpus_fits_by_brute_force(default_corpus, default_trigger):

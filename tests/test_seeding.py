@@ -35,7 +35,7 @@ def test_map_chunks_rejects_jobs_below_one():
 class _InlinePool:
     """A process pool stand-in: records its ``max_workers`` and runs each chunk inline."""
 
-    def __init__(self, made: list, max_workers: int, mp_context=None):
+    def __init__(self, made: list, max_workers: int, mp_context=None, initializer=None):
         self.max_workers, self.submits = max_workers, 0
         made.append(self)
 
