@@ -25,6 +25,9 @@
 #   pairs; at 3,200 the fits of train, sweep-n and sweep-snr search bands
 #   (lof._band_plan) under both metrics and on raw features too, so this run
 #   compares that path's products, the Euclidean rounding slack included.
+#   Its 3,200-row models also span several of the slices that LofModel.save
+#   writes model.json in (lof._SAVE_ROWS rows each), so the slice joins of
+#   train, kdist and lrd are compared too.
 #
 # In the logs, each run's output directory and source tree are replaced by
 # fixed names first, so that only what the commands report is compared.

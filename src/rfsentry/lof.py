@@ -25,12 +25,13 @@ sort of the head it leaves, yields the k-distances of every k of a grid
 Fitting follows the two steps of the LOF paper (Breunig et al., SIGMOD
 2000, section 7). Pass 1 walks the reference against itself, no point
 counting as its own neighbor, and keeps each point's neighborhood at the
-largest grid k as a neighbor list: the position and distance of every
-entry within its k-distance, ties included. A smaller k's neighborhood is
-the part of that list within its own k-distance. Pass 2 computes each k's
-densities from the lists. Scoring needs no store: the reference densities
-are known, so one fused pass per query block computes its distances to all
-n reference rows, its k-distances and every model's scores.
+largest grid k as a neighbor list: the position of every entry within
+its k-distance, ties included. A smaller k's neighborhood is the part of
+that list within its own k-distance. Pass 2 takes each entry's distance
+again, in the same operations, and computes each k's densities from the
+lists. Scoring needs no store: the reference densities are known, so one
+fused pass per query block computes its distances to all n reference
+rows, its k-distances and every model's scores.
 
 Pass 1 skips, exactly, the pairs that cannot be neighbors, where that is
 cheaper than brute force (``_band_plan``). For a sign vector v, |v.(a - b)|
@@ -60,10 +61,12 @@ passes of fit pass 1 and the score pass run on W threads: W is the number
 of CPUs the process may use (its affinity mask, which ``taskset`` limits),
 at most one per block. Each thread takes one contiguous group of blocks,
 with scratch arrays of its own, and writes only its own rows. Pass 2 stays
-on the calling thread (see ``_fit_lrds``). Fit memory is 12 bytes per list
+on the calling thread (see ``_fit_lrds``). Fit memory is 4 bytes per list
 entry, n * k_max entries (more where distances tie), plus O(n) for the
-plan's row order and W sets of block-sized scratch arrays; scoring takes
-the scratch arrays alone.
+plan's row order and W sets of block-sized scratch arrays in pass 1, or one
+group's transient entry distances in pass 2; scoring takes the scratch
+arrays alone. ``LofModel.save`` encodes the large arrays a slice at a
+time, so writing model.json adds no copy of its whole text.
 
 Each sum has one fixed order, so no result depends on the plan, on W or
 on the grid. A fit density sums a row's N_k entries alone, in column
@@ -98,6 +101,10 @@ DEFAULT_THRESHOLD = 1.5
 MODEL_FORMAT = "rfsentry-lof"
 MODEL_FORMAT_VERSION = 1
 _ARRAYS = ("train", "kdist", "lrd", "scaler_mean", "scaler_std")
+# Rows of train, kdist or lrd that LofModel.save encodes at once. A slice of
+# train is about 90 KB of text: saving an 8,000-row model peaked at 0.62 MiB
+# of tracemalloc, against 6.3 MiB for one json.dumps of the whole document.
+_SAVE_ROWS = 1024
 
 # Distance-table entries per row block. Each block temporary is 512 KiB of
 # float64 whatever the number of reference rows, small enough for two of
@@ -192,15 +199,38 @@ class _Block(NamedTuple):
     mask: np.ndarray  # bool
 
 
+def _accumulate(pairs, metric: Metric, dist: np.ndarray, spare: np.ndarray) -> None:
+    """Write into ``dist`` the distances whose feature operands are ``pairs``, in order.
+
+    ``pairs`` yields ``(a_j, b_j)`` for features j = 0..d-1, arrays that
+    broadcast to ``dist``'s shape. The first term is written into ``dist``
+    itself and the rest are added through ``spare``: a term is +0.0 or more,
+    inf or NaN, and 0.0 + t is t for each, so this is a sum from zero bit for
+    bit. Every distance of the package is taken here, so all of them round
+    alike whatever arrays hold their operands.
+    """
+    for j, (a, b) in enumerate(pairs):
+        term = spare if j else dist
+        np.subtract(a, b, out=term)
+        if metric is Metric.MANHATTAN:
+            np.abs(term, out=term)
+        else:
+            np.multiply(term, term, out=term)
+        if j:
+            dist += term
+    if metric is Metric.EUCLIDEAN:
+        np.sqrt(dist, out=dist)
+
+
 def _distance_blocks(at: np.ndarray, bt: np.ndarray, metric: Metric, blocks: list[tuple]):
     """The ``_Block`` of each ``(rows, cols)`` pair of slices: those rows of a against those of b.
 
     ``at`` and ``bt`` are ``a.T`` and ``b.T`` as contiguous feature columns,
     copied once per pass and shared by its threads. Columns are accumulated in
-    order 0..d-1. For d < 8 that is the order numpy's own reduction over the
-    feature axis uses, so every entry equals the difference-tensor formula
-    bit for bit, in any block. One set of scratch arrays, of the largest
-    block's size, serves every block.
+    order 0..d-1 (``_accumulate``). For d < 8 that is the order numpy's own
+    reduction over the feature axis uses, so every entry equals the
+    difference-tensor formula bit for bit, in any block. One set of scratch
+    arrays, of the largest block's size, serves every block.
     """
     size = max((rows.stop - rows.start) * (cols.stop - cols.start) for rows, cols in blocks)
     floats = np.empty((2, size))
@@ -209,16 +239,7 @@ def _distance_blocks(at: np.ndarray, bt: np.ndarray, metric: Metric, blocks: lis
     for rows, cols in blocks:
         shape = (rows.stop - rows.start, cols.stop - cols.start)
         dist, spare = floats[:, : shape[0] * shape[1]].reshape(2, *shape)
-        dist.fill(0.0)
-        for j in range(len(at)):
-            np.subtract(at[j, rows, None], bt[j, cols], out=spare)
-            if metric is Metric.MANHATTAN:
-                np.abs(spare, out=spare)
-            else:
-                np.multiply(spare, spare, out=spare)
-            dist += spare
-        if metric is Metric.EUCLIDEAN:
-            np.sqrt(dist, out=dist)
+        _accumulate(((a[rows, None], b[cols]) for a, b in zip(at, bt)), metric, dist, spare)
         size = shape[0] * shape[1]
         yield _Block(rows, cols, dist, spare, bits[:size].reshape(shape),
                      mask[:size].reshape(shape))
@@ -409,28 +430,28 @@ def _band_plan(zt: np.ndarray, metric: Metric, k_max: int):
     return order, grouped, blocks
 
 
-def _neighbor_lists(z: np.ndarray, metric: Metric, ks: list[int]):
+def _neighbor_lists(zt: np.ndarray, metric: Metric, ks: list[int]):
     """Fit pass 1: the k-distances of every k in ``ks`` and the neighbor lists.
 
-    Returns the (len(ks), n) k-distances and, per block of pass 1,
-    ``(ids, starts, cols, dists)``: the block's row indices, where each row's
-    entries start, and the int32 column and the distance of every entry
-    within its row's k-distance at the largest k, ties included. Each row's
-    entries are one run, never empty, in ascending column order, whatever
-    order the plan measured the columns in. Brute force is the identity
-    plan: every row, in order, against all n.
+    ``zt`` is the reference as contiguous feature columns. Returns the
+    (len(ks), n) k-distances and, per block of pass 1, ``(ids, starts,
+    cols)``: the block's row indices, where each row's entries start, and
+    the int32 column of every entry within its row's k-distance at the
+    largest k, ties included. Each row's entries are one run, never empty,
+    in ascending column order, whatever order the plan measured the columns
+    in. The lists keep no distance, so an entry costs 4 bytes: pass 2 takes
+    each entry's distance again, in the same operations. Brute force is the
+    identity plan: every row, in order, against all n.
     """
-    n = len(z)
+    n = zt.shape[1]
     kdist = np.empty((len(ks), n))
     largest = ks.index(max(ks))
-    zt = z.T.copy()
     identity = np.arange(n)
     order, self_cols, blocks = (_band_plan(zt, metric, max(ks))  # None: brute force
                                 or (identity, identity, _row_blocks(n, n)))
     bt = zt[:, order]
     at, ids = bt[:, self_cols], order[self_cols]
     # row i of at is row ids[i] of z and column self_cols[i] of bt
-    inverse = np.argsort(order)  # column j of z is column inverse[j] of bt
     size = max((rows.stop - rows.start) * (cols.stop - cols.start) for rows, cols in blocks)
     positions = np.arange(size, dtype=np.int32)  # flat indices into a block
 
@@ -459,38 +480,43 @@ def _neighbor_lists(z: np.ndarray, metric: Metric, ks: list[int]):
             key *= n  # row * n + column, sorted in place
             key += column
             key.sort()
-            np.divmod(key, n, out=(key, column))
-            cols = column.astype(np.int32)
-            np.take(inverse, column, out=column, mode="clip")
-            column -= first
-            out.append((ids[rows], np.cumsum(counts) - counts, cols, dist[key, column]))
+            np.remainder(key, n, out=column)
+            out.append((ids[rows], np.cumsum(counts) - counts, column.astype(np.int32)))
         return out
 
     groups = _on_threads(lists, blocks)
     return kdist, [entry for group in groups for entry in group]
 
 
-def _fit_lrds(lists, kdists: np.ndarray) -> np.ndarray:
+def _fit_lrds(lists, kdists: np.ndarray, zt: np.ndarray, metric: Metric) -> np.ndarray:
     """Fit pass 2: every reference point's lrd at every k, from the neighbor lists.
 
-    N_k of a row is the part of its run within the row's k-distance: at
-    least k entries, so never empty, which ``np.add.reduceat`` needs (it
-    returns the next entry for an empty run, not 0). Each k sums exactly
-    its own entries, in column order, so every lrd depends on neither the
-    plan nor the thread count, and each k of a grid equals a one-element
-    grid at that k bit for bit.
+    ``zt`` is the reference as pass 1 took it. A group's entry distances
+    are taken once, before its k loop, through ``_accumulate`` in pass 1's
+    feature order and operand order (the row minus the column), so each is
+    pass 1's bit for bit. N_k of a row is the part of its run within the
+    row's k-distance: at least k entries, so never empty, which
+    ``np.add.reduceat`` needs (it returns the next entry for an empty run,
+    not 0). Each k sums exactly its own entries, in column order, so every
+    lrd depends on neither the plan nor the thread count, and each k of a
+    grid equals a one-element grid at that k bit for bit.
 
     It runs on the calling thread. Its numpy calls are small (a block's list
     held a median 4,850 entries on lof_scale's rows, n=8,000, k=100), and
     threads gained nothing: on a 2-vCPU VM there, two threads took a median
-    0.014 s against 0.008 s for one at k=100, 0.071-0.074 s against
-    0.068-0.070 s for a 5-k grid, and 0.28-0.34 s against 0.30-0.31 s for
-    the 20-k grid 10:200:10.
+    0.028-0.030 s against 0.017-0.023 s for one at k=100, 0.095-0.100 s
+    against 0.093-0.109 s for the 5-k grid 100:200:25, and 0.29-0.31 s
+    against 0.30-0.31 s for the 20-k grid 10:200:10.
     """
     lrds = np.empty_like(kdists)
-    for ids, starts, cols, d in lists:
+    for ids, starts, cols in lists:
         cols = cols.astype(np.intp)  # once, not at every index use below
         rows = np.repeat(ids, np.diff(starts, append=len(cols)))  # each entry's row
+        d = np.empty(len(cols))
+        _accumulate(((column[rows], column[cols]) for column in zt), metric, d, np.empty_like(d))
+        # no point is its own neighbor, as in pass 1; a run holds its own row
+        # only where the row's k-distance is inf
+        d[rows == cols] = np.inf
         for kdist, lrd in zip(kdists, lrds):
             keep = d <= kdist[rows]
             counts = np.add.reduceat(keep, starts, dtype=np.intp)
@@ -610,12 +636,14 @@ class LofModel:
         """Write the model as model.json; a model with a ``problem`` is a ConfigError.
 
         Such a model, which ``load`` would refuse, is refused before ``path``
-        is opened.
+        is opened. The file holds ``json.dumps(doc) + "\n"`` byte for byte,
+        but ``train``, ``kdist`` and ``lrd`` are encoded ``_SAVE_ROWS`` rows at
+        a time, so that no text of the whole document is ever held.
         """
         problem = self.problem()
         if problem:
             raise ConfigError(f"cannot save the model: {problem}")
-        doc = {
+        head = json.dumps({  # json.dumps runs the C encoder; json.dump does not
             "format": MODEL_FORMAT,
             "version": MODEL_FORMAT_VERSION,
             "k": self.k,
@@ -624,12 +652,18 @@ class LofModel:
             "standardized": self.standardized,
             "scaler_mean": self.scaler_mean.tolist(),
             "scaler_std": self.scaler_std.tolist(),
-            "train": self.train.tolist(),
-            "kdist": self.kdist.tolist(),
-            "lrd": self.lrd.tolist(),
-        }
+        })
         with open(path, "w") as fh:
-            fh.write(json.dumps(doc) + "\n")  # json.dumps runs the C encoder; json.dump does not
+            fh.write(head[:-1])  # without its closing brace
+            for name in ("train", "kdist", "lrd"):
+                array = getattr(self, name)
+                fh.write(f', "{name}": [')
+                for start in range(0, len(array), _SAVE_ROWS):
+                    if start:
+                        fh.write(", ")
+                    fh.write(json.dumps(array[start:start + _SAVE_ROWS].tolist())[1:-1])
+                fh.write("]")
+            fh.write("}\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "LofModel":
@@ -697,11 +731,13 @@ def fit_grid(
     if not np.all(np.isfinite(z)):  # NaN distances would leave a neighbor list empty
         raise ConfigError("cannot standardize the training features: a column's mean "
                           "or spread is beyond the float range")
-    kdists, lists = _neighbor_lists(z, metric, ks)
+    zt = z.T.copy()
+    kdists, lists = _neighbor_lists(zt, metric, ks)
+    lrds = _fit_lrds(lists, kdists, zt, metric)
     return [
         LofModel(train=z, k=k, metric=metric, threshold=threshold, kdist=kdist,
                  lrd=lrd, scaler_mean=mean, scaler_std=std, standardized=standardize)
-        for k, kdist, lrd in zip(ks, kdists, _fit_lrds(lists, kdists))
+        for k, kdist, lrd in zip(ks, kdists, lrds)
     ]
 
 

@@ -179,18 +179,24 @@ def _rfsg_bytes(signal: Signal) -> bytes:
 
 
 def _write_file(path: str | Path, data: bytes) -> None:
-    """Create or truncate ``path`` and write all of ``data`` to it; an OSError names ``path``."""
+    """Create or truncate ``path`` and write all of ``data`` to it.
+
+    An OSError from a write or the close names ``path``, and the file is
+    removed first, so that no partial trace stays behind.
+    """
     # O_BINARY (0 on POSIX) keeps a Windows C runtime from translating newlines
     flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
     fd = os.open(path, flags, 0o666)
     try:
-        view = memoryview(data)
-        while view:  # a write may take less than it is given
-            view = view[os.write(fd, view):]
+        try:
+            view = memoryview(data)
+            while view:  # a write may take less than it is given
+                view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
     except OSError as exc:  # os.write's error names no file
+        Path(path).unlink(missing_ok=True)
         raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
-    finally:
-        os.close(fd)
 
 
 def _write_jobs(jobs, results) -> None:

@@ -505,6 +505,8 @@ def test_a_write_error_names_the_file_being_written(corpus, tmp_path, command):
     assert_one_error_line(result, f"[Errno 27] File too large: '{failing}'")
     if command == "extract":
         assert list(tmp_path.iterdir()) == []
+    else:  # the partial trace is removed as well
+        assert list((out / "signals").iterdir()) == []
 
 
 def live_children(pid: int) -> set[int]:

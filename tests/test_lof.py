@@ -1,5 +1,6 @@
 """Local Outlier Factor: distances, the band search, fit/score/outliers, memory, persistence."""
 
+import json
 import math
 import threading
 import warnings
@@ -316,6 +317,24 @@ def test_neighbor_lists_and_fused_score_equal_dense_tables(metric, data, n, monk
         assert np.isinf(table).any() and np.isinf(kdists[0]).any()
 
 
+@pytest.mark.parametrize("metric", ["manhattan", "euclidean"])
+def test_a_row_with_an_infinite_k_distance_is_not_its_own_neighbor(metric):
+    # three rows near the float range are finitely apart but infinitely far
+    # from the rest, so at k=3 their list holds every column, their own
+    # included; at k=1 and 2 their k-distances are finite, and pass 2's
+    # recomputed distance of a row to itself must not count there
+    rng = np.random.default_rng(47)
+    train = rng.lognormal(0.0, 1.0, (12, 4))
+    train[:3] = (1e308 if metric == "manhattan" else 1e154) * np.array([[1.0], [1.01], [1.03]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        models = fit_grid(train, [3, 1, 2], metric, standardize=False)
+        for model in models[1:]:
+            single = fit_grid(train, [model.k], metric, standardize=False)[0]
+            assert model.kdist.tobytes() == single.kdist.tobytes()
+            assert model.lrd.tobytes() == single.lrd.tobytes(), model.k
+    assert np.all(np.isinf(models[0].kdist[:3])) and np.all(np.isfinite(models[1].kdist))
+
+
 # -- threads ------------------------------------------------------------------
 
 
@@ -408,15 +427,18 @@ SLAB_BYTES = lof._BLOCK_ELEMENTS * 8
 
 
 def test_fit_peak_memory_is_bounded(monkeypatch):
-    # fit holds the neighbor lists, an int32 column and a distance per
-    # entry (n * k entries: normal data has no ties), plus a few slabs of
-    # one block and, on the band path, a few arrays of n; the (n, n) table
-    # alone would be 72 MB, over 10x the bound. These rows take brute
-    # force; an unbounded cost sends them down the band path.
-    n, k = 3000, 10
+    # fit holds the neighbor lists, an int32 column per entry (n * k
+    # entries: normal data has no ties) and no distance, plus a few slabs of
+    # one block in pass 1 and, on the band path, a few arrays of n; pass 2
+    # then holds a few arrays of one block's entries, within the slabs pass 1
+    # has freed. A distance per entry as well (12 bytes) breaks the bound at
+    # two threads. The (n, n) table alone would be 72 MB, over 10x the
+    # bound. These rows take brute force; an unbounded cost sends them down
+    # the band path.
+    n, k = 3000, 100
     x = np.random.default_rng(35).standard_normal((n, 4))
     z = fit_grid(x, [k])[0].train
-    list_bytes = n * k * (4 + 8)
+    list_bytes = n * k * 4
     for cost in (lof._BAND_MAX_COST, math.inf):
         monkeypatch.setattr(lof, "_BAND_MAX_COST", cost)
         assert (lof._band_plan(z.T.copy(), Metric.MANHATTAN, k) is None) == (cost != math.inf)
@@ -449,26 +471,25 @@ BAND = {"_BAND_MAX_COST": math.inf, "_BAND_MIN_BLOCKS": 0}
 
 
 def neighbor_entries(z, metric, ks):
-    """Pass 1's k-distances and its lists as (row, column, distance) arrays, row by row.
+    """Pass 1's k-distances and its lists as (row, column) arrays, row by row.
 
     Each row's entries must be one run, never empty, of int32 columns in
     strictly ascending order: the layout pass 2 sums. Runs keep their order,
     so comparing two results compares it.
     """
-    kdist, lists = lof._neighbor_lists(z, Metric(metric), ks)
-    rows, cols, dists = [], [], []
-    for ids, starts, c, d in lists:
-        assert c.dtype == np.int32 and len(starts) == len(ids) and len(c) == len(d)
+    kdist, lists = lof._neighbor_lists(z.T.copy(), Metric(metric), ks)
+    rows, cols = [], []
+    for ids, starts, c in lists:
+        assert c.dtype == np.int32 and len(starts) == len(ids)
         counts = np.diff(starts, append=len(c))
         assert starts[0] == 0 and np.all(counts > 0)
         r = np.repeat(ids, counts)
         assert np.all((np.diff(c) > 0) | (np.diff(r) != 0))
         rows.append(r)
         cols.append(c)
-        dists.append(d)
-    rows, cols, dists = map(np.concatenate, (rows, cols, dists))
+    rows, cols = map(np.concatenate, (rows, cols))
     order = np.argsort(rows, kind="stable")
-    return kdist, rows[order], cols[order], dists[order]
+    return kdist, rows[order], cols[order]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
@@ -754,6 +775,59 @@ def test_model_json_round_trip(tmp_path):
     assert np.array_equal(back.train, model.train)
     # identical scores after the round trip
     assert np.array_equal(score_grid([back], queries)[0], score_grid([model], queries)[0])
+
+
+def whole_document(model) -> str:
+    """model.json as one ``json.dumps`` of the whole document, the text ``save`` writes."""
+    doc = {
+        "format": lof.MODEL_FORMAT,
+        "version": lof.MODEL_FORMAT_VERSION,
+        "k": model.k,
+        "metric": model.metric.value,
+        "threshold": model.threshold,
+        "standardized": model.standardized,
+        "scaler_mean": model.scaler_mean.tolist(),
+        "scaler_std": model.scaler_std.tolist(),
+        "train": model.train.tolist(),
+        "kdist": model.kdist.tolist(),
+        "lrd": model.lrd.tolist(),
+    }
+    return json.dumps(doc) + "\n"
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 11], ids=["slice-1", "slice", "slice+1", "2slices+3"])
+@pytest.mark.parametrize("metric, standardize",
+                         [("manhattan", True), ("euclidean", True), ("manhattan", False)])
+def test_model_json_is_the_whole_document_written_in_slices(metric, standardize, n, tmp_path,
+                                                           monkeypatch):
+    # 4-row slices: a model of n rows ends one short of, on, one past and
+    # three past a slice edge
+    monkeypatch.setattr(lof, "_SAVE_ROWS", 4)
+    train = np.random.default_rng(48).lognormal(0.0, 1.0, (n, 4)) * [1.0, 10.0, 0.1, 3.0]
+    model = fit_grid(train, [2], metric, threshold=1.25, standardize=standardize)[0]
+    path = tmp_path / "model.json"
+    model.save(path)
+    assert path.read_text() == whole_document(model)
+    back = LofModel.load(path)
+    for name in MODEL_ARRAYS:
+        assert getattr(back, name).tobytes() == getattr(model, name).tobytes(), name
+    assert (back.k, back.metric, back.threshold, back.standardized) == (
+        model.k, model.metric, model.threshold, model.standardized)
+
+
+def test_model_save_peak_memory_is_below_its_text(tmp_path):
+    # an 8,000-row model's text is about 0.94 MiB; written in slices, save
+    # holds one slice's lists and text at a time, not the whole document
+    rng = np.random.default_rng(49)
+    n = 8000
+    model = LofModel(train=rng.standard_normal((n, 4)), k=100, metric=Metric.MANHATTAN,
+                     threshold=1.5, kdist=rng.uniform(0.5, 1.0, n), lrd=rng.uniform(0.5, 2.0, n),
+                     scaler_mean=np.zeros(4), scaler_std=np.ones(4), standardized=True)
+    path = tmp_path / "model.json"
+    peak = traced_peak(lambda: model.save(path))
+    size = path.stat().st_size
+    assert size > 900_000
+    assert peak < size, (peak, size)
 
 
 def test_model_save_refuses_what_load_would_refuse(tmp_path):
