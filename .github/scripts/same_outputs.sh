@@ -31,8 +31,9 @@
 #
 # In the logs, each run's output directory and source tree are replaced by
 # fixed names first, so that only what the commands report is compared.
-# BASE is checked out as a detached git worktree in a temporary directory,
-# which is removed on exit. Needs python3 with numpy.
+# BASE's files are unpacked with `git archive` into a temporary directory,
+# which is removed on exit; the repository gains no worktree. Needs python3
+# with numpy.
 #
 # A change that alters a product on purpose says so in CHANGES.md; this
 # check then fails for that change, and only for it. When the outputs differ,
@@ -45,12 +46,9 @@ set -euo pipefail
 base=${1:?usage: same_outputs.sh BASE}
 repo=$(git rev-parse --show-toplevel)
 work=$(mktemp -d)
-cleanup() {
-    git -C "$repo" worktree remove --force "$work/base-src" 2>/dev/null || true
-    rm -rf "$work"
-}
-trap cleanup EXIT
-git -C "$repo" worktree add --quiet --detach "$work/base-src" "$base"
+trap 'rm -rf "$work"' EXIT
+mkdir "$work/base-src"
+git -C "$repo" archive "$base" | tar -x -C "$work/base-src"
 
 # rfs NAME ARGS...: one CLI command of the package under $src; its stdout and
 # stderr go to $out/logs/NAME.out and NAME.err

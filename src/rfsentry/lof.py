@@ -42,18 +42,18 @@ The search picks v by how few rows its bands keep around 64 sample rows
 with exact k-distances, bounds each row's k-distance from above by the
 distances to a window of rows near it in p, widens each bound by a derived
 rounding slack, and measures each block of rows only against the run of
-sorted rows that its bands span. Each distance is accumulated as brute
-force does it, so the k-distances and each row's list entries are brute
-force's bit for bit. Brute force is the plan that measures every row
-against all n in order, and one list builder serves both. It is used below
-64 blocks of table, above 6 features, or where the sample says that the
-bounds and bands would measure more than half of the table, as for
-all-identical rows. The gain depends on the data: on 8,000 fingerprint
-rows of 4 devices pass 1 took 0.21-0.27 s against 0.40-0.47 s for brute
-force, and on 16,000 0.48-0.64 s against 1.55-1.65 s (2-vCPU VM, 2
-threads); i.i.d. 4-D lognormal rows keep brute force
-at 8,000 and 16,000 rows, where bounds and bands would measure 56-69 % of
-the table.
+sorted rows that its bands span. A block's rows and columns are indices of
+z, its columns measured in ascending order, and each distance is
+accumulated as brute force does it, so the k-distances and each row's list
+entries are brute force's bit for bit. Brute force is the plan that
+measures every row against all n in order, and one list builder serves
+both. It is used below 64 blocks of table, above 6 features, or where the
+sample says that the bounds and bands would measure more than half of the
+table, as for all-identical rows. The gain depends on the data: on 8,000
+fingerprint rows of 4 devices pass 1 took 0.21-0.27 s against 0.40-0.47 s
+for brute force, and on 16,000 0.48-0.64 s against 1.55-1.65 s (2-vCPU VM,
+2 threads); i.i.d. 4-D lognormal rows keep brute force at 8,000 and 16,000
+rows, where bounds and bands would measure 56-69 % of the table.
 
 Blocks are independent, and nearly all the time of a distance pass is in
 numpy kernels on whole blocks, which release the GIL. So the distance
@@ -63,10 +63,11 @@ at most one per block. Each thread takes one contiguous group of blocks,
 with scratch arrays of its own, and writes only its own rows. Pass 2 stays
 on the calling thread (see ``_fit_lrds``). Fit memory is 4 bytes per list
 entry, n * k_max entries (more where distances tie), plus O(n) for the
-plan's row order and W sets of block-sized scratch arrays in pass 1, or one
-group's transient entry distances in pass 2; scoring takes the scratch
-arrays alone. ``LofModel.save`` encodes the large arrays a slice at a
-time, so writing model.json adds no copy of its whole text.
+plan's row indices (no reordered copy of the reference) and W sets of
+block-sized scratch arrays in pass 1, or one group's transient entry
+distances in pass 2; scoring takes the scratch arrays alone.
+``LofModel.save`` encodes the large arrays a slice at a time, so writing
+model.json adds no copy of its whole text.
 
 Each sum has one fixed order, so no result depends on the plan, on W or
 on the grid. A fit density sums a row's N_k entries alone, in column
@@ -191,11 +192,11 @@ class _Block(NamedTuple):
     sweep, against 0 to 13 with reuse.
     """
 
-    rows: slice  # of a
-    cols: slice  # of b
+    rows: slice | np.ndarray  # of a: a slice or an index array
+    cols: slice | np.ndarray  # of b: a slice or an ascending index array
     dist: np.ndarray  # float64 distances, rows x cols
     spare: np.ndarray  # float64
-    bits: np.ndarray  # int64, a mask for _masked_row_sums, or fit pass 1's index scratch
+    bits: np.ndarray  # int64, _lof's mask for _masked_row_sums
     mask: np.ndarray  # bool
 
 
@@ -223,8 +224,10 @@ def _accumulate(pairs, metric: Metric, dist: np.ndarray, spare: np.ndarray) -> N
 
 
 def _distance_blocks(at: np.ndarray, bt: np.ndarray, metric: Metric, blocks: list[tuple]):
-    """The ``_Block`` of each ``(rows, cols)`` pair of slices: those rows of a against those of b.
+    """The ``_Block`` of each ``(rows, cols)`` pair: those rows of a against those of b.
 
+    Each side is a slice or an index array; an index array of columns is
+    sorted as its block is measured, so a block's columns always ascend.
     ``at`` and ``bt`` are ``a.T`` and ``b.T`` as contiguous feature columns,
     copied once per pass and shared by its threads. Columns are accumulated in
     order 0..d-1 (``_accumulate``). For d < 8 that is the order numpy's own
@@ -232,12 +235,17 @@ def _distance_blocks(at: np.ndarray, bt: np.ndarray, metric: Metric, blocks: lis
     difference-tensor formula bit for bit, in any block. One set of scratch
     arrays, of the largest block's size, serves every block.
     """
-    size = max((rows.stop - rows.start) * (cols.stop - cols.start) for rows, cols in blocks)
+    def length(index) -> int:
+        return len(index) if isinstance(index, np.ndarray) else index.stop - index.start
+
+    size = max(length(rows) * length(cols) for rows, cols in blocks)
     floats = np.empty((2, size))
     bits = np.empty(size, dtype=np.int64)
     mask = np.empty(size, dtype=bool)
     for rows, cols in blocks:
-        shape = (rows.stop - rows.start, cols.stop - cols.start)
+        if isinstance(cols, np.ndarray):
+            cols = np.sort(cols)
+        shape = (length(rows), length(cols))
         dist, spare = floats[:, : shape[0] * shape[1]].reshape(2, *shape)
         _accumulate(((a[rows, None], b[cols]) for a, b in zip(at, bt)), metric, dist, spare)
         size = shape[0] * shape[1]
@@ -245,15 +253,14 @@ def _distance_blocks(at: np.ndarray, bt: np.ndarray, metric: Metric, blocks: lis
                      mask[:size].reshape(shape))
 
 
-def _kdist(dist: np.ndarray, ks: list[int], spare: np.ndarray, out=None) -> np.ndarray:
+def _kdist(dist: np.ndarray, ks: list[int], spare: np.ndarray) -> np.ndarray:
     """Each row's k-th smallest distance for every k in ``ks``: a (len(ks), rows) array.
 
     A copy in ``spare`` is partitioned once at the largest k, which puts a
     row's ``max(ks)`` smallest entries first. For a grid of several k that
     head is then sorted, and every k reads its order statistic from it. An
     order statistic is an entry of the row, so every k gets the value a
-    single-k partition gives. ``out``, a (rows, len(ks)) array, takes the
-    result in place of a new one. NumPy's multi-kth partition costs far more:
+    single-k partition gives. NumPy's multi-kth partition costs far more:
     1.1-2.0 ms against 0.18-0.28 ms for the 6-k and 20-k sweep grids on an
     81 x 800 block (2-vCPU VM).
     """
@@ -262,7 +269,7 @@ def _kdist(dist: np.ndarray, ks: list[int], spare: np.ndarray, out=None) -> np.n
     spare.partition(top - 1, axis=1)
     if len(set(ks)) > 1:
         spare[:, :top].sort(axis=1)
-    return np.take(spare, [k - 1 for k in ks], axis=1, out=out, mode="clip").T
+    return np.take(spare, [k - 1 for k in ks], axis=1).T
 
 
 def _lrd(mean_reach: np.ndarray) -> np.ndarray:
@@ -308,19 +315,17 @@ def _projection(zt: np.ndarray, signs) -> np.ndarray:
     return p
 
 
-def _kth_distances(at: np.ndarray, bt: np.ndarray, metric: Metric, blocks: list,
-                   self_cols: np.ndarray, k: int) -> np.ndarray:
-    """Each row of ``a``'s k-th smallest distance within its block's columns of ``b``.
+def _kth_distances(zt: np.ndarray, metric: Metric, blocks: list, k: int) -> np.ndarray:
+    """Each row of z's k-th smallest distance within its block's columns, itself excluded.
 
-    Row i of ``a`` is column ``self_cols[i]`` of ``b``, which does not count.
+    The blocks take each row of z at most once; a row in none is left unset.
     """
-    kth = np.empty(at.shape[1])
+    kth, index = np.empty(zt.shape[1]), np.arange(zt.shape[1])
 
     def rows_kth(blocks: list) -> None:
-        for block in _distance_blocks(at, bt, metric, blocks):
-            rows = block.rows
-            own = self_cols[rows] - block.cols.start
-            block.dist[np.arange(rows.stop - rows.start), own] = np.inf
+        for block in _distance_blocks(zt, zt, metric, blocks):
+            rows, cols = index[block.rows], index[block.cols]
+            block.dist[np.arange(len(rows)), np.searchsorted(cols, rows)] = np.inf
             kth[rows] = _kdist(block.dist, [k], block.spare)[0]
 
     _on_threads(rows_kth, blocks)
@@ -336,7 +341,8 @@ def _sign_vector(zt: np.ndarray, metric: Metric, k_max: int) -> tuple[tuple, flo
     """
     d, n = zt.shape
     sample = np.linspace(0, n - 1, min(n, _SAMPLE_ROWS)).astype(np.intp)  # distinct rows
-    radius = _kth_distances(zt[:, sample], zt, metric, _row_blocks(len(sample), n), sample, k_max)
+    blocks = [(sample[rows], cols) for rows, cols in _row_blocks(len(sample), n)]
+    radius = _kth_distances(zt, metric, blocks, k_max)[sample]
     if metric is Metric.EUCLIDEAN:
         radius *= math.sqrt(d)
 
@@ -353,12 +359,12 @@ def _sign_vector(zt: np.ndarray, metric: Metric, k_max: int) -> tuple[tuple, flo
 
 
 def _band_plan(zt: np.ndarray, metric: Metric, k_max: int):
-    """Fit pass 1's band search: ``(order, grouped, blocks)``, or None where brute force is cheaper.
+    """Fit pass 1's band search: its blocks, or None where brute force is cheaper.
 
-    ``order`` sorts the rows by their projection p. ``grouped`` lists the
-    sorted positions of the rows in the order the blocks take them, and each
-    block pairs a slice of ``grouped`` with the slice of sorted rows that
-    holds every neighbor of each of those rows.
+    Each block is a ``(rows, cols)`` pair of index arrays of z: rows that lie
+    near each other when sorted by their projection p, and the run of rows in
+    p order that holds every neighbor of each of them, the rows themselves
+    included. The blocks take every row of z exactly once.
     """
     d, n = zt.shape
     # A band holds at least a row and its k_max neighbors. The window pass
@@ -374,7 +380,7 @@ def _band_plan(zt: np.ndarray, metric: Metric, k_max: int):
         return None
     p = _projection(zt, signs)
     order = np.argsort(p, kind="stable")
-    p, st = p[order], zt[:, order]
+    p = p[order]
 
     # Upper bounds: each row's k_max-th smallest distance to a window of
     # rows around it in p order, as wide as the sample's mean band. The
@@ -384,8 +390,8 @@ def _band_plan(zt: np.ndarray, metric: Metric, k_max: int):
     windows = []
     for start in range(0, n, height):
         first = min(max(0, start - (width - height) // 2), n - width)
-        windows.append((slice(start, min(start + height, n)), slice(first, first + width)))
-    bound = _kth_distances(st, st, metric, windows, np.arange(n), k_max)
+        windows.append((order[start:start + height], order[first:first + width]))
+    bound = _kth_distances(zt, metric, windows, k_max)[order]
 
     # Rounding slack: the band must hold every column whose computed
     # distance D is at most the row's bound. With u = 2**-53 and x = a - b
@@ -422,12 +428,12 @@ def _band_plan(zt: np.ndarray, metric: Metric, k_max: int):
         span = np.maximum.accumulate(hi[start:stop]) - np.minimum.accumulate(lo[start:stop])
         count = max(1, np.count_nonzero(span * np.arange(1, stop - start + 1) <= _BLOCK_ELEMENTS))
         rows = slice(start, start + count)
-        blocks.append((rows, slice(lo[rows].min(), hi[rows].max())))
+        blocks.append((order[grouped[rows]], order[lo[rows].min():hi[rows].max()]))
         area += count * int(span[count - 1])
         start += count
     if n * width + area > _BAND_MAX_COST * n * n:
         return None
-    return order, grouped, blocks
+    return blocks
 
 
 def _neighbor_lists(zt: np.ndarray, metric: Metric, ks: list[int]):
@@ -438,50 +444,29 @@ def _neighbor_lists(zt: np.ndarray, metric: Metric, ks: list[int]):
     cols)``: the block's row indices, where each row's entries start, and
     the int32 column of every entry within its row's k-distance at the
     largest k, ties included. Each row's entries are one run, never empty,
-    in ascending column order, whatever order the plan measured the columns
-    in. The lists keep no distance, so an entry costs 4 bytes: pass 2 takes
-    each entry's distance again, in the same operations. Brute force is the
-    identity plan: every row, in order, against all n.
+    in ascending column order, because every block measures its columns in
+    that order. The lists keep no distance, so an entry costs 4 bytes: pass
+    2 takes each entry's distance again, in the same operations. Brute force
+    is the plan of ``_row_blocks``: every row, in order, against all n.
     """
     n = zt.shape[1]
     kdist = np.empty((len(ks), n))
     largest = ks.index(max(ks))
-    identity = np.arange(n)
-    order, self_cols, blocks = (_band_plan(zt, metric, max(ks))  # None: brute force
-                                or (identity, identity, _row_blocks(n, n)))
-    bt = zt[:, order]
-    at, ids = bt[:, self_cols], order[self_cols]
-    # row i of at is row ids[i] of z and column self_cols[i] of bt
-    size = max((rows.stop - rows.start) * (cols.stop - cols.start) for rows, cols in blocks)
-    positions = np.arange(size, dtype=np.int32)  # flat indices into a block
+    blocks = _band_plan(zt, metric, max(ks)) or _row_blocks(n, n)  # None: brute force
+    index = np.arange(n)
 
-    # A block's temporaries live in its thread's scratch arrays, so that only
-    # the lists stay on the heap between blocks: with fresh temporaries,
-    # lof_scale's peak RSS read 56.7 MB against brute force's 54.6 MB.
     def lists(blocks: list) -> list:
         out = []
-        kd_rows = np.empty((max(rows.stop - rows.start for rows, _ in blocks), len(ks)))
-        for block in _distance_blocks(at, bt, metric, blocks):
-            rows, dist, first = block.rows, block.dist, block.cols.start
-            height, width = dist.shape
-            own = np.subtract(self_cols[rows], first, out=block.bits.ravel()[:height])
-            dist[positions[:height], own] = np.inf  # no point is its own neighbor
-            kd = _kdist(dist, ks, block.spare, kd_rows[:height])
-            kdist[:, ids[rows]] = kd
+        for block in _distance_blocks(zt, zt, metric, blocks):
+            rows, cols, dist = index[block.rows], index[block.cols], block.dist
+            dist[np.arange(len(rows)), np.searchsorted(cols, rows)] = np.inf  # not its own neighbor
+            kd = _kdist(dist, ks, block.spare)
+            kdist[:, rows] = kd
             mask = np.less_equal(dist, kd[largest, :, None], out=block.mask)
             counts = np.count_nonzero(mask, axis=1)
-            key = block.bits.ravel()[:counts.sum()]
-            column = block.spare.ravel().view(np.int64)[: len(key)]
-            flat = np.compress(mask.ravel(), positions[: mask.size],
-                               out=key.view(np.int32)[: len(key)])
-            np.copyto(column, flat)  # widened once, before key is overwritten
-            np.divmod(column, width, out=(key, column))  # the block's row and column
-            np.take(order[first:], column, out=column, mode="clip")  # the column of z
-            key *= n  # row * n + column, sorted in place
-            key += column
-            key.sort()
-            np.remainder(key, n, out=column)
-            out.append((ids[rows], np.cumsum(counts) - counts, column.astype(np.int32)))
+            entries = np.flatnonzero(mask)
+            entries %= len(cols)  # each entry's place in its row
+            out.append((rows, np.cumsum(counts) - counts, cols[entries].astype(np.int32)))
         return out
 
     groups = _on_threads(lists, blocks)

@@ -73,6 +73,30 @@ def test_metric_axioms_on_random_triples():
             assert d[0, 2] <= d[0, 1] + d[1, 2] + 1e-12
 
 
+@pytest.mark.parametrize("metric", list(Metric))
+def test_distance_blocks_take_index_arrays_and_measure_columns_in_ascending_order(metric):
+    # fit pass 1's band blocks are index arrays: rows in any order, and
+    # columns that the distance pass sorts as it measures them, leaving the
+    # caller's array as it was; a slice mixes with them in one pass
+    rng = np.random.default_rng(47)
+    a, b = rng.standard_normal((30, 4)), rng.standard_normal((50, 4))
+    rows, cols = rng.permutation(30)[:9], rng.permutation(50)[:23]
+    given = cols.copy()
+    blocks = [(rows, cols), (rows[:4], slice(10, 40))]
+    measured = lof._distance_blocks(a.T.copy(), b.T.copy(), metric, blocks)
+    for (block_rows, block_cols), block in zip(blocks, measured, strict=True):
+        columns = np.sort(np.arange(50)[block_cols])
+        assert np.array_equal(block.rows, block_rows)
+        assert np.array_equal(np.arange(50)[block.cols], columns)
+        diff = a[block_rows, None, :] - b[None, columns, :]
+        if metric is Metric.MANHATTAN:
+            expected = np.abs(diff).sum(axis=2)
+        else:
+            expected = np.sqrt((diff**2).sum(axis=2))
+        assert block.dist.tobytes() == expected.tobytes()
+    assert np.array_equal(cols, given)
+
+
 # -- the shared core against its references -----------------------------------
 
 
@@ -429,12 +453,12 @@ SLAB_BYTES = lof._BLOCK_ELEMENTS * 8
 def test_fit_peak_memory_is_bounded(monkeypatch):
     # fit holds the neighbor lists, an int32 column per entry (n * k
     # entries: normal data has no ties) and no distance, plus a few slabs of
-    # one block in pass 1 and, on the band path, a few arrays of n; pass 2
-    # then holds a few arrays of one block's entries, within the slabs pass 1
-    # has freed. A distance per entry as well (12 bytes) breaks the bound at
-    # two threads. The (n, n) table alone would be 72 MB, over 10x the
-    # bound. These rows take brute force; an unbounded cost sends them down
-    # the band path.
+    # one block in pass 1 and, on the band path, a few index arrays of n but
+    # no reordered copy of the rows; pass 2 then holds a few arrays of one
+    # block's entries, within the slabs pass 1 has freed. A distance per
+    # entry as well (12 bytes) breaks the bound at two threads. The (n, n)
+    # table alone would be 72 MB, over 10x the bound. These rows take brute
+    # force; an unbounded cost sends them down the band path.
     n, k = 3000, 100
     x = np.random.default_rng(35).standard_normal((n, 4))
     z = fit_grid(x, [k])[0].train
@@ -468,6 +492,17 @@ def test_score_peak_memory_is_bounded(monkeypatch):
 # module settings that send any fit down each path of pass 1
 BRUTE_FORCE = {"_BAND_MAX_DIM": 0}
 BAND = {"_BAND_MAX_COST": math.inf, "_BAND_MIN_BLOCKS": 0}
+
+
+def assert_band_blocks_cover_z(blocks, n):
+    """The band plan's invariant, which pass 1's own-column lookup relies on.
+
+    Each block's columns hold all of its rows, and the blocks take every row
+    of z exactly once.
+    """
+    for rows, cols in blocks:
+        assert np.all(np.isin(rows, cols))
+    assert np.array_equal(np.sort(np.concatenate([rows for rows, _ in blocks])), np.arange(n))
 
 
 def neighbor_entries(z, metric, ks):
@@ -516,8 +551,10 @@ def test_band_search_equals_brute_force(metric, data, d, monkeypatch):
         for settings in (BRUTE_FORCE, BAND):
             for name, value in {**defaults, **settings}.items():
                 monkeypatch.setattr(lof, name, value)
-            assert (lof._band_plan(z.T.copy(), Metric(metric), max(ks)) is None) == (
-                settings is BRUTE_FORCE)
+            plan = lof._band_plan(z.T.copy(), Metric(metric), max(ks))
+            assert (plan is None) == (settings is BRUTE_FORCE)
+            if plan is not None:
+                assert_band_blocks_cover_z(plan, n)
             for cpus in (1, 2):
                 monkeypatch.setattr(lof, "usable_cpus", lambda: cpus)
                 models = fit_grid(x, ks, metric, standardize=standardize)
@@ -539,13 +576,16 @@ def test_the_default_corpus_fits_by_brute_force(default_corpus, default_trigger)
 
 
 def test_a_clustered_tie_free_fit_takes_the_band():
-    # 3,000 rows around 4 centers, like the fingerprints of 4 devices
+    # 3,000 rows around 4 centers, like the fingerprints of 4 devices, at
+    # k=10 and at the train command's k=100 and metric
     rng = np.random.default_rng(0)
     centers = rng.normal(0.0, 10.0, (4, 4))
     x = centers[np.arange(3000) % 4] + rng.standard_normal((3000, 4))
     z = fit_grid(x, [1])[0].train
-    for metric in Metric:
-        assert lof._band_plan(z.T.copy(), metric, 10) is not None, metric
+    for metric, k in [(Metric.MANHATTAN, 10), (Metric.EUCLIDEAN, 10), (Metric.MANHATTAN, 100)]:
+        plan = lof._band_plan(z.T.copy(), metric, k)
+        assert plan is not None, (metric, k)
+        assert_band_blocks_cover_z(plan, len(z))
 
 
 # -- fit ----------------------------------------------------------------------
