@@ -13,7 +13,7 @@ its traces on a helper thread while it generates the next burst
 before the first trace is written and written last, after every trace is
 on disk, so a failed ``synth`` leaves no corpus. Every command runs with
 numpy's overflow, invalid and divide warnings off, so stderr holds only the
-log: a fit that overflowed is refused by ``LofModel.problem`` instead.
+log: a fit that overflowed is refused by ``lof.fit_grid`` instead.
 """
 
 from __future__ import annotations
@@ -181,20 +181,6 @@ def _model_options(args) -> dict:
     """The ``fit_grid`` keyword arguments that the model flags set."""
     return dict(metric=args.metric, threshold=args.threshold,
                 standardize=not args.no_standardize)
-
-
-def _sweep_models(train: FeatureTable, args) -> list[LofModel]:
-    """The models of a sweep's ``--k-grid``, fitted on ``train``, sorted by k.
-
-    A model that ``train`` could not save (``LofModel.problem``) is an error:
-    its scores would be NaN or infinite.
-    """
-    models = fit_grid(train.matrix, sorted(args.k_grid), **_model_options(args))
-    for model in models:
-        problem = model.problem()
-        if problem:
-            raise RfSentryError(f"cannot use the model at k={model.k}: {problem}")
-    return models
 
 
 def _load_corpus(root: Path) -> CorpusConfig:
@@ -382,8 +368,8 @@ def cmd_sweep_n(args) -> int:
     test_idx, val_idx = stratified_split_indices(
         ev.classes, args.test_frac, stage_seed(args.seed, "split")
     )
-    models = _sweep_models(train, args)
-    ks = [model.k for model in models]
+    ks = sorted(args.k_grid)
+    models = fit_grid(train.matrix, ks, **_model_options(args))
     sets = [ev.select(idx) for idx in (val_idx, test_idx)]
     acc = accuracy_grid(models, [(t.matrix, t.classes) for t in sets])
     out = Path(args.out)
@@ -404,8 +390,8 @@ def cmd_sweep_snr(args) -> int:
     train = _load_training(args.train_features)
     plan = balanced_eval_plan(cfg, args.per_class)
     _check_training_source(cfg, train, root, args.train_features)
-    models = _sweep_models(train, args)
-    ks = [model.k for model in models]
+    ks = sorted(args.k_grid)
+    models = fit_grid(train.matrix, ks, **_model_options(args))
     truth = [profile.signal_class for profile, _ in plan]
     acc = accuracy_grid(models, [(matrix, truth) for matrix
                                  in _corpus_fingerprints(cfg, root, plan, snrs, args.jobs)])

@@ -62,10 +62,12 @@ of CPUs the process may use (its affinity mask, which ``taskset`` limits),
 at most one per block. Each thread takes one contiguous group of blocks,
 with scratch arrays of its own, and writes only its own rows. Pass 2 stays
 on the calling thread (see ``_fit_lrds``). Fit memory is 4 bytes per list
-entry, n * k_max entries (more where distances tie), plus O(n) for the
-plan's row indices (no reordered copy of the reference) and W sets of
-block-sized scratch arrays in pass 1, or one group's transient entry
-distances in pass 2; scoring takes the scratch arrays alone.
+entry, n * k_max entries (more where distances tie; pass 1 refuses a zero
+k-distance at k_max in the block that measures it, but ``_on_threads``
+lets each helper finish its group before the error re-raises), plus O(n)
+for the plan's row indices and W sets of block-sized scratch arrays in
+pass 1, or one group's transient entry distances in pass 2; scoring takes
+the scratch arrays alone.
 ``LofModel.save`` encodes the large arrays a slice at a time, so writing
 model.json adds no copy of its whole text.
 
@@ -135,6 +137,11 @@ _BAND_GROUPS = 4
 # band skips no pair that would overflow under the caller's errstate.
 _NORM_LIMIT = math.sqrt(np.finfo(np.float64).max) / 4
 _SUBNORMAL = float(np.finfo(np.float64).smallest_subnormal)
+# The errors of a model's zero k-distances, for fit pass 1 and LofModel alike
+_ZERO_KDIST = ("{} training rows have k-distance 0 at k={}: each is at distance 0 from k or "
+               "more others (identical, or closer than the metric resolves); deduplicate them "
+               "or raise k")
+_UNFIT = "cannot fit the model at k={}: {}"
 
 
 class Metric(Enum):
@@ -166,8 +173,8 @@ def _on_threads(fn, items: list) -> list:
     There are as many groups as usable CPUs, at most one per item, split by
     ``seeding.chunk_bounds``. The calling thread runs the first group and a
     pool made for this call runs the rest. Each helper runs in a copy of the
-    caller's context, which holds numpy's errstate, and an exception in a
-    helper re-raises here. ``fn`` must write only what its own group owns.
+    caller's context, which holds numpy's errstate. An exception re-raises here
+    once every helper has run its whole group. ``fn`` writes only what its group owns.
     """
     workers = max(1, min(usable_cpus(), len(items)))
     groups = [items[lo:hi] for lo, hi in chunk_bounds(len(items), workers)]
@@ -448,6 +455,9 @@ def _neighbor_lists(zt: np.ndarray, metric: Metric, ks: list[int]):
     that order. The lists keep no distance, so an entry costs 4 bytes: pass
     2 takes each entry's distance again, in the same operations. Brute force
     is the plan of ``_row_blocks``: every row, in order, against all n.
+    A zero k-distance at the largest k, a zero at every k, is refused under
+    the grid's first k as soon as a block measures one, before its lists are
+    stored; the count is the block's ("at least N" unless it holds every row).
     """
     n = zt.shape[1]
     kdist = np.empty((len(ks), n))
@@ -461,6 +471,10 @@ def _neighbor_lists(zt: np.ndarray, metric: Metric, ks: list[int]):
             rows, cols, dist = index[block.rows], index[block.cols], block.dist
             dist[np.arange(len(rows)), np.searchsorted(cols, rows)] = np.inf  # not its own neighbor
             kd = _kdist(dist, ks, block.spare)
+            if not kd[largest].all():
+                zero = np.count_nonzero(kd[0] == 0.0)
+                count = zero if len(rows) == n else f"at least {zero}"
+                raise ConfigError(_UNFIT.format(ks[0], _ZERO_KDIST.format(count, ks[0])))
             kdist[:, rows] = kd
             mask = np.less_equal(dist, kd[largest, :, None], out=block.mask)
             counts = np.count_nonzero(mask, axis=1)
@@ -514,7 +528,7 @@ def _check_numbers(values, name: str, path) -> None:
     """Each entry of a model.json array, or of a ``train`` row, is a JSON number.
 
     ``np.array`` alone would read ``[1.0, true]`` as floats. A value or a
-    ``train`` row that is not a list is left to the constructor and ``problem``.
+    ``train`` row that is not a list is left to the constructor.
     """
     if type(values) is not list:
         return
@@ -525,16 +539,24 @@ def _check_numbers(values, name: str, path) -> None:
         raise FormatError(f"{path}: {name} entries must be numbers, got {bad!r}")
 
 
+def _threshold(value) -> float:
+    threshold = real(value, "threshold")
+    if not math.isfinite(threshold):  # JSON has no inf or NaN, and inf flags nothing
+        raise ConfigError(f"threshold must be finite, got {threshold!r}")
+    return threshold
+
+
 @dataclass(frozen=True)
 class LofModel:
-    """Immutable fitted detector state.
+    """Immutable fitted detector state, usable by construction.
 
     ``train`` holds the (standardized) reference matrix; ``kdist`` and
     ``lrd`` are its per-point k-distances and local reachability densities.
     ``scaler_mean``/``scaler_std`` transform raw queries into the space the
     model was fitted in (identity when standardization is off). The
-    constructor is each field's type rule, for ``fit_grid`` and ``load``
-    alike; ``problem`` holds the rules that relate the fields.
+    constructor is the rule of a usable model, for ``fit_grid`` and ``load``
+    alike: field types, shapes, k, finite values and no zero k-distance (a
+    density of 1/``LRD_EPSILON``). Arrays are stored as read-only views.
     """
 
     train: np.ndarray
@@ -551,50 +573,36 @@ class LofModel:
         # stored as Python values and float64 arrays, so save writes what load reads
         object.__setattr__(self, "k", integer(self.k, "k"))
         object.__setattr__(self, "metric", Metric(self.metric))
-        threshold = real(self.threshold, "threshold")
-        if math.isnan(threshold):
-            raise ConfigError("threshold must be a number, got NaN")
-        object.__setattr__(self, "threshold", threshold)
+        object.__setattr__(self, "threshold", _threshold(self.threshold))
         object.__setattr__(self, "standardized", _boolean(self.standardized, "standardized"))
         for name in _ARRAYS:
-            array = float_array(getattr(self, name), name)  # float64 input stays uncopied
-            array.flags.writeable = False
+            array = float_array(getattr(self, name), name)
+            if array.flags.writeable:  # else stored as is: one fit's models share its z
+                array = array.view()
+                array.flags.writeable = False
             object.__setattr__(self, name, array)
+        if self.train.ndim != 2 or len(self.train) < 2:
+            raise ConfigError(
+                f"train must be a matrix of at least 2 rows, got shape {self.train.shape}")
+        n, dim = self.train.shape
+        for name, size in (("kdist", n), ("lrd", n), ("scaler_mean", dim), ("scaler_std", dim)):
+            shape = getattr(self, name).shape
+            if shape != (size,):
+                raise ConfigError(f"{name} has shape {shape}, expected ({size},)")
+        if not 1 <= self.k <= n - 1:
+            raise ConfigError(f"k={self.k} outside 1..{n - 1} for {n} training rows")
+        for name in _ARRAYS:
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ConfigError(f"{name} holds non-finite values")
+        if np.any(self.scaler_std <= 0.0):
+            raise ConfigError("scaler_std must be positive")
+        zero = np.count_nonzero(self.kdist == 0.0)
+        if zero:
+            raise ConfigError(_ZERO_KDIST.format(zero, self.k))
 
     @property
     def dim(self) -> int:
         return self.train.shape[1]
-
-    def problem(self) -> str | None:
-        """What makes this model unusable, or None: the rule of ``save`` and ``load``.
-
-        Training rows near the float range can fit to an infinite k-distance
-        or scaler_std, and rows at distance 0 from k or more others to a
-        k-distance of 0 (identical rows, or rows whose squared Euclidean
-        differences underflow), whose density of 1/``LRD_EPSILON`` inflates
-        the score of every query near those rows; so a caller that scores
-        fitted models checks it too.
-        """
-        arrays = {name: getattr(self, name) for name in _ARRAYS}
-        if self.train.ndim != 2 or len(self.train) < 2:
-            return f"train must be a matrix of at least 2 rows, got shape {self.train.shape}"
-        n, dim = self.train.shape
-        for name, size in (("kdist", n), ("lrd", n), ("scaler_mean", dim), ("scaler_std", dim)):
-            if arrays[name].shape != (size,):
-                return f"{name} has shape {arrays[name].shape}, expected ({size},)"
-        if not 1 <= self.k <= n - 1:
-            return f"k={self.k} outside 1..{n - 1} for {n} training rows"
-        for name, values in arrays.items():
-            if not np.all(np.isfinite(values)):
-                return f"{name} holds non-finite values"
-        if np.any(self.scaler_std <= 0.0):
-            return "scaler_std must be positive"
-        zero = np.count_nonzero(self.kdist == 0.0)
-        if zero:
-            return (f"{zero} training rows have k-distance 0 at k={self.k}: each is at distance "
-                    "0 from k or more others (identical, or closer than the metric resolves); "
-                    "deduplicate them or raise k")
-        return None
 
     # -- scoring ------------------------------------------------------------
 
@@ -618,16 +626,13 @@ class LofModel:
     # -- persistence ----------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        """Write the model as model.json; a model with a ``problem`` is a ConfigError.
+        """Write the model as model.json, which ``load`` reads back.
 
-        Such a model, which ``load`` would refuse, is refused before ``path``
-        is opened. The file holds ``json.dumps(doc) + "\n"`` byte for byte,
-        but ``train``, ``kdist`` and ``lrd`` are encoded ``_SAVE_ROWS`` rows at
-        a time, so that no text of the whole document is ever held.
+        The file holds ``json.dumps(doc) + "\n"`` byte for byte, but
+        ``train``, ``kdist`` and ``lrd`` are encoded ``_SAVE_ROWS`` rows at a
+        time, so that no text of the whole document is ever held. Every value
+        is finite (the constructor's rule), so the text is JSON.
         """
-        problem = self.problem()
-        if problem:
-            raise ConfigError(f"cannot save the model: {problem}")
         head = json.dumps({  # json.dumps runs the C encoder; json.dump does not
             "format": MODEL_FORMAT,
             "version": MODEL_FORMAT_VERSION,
@@ -654,20 +659,31 @@ class LofModel:
     def load(cls, path: str | Path) -> "LofModel":
         """Read a model written by ``save``; any inconsistency is a FormatError.
 
-        The reader checks the keys and the array entries; the types are the constructor's.
+        The reader checks the keys and the array entries; every other rule is
+        the constructor's, whose ConfigError becomes a FormatError naming the file.
         """
         doc = json_fields(json_document(path, MODEL_FORMAT, MODEL_FORMAT_VERSION),
                           [f.name for f in fields(cls)], str(path))
         for name in _ARRAYS:
             _check_numbers(doc[name], name, path)
         try:
-            model = cls(**doc)
+            return cls(**doc)
         except ConfigError as exc:
             raise FormatError(f"{path}: {exc}") from None
-        problem = model.problem()
-        if problem:
-            raise FormatError(f"{path}: {problem}")
-        return model
+
+
+def _fit_arrays(x: np.ndarray, ks: list[int], metric: Metric, standardize: bool):
+    """``fit_grid``'s arrays, z = (x - mean) / std, mean, std and each k's kdist and lrd."""
+    d = x.shape[1]
+    mean, std = (x.mean(axis=0), x.std(axis=0)) if standardize else (np.zeros(d), np.ones(d))
+    std = np.where(std == 0.0, 1.0, std)  # constant columns contribute 0
+    z = (x - mean) / std
+    if not np.all(np.isfinite(z)):  # NaN distances would leave a neighbor list empty
+        raise ConfigError("cannot standardize the training features: a column's mean "
+                          "or spread is beyond the float range")
+    zt = z.T.copy()
+    kdists, lists = _neighbor_lists(zt, metric, ks)
+    return z, mean, std, kdists, _fit_lrds(lists, kdists, zt, metric)
 
 
 def fit_grid(
@@ -684,8 +700,12 @@ def fit_grid(
     distances. The reference is measured against itself with the diagonal
     set to inf, so no point is its own neighbor; one pass yields every k's
     k-distances and the neighbor lists that every k's densities come from.
+    A model that would break ``LofModel``'s rule is a ConfigError naming the
+    first such k in grid order; pass 1 refuses zero k-distances at the largest k.
     """
     metric = Metric(metric)
+    threshold = _threshold(threshold)  # before the O(n^2) passes
+    standardize = _boolean(standardize, "standardize")
     x = float_array(train, "training features")
     if x.ndim != 2:
         raise ConfigError(f"training matrix must be 2-D, got shape {x.shape}")
@@ -705,25 +725,17 @@ def fit_grid(
             raise ConfigError(f"k must be at least 1, got {k}")
         if len(x) < k + 1:
             raise ConfigError(f"need at least k+1={k + 1} rows, got {len(x)}")
-    if _boolean(standardize, "standardize"):
-        mean = x.mean(axis=0)
-        std = x.std(axis=0)
-        std = np.where(std == 0.0, 1.0, std)  # constant columns contribute 0
-    else:
-        mean = np.zeros(x.shape[1])
-        std = np.ones(x.shape[1])
-    z = (x - mean) / std
-    if not np.all(np.isfinite(z)):  # NaN distances would leave a neighbor list empty
-        raise ConfigError("cannot standardize the training features: a column's mean "
-                          "or spread is beyond the float range")
-    zt = z.T.copy()
-    kdists, lists = _neighbor_lists(zt, metric, ks)
-    lrds = _fit_lrds(lists, kdists, zt, metric)
-    return [
-        LofModel(train=z, k=k, metric=metric, threshold=threshold, kdist=kdist,
-                 lrd=lrd, scaler_mean=mean, scaler_std=std, standardized=standardize)
-        for k, kdist, lrd in zip(ks, kdists, lrds)
-    ]
+    z, mean, std, kdists, lrds = _fit_arrays(x, ks, metric, standardize)
+    z.flags.writeable = False  # stored as is, so score_grid tells the models of one fit by it
+    models = []
+    for k, kdist, lrd in zip(ks, kdists, lrds):
+        try:
+            models.append(LofModel(train=z, k=k, metric=metric, threshold=threshold,
+                                   kdist=kdist, lrd=lrd, scaler_mean=mean, scaler_std=std,
+                                   standardized=standardize))
+        except ConfigError as exc:
+            raise ConfigError(_UNFIT.format(k, exc)) from None
+    return models
 
 
 def score_grid(models: list[LofModel], queries) -> list[np.ndarray]:

@@ -81,6 +81,7 @@ class Signal:
             raise ConfigError("samples must be a non-empty 1-D sequence")
         if not np.all(np.isfinite(samples)):
             raise ConfigError("samples must be finite")
+        samples = samples.view()  # read-only, so the caller's array stays writable
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
 

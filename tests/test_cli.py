@@ -287,9 +287,31 @@ def test_train_writes_no_model_that_score_would_refuse(tmp_path, case, rows, fla
     write_features(features, rows)
     result = run_cli("train", "--features", features, "--out", tmp_path / "model.json",
                      "--k", 2, *flags)
-    assert result.returncode == 2
-    assert "Traceback" not in result.stderr
-    assert f"cannot save the model: {message}" in result.stderr.strip().splitlines()[-1]
+    assert_one_error_line(result, f"cannot fit the model at k=2: {message}")
+    assert list(tmp_path.iterdir()) == [features]
+
+
+# sweep-snr takes a corpus's own training rows, next to which the
+# infinite-kdist rows fit finite k-distances; the other two cases refuse there
+SWEEP_REFUSAL_CASES = ([("sweep-n", case) for case in UNSAVABLE_MODEL_CASES]
+                       + [("sweep-snr", case) for case in UNSAVABLE_MODEL_CASES[1:]])
+
+
+@pytest.mark.parametrize("command, case", SWEEP_REFUSAL_CASES,
+                         ids=[f"{command}-{case[0]}" for command, case in SWEEP_REFUSAL_CASES])
+def test_sweeps_refuse_the_fits_that_train_refuses(corpus, pipeline, tmp_path, command, case):
+    # the same fit at k=2, the same one error line, and nothing written
+    _, rows, flags, message = case
+    features = tmp_path / "train.csv"
+    if command == "sweep-snr":
+        shutil.copy(pipeline[1], features)
+        write_features(features, rows, device_id="bt_phone")
+        args = _sweep_snr(corpus, features, tmp_path / "report", "--snr-grid", "30")
+    else:
+        write_features(features, rows)
+        args = _sweep_n(features, features, tmp_path / "report")
+    result = run_cli(*args, "--k-grid", "2", *flags)
+    assert_one_error_line(result, f"cannot fit the model at k=2: {message}")
     assert list(tmp_path.iterdir()) == [features]
 
 
@@ -300,16 +322,18 @@ def test_sweep_n_refuses_a_fit_that_train_would_refuse(tmp_path):
     write_features(features, UNSAVABLE_MODEL_CASES[0][1])
     result = run_cli(*_sweep_n(features, features, tmp_path / "report", "--k-grid", "1,2",
                                "--no-standardize"))
-    assert_one_error_line(result, "cannot use the model at k=2: kdist holds non-finite values")
+    assert_one_error_line(result, "cannot fit the model at k=2: kdist holds non-finite values")
     assert list(tmp_path.iterdir()) == [features]
 
 
 def test_sweep_n_refuses_a_model_with_zero_kdist(tmp_path):
-    # at k=3 the three copies have a fourth neighbor; at k=2 they do not
+    # at k=3 the three copies have a fourth neighbor; at k=2 they do not, so
+    # the fit names k=2, the first k of the sorted grid whose model is refused
     features = tmp_path / "features.csv"
     write_features(features, UNSAVABLE_MODEL_CASES[2][1])
     result = run_cli(*_sweep_n(features, features, tmp_path / "report", "--k-grid", "3,2"))
-    assert_one_error_line(result, f"cannot use the model at k=2: {UNSAVABLE_MODEL_CASES[2][3]}")
+    assert_one_error_line(result,
+                          f"cannot fit the model at k=2: {UNSAVABLE_MODEL_CASES[2][3]}")
     assert list(tmp_path.iterdir()) == [features]
 
 
@@ -320,7 +344,7 @@ def test_sweep_snr_refuses_a_fit_that_train_would_refuse(corpus, pipeline, tmp_p
     write_features(features, [[1e308, 0, 0, 0], [-1e308, 0, 0, 0]], device_id="bt_phone")
     result = run_cli(*_sweep_snr(corpus, features, tmp_path / "report", "--snr-grid", "30"))
     assert_one_error_line(result,
-                          "cannot use the model at k=5: scaler_std holds non-finite values")
+                          "cannot fit the model at k=5: scaler_std holds non-finite values")
     assert list(tmp_path.iterdir()) == [features]
     # without standardization the same rows fit a finite model, which train saves
     result = run_cli(*_sweep_snr(corpus, features, tmp_path / "report", "--snr-grid", "30",
@@ -340,6 +364,8 @@ def test_sweep_snr_refuses_a_fit_that_train_would_refuse(corpus, pipeline, tmp_p
     (lambda d: d.update(threshold=True), "threshold must be a number, got True"),
     (lambda d: d.update(threshold="1.5"), "threshold must be a number, got '1.5'"),
     (lambda d: d.update(threshold=10**400), "threshold is beyond float range"),
+    (lambda d: d.update(threshold=float("inf")), "threshold must be finite, got inf"),
+    (lambda d: d["kdist"].__setitem__(4, 0.0), "1 training rows have k-distance 0 at k=5"),
     (lambda d: d["kdist"].__setitem__(0, 10**400), "kdist must be numbers, got dtype object"),
     (lambda d: d.update(k=5.0), "k must be an integer, got 5.0"),
     (lambda d: d.update(standardized=1), "standardized must be a boolean, got 1"),
@@ -349,8 +375,8 @@ def test_sweep_snr_refuses_a_fit_that_train_would_refuse(corpus, pipeline, tmp_p
     (lambda d: d["train"][2].__setitem__(1, True), "train entries must be numbers, got True"),
 ], ids=["missing-key", "short-kdist", "long-lrd", "k-zero", "k-n", "short-mean",
         "long-std", "nan", "bool-threshold", "text-threshold", "huge-threshold",
-        "huge-kdist", "float-k", "int-standardized", "bool-version", "text-lrd",
-        "bool-kdist", "bool-train"])
+        "infinite-threshold", "zero-kdist", "huge-kdist", "float-k", "int-standardized",
+        "bool-version", "text-lrd", "bool-kdist", "bool-train"])
 def test_score_rejects_inconsistent_model(pipeline, tmp_path, edit, message):
     _, _, eval_csv, model = pipeline
     doc = json.loads(model.read_text())
@@ -365,6 +391,20 @@ def test_score_rejects_inconsistent_model(pipeline, tmp_path, edit, message):
     assert str(bad) in result.stderr
     assert len(result.stderr.strip().splitlines()) == 1
     assert not (tmp_path / "scores.csv").exists()
+
+
+def test_eval_refuses_a_model_that_breaks_the_rule(pipeline, tmp_path):
+    # the constructor's rule, with the path of the file that breaks it
+    _, _, eval_csv, model = pipeline
+    doc = json.loads(model.read_text())
+    doc["kdist"][4] = 0.0
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(doc))
+    result = run_cli("eval", "--model", bad, "--features", eval_csv, "--out", tmp_path / "report")
+    assert_one_error_line(result, f"{bad}: 1 training rows have k-distance 0 at k=5: each is at "
+                                  "distance 0 from k or more others (identical, or closer than "
+                                  "the metric resolves); deduplicate them or raise k")
+    assert list(tmp_path.iterdir()) == [bad]
 
 
 # JSON nested deeper than the decoder's recursion limit
@@ -892,10 +932,29 @@ REJECTED_VALUE_CASES = [
     ("train-threshold-nan",
      lambda c, tr, ev, out: ["train", "--features", tr, "--out", out, "--k", 5,
                              "--threshold", "nan"],
-     "threshold must be a number, got NaN", False),
+     "threshold must be finite, got nan", False),
     ("sweep-n-threshold-nan",
      lambda c, tr, ev, out: _sweep_n(tr, ev, out, "--k-grid", "5", "--threshold", "nan"),
-     "threshold must be a number, got NaN", False),
+     "threshold must be finite, got nan", False),
+    # no JSON number is infinite, and a model at +inf would flag nothing, at -inf everything
+    ("train-threshold-inf",
+     lambda c, tr, ev, out: ["train", "--features", tr, "--out", out, "--k", 5,
+                             "--threshold", "inf"],
+     "threshold must be finite, got inf", False),
+    ("train-threshold-beyond-float-range",
+     lambda c, tr, ev, out: ["train", "--features", tr, "--out", out, "--k", 5,
+                             "--threshold", "1e309"],
+     "threshold must be finite, got inf", False),
+    ("train-threshold-minus-inf",
+     lambda c, tr, ev, out: ["train", "--features", tr, "--out", out, "--k", 5,
+                             "--threshold=-inf"],
+     "threshold must be finite, got -inf", False),
+    ("sweep-n-threshold-inf",
+     lambda c, tr, ev, out: _sweep_n(tr, ev, out, "--k-grid", "5", "--threshold", "inf"),
+     "threshold must be finite, got inf", False),
+    ("sweep-snr-threshold-inf",
+     lambda c, tr, ev, out: _sweep_snr(c, tr, out, "--snr-grid", "30", "--threshold", "inf"),
+     "threshold must be finite, got inf", False),
     ("per-class-negative",
      lambda c, tr, ev, out: _sweep_snr(c, tr, out, "--snr-grid", "30", "--per-class", -2),
      "--per-class: must be at least 1, got -2", True),

@@ -235,16 +235,15 @@ def _state(model: LofModel) -> tuple:
 
 def _case(path, document: str, field: str, value):
     """The saved document with ``value`` in ``field``, and what its reader
-    must give: the constructors' outcome for ``value`` (for a model that
-    builds, its ``problem``), or the message of the reader's own steps, the
-    ``profiles`` list check and the ``kind`` lookup."""
+    must give: the constructors' outcome for ``value``, or the message of the
+    reader's own steps, the ``profiles`` list check and the ``kind`` lookup."""
     (_CFG if document == "corpus" else _MODEL).save(path)
     doc = json.loads(path.read_text())
     if document == "model":
         doc[field] = value
         expected = _built(lambda: LofModel(**{f.name: doc[f.name] for f in fields(LofModel)}))
         if isinstance(expected, LofModel):
-            expected = expected.problem() or _state(expected)
+            expected = _state(expected)
         return doc, expected
     first, *rest = _CFG.profiles
     in_profile = field in first.__dataclass_fields__

@@ -322,9 +322,8 @@ def _fit(data, tmp_path):
         metric=data.draw(st.sampled_from(["manhattan", "euclidean"]), label="metric"),
         threshold=data.draw(usual_or(1.5, SCALARS), label="threshold"),
         standardize=data.draw(st.one_of(st.booleans(), SCALARS), label="standardize"))
-    for model in models:
-        if model.problem() is None:  # what save writes, load reads
-            _saves_and_loads(model, LofModel.load, tmp_path / "model.json")
+    for model in models:  # every model that fit_grid returns saves and loads back
+        _saves_and_loads(model, LofModel.load, tmp_path / "model.json")
 
 
 def _score(data, tmp_path):

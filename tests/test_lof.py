@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import threading
 import warnings
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from rfsentry import lof
-from rfsentry.errors import ConfigError
+from rfsentry.errors import ConfigError, FormatError
 from rfsentry.lof import (
     DEFAULT_K,
     DEFAULT_THRESHOLD,
@@ -204,12 +205,26 @@ def test_kdist_of_a_sweep_block_equals_one_partition_per_k(ks, data):
 MODEL_ARRAYS = ("train", "kdist", "lrd", "scaler_mean", "scaler_std")
 
 
+def lattice_rows(rng, n, d, side=5):
+    """``n`` distinct rows of the integer lattice {0..side-1}^d: their distances tie often.
+
+    No row repeats, so no k-distance is 0 and a model fits at every k.
+    """
+    cells = rng.choice(side**d, n, replace=False)
+    return np.stack(np.unravel_index(cells, (side,) * d), axis=1).astype(float)
+
+
+def fit_arrays(x, ks, metric, standardize=True):
+    """``fit_grid``'s own arrays, (z, mean, std, kdists, lrds), before any model is built."""
+    return lof._fit_arrays(np.asarray(x, dtype=float), ks, Metric(metric), standardize)
+
+
 @pytest.mark.parametrize("metric", ["manhattan", "euclidean"])
 def test_grid_equals_one_fit_and_score_per_k(metric):
-    # each k of a longer grid equals a one-element grid at that k; integer-grid
-    # data ties often, and the grid is unsorted and repeats a k
+    # each k of a longer grid equals a one-element grid at that k; distinct
+    # integer-grid rows tie often, and the grid is unsorted and repeats a k
     rng = np.random.default_rng(37)
-    train = rng.integers(0, 5, (25, 4)).astype(float)
+    train = lattice_rows(rng, 25, 4)
     queries = rng.integers(-2, 7, (9, 4)).astype(float)
     ks = [24, 3, 1, 7, 3]
     models = fit_grid(train, ks, metric, threshold=1.2)
@@ -306,39 +321,51 @@ def test_neighbor_lists_and_fused_score_equal_dense_tables(metric, data, n, monk
     # often, lognormal data shows the rounding of every sum, and rows at
     # 1e308 overflow to inf distances and k-distances; 7-row blocks put the
     # fit and every query count on and around block edges; the grid is
-    # unsorted and repeats a k
+    # unsorted and repeats a k. The fit's arrays come before any model, so
+    # repeated grid rows and overflow rows fit too; the models are fitted on
+    # distinct grid rows, or lognormal rows with the overflow rows among the
+    # queries, whose k-distances are finite and nonzero at every k
     block, d = 7, 4
     monkeypatch.setattr(lof, "_BLOCK_ELEMENTS", block * n)
     rng = np.random.default_rng(41)
 
-    def sample(rows):
+    def sample(rows, overflow=data == "overflow"):
         if data == "grid":
             return rng.integers(0, 5, (rows, d)).astype(float)
         x = rng.lognormal(0.0, 1.0, (rows, d))
-        if data == "overflow":
+        if overflow:
             x[1::11] = 1e308
         return x
 
     train = sample(n)
     ks = [24, 3, 1, 7, 3]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        _, _, _, kdists, lrds = fit_arrays(train, ks, metric, standardize=False)
+        table = dense_table(train, train, metric)
+        np.fill_diagonal(table, np.inf)
+        for k, kdist, lrd in zip(ks, kdists, lrds):
+            dense = dense_kdist(table, k)
+            assert kdist.tobytes() == dense.tobytes()
+            assert_lrd_near(lrd, dense_lof(table, dense, dense))
+        if data == "overflow":
+            assert np.isinf(table).any() and np.isinf(kdists[0]).any()
+
+        if data == "grid":
+            train = lattice_rows(rng, n, d)
+        elif data == "overflow":
+            train = sample(n, overflow=False)
         models = fit_grid(train, ks, metric, standardize=False)
         table = dense_table(train, train, metric)
         np.fill_diagonal(table, np.inf)
-        kdists = [dense_kdist(table, k) for k in ks]
-        for model, kdist in zip(models, kdists):
-            lrd = dense_lof(table, kdist, kdist)
-            assert model.kdist.tobytes() == kdist.tobytes()
-            assert_lrd_near(model.lrd, lrd)
         for q in (1, block - 1, block, block + 1, 2 * block + 3):
             queries = sample(q)
             query_table = dense_table(queries, train, metric)
-            for model, kdist, scores in zip(models, kdists, score_grid(models, queries)):
-                expected = dense_lof(query_table, dense_kdist(query_table, model.k), kdist,
-                                     model.lrd)
+            for model, scores in zip(models, score_grid(models, queries)):
+                expected = dense_lof(query_table, dense_kdist(query_table, model.k),
+                                     dense_kdist(table, model.k), model.lrd)
                 assert scores.tobytes() == expected.tobytes()
     if data == "overflow":
-        assert np.isinf(table).any() and np.isinf(kdists[0]).any()
+        assert np.isinf(query_table).any()
 
 
 @pytest.mark.parametrize("metric", ["manhattan", "euclidean"])
@@ -350,13 +377,14 @@ def test_a_row_with_an_infinite_k_distance_is_not_its_own_neighbor(metric):
     rng = np.random.default_rng(47)
     train = rng.lognormal(0.0, 1.0, (12, 4))
     train[:3] = (1e308 if metric == "manhattan" else 1e154) * np.array([[1.0], [1.01], [1.03]])
+    ks = [3, 1, 2]
     with np.errstate(over="ignore", invalid="ignore"):
-        models = fit_grid(train, [3, 1, 2], metric, standardize=False)
-        for model in models[1:]:
-            single = fit_grid(train, [model.k], metric, standardize=False)[0]
-            assert model.kdist.tobytes() == single.kdist.tobytes()
-            assert model.lrd.tobytes() == single.lrd.tobytes(), model.k
-    assert np.all(np.isinf(models[0].kdist[:3])) and np.all(np.isfinite(models[1].kdist))
+        _, _, _, kdists, lrds = fit_arrays(train, ks, metric, standardize=False)
+        for k, kdist, lrd in list(zip(ks, kdists, lrds))[1:]:
+            _, _, _, single_kdist, single_lrd = fit_arrays(train, [k], metric, standardize=False)
+            assert kdist.tobytes() == single_kdist[0].tobytes()
+            assert lrd.tobytes() == single_lrd[0].tobytes(), k
+    assert np.all(np.isinf(kdists[0][:3])) and np.all(np.isfinite(kdists[1]))
 
 
 # -- threads ------------------------------------------------------------------
@@ -380,20 +408,24 @@ def test_row_block_groups_run_on_threads_that_end_with_the_call(monkeypatch):
 def test_results_do_not_depend_on_the_thread_count(metric, cpus, monkeypatch):
     # 7-row blocks: a fit of 30 rows has 5 blocks (the last ragged), so 2
     # and 3 threads get ragged groups and 50 is more threads than blocks;
-    # one thread is the reference, bit for bit; duplicate rows tie
+    # one thread is the reference, bit for bit. Duplicate rows tie: in the
+    # fit's arrays, where they have k-distance 0 below k=7, and among the
+    # queries, which repeat training rows of the distinct rows the models fit
     block, n = 7, 30
     monkeypatch.setattr(lof, "_BLOCK_ELEMENTS", block * n)
     rng = np.random.default_rng(44)
     train = rng.lognormal(0.0, 1.0, (n, 4))
-    train[1::5] = train[0]
+    duplicated = train.copy()
+    duplicated[1::5] = train[0]
     ks = [24, 3, 1, 7, 3]
-    query_sets = [rng.lognormal(0.0, 1.0, (q, 4)) for q in (1, 6, 7, 8, 17)]
+    query_sets = [rng.lognormal(0.0, 1.0, (q, 4)) for q in (1, 6, 7, 8, 17)] + [train[::3]]
 
     def run():
+        _, _, _, kdists, lrds = fit_arrays(duplicated, ks, metric)
         models = fit_grid(train, ks, metric)
         arrays = [(m.kdist.tobytes(), m.lrd.tobytes()) for m in models]
         scores = [[s.tobytes() for s in score_grid(models, q)] for q in query_sets]
-        return arrays, scores
+        return kdists.tobytes(), lrds.tobytes(), arrays, scores
 
     monkeypatch.setattr(lof, "usable_cpus", lambda: 1)
     reference = run()
@@ -489,6 +521,12 @@ def test_score_peak_memory_is_bounded(monkeypatch):
 
 # -- the band search of fit pass 1 ---------------------------------------------
 
+# pass 1's refusal of a zero k-distance at the grid's largest k, under its first k
+ZERO_KDIST_REFUSAL = (r"cannot fit the model at k={k}: (at least )?\d+ training rows have "
+                      r"k-distance 0 at k={k}: each is at distance 0 from k or more others "
+                      r"\(identical, or closer than the metric resolves\); deduplicate them "
+                      r"or raise k")
+
 # module settings that send any fit down each path of pass 1
 BRUTE_FORCE = {"_BAND_MAX_DIM": 0}
 BAND = {"_BAND_MAX_COST": math.inf, "_BAND_MIN_BLOCKS": 0}
@@ -533,7 +571,11 @@ def neighbor_entries(z, metric, ks):
 def test_band_search_equals_brute_force(metric, data, d, monkeypatch):
     # integer-grid rows, not standardized, put columns exactly on a band's
     # edge; duplicated and identical rows tie; 16-row blocks give the band
-    # path many blocks at n=240; the first grid repeats a k
+    # path many blocks at n=240; the first grid repeats a k. Where rows tie
+    # at distance 0 up to the largest k (identical rows, a 1-D grid, and a
+    # 2-D grid at k=7), both paths refuse the fit in pass 1, at every
+    # thread count; elsewhere the fit's arrays are compared, zero k-distances
+    # at smaller k included
     n = 240
     monkeypatch.setattr(lof, "_BLOCK_ELEMENTS", 16 * n)
     rng = np.random.default_rng(46)
@@ -544,24 +586,32 @@ def test_band_search_equals_brute_force(metric, data, d, monkeypatch):
         "identical": lambda: np.ones((n, d)),
     }[data]()
     standardize = data != "grid"
-    z = fit_grid(x, [1], standardize=standardize)[0].train
     defaults = {name: getattr(lof, name) for name in {**BRUTE_FORCE, **BAND}}
     for ks in ([30, 5, 30, 1], [7]):
         results = []
         for settings in (BRUTE_FORCE, BAND):
             for name, value in {**defaults, **settings}.items():
                 monkeypatch.setattr(lof, name, value)
-            plan = lof._band_plan(z.T.copy(), Metric(metric), max(ks))
-            assert (plan is None) == (settings is BRUTE_FORCE)
-            if plan is not None:
-                assert_band_blocks_cover_z(plan, n)
             for cpus in (1, 2):
                 monkeypatch.setattr(lof, "usable_cpus", lambda: cpus)
-                models = fit_grid(x, ks, metric, standardize=standardize)
+                try:
+                    z, _, _, kdists, lrds = fit_arrays(x, ks, metric, standardize)
+                except ConfigError as exc:
+                    assert re.fullmatch(ZERO_KDIST_REFUSAL.format(k=ks[0]), str(exc)), str(exc)
+                    with pytest.raises(ConfigError, match="have k-distance 0"):
+                        fit_grid(x, ks, metric, standardize=standardize)
+                    results.append("refused")
+                    continue
+                plan = lof._band_plan(z.T.copy(), Metric(metric), max(ks))
+                assert (plan is None) == (settings is BRUTE_FORCE)
+                if plan is not None:
+                    assert_band_blocks_cover_z(plan, n)
                 entries = neighbor_entries(z, metric, ks)
-                results.append(([m.kdist.tobytes() + m.lrd.tobytes() for m in models],
-                                [a.tobytes() for a in entries]))
+                results.append((kdists.tobytes(), lrds.tobytes(), [a.tobytes() for a in entries]))
         assert all(result == results[0] for result in results), ks
+        # 5 values a column: a 1-D grid repeats each row 48 times, a 2-D one about 10
+        zero_at_largest_k = data == "identical" or (data == "grid" and d <= (2 if ks == [7] else 1))
+        assert (results[0] == "refused") == zero_at_largest_k, ks
 
 
 def test_the_default_corpus_fits_by_brute_force(default_corpus, default_trigger):
@@ -692,17 +742,21 @@ def test_score_inlier_near_one():
 
 
 def test_score_duplicates_stay_finite():
-    data = np.array([[1.0, 1.0]] * 5 + [[2.0, 2.0]] * 5)
+    # three copies of each row: at k=3 each has a neighbor beyond its copies
+    data = np.array([[1.0, 1.0]] * 3 + [[2.0, 2.0]] * 3)
     model = fit_grid(data, [3], standardize=False)[0]
-    assert np.all(np.isfinite(model.lrd))
+    assert np.all(np.isfinite(model.lrd)) and np.all(model.kdist == 2.0)
     s = score_grid([model], np.array([1.0, 1.0]))[0][0]
     assert np.isfinite(s)
+    # five copies tie at distance 0 beyond k=3, a density of 1/LRD_EPSILON
+    with pytest.raises(ConfigError, match="k=3: 10 training rows have k-distance 0 at k=3"):
+        fit_grid(np.array([[1.0, 1.0]] * 5 + [[2.0, 2.0]] * 5), [3], standardize=False)
 
 
 def test_score_grid_matches_oracle_with_ties():
-    # integer grid data makes distance ties common
+    # distinct integer grid rows make distance ties common
     rng = np.random.default_rng(25)
-    train = rng.integers(0, 4, (30, 2)).astype(float)
+    train = lattice_rows(rng, 30, 2, side=8)
     queries = rng.integers(-2, 6, (10, 2)).astype(float)
     for metric in ("manhattan", "euclidean"):
         model = fit_grid(train, [3], metric=metric, standardize=False)[0]
@@ -870,27 +924,160 @@ def test_model_save_peak_memory_is_below_its_text(tmp_path):
     assert peak < size, (peak, size)
 
 
-def test_model_save_refuses_what_load_would_refuse(tmp_path):
-    # distances beyond float range fit to an infinite k-distance
-    x = np.array([[1e308, 1.0], [-1e308, 1.0], [0.5, 1.0]])
-    with np.errstate(over="ignore"):
-        model = fit_grid(x, [2], standardize=False)[0]
-    path = tmp_path / "model.json"
-    with pytest.raises(ConfigError, match="cannot save the model: kdist holds non-finite values"):
-        model.save(path)
-    assert not path.exists()
-
-
 def test_zero_kdist_refusal_names_distinct_rows_the_metric_cannot_tell_apart():
     # distinct rows 1e-170 apart: their squared differences underflow to 0
     x = np.array([[0.0, 0, 0, 0], [1e-170, 0, 0, 0], [3e-170, 0, 0, 0], [5, 5, 5, 5], [9, 1, 2, 3]])
-    euclidean = fit_grid(x, [1], metric="euclidean", standardize=False)[0]
-    assert np.array_equal(euclidean.kdist[:3], np.zeros(3))
-    assert euclidean.problem() == (
-        "3 training rows have k-distance 0 at k=1: each is at distance 0 from k or more others "
-        "(identical, or closer than the metric resolves); deduplicate them or raise k")
+    with pytest.raises(ConfigError) as refusal:
+        fit_grid(x, [1], metric="euclidean", standardize=False)
+    assert str(refusal.value) == (
+        "cannot fit the model at k=1: 3 training rows have k-distance 0 at k=1: each is at "
+        "distance 0 from k or more others (identical, or closer than the metric resolves); "
+        "deduplicate them or raise k")
     manhattan = fit_grid(x, [1], standardize=False)[0]
-    assert manhattan.kdist[0] == 1e-170 and manhattan.problem() is None
+    assert manhattan.kdist[0] == 1e-170
+
+
+def fitted_fields(x, ks, at, standardize=True) -> dict:
+    """``LofModel``'s arguments for the model at ``ks[at]``, from ``fit_grid``'s own arrays."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        z, mean, std, kdists, lrds = fit_arrays(x, ks, "manhattan", standardize)
+    return dict(train=z, k=ks[at], metric=Metric.MANHATTAN, threshold=DEFAULT_THRESHOLD,
+                kdist=kdists[at], lrd=lrds[at], scaler_mean=mean, scaler_std=std,
+                standardized=standardize)
+
+
+def usable_fields() -> dict:
+    """The arguments of a model of 8 distinct rows at k=2, which builds."""
+    return fitted_fields(np.random.default_rng(50).standard_normal((8, 4)), [2], 0)
+
+
+def edited_fields(name, edit) -> dict:
+    fields_ = usable_fields()
+    return {**fields_, name: edit(fields_[name])}
+
+
+def nudged(array, at, value):
+    array = array.copy()
+    array[at] = value
+    return array
+
+
+# three copies of a row: each other's two nearest neighbors, but not three
+COPIES = [[1.0, 2.0, 3.0, 4.0]] * 3 + np.random.default_rng(49).standard_normal((5, 4)).tolist()
+# rows near the float range: without standardization the distances overflow
+# to an infinite k-distance, and with it the variance to an infinite scaler_std
+OVERFLOW = [[1e308, 1.0], [-1e308, 1.0], [0.5, 1.0]]
+SPREAD = [*np.random.default_rng(48).standard_normal((20, 4)).tolist(),
+          [1e308, 0, 0, 0], [-1e308, 0, 0, 0]]
+ZERO_KDIST_RULE = ("3 training rows have k-distance 0 at k=2: each is at distance 0 from k or "
+                   "more others (identical, or closer than the metric resolves); deduplicate "
+                   "them or raise k")
+ZERO_KDIST_FIT = f"cannot fit the model at k=2: {ZERO_KDIST_RULE}"
+
+# Each case of the usable-model rule: LofModel's arguments, its rule text,
+# and the fit_grid calls that produce the case, with what each raises
+RULE_CASES = {
+    # at k=3 the copies fit, so the constructor refuses k=2; at k=2 alone, pass 1 does
+    "zero-kdist": (lambda: fitted_fields(COPIES, [2, 3], 0), ZERO_KDIST_RULE,
+                   [(lambda: fit_grid(COPIES, [2, 3]), ZERO_KDIST_FIT),
+                    (lambda: fit_grid(COPIES, [2]), ZERO_KDIST_FIT)]),
+    "kdist-non-finite": (lambda: fitted_fields(OVERFLOW, [2], 0, standardize=False),
+                         "kdist holds non-finite values",
+                         [(lambda: fit_grid(OVERFLOW, [1, 2], standardize=False),
+                           "cannot fit the model at k=2: kdist holds non-finite values")]),
+    "lrd-non-finite": (lambda: edited_fields("lrd", lambda a: nudged(a, 3, np.inf)),
+                       "lrd holds non-finite values", []),
+    "scaler-std-non-finite": (lambda: fitted_fields(SPREAD, [2], 0),
+                              "scaler_std holds non-finite values",
+                              [(lambda: fit_grid(SPREAD, [2, 5]), "cannot fit the model at "
+                                "k=2: scaler_std holds non-finite values")]),
+    "scaler-std-zero": (lambda: edited_fields("scaler_std", lambda a: nudged(a, 1, 0.0)),
+                        "scaler_std must be positive", []),
+    "scaler-std-negative": (lambda: edited_fields("scaler_std", lambda a: nudged(a, 0, -1.0)),
+                            "scaler_std must be positive", []),
+    "k-zero": (lambda: edited_fields("k", lambda k: 0), "k=0 outside 1..7 for 8 training rows",
+               []),
+    "k-n": (lambda: edited_fields("k", lambda k: 8), "k=8 outside 1..7 for 8 training rows", []),
+    "short-kdist": (lambda: edited_fields("kdist", lambda a: a[:-1]),
+                    "kdist has shape (7,), expected (8,)", []),
+    "row-train": (lambda: edited_fields("train", lambda a: a[0]),
+                  "train must be a matrix of at least 2 rows, got shape (4,)", []),
+    "threshold-inf": (lambda: edited_fields("threshold", lambda t: np.inf),
+                      "threshold must be finite, got inf",
+                      [(lambda: fit_grid(COPIES, [2], threshold=np.inf),
+                        "threshold must be finite, got inf")]),
+    "threshold-minus-inf": (lambda: edited_fields("threshold", lambda t: -np.inf),
+                            "threshold must be finite, got -inf",
+                            [(lambda: fit_grid(COPIES, [2], threshold=float("-inf")),
+                              "threshold must be finite, got -inf")]),
+    "threshold-nan": (lambda: edited_fields("threshold", lambda t: np.nan),
+                      "threshold must be finite, got nan",
+                      [(lambda: fit_grid(COPIES, [2], threshold=np.nan),
+                        "threshold must be finite, got nan")]),
+}
+
+
+@pytest.mark.parametrize("case", RULE_CASES)
+def test_one_rule_at_every_entry_point(case, tmp_path):
+    # the constructor, load and fit_grid refuse each case with the rule's
+    # own text; load names the file, and fit_grid the first k in grid order
+    # whose model breaks it, where a fit can produce the case at all (it
+    # refuses a k outside 1..n-1 with its own argument rule, and never fits
+    # a zero scaler_std or a mis-shaped array). A threshold is refused
+    # before the fit, and a zero k-distance at the largest k in pass 1.
+    make_fields, rule, fits = RULE_CASES[case]
+    fields_ = make_fields()
+    with pytest.raises(ConfigError) as refusal:
+        LofModel(**fields_)
+    assert str(refusal.value) == rule
+    doc = {"format": lof.MODEL_FORMAT, "version": lof.MODEL_FORMAT_VERSION,
+           **{name: value.tolist() if isinstance(value, np.ndarray) else value
+              for name, value in fields_.items()}, "metric": fields_["metric"].value}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))  # an infinity or NaN as JavaScript writes it
+    with pytest.raises(FormatError) as refusal:
+        LofModel.load(path)
+    assert str(refusal.value) == f"{path}: {rule}"
+    for fit, message in fits:
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ConfigError) as refusal:
+                fit()
+        assert str(refusal.value) == message
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_fit_with_zero_k_distances_is_refused_before_its_lists_grow(cpus, monkeypatch):
+    # pass 1 refuses a zero k-distance at the largest k in the first block
+    # that measures one: identical rows would otherwise store n - 1 neighbor
+    # entries a row, against k on tie-free rows; so the refused fits peak
+    # below a tie-free fit of the same size, at one thread and at two
+    n, k = 2000, 10
+    monkeypatch.setattr(lof, "usable_cpus", lambda: cpus)
+    rng = np.random.default_rng(53)
+    tie_free = rng.lognormal(0.0, 1.0, (n, 4))
+    bound = traced_peak(lambda: fit_grid(tie_free, [k], standardize=False))
+    two_groups = np.repeat(rng.lognormal(0.0, 1.0, (2, 4)), n // 2, axis=0)
+    for x in (two_groups, np.ones((n, 4))):
+
+        def refused():
+            with pytest.raises(ConfigError, match=ZERO_KDIST_REFUSAL.format(k=k)):
+                fit_grid(x, [k], standardize=False)
+
+        assert traced_peak(refused) < bound
+
+
+def test_records_store_read_only_views_of_the_callers_arrays():
+    # the model cannot change an array, and the caller still can
+    fields_ = usable_fields()
+    arrays = {name: np.array(fields_[name]) for name in MODEL_ARRAYS}
+    model = LofModel(**{**fields_, **arrays})
+    for name, array in arrays.items():
+        assert array.flags.writeable and not getattr(model, name).flags.writeable, name
+        assert np.shares_memory(array, getattr(model, name)), name
+        array[0] = 1.0
+    # one fit's models share one read-only reference, which score_grid checks
+    models = fit_grid(arrays["train"], [2, 3])
+    assert models[0].train is models[1].train and not models[0].train.flags.writeable
 
 
 def test_model_load_rejects_other_documents(tmp_path):

@@ -52,6 +52,15 @@ def test_signal_samples_immutable():
         s.samples[0] = 9.0
 
 
+def test_signal_stores_a_read_only_view_of_the_callers_array():
+    # uncopied, and the caller's float64 array stays writable
+    x = np.ones(8)
+    s = Signal(samples=x)
+    assert x.flags.writeable and not s.samples.flags.writeable
+    assert np.shares_memory(x, s.samples)
+    x[0] = 2.0
+
+
 def test_trigger_config_validation():
     with pytest.raises(ValueError):
         TriggerConfig(window_len=0)
