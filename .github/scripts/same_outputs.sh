@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Usage: .github/scripts/same_outputs.sh BASE
 #
-# Runs the default pipeline four times at the git revision BASE and at the
+# Runs the default pipeline five times at the git revision BASE and at the
 # working tree, and fails if any data product, stdout or stderr log differs
 # under `diff -r`. The pipeline is synth, extract of both manifests, train,
 # score, eval, sweep-n and sweep-snr:
@@ -28,6 +28,10 @@
 #   Its 3,200-row models also span several of the slices that LofModel.save
 #   writes model.json in (lof._SAVE_ROWS rows each), so the slice joins of
 #   train, kdist and lrd are compared too.
+# * seed 4 with --jobs 2 on a clean corpus (synth --snr inf) at the seed-2
+#   run's 1024-sample sizes, so that the manifests and feature CSVs with an
+#   empty snr_db column, and the sweeps over clean training rows, are
+#   compared too.
 #
 # In the logs, each run's output directory and source tree are replaced by
 # fixed names first, so that only what the commands report is compared.
@@ -61,7 +65,7 @@ rfs() {
 }
 
 # pipeline SRC OUT SEED JOBS SETTINGS: SETTINGS is "default", "unsorted",
-# "capture1024" or "band"
+# "capture1024", "band" or "clean1024"
 pipeline() {
     src=$1 out=$2
     local seed=$3 jobs=$4 synth=() extract=() sweep_n=() sweep_snr=() more_fits=false k50=false
@@ -71,11 +75,12 @@ pipeline() {
         sweep_snr=(--snr-grid 18,6,30,12 --k-grid 150,100,20)
         k50=true
         ;;
-    capture1024)
+    capture1024 | clean1024)
         synth=(--capture-len 1024 --signals-per-device 60)
         extract=(--capture-len 1024)
         sweep_n=(--k-grid 5:50:5)
         sweep_snr=(--per-class 50 --k-grid 20,40)
+        if [[ $5 == clean1024 ]]; then synth+=(--snr inf); fi
         ;;
     band)
         synth=(--signals-per-device 1200)
@@ -183,7 +188,7 @@ for path in sorted(base.rglob("*")):
 PY
 }
 
-for run in "0 2 default" "1 1 unsorted" "2 1 capture1024" "3 2 band"; do
+for run in "0 2 default" "1 1 unsorted" "2 1 capture1024" "3 2 band" "4 2 clean1024"; do
     read -r seed jobs settings <<<"$run"
     pipeline "$work/base-src" "$work/base/seed$seed" "$seed" "$jobs" "$settings"
     pipeline "$repo" "$work/head/seed$seed" "$seed" "$jobs" "$settings"

@@ -7,9 +7,10 @@ noted), so commands are pipe-safe. A single --seed flag fans out to
 per-stage seeds (see seeding.stage_seed), which keeps every subcommand
 deterministic without threading seeds through each flag. This module holds
 no file format, only the corpus directory layout: each format is read and
-written by the module of the type it holds. Each ``synth`` worker writes
-its traces on a helper thread while it generates the next burst
-(``signals.save_signals``); the manifests and corpus.json are removed
+written by the module of the type it holds. ``synth`` writes its traces in
+manifest order, training bursts first (``CorpusConfig.split``); each worker
+writes its traces on a helper thread while it generates the next burst
+(``signals.save_signals``), and the manifests and corpus.json are removed
 before the first trace is written and written last, after every trace is
 on disk, so a failed ``synth`` leaves no corpus. Every command runs with
 numpy's overflow, invalid and divide warnings off, so stderr holds only the
@@ -259,18 +260,19 @@ def _trigger_config(args) -> TriggerConfig:
 def _synth_bursts(plan: list, cfg: CorpusConfig, out_dir: str) -> list[ManifestRow]:
     """Generate and store each (profile, index) burst of ``plan``; one manifest row each.
 
-    Each trace is written on a helper thread while the next burst is
-    generated (``signals.save_signals``).
+    Each row is built from its profile and the corpus SNR (empty for a clean
+    corpus), not from the burst. Each trace is written on a helper thread
+    while the next burst is generated (``signals.save_signals``).
     """
+    snr_db = None if cfg.snr_db == math.inf else cfg.snr_db
     rows = []
 
     def bursts():
         for profile, index in plan:
-            sig = gen_burst(profile, index, cfg)
             rel = f"signals/{profile.name}_{index:05d}.rfsg"
-            rows.append(ManifestRow(path=rel, device_id=sig.device_id,
-                                    signal_class=sig.signal_class, snr_db=sig.snr_db))
-            yield sig, Path(out_dir) / rel
+            rows.append(ManifestRow(path=rel, device_id=profile.name,
+                                    signal_class=profile.signal_class, snr_db=snr_db))
+            yield gen_burst(profile, index, cfg), Path(out_dir) / rel
 
     save_signals(bursts())
     return rows
@@ -288,10 +290,9 @@ def cmd_synth(args) -> int:
     (out / "signals").mkdir(parents=True, exist_ok=True)
     for name in (CORPUS_FILE, TRAIN_MANIFEST, EVAL_MANIFEST):  # no stale corpus if this fails
         (out / name).unlink(missing_ok=True)
-    plan = [(p, i) for p in cfg.profiles for i in range(cfg.signals_per_device)]
-    rows = map_chunks(_synth_bursts, plan, args.jobs, cfg, str(out))
-    train_rows = [row for (p, i), row in zip(plan, rows) if cfg.is_train(p, i)]
-    eval_rows = [row for (p, i), row in zip(plan, rows) if not cfg.is_train(p, i)]
+    train, evaluation = cfg.split()
+    rows = map_chunks(_synth_bursts, train + evaluation, args.jobs, cfg, str(out))
+    train_rows, eval_rows = rows[:len(train)], rows[len(train):]
 
     # manifests and config last, atomically: their presence means a complete corpus
     _atomic(lambda p: write_manifest(train_rows, p), out / TRAIN_MANIFEST)

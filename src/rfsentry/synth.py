@@ -147,22 +147,18 @@ class CorpusConfig:
     def train_per_device(self) -> int:
         return round(self.signals_per_device * TRAIN_FRACTION)
 
-    def is_train(self, profile: DeviceProfile, index: int) -> bool:
-        """The split rule: a recognized device's first train_per_device bursts
-        are training data; all other bursts (every UAV burst) are evaluation."""
-        return (
-            profile.signal_class is SignalClass.RECOGNIZED
-            and index < self.train_per_device
-        )
+    def split(self) -> tuple[list[tuple[DeviceProfile, int]], list[tuple[DeviceProfile, int]]]:
+        """(profile, burst index) of each training and each evaluation burst, in corpus order.
 
-    def eval_plan(self) -> list[tuple[DeviceProfile, int]]:
-        """(profile, burst index) of each evaluation burst, in corpus order."""
-        return [
-            (profile, index)
-            for profile in self.profiles
-            for index in range(self.signals_per_device)
-            if not self.is_train(profile, index)
-        ]
+        The split rule: a recognized device's first train_per_device bursts
+        are training data; all other bursts (every UAV burst) are evaluation.
+        """
+        train, evaluation = [], []
+        for profile in self.profiles:
+            cut = self.train_per_device if profile.signal_class is SignalClass.RECOGNIZED else 0
+            train += [(profile, index) for index in range(cut)]
+            evaluation += [(profile, index) for index in range(cut, self.signals_per_device)]
+        return train, evaluation
 
     def save(self, path: str | Path) -> None:
         """Write the corpus.json document; a clean corpus's +inf SNR is null."""
@@ -399,29 +395,19 @@ def noise_seed(cfg: CorpusConfig, profile: DeviceProfile, index: int) -> int:
 
 
 def build_corpus(cfg: CorpusConfig) -> tuple[list[Signal], list[Signal]]:
-    """Generate all signals and split them by the semi-supervised protocol.
-
-    The split is ``CorpusConfig.is_train``: recognized devices contribute
-    their first train_per_device bursts to the training set and the remainder
-    to evaluation; UAV devices contribute all bursts to evaluation only.
-    """
-    train: list[Signal] = []
-    evaluation: list[Signal] = []
-    for profile in cfg.profiles:
-        for index in range(cfg.signals_per_device):
-            split = train if cfg.is_train(profile, index) else evaluation
-            split.append(gen_burst(profile, index, cfg))
-    return train, evaluation
+    """The generated training and evaluation bursts of ``cfg.split()``, each in corpus order."""
+    train, evaluation = cfg.split()
+    return [gen_burst(p, i, cfg) for p, i in train], [gen_burst(p, i, cfg) for p, i in evaluation]
 
 
 def balanced_eval_plan(cfg: CorpusConfig, per_class: int) -> list[tuple[DeviceProfile, int]]:
     """(profile, burst index) of a class-balanced evaluation subset, in corpus order.
 
-    The picks are ``balanced_indices`` over the classes of ``cfg.eval_plan()``,
-    seeded with the corpus's ``balanced`` stage seed, so no burst is
-    generated to choose them.
+    The picks are ``balanced_indices`` over the classes of the evaluation
+    bursts of ``cfg.split()``, seeded with the corpus's ``balanced`` stage
+    seed, so no burst is generated to choose them.
     """
-    plan = cfg.eval_plan()
+    plan = cfg.split()[1]
     picked = balanced_indices([p.signal_class for p, _ in plan], per_class,
                               stage_seed(cfg.master_seed, "balanced"))
     return [plan[i] for i in picked]
@@ -446,12 +432,18 @@ def _pick_per_class(labels: list[SignalClass], count, seed: int) -> set[int]:
 def stratified_split_indices(
     labels: list[SignalClass], test_frac: float, seed: int
 ) -> tuple[list[int], list[int]]:
-    """Per-class random split; both halves keep the original ordering."""
+    """Per-class random (test, validation) split; both halves keep the original ordering.
+
+    A ``test_frac`` that leaves either half empty is a ConfigError.
+    """
     if not labels:
         raise RfSentryError("cannot split an empty evaluation set")
     if not (0.0 < test_frac < 1.0):
         raise ConfigError(f"test_frac must be in (0, 1), got {test_frac}")
     picked = _pick_per_class(labels, lambda size: round(test_frac * size), seed)
+    if len(picked) in (0, len(labels)):
+        raise ConfigError(f"test_frac {test_frac} leaves the {'validation' if picked else 'test'} "
+                          f"rows empty: {len(picked)} of {len(labels)} rows are test rows")
     return sorted(picked), [i for i in range(len(labels)) if i not in picked]
 
 

@@ -20,7 +20,7 @@ from rfsentry import cli, lof, seeding, signals
 from rfsentry.cli import _atomic, _parse_grid
 from rfsentry.features import FEATURE_CSV_HEADER, load_feature_csv
 from rfsentry.signals import _HEADER_STRUCT
-from rfsentry.synth import default_profiles, gen_burst
+from rfsentry.synth import CorpusConfig, default_profiles, gen_burst
 
 SUBCOMMANDS = ["synth", "extract", "train", "score", "eval", "sweep-n", "sweep-snr"]
 
@@ -111,6 +111,32 @@ def test_synth_deterministic_across_runs_and_jobs(corpus, tmp_path, monkeypatch)
         assert (chunked / name).read_bytes() == (corpus / name).read_bytes(), name
 
 
+def test_a_clean_corpus_end_to_end(tmp_path):
+    # synth --snr inf: the same files at any --jobs, manifest rows that follow
+    # the corpus's split with an empty SNR, and an empty SNR column in extract
+    clean = [*SYNTH_ARGS[:2], "--snr", "inf", *SYNTH_ARGS[4:]]
+    serial, pooled = tmp_path / "serial", tmp_path / "pooled"
+    for out, jobs in ((serial, 1), (pooled, 2)):
+        result = run_cli("synth", "--out", out, *clean, "--jobs", jobs)
+        assert result.returncode == 0, result.stderr
+    names = sorted(p.relative_to(serial) for p in serial.rglob("*") if p.is_file())
+    assert len(names) == 3 + 120
+    assert names == sorted(p.relative_to(pooled) for p in pooled.rglob("*") if p.is_file())
+    for name in names:
+        assert (serial / name).read_bytes() == (pooled / name).read_bytes(), name
+    cfg = CorpusConfig.load(serial / "corpus.json")
+    for manifest, plan in zip(["train_manifest.csv", "eval_manifest.csv"], cfg.split()):
+        with open(serial / manifest, newline="") as fh:
+            assert list(csv.reader(fh)) == [["path", "device_id", "class", "snr_db"]] + [
+                [f"signals/{p.name}_{i:05d}.rfsg", p.name, p.signal_class.value, ""]
+                for p, i in plan]
+    features = tmp_path / "train.csv"
+    assert extract(serial, "train_manifest.csv", features).returncode == 0
+    with open(features, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == N_TRAIN and all(row["snr_db"] == "" for row in rows)
+
+
 CORPUS_PRODUCTS = ["corpus.json", "train_manifest.csv", "eval_manifest.csv"]
 
 
@@ -165,7 +191,10 @@ def test_synth_stops_at_a_trace_it_cannot_write(tmp_path, caplog):
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert len(errors) == 1 and str(blocked) in errors[0]
     assert not any((out / name).exists() for name in CORPUS_PRODUCTS)
-    order = [f"{p.name}_{i:05d}.rfsg" for p in default_profiles(256) for i in range(12)]
+    # traces are written in manifest order: every training burst, then every evaluation burst
+    train, evaluation = CorpusConfig(profiles=default_profiles(256), signals_per_device=12,
+                                     capture_len=256).split()
+    order = [f"{p.name}_{i:05d}.rfsg" for p, i in train + evaluation]
     failing = order.index(blocked.name)
     written = {p.name for p in (out / "signals").iterdir() if p.is_file()}
     assert set(order[:failing]) <= written <= set(order[:failing + 2]) - {blocked.name}
@@ -681,6 +710,22 @@ def test_sweep_n_rejects_bad_grid(pipeline, tmp_path):
                      "--eval-features", eval_csv, "--out", tmp_path / "r",
                      "--k-grid", "5:1:0")
     assert result.returncode == 2
+
+
+@pytest.mark.parametrize("test_frac, side", [("0.001", "test"), ("0.999", "validation")])
+def test_sweep_n_refuses_a_test_frac_that_empties_a_side(pipeline, tmp_path, caplog,
+                                                         monkeypatch, test_frac, side):
+    # refused before any model of the grid is fitted
+    _, train_csv, eval_csv, _ = pipeline
+    monkeypatch.setattr(cli, "fit_grid", lambda *a, **kw: pytest.fail("sweep-n fitted"))
+    out = tmp_path / "report"
+    assert cli.main(["sweep-n", "--train-features", str(train_csv), "--eval-features",
+                     str(eval_csv), "--out", str(out), "--test-frac", test_frac]) == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    test_rows = 0 if side == "test" else N_EVAL
+    assert errors == [f"test_frac {test_frac} leaves the {side} rows empty: "
+                      f"{test_rows} of {N_EVAL} rows are test rows"]
+    assert not out.exists()
 
 
 def test_sweep_snr_outputs_and_parallel_determinism(corpus, pipeline, tmp_path):

@@ -240,7 +240,8 @@ def mini_sweep_parts(mini_cfg):
     train_table = table_from_signals(train, trigger)
     labels = [s.signal_class for s in evaluation]
     idx = balanced_indices(labels, per_class=10, seed=77)
-    plan = [mini_cfg.eval_plan()[i] for i in idx]
+    _, eval_plan = mini_cfg.split()
+    plan = [eval_plan[i] for i in idx]
     balanced_stored = [evaluation[i] for i in idx]
     return mini_cfg, trigger, train_table, plan, balanced_stored
 

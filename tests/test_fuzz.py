@@ -297,8 +297,8 @@ NUMPY_SCALARS = st.one_of(st.integers(-2, 300).map(np.int64), FLOATS.map(np.floa
 
 
 def usual_or(value, other):
-    """``value`` half the time, else a draw of ``other``; ``one_of`` would flatten ``other``."""
-    return st.booleans().flatmap(lambda usual: st.just(value) if usual else other)
+    """A draw of ``value`` half the time, else of ``other``; ``one_of`` would flatten ``other``."""
+    return st.booleans().flatmap(lambda usual: value if usual else other)
 
 
 _FIT = fit_grid(np.random.default_rng(51).standard_normal((12, 4)), [1, 3, 3])
@@ -313,17 +313,34 @@ def _saves_and_loads(value, load, path):
         pytest.fail(f"save then load raised {exc!r}")
 
 
+# 6 to 16 training rows of distinct values: k in 1..3 fits them unless some rows are
+# closer than the metric resolves
+FIT_ROWS = hnp.arrays(np.float64, st.tuples(st.integers(6, 16), st.integers(1, 4)),
+                      elements=st.floats(-10.0, 10.0), unique=True)
+
+
 def _fit(data, tmp_path):
-    ks = data.draw(KS, label="ks")
+    """The number of models that fit, each saved and loaded back.
+
+    Half the examples draw every argument valid; the others draw each one
+    valid or invalid, so that each invalid draw also meets valid others.
+    """
+    mixed = data.draw(st.booleans(), label="mixed")
+
+    def draw(valid, invalid, label):
+        return data.draw(usual_or(valid, invalid) if mixed else valid, label=label)
+
+    ks = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3), KS, "ks")
     ks = data.draw(st.sampled_from([list, tuple, np.array]), label="container")(ks)
-    train = st.one_of(usual(st.integers(0, 16), st.integers(1, 4)), arrays())
     models = fit_grid(
-        data.draw(train, label="train"), ks,
+        draw(FIT_ROWS, st.one_of(usual(st.integers(0, 16), st.integers(1, 4)), arrays()), "train"),
+        ks,
         metric=data.draw(st.sampled_from(["manhattan", "euclidean"]), label="metric"),
-        threshold=data.draw(usual_or(1.5, SCALARS), label="threshold"),
-        standardize=data.draw(st.one_of(st.booleans(), SCALARS), label="standardize"))
+        threshold=draw(st.just(1.5), SCALARS, "threshold"),
+        standardize=draw(st.booleans(), SCALARS, "standardize"))
     for model in models:  # every model that fit_grid returns saves and loads back
         _saves_and_loads(model, LofModel.load, tmp_path / "model.json")
+    return len(models)
 
 
 def _score(data, tmp_path):
@@ -341,7 +358,7 @@ def _packets(data, tmp_path):
 
 
 def _fingerprint(data, tmp_path):
-    trigger = TriggerConfig(**{name: data.draw(usual_or(default, SCALARS), label=name)
+    trigger = TriggerConfig(**{name: data.draw(usual_or(st.just(default), SCALARS), label=name)
                                for name, default in [("window_len", 8), ("capture_len", 16),
                                                      ("energy_threshold", 0.05)]})
     samples = st.one_of(usual(st.integers(16, 64), None), arrays())
@@ -400,3 +417,21 @@ def test_library_calls_return_or_raise_the_package_errors(tmp_path, call, data):
             LIBRARY_CALLS[call](data, tmp_path)
         except RfSentryError:  # ConfigError and FormatError are subclasses
             pass
+
+
+def test_fuzzed_fits_reach_save_and_load(tmp_path):
+    # _fit's draws under the same settings: some of them must fit, or the
+    # save-and-load check above runs on no model at all
+    saved = []
+
+    @FUZZ
+    @given(data=st.data())
+    def fits(data):
+        with np.errstate(all="ignore"):
+            try:
+                saved.append(_fit(data, tmp_path))
+            except RfSentryError:
+                saved.append(0)
+
+    fits()
+    assert sum(count > 0 for count in saved) > 0, f"no fit of {len(saved)} examples saved"

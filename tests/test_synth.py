@@ -314,7 +314,7 @@ def test_clean_bursts_reproduce_corpus_noise():
     """Re-noising a clean eval burst with its noise seed reproduces the corpus."""
     cfg = small_cfg()
     _, evaluation = build_corpus(cfg)
-    plan = cfg.eval_plan()
+    _, plan = cfg.split()
     assert len(plan) == len(evaluation)
     clean_cfg = replace(cfg, snr_db=math.inf)
     for stored, (profile, index) in zip(evaluation, plan):
@@ -464,22 +464,31 @@ def test_balanced_eval_plan_picks_without_generating(mini_cfg, monkeypatch):
     monkeypatch.setattr(synth, "gen_bursts", lambda *a: calls.append(a) or gen_bursts(*a))
     plan = balanced_eval_plan(mini_cfg, 10)
     assert calls == []
-    assert plan == [mini_cfg.eval_plan()[i] for i in picked]
+    _, eval_plan = mini_cfg.split()
+    assert plan == [eval_plan[i] for i in picked]
     assert len(plan) == 20
     assert [p.name for p, _ in plan] == [evaluation[i].device_id for i in picked]
 
 
+def test_split_states_the_rule(mini_cfg):
+    # a recognized device's first train_per_device bursts train; every other
+    # burst, and every UAV burst, is evaluation; each half in corpus order
+    every = [(p, i) for p in mini_cfg.profiles for i in range(mini_cfg.signals_per_device)]
+    train, evaluation = mini_cfg.split()
+    assert train == [(p, i) for p, i in every
+                     if p.signal_class is SignalClass.RECOGNIZED and i < mini_cfg.train_per_device]
+    assert evaluation == [pair for pair in every if pair not in train]
+    assert len(train) == 4 * 8 and len(evaluation) == 4 * 4 + 6 * 12
+
+
 def test_split_rule_matches_the_corpus(mini_cfg):
     train, evaluation = build_corpus(mini_cfg)
-    plan = mini_cfg.eval_plan()
-    assert [(p.name, p.signal_class) for p, _ in plan] == [
-        (s.device_id, s.signal_class) for s in evaluation
-    ]
-    assert len(train) == sum(
-        mini_cfg.is_train(p, i)
-        for p in mini_cfg.profiles
-        for i in range(mini_cfg.signals_per_device)
-    )
+    for plan, bursts in zip(mini_cfg.split(), (train, evaluation)):
+        assert [(p.name, p.signal_class) for p, _ in plan] == [
+            (s.device_id, s.signal_class) for s in bursts
+        ]
+        for (profile, index), burst in zip(plan, bursts):
+            assert np.array_equal(gen_burst(profile, index, mini_cfg).samples, burst.samples)
 
 
 # -- separability sanity ------------------------------------------------------
